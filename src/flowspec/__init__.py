@@ -75,6 +75,7 @@ from .spectral import (
     SpectrumReport,
     classify_phase,
     conjugate_closure_residual,
+    eigenvalue_spectrum,
     export_spectrum_csv,
     full_spectrum,
     physical_states,

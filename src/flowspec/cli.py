@@ -4,7 +4,9 @@
     flowspec models
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (missing zero mode, defective eigenproblem, indeterminate index...).
+failure (missing zero mode, indeterminate index, capacity, LAPACK breakdown;
+a defective eigenproblem can only come from ``spectrum`` and ``stationary``,
+the tasks that read eigenvectors: the others need eigenvalues only).
 """
 
 from __future__ import annotations

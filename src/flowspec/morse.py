@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DeterministicLimitError,
@@ -43,6 +42,7 @@ from .fields import FlowField, langevin_flow
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec
 from .operators import inner_product_matrix
+from .spectral import _block_eigenvalues
 
 __all__ = [
     "CriticalPoint",
@@ -444,6 +444,18 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     potential ``w``) whose potential has at least two local minima; the
     noise levels must be positive and strictly descending.
     """
+    def degree0_eigenvalues(eps):
+        noise = NoiseSpec(eps)
+        flow = langevin_flow(model.mesh, np.asarray(model.w, dtype=float), noise)
+        op = assemble_hamiltonian(model.mesh, flow, noise, backend="fd")
+        return _block_eigenvalues(op, 0)
+
+    return _splitting_scan(model, epsilons, degree0_eigenvalues)
+
+
+def _splitting_scan(model, epsilons: Sequence[float],
+                    degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
+    """The scan, given the degree-0 eigenvalues of the fd generator per level."""
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2:
         raise ValidationError("need at least two noise levels to scan")
@@ -455,9 +467,7 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
         raise NotPotentialError(
             "the tunneling-gap scan is defined for potential flows only"
         )
-    mesh = model.mesh
-    w = np.asarray(model.w, dtype=float)
-    n_min = _count_minima(mesh, w)
+    n_min = _count_minima(model.mesh, np.asarray(model.w, dtype=float))
     if n_min < 2:
         raise NoInstantonError(
             f"potential has {n_min} local minimum(s); no tunneling doublet exists"
@@ -466,10 +476,7 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     splittings = []
     nontunneling = []
     for eps in eps_list:
-        noise = NoiseSpec(eps)
-        flow = langevin_flow(mesh, w, noise)
-        op = assemble_hamiltonian(mesh, flow, noise, backend="fd")
-        lam = np.sort(np.abs(scipy.linalg.eigvals(op.block(0))))
+        lam = np.sort(np.abs(degree0_eigenvalues(eps)))
         splittings.append(float(lam[1]))
         nontunneling.append(float(lam[n_min]))
 

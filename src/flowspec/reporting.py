@@ -48,12 +48,20 @@ from .exceptions import (
     ValidationError,
 )
 from .fields import flow_from_vertex_samples, langevin_flow
-from .hamiltonian import assemble_hamiltonian
+from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
 from .models import ModelOracle, ModelSpec, build_model, oracle_spectrum_residual
-from .morse import find_critical_points, instanton_splitting_scan, poincare_hopf_sum
+from .morse import (
+    _splitting_scan,
+    find_critical_points,
+    instanton_splitting_scan,
+    poincare_hopf_sum,
+)
 from .operators import normalize_backend
 from .spectral import (
+    _DENSE_CAP,
+    _block_eigenvalues,
+    _spectrum_report,
     classify_phase,
     export_spectrum_csv,
     full_spectrum,
@@ -207,7 +215,10 @@ class RunConfig:
                     "inline system"
                 )
 
-        backend = normalize_backend(data.get("backend", "fd"))
+        try:
+            backend = normalize_backend(data.get("backend", "fd"))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(str(exc)) from exc
 
         tol = data.get("tolerances", {}) or {}
         if not isinstance(tol, dict):
@@ -216,7 +227,7 @@ class RunConfig:
         for key in ("tau_gamma", "tau_e", "tau0"):
             v = tol.get(key)
             if v is not None:
-                v = float(v)
+                v = _as_float(v, key)
                 if v <= 0 or not np.isfinite(v):
                     raise ValidationError(f"{key} must be positive, got {v}")
             taus[key] = v
@@ -227,7 +238,7 @@ class RunConfig:
             eps = sw.get("epsilons")
             if not isinstance(eps, list) or not eps:
                 raise ValidationError("'sweep' task needs sweep.epsilons")
-            sweep_eps = tuple(float(e) for e in eps)
+            sweep_eps = tuple(_as_float(e, "sweep.epsilons") for e in eps)
             _validate_sweep_epsilons(sweep_eps)
 
         sim = dict(data.get("simulate", {}) or {})
@@ -243,7 +254,8 @@ class RunConfig:
         morse_eps = None
         mo = data.get("morse") or {}
         if mo.get("splitting_epsilons"):
-            morse_eps = tuple(float(e) for e in mo["splitting_epsilons"])
+            morse_eps = tuple(_as_float(e, "morse.splitting_epsilons")
+                              for e in mo["splitting_epsilons"])
 
         return RunConfig(
             tasks=tuple(tasks),
@@ -260,6 +272,13 @@ class RunConfig:
             out_dir=data.get("out_dir"),
             raw=data,
         )
+
+
+def _as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _validate_sweep_epsilons(eps: Tuple[float, ...]) -> None:
@@ -295,31 +314,36 @@ def _build_inline(spec: Dict) -> ModelSpec:
             raise ValidationError(f"inline mesh kind must be circle or torus, got {kind!r}")
     except KeyError as exc:
         raise ValidationError(f"inline mesh is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"inline mesh: {exc}") from exc
 
     if "epsilon" not in spec:
         raise ValidationError("inline system needs an 'epsilon'")
-    noise = NoiseSpec(float(spec["epsilon"]))
+    noise = NoiseSpec(_as_float(spec["epsilon"], "inline epsilon"))
 
     flow_spec = spec.get("flow")
     if not isinstance(flow_spec, dict):
         raise ValidationError("inline system needs a 'flow' object")
     w = None
-    if "potential" in flow_spec:
-        w = np.asarray(flow_spec["potential"], dtype=float)
-        flow = langevin_flow(mesh, w, noise)
-    elif "vertex_samples" in flow_spec:
-        flow = flow_from_vertex_samples(
-            mesh, np.asarray(flow_spec["vertex_samples"], dtype=float)
-        )
-    elif "constant" in flow_spec:
-        c = np.atleast_1d(np.asarray(flow_spec["constant"], dtype=float))
-        n0 = mesh.n_cells(0)
-        samples = np.full(n0, c[0]) if mesh.dimension == 1 else np.tile(c, (n0, 1))
-        flow = flow_from_vertex_samples(mesh, samples)
-    else:
-        raise ValidationError(
-            "inline flow needs one of: potential, vertex_samples, constant"
-        )
+    try:
+        if "potential" in flow_spec:
+            w = np.asarray(flow_spec["potential"], dtype=float)
+            flow = langevin_flow(mesh, w, noise)
+        elif "vertex_samples" in flow_spec:
+            flow = flow_from_vertex_samples(
+                mesh, np.asarray(flow_spec["vertex_samples"], dtype=float)
+            )
+        elif "constant" in flow_spec:
+            c = np.atleast_1d(np.asarray(flow_spec["constant"], dtype=float))
+            n0 = mesh.n_cells(0)
+            samples = np.full(n0, c[0]) if mesh.dimension == 1 else np.tile(c, (n0, 1))
+            flow = flow_from_vertex_samples(mesh, samples)
+        else:
+            raise ValidationError(
+                "inline flow needs one of: potential, vertex_samples, constant"
+            )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"inline flow: {exc}") from exc
     return ModelSpec(
         name="inline",
         params={},
@@ -336,29 +360,62 @@ def _build_inline(spec: Dict) -> ModelSpec:
 # tasks
 # ----------------------------------------------------------------------
 
+# Tasks that read eigenvectors; every other task needs eigenvalues only.
+_VECTOR_TASKS = ("spectrum", "stationary")
+
+
+class _Levels:
+    """Operators and per-degree eigenvalues by noise level, each made once.
+
+    The model's own level uses the model itself; other levels come from
+    ``model.rebuild_at``, which only registered models support.
+    """
+
+    def __init__(self, model: ModelSpec, backend: str):
+        self.model = model
+        self.backend = backend
+        self._ops: Dict[float, GradedOperator] = {}
+        self._values: Dict[Tuple[float, int], np.ndarray] = {}
+
+    def op(self, eps: float) -> GradedOperator:
+        eps = float(eps)
+        if eps not in self._ops:
+            m = self.model if eps == self.model.noise.epsilon else self.model.rebuild_at(eps)
+            self._ops[eps] = assemble_hamiltonian(
+                m.mesh, m.flow, m.noise, backend=self.backend,
+                allow_deterministic=m.noise.is_deterministic,
+            )
+        return self._ops[eps]
+
+    def eigenvalues(self, eps: float, k: int) -> np.ndarray:
+        key = (float(eps), k)
+        if key not in self._values:
+            self._values[key] = _block_eigenvalues(self.op(eps), k)
+        return self._values[key]
+
+    def spectrum(self, eps: float):
+        """Vector-free spectrum report of one level."""
+        return _spectrum_report(self.op(eps), _DENSE_CAP,
+                                lambda k: (self.eigenvalues(eps, k), None, None))
+
+
 class _RunState:
-    """Lazily shared operator and spectrum across tasks of one run."""
+    """Operators, eigenvalues and the spectrum shared by the tasks of one run."""
 
     def __init__(self, config: RunConfig, model: ModelSpec):
         self.config = config
         self.model = model
-        self._op = None
+        self.levels = _Levels(model, config.backend)
+        self.needs_vectors = any(t in _VECTOR_TASKS for t in config.tasks)
         self._spectrum = None
 
     @property
-    def op(self):
-        if self._op is None:
-            m = self.model
-            self._op = assemble_hamiltonian(
-                m.mesh, m.flow, m.noise, backend=self.config.backend,
-                allow_deterministic=m.noise.is_deterministic,
-            )
-        return self._op
-
-    @property
     def spectrum(self):
+        """Two-sided when a task reads eigenvectors, eigenvalues only otherwise."""
         if self._spectrum is None:
-            self._spectrum = full_spectrum(self.op)
+            eps = self.model.noise.epsilon
+            self._spectrum = (full_spectrum(self.levels.op(eps)) if self.needs_vectors
+                              else self.levels.spectrum(eps))
         return self._spectrum
 
 
@@ -475,7 +532,12 @@ def _task_morse(state: _RunState, out_dir: Path) -> Dict:
                 ph == witten_index(state.spectrum, state.config.tau0)
             )
     if state.config.morse_epsilons and model.langevin:
-        scan = instanton_splitting_scan(model, state.config.morse_epsilons)
+        eps = state.config.morse_epsilons
+        if model.name != "inline" and state.config.backend == "fd":
+            # the run's fd levels are the scan's own operators, bit for bit
+            scan = _splitting_scan(model, eps, lambda e: state.levels.eigenvalues(e, 0))
+        else:
+            scan = instanton_splitting_scan(model, eps)
         result["splitting_scan"] = {
             "epsilons": list(scan.epsilons),
             "splittings": list(scan.splittings),
@@ -543,13 +605,8 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
 
 
 def _task_sweep(state: _RunState, out_dir: Path) -> Dict:
-    return sweep_epsilon(
-        state.model,
-        state.config.sweep_epsilons,
-        backend=state.config.backend,
-        tau_gamma=state.config.tau_gamma,
-        tau_e=state.config.tau_e,
-    )
+    return _sweep(state.levels, state.config.sweep_epsilons,
+                  state.config.tau_gamma, state.config.tau_e)
 
 
 def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
@@ -563,7 +620,12 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
     condensing onto the imaginary axis; a sweep whose rows never oscillate
     reports no condensation.
     """
-    if model.name == "inline":
+    return _sweep(_Levels(model, backend), epsilons, tau_gamma, tau_e)
+
+
+def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
+           tau_e: Optional[float]) -> Dict:
+    if levels.model.name == "inline":
         raise ValidationError("sweeps need a registered, rebuildable model")
     eps_tuple = tuple(float(e) for e in epsilons)
     if not eps_tuple:
@@ -572,12 +634,7 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
 
     rows: List[Dict] = []
     for eps in eps_tuple:
-        m = model.rebuild_at(eps)
-        op = assemble_hamiltonian(
-            m.mesh, m.flow, m.noise, backend=backend,
-            allow_deterministic=m.noise.is_deterministic,
-        )
-        rep = full_spectrum(op)
+        rep = levels.spectrum(eps)
         cls = classify_phase(rep, tau_gamma, tau_e)
         oscillating = [en for en in rep.entries if abs(en.e) > cls.tau_e]
         row = {

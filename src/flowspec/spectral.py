@@ -1,11 +1,12 @@
 """Non-Hermitian eigenanalysis of graded operators, and spectrum-level verdicts.
 
-Each degree block is decomposed densely with two-sided eigenvectors.  Left
-and right eigenvectors are paired per eigenvalue *cluster* (eigenvalues
-closer than 1e-7 of the spectral radius are handled jointly: under
-degeneracy the individual left/right pairing is ill-posed, but the
-cluster-local Gram matrix is invertible and one solve bi-orthonormalizes the
-whole cluster).  Entries are ordered lexicographically by
+Each degree block is decomposed densely, with two-sided eigenvectors
+(``full_spectrum``) or eigenvalues only (``eigenvalue_spectrum``, all the
+verdicts need).  Left and right eigenvectors are paired per eigenvalue
+*cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
+radius are handled jointly: under degeneracy the individual left/right
+pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
+solve bi-orthonormalizes the whole cluster).  Entries are ordered lexicographically by
 (Re eigenvalue, Im eigenvalue, degree), which makes reports deterministic.
 
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
@@ -45,6 +46,7 @@ __all__ = [
     "PhaseClassification",
     "PairingReport",
     "full_spectrum",
+    "eigenvalue_spectrum",
     "synthetic_spectrum",
     "physical_states",
     "classify_phase",
@@ -57,6 +59,7 @@ __all__ = [
 
 _CLUSTER_REL = 1e-7
 _DEFAULT_TOL_REL = 1e-8
+_DENSE_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,48 @@ def _default_tau(report: SpectrumReport, given: Optional[float]) -> float:
 # decomposition
 # ----------------------------------------------------------------------
 
-def full_spectrum(op: GradedOperator, cap: int = 8192) -> SpectrumReport:
+def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     """Dense two-sided eigendecomposition of every degree block.
 
     Raises the capacity error when the summed block sizes exceed ``cap`` and
     the eigensolver error if LAPACK fails to converge on some block.
+    """
+    def solve(k):
+        return _lapack(k, scipy.linalg.eig, op.block(k), left=True, right=True)
+
+    return _spectrum_report(op, cap, solve)
+
+
+def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
+    """Eigenvalues of every degree block, without eigenvectors.
+
+    Same capacity check, errors and entry order as :func:`full_spectrum`; the
+    entries carry no vectors and a zero residual.  Enough for the verdicts,
+    the index and the zero-mode counts, at a fraction of the cost.
+    """
+    return _spectrum_report(op, cap, lambda k: (_block_eigenvalues(op, k), None, None))
+
+
+def _lapack(k: int, solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigensolverError(
+            f"eigensolver failed to converge on the degree-{k} block"
+        ) from exc
+
+
+def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
+    """Eigenvalues of the degree-``k`` block (LAPACK geev without vectors)."""
+    return _lapack(k, scipy.linalg.eigvals, op.block(k))
+
+
+def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:
+    """Capacity check, per-degree solve, packing and deterministic ordering.
+
+    ``solve(k)`` returns ``(w, vl, vr)`` for the degree-``k`` block, with
+    ``vl = vr = None`` when no eigenvectors are wanted.  The check runs
+    before any block is solved.
     """
     sizes = tuple(b.shape[0] for b in op.blocks)
     if sum(sizes) > cap:
@@ -131,21 +171,15 @@ def full_spectrum(op: GradedOperator, cap: int = 8192) -> SpectrumReport:
             f"total unknowns {sum(sizes)} exceed the dense-solver cap {cap} "
             f"(blocks: {sizes})"
         )
-    per_degree = []
-    radius = 0.0
-    for k in op.degrees():
-        try:
-            w, vl, vr = scipy.linalg.eig(op.block(k), left=True, right=True)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise EigensolverError(
-                f"eigensolver failed to converge on the degree-{k} block"
-            ) from exc
-        per_degree.append((k, w, vl, vr))
-        if len(w):
-            radius = max(radius, float(np.max(np.abs(w))))
+    per_degree = [(k, *solve(k)) for k in op.degrees()]
+    radius = max((float(np.max(np.abs(w))) for _, w, _, _ in per_degree if len(w)),
+                 default=0.0)
 
     entries: List[SpectrumEntry] = []
     for k, w, vl, vr in per_degree:
+        if vl is None:
+            entries.extend(SpectrumEntry(k, complex(z), None, None, 0.0) for z in w)
+            continue
         vl, vr, residuals = _biorthonormalize(w, vl, vr, radius)
         for i in range(len(w)):
             entries.append(
@@ -154,6 +188,44 @@ def full_spectrum(op: GradedOperator, cap: int = 8192) -> SpectrumReport:
             )
     entries.sort(key=lambda en: (en.gamma, en.e, en.degree))
     return SpectrumReport(tuple(entries), radius, op.mesh.dimension, sizes)
+
+
+def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
+    """Connected components of the graph joining eigenvalues within ``thr``.
+
+    Chaining only lexicographic neighbours splits a degenerate eigenvalue
+    whose members interleave with their conjugates in that order, so every
+    pair within ``thr`` is joined.  Candidates come from a window over the
+    sorted real parts; each component lists its members in (Re, Im) order.
+    """
+    n = len(w)
+    by_real = np.argsort(w.real, kind="stable")
+    re = w.real[by_real]
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for s in range(1, n):
+        near = np.flatnonzero(re[s:] - re[:-s] <= thr)
+        if not len(near):
+            break
+        i, j = by_real[near], by_real[near + s]
+        keep = np.abs(w[i] - w[j]) <= thr
+        rows.append(i[keep])
+        cols.append(j[keep])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    # min-label propagation with pointer jumping: at the fixed point both ends
+    # of every edge carry the smallest index of their component
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        merged = labels.copy()
+        np.minimum.at(merged, i, low)
+        np.minimum.at(merged, j, low)
+        merged = merged[merged]
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    order = np.lexsort((w.imag, w.real))
+    grouped = order[np.argsort(labels[order], kind="stable")]
+    return np.split(grouped, np.flatnonzero(np.diff(labels[grouped])) + 1)
 
 
 def _biorthonormalize(w, vl, vr, radius):
@@ -166,14 +238,7 @@ def _biorthonormalize(w, vl, vr, radius):
     n = len(w)
     if n == 0:
         return vl, vr, np.zeros(0)
-    thr = _CLUSTER_REL * max(radius, 1e-300)
-    order = np.lexsort((w.imag, w.real))
-    clusters: List[List[int]] = [[order[0]]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if abs(w[cur] - w[prev]) <= thr:
-            clusters[-1].append(cur)
-        else:
-            clusters.append([cur])
+    clusters = _clusters(w, _CLUSTER_REL * max(radius, 1e-300))
 
     vl = vl.astype(complex).copy()
     vr = vr.astype(complex).copy()

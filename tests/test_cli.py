@@ -204,6 +204,114 @@ def test_sweep_needs_rebuildable_model():
         fs.sweep_epsilon(model, [0.2, 0.1])
 
 
+def test_run_morse_scan_on_inline_potential(tmp_path):
+    # inline models cannot be rebuilt per noise level; the scan assembles its own
+    phis = 2 * np.pi * np.arange(64) / 64
+    cfg = fs.RunConfig.from_dict({
+        "inline": {"mesh": {"kind": "circle", "n": 64},
+                   "flow": {"potential": list(np.cos(2 * phis))},
+                   "epsilon": 0.2},
+        "tasks": ["morse"],
+        "morse": {"splitting_epsilons": [0.4, 0.2, 0.1]},
+    })
+    doc = fs.run(cfg, out_dir=tmp_path)
+    scan = json.loads(doc.path.read_text())["results"]["morse"]["splitting_scan"]
+    assert scan["splittings"] == [0.0164014668431, 0.00820073342152, 0.00410036671077]
+
+
+# ----------------------------------------------------------------------
+# work shared between the tasks of one run
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts two-sided solves and records every eigvals block and assembly."""
+    import scipy.linalg
+
+    import flowspec.morse
+    import flowspec.reporting
+
+    calls = {"eig": 0, "eigvals": [], "ops": []}
+    eig, eigvals = scipy.linalg.eig, scipy.linalg.eigvals
+    assemble = flowspec.reporting.assemble_hamiltonian
+
+    def counted_eig(*args, **kwargs):
+        calls["eig"] += 1
+        return eig(*args, **kwargs)
+
+    def counted_eigvals(a, *args, **kwargs):
+        calls["eigvals"].append(a)
+        return eigvals(a, *args, **kwargs)
+
+    def counted_assemble(*args, **kwargs):
+        calls["ops"].append(assemble(*args, **kwargs))
+        return calls["ops"][-1]
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
+    monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
+    for module in (flowspec.reporting, flowspec.morse):
+        monkeypatch.setattr(module, "assemble_hamiltonian", counted_assemble)
+    return calls
+
+
+def double_well_config(tasks, eps=0.2, **extra):
+    return fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 1.0, "epsilon": eps, "n": 48}},
+        "tasks": tasks,
+        **extra,
+    })
+
+
+def test_verdict_tasks_solve_each_level_once_without_vectors(tmp_path, work):
+    cfg = double_well_config(["classify", "witten", "morse", "sweep"],
+                             sweep={"epsilons": [0.4, 0.2, 0.1]},
+                             morse={"splitting_epsilons": [0.4, 0.2, 0.1, 0.05]})
+    fs.run(cfg, out_dir=tmp_path)
+    assert work["eig"] == 0
+    assert sorted(op.noise.epsilon for op in work["ops"]) == [0.05, 0.1, 0.2, 0.4]
+    solved = [(i, k) for i, op in enumerate(work["ops"])
+              for k, block in enumerate(op.blocks)
+              if any(a is block for a in work["eigvals"])]
+    assert len(solved) == len(work["eigvals"])  # no block solved twice
+    # both degrees at the three swept levels, degree 0 only at the scan's 0.05
+    assert len(solved) == 7
+
+
+def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
+    cfg = double_well_config(["morse"], eps=0.3,
+                             morse={"splitting_epsilons": [0.4, 0.2, 0.1]})
+    fs.run(cfg, out_dir=tmp_path)
+    assert work["eig"] == 0
+    assert len(work["ops"]) == 3 and len(work["eigvals"]) == 3
+    assert not any(a is op.block(1) for op in work["ops"] for a in work["eigvals"])
+
+
+@pytest.mark.parametrize("tasks", [["spectrum", "classify"], ["witten", "stationary"]])
+def test_vector_tasks_keep_the_two_sided_spectrum(tmp_path, work, tasks):
+    doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
+    assert len(work["ops"]) == 1
+    assert work["eig"] == 2 and work["eigvals"] == []
+    res = doc.data["results"]
+    if "spectrum" in res:
+        assert res["spectrum"]["max_biorthogonality_residual"] < 1e-10
+    else:
+        assert res["stationary"]["oracle_max_rel_deviation"] < 1e-9
+
+
+def test_shared_levels_reproduce_the_standalone_scan(tmp_path):
+    eps = [0.4, 0.2, 0.1]
+    cfg = double_well_config(["classify", "morse", "sweep"],
+                             sweep={"epsilons": eps},
+                             morse={"splitting_epsilons": eps})
+    scan = fs.run(cfg, out_dir=tmp_path).data["results"]["morse"]["splitting_scan"]
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": 1.0, "epsilon": 0.2, "n": 48})
+    alone = fs.instanton_splitting_scan(model, eps)
+    assert scan["splittings"] == list(alone.splittings)
+    assert scan["first_nontunneling"] == list(alone.first_nontunneling)
+
+
 # ----------------------------------------------------------------------
 # command line
 # ----------------------------------------------------------------------
@@ -247,6 +355,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     }))
     assert main(["run", str(degen), "--out", str(tmp_path / "o2")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    base_config(backend="spectral"),
+    {"inline": {"mesh": {"kind": "circle", "n": 16, "length": -1},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16},
+                "flow": {"vertex_samples": [1.0, 2.0]}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    base_config(tolerances={"tau0": "abc"}),
+], ids=["backend", "negative-length", "sample-shape", "tau0-type"])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_report_schema_covers_emitted_document(tmp_path):

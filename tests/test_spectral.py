@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import flowspec as fs
 
@@ -58,11 +59,57 @@ def test_biorthonormality_within_degenerate_clusters():
     np.testing.assert_allclose(gram, np.eye(len(ents)), atol=1e-8)
 
 
-def test_capacity_cap():
+@pytest.mark.parametrize("ax, ay", [(1.2, 0.4), (0.7, 0.6), (1.45, 0.3), (1.0, 0.5)])
+def test_biorthonormality_on_torus_with_interleaved_conjugates(ax, ay):
+    # degenerate torus eigenvalues interleave with their conjugates in
+    # (Re, Im) order; the whole degenerate set must be normalized jointly
+    model = fs.build_model("torus_shear_model",
+                           {"ax": ax, "ay": ay, "epsilon": 0.3, "n": 8})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    assert fs.full_spectrum(op).max_residual() <= 1e-10
+
+
+def test_capacity_cap(monkeypatch):
     model, _ = constant_drive_report(n=16)
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    with pytest.raises(fs.CapacityError):
-        fs.full_spectrum(op, cap=8)
+    # refused before any block is solved
+    monkeypatch.setattr(scipy.linalg, "eig", None)
+    monkeypatch.setattr(scipy.linalg, "eigvals", None)
+    for solver in (fs.full_spectrum, fs.eigenvalue_spectrum):
+        with pytest.raises(fs.CapacityError):
+            solver(op, cap=8)
+
+
+REGISTERED = {
+    "constant_drive_circle": {"a": 1.0, "epsilon": 0.2, "n": 32},
+    "langevin_double_well_circle": {"depth": 1.0, "epsilon": 0.2, "n": 48},
+    "tilted_langevin_circle": {"depth": 1.0, "tilt": 0.3, "epsilon": 0.2, "n": 48},
+    "torus_shear_model": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED))
+def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
+    model = fs.build_model(name, REGISTERED[name])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    full, values = fs.full_spectrum(op), fs.eigenvalue_spectrum(op)
+    assert all(en.right is None and en.left is None for en in values.entries)
+    assert values.block_sizes == full.block_sizes
+    assert [en.degree for en in values.entries] == [en.degree for en in full.entries]
+    keys = [(en.gamma, en.e, en.degree) for en in values.entries]
+    assert keys == sorted(keys)
+    cv, cf = fs.classify_phase(values), fs.classify_phase(full)
+    assert (cv.verdict, cv.witten_index, len(cv.evidence)) == (
+        cf.verdict, cf.witten_index, len(cf.evidence))
+    assert fs.witten_index(values) == fs.witten_index(full)
+    assert fs.zero_mode_counts(values) == fs.zero_mode_counts(full)
+    tol = 1e-12 * full.spectral_radius
+    assert abs(values.spectral_radius - full.spectral_radius) <= tol
+    for k in range(model.mesh.dimension + 1):
+        a, b = values.eigenvalues(degree=k), full.eigenvalues(degree=k)
+        assert len(a) == len(b)
+        gaps = np.abs(a[:, None] - b[None, :])
+        assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
 
 
 def test_verdicts_on_synthetic_multisets():
