@@ -71,7 +71,6 @@ from .hamiltonian import (
 from .spectral import (
     PairingReport,
     PhaseClassification,
-    SpectrumEntry,
     SpectrumReport,
     classify_phase,
     conjugate_closure_residual,

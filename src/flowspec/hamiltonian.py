@@ -92,9 +92,6 @@ class GradedOperator:
             )
         return self.blocks[k - self.min_degree]
 
-    def apply(self, k: int, cochain: np.ndarray) -> np.ndarray:
-        return self.block(k) @ cochain
-
     def degrees(self):
         return range(self.min_degree, self.max_degree + 1)
 
@@ -259,12 +256,6 @@ class LangevinSimilarity:
     asymmetry: Tuple[float, ...]
     w: np.ndarray
     epsilon: float
-
-    def to_hermitian(self, k: int, cochain: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.eta[k]) * cochain
-
-    def from_hermitian(self, k: int, vec: np.ndarray) -> np.ndarray:
-        return vec / np.sqrt(self.eta[k])
 
 
 def hermitianize_langevin(

@@ -156,9 +156,6 @@ class HodgeStar:
     values: np.ndarray
     deterministic_limit: bool = False
 
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.values)
-
 
 # ======================================================================
 # structured grid builders

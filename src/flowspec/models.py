@@ -32,6 +32,7 @@ from .exceptions import (
 )
 from .fields import FlowField, flow_from_vertex_samples, langevin_flow, with_tilt
 from .mesh import MeshComplex, NoiseSpec, build_circle_grid, build_torus_grid
+from .spectral import _match_nearest
 
 __all__ = [
     "ModelOracle",
@@ -343,18 +344,10 @@ def oracle_spectrum_residual(model: ModelSpec, report, backend: str) -> Optional
             raise ValueError(
                 f"degree {deg}: {len(computed)} computed vs {len(expected)} expected"
             )
-        exp_sorted = np.array(sorted(expected, key=lambda z: (z.real, z.imag)),
-                              dtype=complex)
-        com = np.asarray(computed, dtype=complex)
-        used = np.zeros(len(com), dtype=bool)
-        scale = max(float(np.max(np.abs(exp_sorted))), 1e-300)
-        dev = 0.0
-        for lam in exp_sorted:
-            dist = np.abs(com - lam)
-            dist[used] = np.inf
-            j = int(np.argmin(dist))
-            used[j] = True
-            dev = max(dev, float(dist[j]))
-        dev /= scale
+        expected = np.asarray(expected, dtype=complex)
+        expected = expected[np.lexsort((expected.imag, expected.real))]
+        scale = max(float(np.max(np.abs(expected))), 1e-300)
+        _, dist = _match_nearest(expected, computed)
+        dev = float(np.max(dist, initial=0.0)) / scale
         worst = dev if worst is None else max(worst, dev)
     return worst

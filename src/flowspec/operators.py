@@ -72,9 +72,6 @@ class OperatorBlock:
     codomain_degree: int
     backend: str = "fd"
 
-    def apply(self, cochain: np.ndarray) -> np.ndarray:
-        return self.matrix @ cochain
-
     @property
     def shape(self):
         return self.matrix.shape

@@ -206,9 +206,9 @@ class RunConfig:
             if not isinstance(m, dict) or "name" not in m:
                 raise ValidationError("'model' must be an object with a 'name'")
             model_name = m["name"]
-            model_params = dict(m.get("params", {}))
+            model_params = _as_object(m.get("params", {}), "'model.params'")
         else:
-            inline = dict(data["inline"])
+            inline = _as_object(data["inline"], "'inline'")
             if any(t in ("simulate", "sweep") for t in tasks):
                 raise ValidationError(
                     "'simulate' and 'sweep' need a registered model, not an "
@@ -220,9 +220,7 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
 
-        tol = data.get("tolerances", {}) or {}
-        if not isinstance(tol, dict):
-            raise ValidationError("'tolerances' must be an object")
+        tol = _as_object(data.get("tolerances") or {}, "'tolerances'")
         taus = {}
         for key in ("tau_gamma", "tau_e", "tau0"):
             v = tol.get(key)
@@ -234,28 +232,26 @@ class RunConfig:
 
         sweep_eps = None
         if "sweep" in tasks:
-            sw = data.get("sweep") or {}
-            eps = sw.get("epsilons")
+            eps = _as_object(data.get("sweep") or {}, "'sweep'").get("epsilons")
             if not isinstance(eps, list) or not eps:
                 raise ValidationError("'sweep' task needs sweep.epsilons")
             sweep_eps = tuple(_as_float(e, "sweep.epsilons") for e in eps)
             _validate_sweep_epsilons(sweep_eps)
 
-        sim = dict(data.get("simulate", {}) or {})
+        sim = _as_object(data.get("simulate") or {}, "'simulate'")
         if "simulate" in tasks:
-            sim.setdefault("dt", 0.005)
-            sim.setdefault("steps", 20_000)
-            sim.setdefault("n_paths", 200)
-            sim.setdefault("seed", 2024)
-            sim.setdefault("store_every", 1)
-            sim.setdefault("bins", 64)
+            sim["dt"] = _as_float(sim.get("dt", 0.005), "simulate.dt")
+            for key, default in (("steps", 20_000), ("n_paths", 200), ("seed", 2024),
+                                 ("store_every", 1), ("bins", 64)):
+                sim[key] = _as_int(sim.get(key, default), f"simulate.{key}")
             sim.setdefault("autocorrelation", False)
 
         morse_eps = None
-        mo = data.get("morse") or {}
-        if mo.get("splitting_epsilons"):
-            morse_eps = tuple(_as_float(e, "morse.splitting_epsilons")
-                              for e in mo["splitting_epsilons"])
+        split = _as_object(data.get("morse") or {}, "'morse'").get("splitting_epsilons")
+        if split:
+            if not isinstance(split, list):
+                raise ValidationError("morse.splitting_epsilons must be a list")
+            morse_eps = tuple(_as_float(e, "morse.splitting_epsilons") for e in split)
 
         return RunConfig(
             tasks=tuple(tasks),
@@ -277,8 +273,21 @@ class RunConfig:
 def _as_float(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_object(value, what: str) -> Dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {value!r}")
+    return dict(value)
 
 
 def _validate_sweep_epsilons(eps: Tuple[float, ...]) -> None:
@@ -335,6 +344,10 @@ def _build_inline(spec: Dict) -> ModelSpec:
             )
         elif "constant" in flow_spec:
             c = np.atleast_1d(np.asarray(flow_spec["constant"], dtype=float))
+            if c.shape != (mesh.dimension,):
+                raise ValidationError(
+                    f"inline flow.constant needs {mesh.dimension} value(s), got {c.tolist()}"
+                )
             n0 = mesh.n_cells(0)
             samples = np.full(n0, c[0]) if mesh.dimension == 1 else np.tile(c, (n0, 1))
             flow = flow_from_vertex_samples(mesh, samples)
@@ -422,12 +435,10 @@ class _RunState:
 def _task_spectrum(state: _RunState, out_dir: Path) -> Dict:
     rep = state.spectrum
     export_spectrum_csv(rep, out_dir / "spectrum.csv", state.config.tau_gamma)
-    counts = {}
-    for en in rep.entries:
-        counts[en.degree] = counts.get(en.degree, 0) + 1
+    degrees, counts = np.unique(rep.degree, return_counts=True)
     result = {
         "spectral_radius": rep.spectral_radius,
-        "entries_per_degree": {str(k): counts[k] for k in sorted(counts)},
+        "entries_per_degree": {str(k): c for k, c in zip(degrees.tolist(), counts.tolist())},
         "max_biorthogonality_residual": rep.max_residual(),
         "csv": "spectrum.csv",
     }
@@ -465,14 +476,13 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
     rep = state.spectrum
     mesh = state.model.mesh
     top = mesh.dimension
-    top_entries = [en for en in rep.entries if en.degree == top]
-    if not top_entries:
+    top_values = rep.eigenvalues(top)
+    if not len(top_values):
         raise NumericalError("no top-degree entries in the spectrum")
-    ground = min(top_entries, key=lambda en: abs(en.eigenvalue))
-    vec = ground.right
-    if vec is None:
+    if rep.right is None:
         raise ValidationError("stationary task needs eigenvectors (not synthetic input)")
-    vec = np.real_if_close(vec, tol=1e6)
+    ground = int(np.argmin(np.abs(top_values)))
+    vec = np.real_if_close(rep.right[top][:, ground], tol=1e6)
     if np.iscomplexobj(vec):
         vec = vec.real
     # fix sign so the dominant component is positive, then unit total mass
@@ -486,7 +496,7 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
 
     result = {
         "degree": top,
-        "ground_eigenvalue": complex(ground.eigenvalue),
+        "ground_eigenvalue": complex(top_values[ground]),
         "csv": "stationary.csv",
     }
     if state.model.density is not None and mesh.dimension == 1:
@@ -556,11 +566,11 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
     sim = state.config.sim
     ens = simulate_sde(
         model,
-        dt=float(sim["dt"]),
-        steps=int(sim["steps"]),
-        n_paths=int(sim["n_paths"]),
-        seed=int(sim["seed"]),
-        store_every=int(sim["store_every"]),
+        dt=sim["dt"],
+        steps=sim["steps"],
+        n_paths=sim["n_paths"],
+        seed=sim["seed"],
+        store_every=sim["store_every"],
     )
     result = {
         "dt": ens.dt,
@@ -570,7 +580,7 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
         "store_every": ens.store_every,
     }
     if model.mesh.dimension == 1:
-        hist = stationary_histogram(ens, bins=int(sim["bins"]))
+        hist = stationary_histogram(ens, bins=sim["bins"])
         result["histogram"] = {
             "bins": len(hist.counts),
             "n_samples": hist.n_samples,
@@ -636,7 +646,7 @@ def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
     for eps in eps_tuple:
         rep = levels.spectrum(eps)
         cls = classify_phase(rep, tau_gamma, tau_e)
-        oscillating = [en for en in rep.entries if abs(en.e) > cls.tau_e]
+        oscillating = rep.eigenvalue[np.abs(rep.eigenvalue.imag) > cls.tau_e]
         row = {
             "epsilon": eps,
             "verdict": cls.verdict,
@@ -644,11 +654,10 @@ def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
             "n_oscillating": len(oscillating),
             "ratio_gamma_over_e": None,
         }
-        if oscillating:
-            lam_min = min(abs(en.eigenvalue) for en in oscillating)
-            low = [en for en in oscillating
-                   if abs(en.eigenvalue) <= (1.0 + 1e-6) * lam_min]
-            row["ratio_gamma_over_e"] = max(abs(en.gamma) / abs(en.e) for en in low)
+        if len(oscillating):
+            mag = np.abs(oscillating)
+            low = oscillating[mag <= (1.0 + 1e-6) * mag.min()]
+            row["ratio_gamma_over_e"] = float(np.max(np.abs(low.real) / np.abs(low.imag)))
         rows.append(row)
 
     ratios = [r["ratio_gamma_over_e"] for r in rows]

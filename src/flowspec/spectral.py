@@ -9,6 +9,13 @@ pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
 solve bi-orthonormalizes the whole cluster).  Entries are ordered lexicographically by
 (Re eigenvalue, Im eigenvalue, degree), which makes reports deterministic.
 
+A ``SpectrumReport`` holds the spectrum as parallel arrays in that order:
+``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
+zero without vectors).  With vectors, ``left[k]`` and ``right[k]`` are the
+degree-k eigenvector matrices, their columns in the order of
+``eigenvalues(k)``.  Multisets are compared by one greedy nearest-neighbour
+matcher, ``_match_nearest``.
+
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
 rate (decay rate of the mode) and E the oscillation frequency.  States with
 Gamma ~ 0 survive the long-time evolution; their oscillation content decides
@@ -41,7 +48,6 @@ from .exceptions import (
 from .hamiltonian import GradedOperator
 
 __all__ = [
-    "SpectrumEntry",
     "SpectrumReport",
     "PhaseClassification",
     "PairingReport",
@@ -63,42 +69,34 @@ _DENSE_CAP = 8192
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    """One eigenpair: ``gamma + 1j*e`` with its bi-orthonormalized vectors.
+class SpectrumReport:
+    """Eigenvalues of every degree block, as parallel arrays in report order.
 
-    ``residual`` is the worst deviation of this entry's row of the left-right
-    Gram matrix from the identity.  Synthetic entries carry no vectors.
+    ``degree[i]``, ``eigenvalue[i]`` and ``residual[i]`` describe entry i;
+    entries are ordered by (Re, Im, degree).  ``residual[i]`` is the worst
+    deviation of the entry's row of the left-right Gram matrix from the
+    identity, zero when no vectors were computed.  ``left[k]`` and
+    ``right[k]`` hold the bi-orthonormalized eigenvectors of degree k as
+    columns, in the order of ``eigenvalues(k)``; both are ``None`` for
+    vector-free and synthetic reports.
     """
 
-    degree: int
-    eigenvalue: complex
-    right: Optional[np.ndarray]
-    left: Optional[np.ndarray]
-    residual: float
-
-    @property
-    def gamma(self) -> float:
-        return float(self.eigenvalue.real)
-
-    @property
-    def e(self) -> float:
-        return float(self.eigenvalue.imag)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    entries: Tuple[SpectrumEntry, ...]
+    degree: np.ndarray
+    eigenvalue: np.ndarray
+    residual: np.ndarray
+    left: Optional[Tuple[np.ndarray, ...]]
+    right: Optional[Tuple[np.ndarray, ...]]
     spectral_radius: float
     dimension: int
     block_sizes: Tuple[int, ...]
 
     def eigenvalues(self, degree: Optional[int] = None) -> np.ndarray:
         if degree is None:
-            return np.array([en.eigenvalue for en in self.entries])
-        return np.array([en.eigenvalue for en in self.entries if en.degree == degree])
+            return self.eigenvalue.copy()
+        return self.eigenvalue[self.degree == degree]
 
     def max_residual(self) -> float:
-        return max((en.residual for en in self.entries), default=0.0)
+        return float(np.max(self.residual, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class PhaseClassification:
     verdict: str  # "unbroken-Markovian" | "Q-broken" | "indeterminate"
     tau_gamma: float
     tau_e: float
-    evidence: Tuple[SpectrumEntry, ...]
+    evidence: np.ndarray  # indices of the surviving entries in the report
     witten_index: int
 
 
@@ -137,8 +135,8 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
 def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     """Eigenvalues of every degree block, without eigenvectors.
 
-    Same capacity check, errors and entry order as :func:`full_spectrum`; the
-    entries carry no vectors and a zero residual.  Enough for the verdicts,
+    Same capacity check, errors and entry order as :func:`full_spectrum`;
+    ``left`` and ``right`` are ``None`` and every residual is zero.  Enough for the verdicts,
     the index and the zero-mode counts, at a fraction of the cost.
     """
     return _spectrum_report(op, cap, lambda k: (_block_eigenvalues(op, k), None, None))
@@ -175,19 +173,23 @@ def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:
     radius = max((float(np.max(np.abs(w))) for _, w, _, _ in per_degree if len(w)),
                  default=0.0)
 
-    entries: List[SpectrumEntry] = []
-    for k, w, vl, vr in per_degree:
-        if vl is None:
-            entries.extend(SpectrumEntry(k, complex(z), None, None, 0.0) for z in w)
-            continue
-        vl, vr, residuals = _biorthonormalize(w, vl, vr, radius)
-        for i in range(len(w)):
-            entries.append(
-                SpectrumEntry(k, complex(w[i]), vr[:, i].copy(), vl[:, i].copy(),
-                              float(residuals[i]))
-            )
-    entries.sort(key=lambda en: (en.gamma, en.e, en.degree))
-    return SpectrumReport(tuple(entries), radius, op.mesh.dimension, sizes)
+    degree = np.concatenate([np.full(len(w), k) for k, w, _, _ in per_degree])
+    eigenvalue = np.concatenate([w for _, w, _, _ in per_degree]).astype(complex, copy=False)
+    order = np.lexsort((degree, eigenvalue.imag, eigenvalue.real))
+    residual, left, right = np.zeros(len(order)), None, None
+    if per_degree[0][2] is not None:
+        # within one degree, report order is the block's own (Re, Im) order
+        left, right, residuals = [], [], []
+        for _, w, vl, vr in per_degree:
+            vl, vr, res = _biorthonormalize(w, vl, vr, radius)
+            cols = np.lexsort((w.imag, w.real))
+            left.append(vl[:, cols])
+            right.append(vr[:, cols])
+            residuals.append(res)
+        residual = np.concatenate(residuals)[order]
+        left, right = tuple(left), tuple(right)
+    return SpectrumReport(degree[order], eigenvalue[order], residual, left, right,
+                          radius, op.mesh.dimension, sizes)
 
 
 def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
@@ -276,13 +278,11 @@ def _biorthonormalize(w, vl, vr, radius):
 def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
                        dimension: int = 1) -> SpectrumReport:
     """Wrap a bare eigenvalue multiset for the classifiers (no eigenvectors)."""
-    vals = [complex(v) for v in values]
-    entries = tuple(
-        SpectrumEntry(degree, v, None, None, 0.0)
-        for v in sorted(vals, key=lambda z: (z.real, z.imag))
-    )
-    radius = max((abs(v) for v in vals), default=0.0)
-    return SpectrumReport(entries, radius, dimension, (len(vals),))
+    vals = np.asarray(values, dtype=complex)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    radius = float(np.max(np.abs(vals), initial=0.0))
+    return SpectrumReport(np.full(len(vals), degree), vals, np.zeros(len(vals)), None, None,
+                          radius, dimension, (len(vals),))
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +290,15 @@ def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
 # ----------------------------------------------------------------------
 
 def physical_states(report: SpectrumReport,
-                    tau_gamma: Optional[float] = None) -> Tuple[SpectrumEntry, ...]:
-    """Entries surviving the long-time evolution: |Gamma| <= tau_gamma.
+                    tau_gamma: Optional[float] = None) -> np.ndarray:
+    """Indices of the entries surviving the long-time evolution: |Gamma| <= tau_gamma.
 
     Every sound discretization of an ergodic flow has at least one (the
     stationary state); an empty result therefore raises.
     """
     tau = _default_tau(report, tau_gamma)
-    kept = tuple(en for en in report.entries if abs(en.gamma) <= tau)
-    if not kept:
+    kept = np.flatnonzero(np.abs(report.eigenvalue.real) <= tau)
+    if not len(kept):
         raise ErgodicZeroMissingError(
             "no state with |Gamma| <= "
             f"{tau:.3e} found; the stationary zero mode is missing, which "
@@ -318,10 +318,10 @@ def classify_phase(report: SpectrumReport,
     """
     tg = _default_tau(report, tau_gamma)
     te = _default_tau(report, tau_e)
-    surviving = tuple(en for en in report.entries if abs(en.gamma) <= tg)
-    if any(abs(en.e) > te for en in surviving):
+    surviving = np.flatnonzero(np.abs(report.eigenvalue.real) <= tg)
+    if np.any(np.abs(report.eigenvalue.imag[surviving]) > te):
         verdict = "Q-broken"
-    elif surviving:
+    elif len(surviving):
         verdict = "unbroken-Markovian"
     else:
         verdict = "indeterminate"
@@ -339,19 +339,18 @@ def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
     sensitive to the threshold.
     """
     tau = _default_tau(report, tau0)
-    total = 0
-    ambiguous = []
-    for en in report.entries:
-        mag = abs(en.eigenvalue)
-        if mag <= tau:
-            total += -1 if en.degree % 2 else 1
-        elif mag <= 10.0 * tau:
-            ambiguous.append((en.degree, en.eigenvalue))
-    if ambiguous:
+    mag = np.abs(report.eigenvalue)
+    zero = report.degree[mag <= tau]
+    total = int(np.sum(1 - 2 * (zero % 2)))
+    ambiguous = np.flatnonzero((mag > tau) & (mag <= 10.0 * tau))
+    if len(ambiguous):
+        # Python scalars, so the message reads the same under every numpy
+        shown = [(int(report.degree[i]), complex(report.eigenvalue[i]))
+                 for i in ambiguous[:4]]
         warnings.warn(
             f"{len(ambiguous)} eigenvalue(s) within a factor 10 of the "
             f"zero-mode threshold {tau:.3e}; the index count is "
-            f"threshold-sensitive: {ambiguous[:4]}",
+            f"threshold-sensitive: {shown}",
             GapAmbiguityWarning,
             stacklevel=2,
         )
@@ -361,16 +360,39 @@ def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
 def zero_mode_counts(report: SpectrumReport, tau0: Optional[float] = None) -> Tuple[int, ...]:
     """Number of |lambda| <= tau0 eigenvalues per degree 0..D."""
     tau = _default_tau(report, tau0)
-    counts = [0] * (report.dimension + 1)
-    for en in report.entries:
-        if abs(en.eigenvalue) <= tau:
-            counts[en.degree] += 1
-    return tuple(counts)
+    zero = report.degree[np.abs(report.eigenvalue) <= tau]
+    return tuple(np.bincount(zero, minlength=report.dimension + 1).tolist())
 
 
 # ----------------------------------------------------------------------
 # pairing across adjacent degrees
 # ----------------------------------------------------------------------
+
+def _match_nearest(a, b, tol: float = np.inf) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy consuming nearest-neighbour matching of the values ``a`` into ``b``.
+
+    For each ``a[i]`` in order, the nearest ``b[j]`` not yet taken (the
+    first ``j`` on a tie) is accepted when ``|a[i] - b[j]| <= tol``; a
+    rejected ``a[i]`` takes nothing.  Returns the matched indices (-1 where
+    rejected) and the distance from each ``a[i]`` to its nearest free
+    ``b[j]`` (inf once ``b`` is used up).
+    """
+    b = np.asarray(b, dtype=complex)
+    free = np.ones(len(b), dtype=bool)
+    match = np.full(len(a), -1)
+    dist = np.full(len(a), np.inf)
+    for i, x in enumerate(a):
+        cand = np.flatnonzero(free)
+        if not len(cand):
+            break
+        d = np.abs(b[cand] - x)
+        j = int(np.argmin(d))
+        dist[i] = d[j]
+        if d[j] <= tol:
+            match[i] = cand[j]
+            free[cand[j]] = False
+    return match, dist
+
 
 @dataclass(frozen=True)
 class PairingReport:
@@ -392,64 +414,36 @@ def susy_pairing_check(report: SpectrumReport, tol: float = 1e-8) -> PairingRepo
     degree-1 spectra agree as multisets.
     """
     atol = tol * max(report.spectral_radius, 1.0)
-    zero_thr = _DEFAULT_TOL_REL * report.spectral_radius
-    by_degree: List[List[complex]] = [[] for _ in range(report.dimension + 1)]
-    for en in report.entries:
-        if abs(en.eigenvalue) > zero_thr:
-            by_degree[en.degree].append(en.eigenvalue)
+    nonzero = np.abs(report.eigenvalue) > _DEFAULT_TOL_REL * report.spectral_radius
+    by_degree = [report.eigenvalue[nonzero & (report.degree == k)]
+                 for k in range(report.dimension + 1)]
 
     used = [np.zeros(len(v), dtype=bool) for v in by_degree]
     bonds = []
     max_mismatch = 0.0
     for k in range(report.dimension):
-        lo, hi = by_degree[k], by_degree[k + 1]
-        count = 0
-        for i, lam in enumerate(lo):
-            if used[k][i]:
-                continue
-            best, best_d = -1, np.inf
-            for j, mu in enumerate(hi):
-                if used[k + 1][j]:
-                    continue
-                d = abs(lam - mu)
-                if d < best_d:
-                    best, best_d = j, d
-            if best >= 0 and best_d <= atol:
-                used[k][i] = True
-                used[k + 1][best] = True
-                count += 1
-                max_mismatch = max(max_mismatch, best_d)
-        bonds.append((k, k + 1, count))
+        free = np.flatnonzero(~used[k])  # values already bonded down stay out
+        j, dist = _match_nearest(by_degree[k][free], by_degree[k + 1], atol)
+        hit = j >= 0
+        used[k][free[hit]] = True
+        used[k + 1][j[hit]] = True
+        bonds.append((k, k + 1, int(np.sum(hit))))
+        max_mismatch = max(max_mismatch, float(np.max(dist[hit], initial=0.0)))
 
     unpaired = tuple(
-        (k, lam)
+        (k, complex(lam))
         for k, vals in enumerate(by_degree)
-        for i, lam in enumerate(vals)
-        if not used[k][i]
+        for lam in vals[~used[k]]
     )
     multiset_equal: Optional[bool] = None
     if report.dimension == 1:
-        a = sorted(by_degree[0], key=lambda z: (z.real, z.imag))
-        b = np.array(by_degree[1], dtype=complex)
-        if len(a) != len(b):
-            multiset_equal = False
-        else:  # greedy nearest matching: robust to degenerate real parts
-            taken = np.zeros(len(b), dtype=bool)
-            ok = True
-            for x in a:
-                dist = np.abs(b - x)
-                dist[taken] = np.inf
-                j = int(np.argmin(dist)) if len(b) else -1
-                if j < 0 or dist[j] > atol:
-                    ok = False
-                    break
-                taken[j] = True
-            multiset_equal = ok
+        a, b = by_degree
+        multiset_equal = len(a) == len(b) and bool(np.all(_match_nearest(a, b, atol)[0] >= 0))
     return PairingReport(
         n_bonds=sum(c for _, _, c in bonds),
         bonds_by_adjacency=tuple(bonds),
         unpaired=unpaired,
-        max_mismatch=float(max_mismatch),
+        max_mismatch=max_mismatch,
         multiset_equal=multiset_equal,
         tol=tol,
     )
@@ -480,40 +474,26 @@ def export_spectrum_csv(report: SpectrumReport, path,
     within the same degree (-1 for effectively real eigenvalues).
     """
     tau = _default_tau(report, tau_gamma)
-    pair_tol = 1e-10 * max(report.spectral_radius, 1.0)
-    pair_ids = [-1] * len(report.entries)
+    scale = max(report.spectral_radius, 1.0)
+    ev = report.eigenvalue
+    pair_ids = np.full(len(ev), -1)
     next_id = 0
     for k in range(report.dimension + 1):
-        idxs = [i for i, en in enumerate(report.entries) if en.degree == k]
-        pos = [i for i in idxs if report.entries[i].e > pair_tol]
-        neg = [i for i in idxs if report.entries[i].e < -pair_tol]
-        taken = np.zeros(len(neg), dtype=bool)
-        for i in pos:
-            lam = report.entries[i].eigenvalue
-            best, best_d = -1, np.inf
-            for jj, j in enumerate(neg):
-                if taken[jj]:
-                    continue
-                d = abs(np.conj(lam) - report.entries[j].eigenvalue)
-                if d < best_d:
-                    best, best_d = jj, d
-            if best >= 0 and best_d <= 1e-8 * max(report.spectral_radius, 1.0):
-                pair_ids[i] = next_id
-                pair_ids[neg[best]] = next_id
-                taken[best] = True
-                next_id += 1
+        pos = np.flatnonzero((report.degree == k) & (ev.imag > 1e-10 * scale))
+        neg = np.flatnonzero((report.degree == k) & (ev.imag < -1e-10 * scale))
+        j, _ = _match_nearest(np.conj(ev[pos]), ev[neg], 1e-8 * scale)
+        hit = j >= 0
+        ids = next_id + np.arange(np.sum(hit))
+        pair_ids[pos[hit]] = ids
+        pair_ids[neg[j[hit]]] = ids
+        next_id += len(ids)
+    physical = np.abs(ev.real) <= tau
 
     from .reporting import format_float  # local import to avoid a cycle
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["degree", "index", "gamma", "e", "pair_id", "physical_flag"])
-        for i, en in enumerate(report.entries):
-            writer.writerow([
-                en.degree,
-                i,
-                format_float(en.gamma),
-                format_float(en.e),
-                pair_ids[i],
-                int(abs(en.gamma) <= tau),
-            ])
+        rows = zip(report.degree.tolist(), ev.tolist(), pair_ids.tolist(), physical.tolist())
+        for i, (k, z, pid, phys) in enumerate(rows):
+            writer.writerow([k, i, format_float(z.real), format_float(z.imag), pid, int(phys)])

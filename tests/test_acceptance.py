@@ -78,9 +78,7 @@ def test_acceptance_04_gradient_flow_symmetrization_and_density():
     assert np.max(np.abs(lam.imag)) <= 1e-9 * rep.spectral_radius
 
     # top-degree stationary mode equals the endpoint-averaged e^{-2W}
-    top = [en for en in rep.entries if en.degree == 1]
-    ground = min(top, key=lambda en: abs(en.eigenvalue))
-    vec = np.real_if_close(ground.right)
+    vec = np.real_if_close(rep.right[1][:, np.argmin(np.abs(rep.eigenvalues(1)))])
     g = np.exp(-2 * w)
     want = 0.5 * (g[mesh.edges[:, 0]] + g[mesh.edges[:, 1]])
     vec = vec / vec[np.argmax(np.abs(vec))]

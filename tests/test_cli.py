@@ -366,7 +366,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                 "flow": {"vertex_samples": [1.0, 2.0]}, "epsilon": 0.2},
      "tasks": ["witten"]},
     base_config(tolerances={"tau0": "abc"}),
-], ids=["backend", "negative-length", "sample-shape", "tau0-type"])
+    base_config(tasks=["simulate"], simulate={"steps": "abc"}),
+    {"model": {"name": "constant_drive_circle", "params": [1]}, "tasks": ["witten"]},
+    {"inline": [1, 2], "tasks": ["witten"]},
+    base_config(tasks=["simulate"], simulate=[1]),
+    base_config(tasks=["morse"], morse={"splitting_epsilons": 5}),
+    {"inline": {"mesh": {"kind": "circle", "n": 16},
+                "flow": {"constant": []}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    base_config(tasks=["sweep"], sweep=[0.1]),
+    base_config(tasks=["morse"], morse=[1]),
+], ids=["backend", "negative-length", "sample-shape", "tau0-type",
+        "simulate-steps-type", "params-type", "inline-type", "simulate-type",
+        "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

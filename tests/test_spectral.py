@@ -25,24 +25,35 @@ def test_full_spectrum_against_difference_symbols():
     assert fs.oracle_spectrum_residual(model, report, "fd") < 1e-12
 
 
+def report_keys(report):
+    return list(zip(report.eigenvalue.real, report.eigenvalue.imag, report.degree))
+
+
+def right_vector(report, i):
+    """Right eigenvector of entry ``i``: its column within its degree's matrix."""
+    k = report.degree[i]
+    return report.right[k][:, np.sum(report.degree[:i] == k)]
+
+
 def test_entry_ordering_and_normalization():
     _, report = constant_drive_report(n=32)
-    keys = [(en.gamma, en.e, en.degree) for en in report.entries]
+    keys = report_keys(report)
     assert keys == sorted(keys)
-    for en in report.entries[:10]:
-        np.testing.assert_allclose(np.linalg.norm(en.right), 1.0, rtol=1e-12)
-        j = int(np.argmax(np.abs(en.right)))
-        assert abs(en.right[j].imag) < 1e-12  # pinned phase
-        assert en.right[j].real > 0
+    for i in range(10):
+        right = right_vector(report, i)
+        np.testing.assert_allclose(np.linalg.norm(right), 1.0, rtol=1e-12)
+        j = int(np.argmax(np.abs(right)))
+        assert abs(right[j].imag) < 1e-12  # pinned phase
+        assert right[j].real > 0
 
 
 def test_decomposition_is_reproducible():
     _, r1 = constant_drive_report(n=24)
     _, r2 = constant_drive_report(n=24)
-    for a, b in zip(r1.entries, r2.entries):
-        assert a.eigenvalue == b.eigenvalue
-        np.testing.assert_array_equal(a.right, b.right)
-        np.testing.assert_array_equal(a.left, b.left)
+    np.testing.assert_array_equal(r1.eigenvalue, r2.eigenvalue)
+    for k in range(len(r1.block_sizes)):
+        np.testing.assert_array_equal(r1.right[k], r2.right[k])
+        np.testing.assert_array_equal(r1.left[k], r2.left[k])
 
 
 def test_biorthonormality_within_degenerate_clusters():
@@ -54,9 +65,8 @@ def test_biorthonormality_within_degenerate_clusters():
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     report = fs.full_spectrum(op)
     assert report.max_residual() < 1e-8
-    ents = [en for en in report.entries if en.degree == 0]
-    gram = np.array([[np.vdot(a.left, b.right) for b in ents] for a in ents])
-    np.testing.assert_allclose(gram, np.eye(len(ents)), atol=1e-8)
+    gram = report.left[0].conj().T @ report.right[0]
+    np.testing.assert_allclose(gram, np.eye(report.block_sizes[0]), atol=1e-8)
 
 
 @pytest.mark.parametrize("ax, ay", [(1.2, 0.4), (0.7, 0.6), (1.45, 0.3), (1.0, 0.5)])
@@ -93,10 +103,10 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
     model = fs.build_model(name, REGISTERED[name])
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     full, values = fs.full_spectrum(op), fs.eigenvalue_spectrum(op)
-    assert all(en.right is None and en.left is None for en in values.entries)
+    assert values.right is None and values.left is None
     assert values.block_sizes == full.block_sizes
-    assert [en.degree for en in values.entries] == [en.degree for en in full.entries]
-    keys = [(en.gamma, en.e, en.degree) for en in values.entries]
+    np.testing.assert_array_equal(values.degree, full.degree)
+    keys = report_keys(values)
     assert keys == sorted(keys)
     cv, cf = fs.classify_phase(values), fs.classify_phase(full)
     assert (cv.verdict, cv.witten_index, len(cv.evidence)) == (
@@ -218,3 +228,47 @@ def test_spectrum_csv_layout(tmp_path):
         np.testing.assert_allclose(es[0], -es[1], rtol=1e-9)
     # exactly the two stationary modes (one per degree) are flagged physical
     assert sum(int(r[5]) for r in body) == 2
+
+    # torus: degenerate eigenvalues interleave with their conjugates; each
+    # pair id still joins one conjugate pair within one degree
+    for ax, ay in ((1.2, 0.4), (0.7, 0.6)):
+        model = fs.build_model("torus_shear_model",
+                               {"ax": ax, "ay": ay, "epsilon": 0.3, "n": 8})
+        report = fs.full_spectrum(
+            fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+        path = tmp_path / f"torus-{ax}-{ay}.csv"
+        fs.export_spectrum_csv(report, path)
+        with open(path, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        tol = 1e-9 * report.spectral_radius
+        by_id = {}
+        for r in body:
+            if int(r[4]) >= 0:
+                by_id.setdefault(int(r[4]), []).append((int(r[0]), float(r[2]), float(r[3])))
+        assert by_id
+        for rows in by_id.values():
+            assert len(rows) == 2
+            (k0, g0, e0), (k1, g1, e1) = rows
+            assert k0 == k1
+            assert e0 * e1 < 0 and abs(e0 + e1) <= tol
+            assert abs(g0 - g1) <= tol
+        assert all(int(r[4]) >= 0 for r in body if abs(float(r[3])) > tol)
+
+
+def test_match_nearest_greedy_rule():
+    from flowspec.spectral import _match_nearest
+
+    # greedy in the order of a: a[0] takes 0.05 first, a[1] gets what is left
+    j, dist = _match_nearest([0.0, 0.1], [0.12, 0.05])
+    assert j.tolist() == [1, 0]
+    np.testing.assert_allclose(dist, [0.05, 0.02])
+    # on a tie the first index wins
+    j, _ = _match_nearest([1.0, 1.0j], [0.0, 2.0, 1.0j])
+    assert j.tolist() == [0, 2]
+    # a rejected value consumes nothing; the next one can still take b[0]
+    j, dist = _match_nearest([5.0, 1.25], [1.0], tol=0.5)
+    assert j.tolist() == [-1, 0]
+    assert dist.tolist() == [4.0, 0.25]
+    # once b is used up, the rest is rejected at infinite distance
+    j, dist = _match_nearest([1.0, 1.0], [1.0])
+    assert j.tolist() == [0, -1] and dist[1] == np.inf
