@@ -12,11 +12,12 @@ the tasks that read eigenvectors: the others need eigenvalues only).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from .exceptions import FlowspecError, NumericalError, ValidationError
-from .models import build_model, list_models
+from .models import list_models
 from .operators import normalize_backend
 from .reporting import RunConfig, run
 
@@ -50,9 +51,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         config = RunConfig.from_file(args.config)
         if args.backend is not None:
-            config = _replace(config, backend=normalize_backend(args.backend))
+            config = dataclasses.replace(config, backend=normalize_backend(args.backend))
         if args.seed is not None:
-            config = _replace(config, sim={**config.sim, "seed": int(args.seed)})
+            config = dataclasses.replace(config, sim={**config.sim, "seed": int(args.seed)})
         doc = run(config, out_dir=args.out)
         print(doc.path)
         return 0
@@ -67,12 +68,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # unsupported mesh for the requested task, deterministic limit)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _replace(config: RunConfig, **kw) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(config, **kw)
 
 
 if __name__ == "__main__":

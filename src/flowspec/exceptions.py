@@ -70,7 +70,7 @@ class CapacityError(NumericalError):
 
 
 class EigensolverError(NumericalError):
-    """LAPACK failed to converge on a block."""
+    """LAPACK failed to converge on a block, or the block is not finite."""
 
 
 class ErgodicZeroMissingError(NumericalError):

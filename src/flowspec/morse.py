@@ -426,14 +426,10 @@ class SplittingScan:
 
 
 def _count_minima(mesh, w):
-    if mesh.dimension == 1:
-        return int(np.sum((w < np.roll(w, 1)) & (w < np.roll(w, -1))))
-    nx, ny = mesh.grid_shape
-    wg = np.asarray(w, dtype=float).reshape(nx, ny)
-    lower = (
-        (wg < np.roll(wg, 1, 0)) & (wg < np.roll(wg, -1, 0))
-        & (wg < np.roll(wg, 1, 1)) & (wg < np.roll(wg, -1, 1))
-    )
+    wg = np.asarray(w, dtype=float).reshape(mesh.grid_shape)
+    lower = np.ones(wg.shape, dtype=bool)
+    for axis in range(wg.ndim):
+        lower &= (wg < np.roll(wg, 1, axis)) & (wg < np.roll(wg, -1, axis))
     return int(np.sum(lower))
 
 

@@ -203,8 +203,8 @@ class RunConfig:
         model_name, model_params, inline = None, {}, None
         if has_model:
             m = data["model"]
-            if not isinstance(m, dict) or "name" not in m:
-                raise ValidationError("'model' must be an object with a 'name'")
+            if not isinstance(m, dict) or not isinstance(m.get("name"), str):
+                raise ValidationError("'model' must be an object with a string 'name'")
             model_name = m["name"]
             model_params = _as_object(m.get("params", {}), "'model.params'")
         else:
@@ -482,9 +482,7 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
     if rep.right is None:
         raise ValidationError("stationary task needs eigenvectors (not synthetic input)")
     ground = int(np.argmin(np.abs(top_values)))
-    vec = np.real_if_close(rep.right[top][:, ground], tol=1e6)
-    if np.iscomplexobj(vec):
-        vec = vec.real
+    vec = rep.right[top][:, ground].real
     # fix sign so the dominant component is positive, then unit total mass
     j = int(np.argmax(np.abs(vec)))
     if vec[j] < 0:

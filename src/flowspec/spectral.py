@@ -127,7 +127,7 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     the eigensolver error if LAPACK fails to converge on some block.
     """
     def solve(k):
-        return _lapack(k, scipy.linalg.eig, op.block(k), left=True, right=True)
+        return _lapack(op, k, scipy.linalg.eig, left=True, right=True)
 
     return _spectrum_report(op, cap, solve)
 
@@ -142,9 +142,14 @@ def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumRe
     return _spectrum_report(op, cap, lambda k: (_block_eigenvalues(op, k), None, None))
 
 
-def _lapack(k: int, solver, *args, **kwargs):
+def _lapack(op: GradedOperator, k: int, solver, **kwargs):
+    """Solve the degree-``k`` block, refusing non-finite entries beforehand."""
+    block = op.block(k)
+    if not np.isfinite(block).all():
+        raise EigensolverError(f"the degree-{k} block at noise level "
+                               f"{op.noise.epsilon!r} has non-finite entries")
     try:
-        return solver(*args, **kwargs)
+        return solver(block, check_finite=False, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(
             f"eigensolver failed to converge on the degree-{k} block"
@@ -153,7 +158,7 @@ def _lapack(k: int, solver, *args, **kwargs):
 
 def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
     """Eigenvalues of the degree-``k`` block (LAPACK geev without vectors)."""
-    return _lapack(k, scipy.linalg.eigvals, op.block(k))
+    return _lapack(op, k, scipy.linalg.eigvals)
 
 
 def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:

@@ -12,7 +12,8 @@ Estimators:
 * ``stationary_histogram``   — occupation density after a 20% burn-in;
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
-  of the evolution operator seen from sample paths);
+  of the evolution operator seen from sample paths); it streams over blocks
+  of whole paths, so its memory scales with one block, not the ensemble;
 * ``mean_squared_displacement`` / ``drift_velocity`` — moment diagnostics
   on unwrapped paths.
 """
@@ -49,6 +50,7 @@ __all__ = [
 _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
 _CHUNK_SCALARS = 4_000_000  # noise buffer budget (doubles)
+_FFT_BLOCK_SCALARS = 1_000_000  # autocovariance block budget (complex scalars)
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,10 @@ def simulate_sde(
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ValidationError(f"step size must be positive, got {dt}")
-    if steps < 1 or n_paths < 1 or store_every < 1:
+    if steps < 1 or n_paths < 1 or store_every < 1 or seed < 0:
         raise ValidationError(
-            f"steps, n_paths, store_every must be >= 1, got "
-            f"({steps}, {n_paths}, {store_every})"
+            f"steps, n_paths, store_every must be >= 1 and seed >= 0, got "
+            f"({steps}, {n_paths}, {store_every}, {seed})"
         )
     eps = model.noise.epsilon
     dim = model.mesh.dimension
@@ -177,11 +179,8 @@ def simulate_sde(
         for p, g in enumerate(gens):
             noise[:, p, :] = g.standard_normal((m, dim))
         for t in range(m):
-            if dim == 1:
-                a = np.asarray(model.drift(x[:, 0]), dtype=float)[:, None]
-            else:
-                a = np.asarray(model.drift(x), dtype=float)
-            x = x - a * dt + amp * noise[t]
+            a = np.asarray(model.drift(x[:, 0] if dim == 1 else x), dtype=float)
+            x = x - a.reshape(x.shape) * dt + amp * noise[t]
             done += 1
             if done % store_every == 0:
                 store(slot, x)
@@ -265,17 +264,25 @@ class DecayFit:
     dt: float
 
 
-def _ensemble_autocovariance(series: np.ndarray) -> np.ndarray:
-    """Biased-denominator-free autocovariance, FFT per path, path-averaged.
+def _ensemble_autocovariance(positions: np.ndarray, observable):
+    """Path-averaged C(tau), tau < T, and per-path means for (paths, T, dim) positions.
 
-    ``series`` is complex, shape (n_paths, T); returns C(tau), tau < T.
+    Wiener-Khinchin: |FFT|^2 is summed over blocks of whole paths, then inverted once.
     """
-    n_paths, t_len = series.shape
+    n_paths, t_len = positions.shape[:2]
     nfft = 1 << int(np.ceil(np.log2(2 * t_len)))
-    f = np.fft.fft(series, n=nfft, axis=1)
-    raw = np.fft.ifft(f * np.conj(f), axis=1)[:, :t_len]
-    # raw[tau] = sum_t O(t+tau) O*(t); normalize by the overlap count
-    return raw.mean(axis=0) / (t_len - np.arange(t_len))
+    block = max(1, _FFT_BLOCK_SCALARS // nfft)
+    power, means = np.zeros(nfft), np.empty(n_paths, dtype=complex)
+    for a in range(0, n_paths, block):
+        chunk = positions[a:a + block]
+        series = np.asarray(observable(chunk), dtype=complex)
+        if series.shape != chunk.shape[:2]:
+            raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
+        means[a:a + block] = series.mean(axis=1)
+        f = np.fft.fft(series, n=nfft, axis=1)
+        power += (f.real**2 + f.imag**2).sum(axis=0)
+    # path mean of sum_t O(t+tau) O*(t), normalized by the overlap count
+    return np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len)), means
 
 
 def autocorrelation_decay(
@@ -286,9 +293,11 @@ def autocorrelation_decay(
 ) -> DecayFit:
     """Fit rate and frequency of the observable's autocovariance decay.
 
-    The observable must have zero stationary mean (default: the first
-    harmonic ``exp(i phi)``); the ensemble should be started from the
-    stationary distribution so no burn-in is discarded by default.
+    The observable is a state function applied to blocks of whole paths,
+    (paths, times, dim) -> (paths, times), so estimator memory scales with
+    the block, not the ensemble.  It must have zero stationary mean
+    (default: the first harmonic ``exp(i phi)``); the ensemble should start
+    from the stationary distribution so no burn-in is discarded by default.
     ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
     units); without it the fit runs from the first lag until |C| drops to
     a tenth of |C(0)|.  Raises when the window leaves fewer than five lags
@@ -305,16 +314,13 @@ def autocorrelation_decay(
             return np.exp(2j * np.pi * pos[..., 0] / period)
 
     start = int(np.ceil(burn_in_fraction * ensemble.n_stored))
-    series = np.asarray(observable(ensemble.positions[:, start:, :]), dtype=complex)
-    if series.ndim != 2:
-        raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
-    corr = _ensemble_autocovariance(series)
+    corr, means = _ensemble_autocovariance(ensemble.positions[:, start:, :], observable)
     dt_s = ensemble.dt * ensemble.store_every
     c0 = float(np.abs(corr[0]))
     if c0 == 0.0:
         raise UnfittableDecayError("the observable vanishes on every sample")
     # ensemble noise floor: path-to-path spread of the mean observable
-    floor = float(np.abs(series.mean(axis=1)).std() / np.sqrt(series.shape[0]))
+    floor = float(np.abs(means).std() / np.sqrt(len(means)))
 
     mag = np.abs(corr)
     if fit_window is None:

@@ -376,14 +376,36 @@ def test_cli_exit_codes(tmp_path, capsys):
      "tasks": ["witten"]},
     base_config(tasks=["sweep"], sweep=[0.1]),
     base_config(tasks=["morse"], morse=[1]),
+    base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "seed": -1}),
+    {"model": {"name": [1]}, "tasks": ["witten"]},
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
-        "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type"])
+        "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
+        "negative-seed", "model-name-type"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(
+        tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "seed": 1})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-3"]) == 2
+    assert "seed >= 0" in capsys.readouterr().err
+
+
+def test_cli_non_finite_block_exits_3(tmp_path, capsys):
+    # the first level overflows in assembly; the eigensolver must refuse it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(tasks=["sweep"],
+                                           sweep={"epsilons": [1e308, 1.0]})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "degree-0 block at noise level 1e+308" in err
 
 
 def test_report_schema_covers_emitted_document(tmp_path):

@@ -90,6 +90,21 @@ def test_capacity_cap(monkeypatch):
             solver(op, cap=8)
 
 
+def test_non_finite_block_is_refused_before_lapack(monkeypatch):
+    import dataclasses
+
+    model, _ = constant_drive_report(n=16)
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    bad = op.blocks[0].copy()
+    bad[0, 0] = np.inf
+    op = dataclasses.replace(op, blocks=(bad, op.blocks[1]))
+    monkeypatch.setattr(scipy.linalg, "eig", None)
+    monkeypatch.setattr(scipy.linalg, "eigvals", None)
+    for solver in (fs.full_spectrum, fs.eigenvalue_spectrum):
+        with pytest.raises(fs.NumericalError, match="degree-0 block at noise level 0.2"):
+            solver(op)
+
+
 REGISTERED = {
     "constant_drive_circle": {"a": 1.0, "epsilon": 0.2, "n": 32},
     "langevin_double_well_circle": {"depth": 1.0, "epsilon": 0.2, "n": 48},

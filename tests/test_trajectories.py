@@ -1,9 +1,12 @@
 """Path sampling and its moment / histogram / autocovariance diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import flowspec as fs
+from flowspec import trajectories
 
 
 def drive_model(a=1.0, eps=0.2, n=64):
@@ -83,6 +86,8 @@ def test_input_validation():
     with pytest.raises(fs.ValidationError):
         fs.simulate_sde(model, dt=0.01, steps=10, n_paths=2, seed=0,
                         initial=np.zeros((3, 1)))
+    with pytest.raises(fs.ValidationError, match="seed >= 0"):
+        fs.simulate_sde(model, dt=0.01, steps=10, n_paths=2, seed=-1)
 
 
 def test_histogram_needs_enough_samples():
@@ -130,6 +135,10 @@ def test_decay_fit_window_control():
     with pytest.raises(fs.UnfittableDecayError):
         # constant observable: zero variance, nothing to fit
         fs.autocorrelation_decay(ens, observable=lambda p: 0.0 * p[..., 0])
+    # the observable must map (paths, times, dim) to (paths, times)
+    for wrong in (lambda p: p, lambda p: np.exp(1j * p[:, 0, 0]), lambda p: 1.0):
+        with pytest.raises(fs.ValidationError, match="observable must map"):
+            fs.autocorrelation_decay(ens, observable=wrong)
 
 
 def test_torus_needs_explicit_observable():
@@ -145,3 +154,69 @@ def test_torus_needs_explicit_observable():
         fit_window=(0.05, 1.5),
     )
     assert fit.rate > 0
+
+
+def whole_ensemble_autocovariance(series):
+    """Reference estimator: FFT, |FFT|^2 and inverse FFT per path, then the path mean."""
+    n_paths, t_len = series.shape
+    nfft = 1 << int(np.ceil(np.log2(2 * t_len)))
+    f = np.fft.fft(series, n=nfft, axis=1)
+    raw = np.fft.ifft(f * np.conj(f), axis=1)[:, :t_len]
+    return raw.mean(axis=0) / (t_len - np.arange(t_len))
+
+
+def fft_length(t_len):
+    return 1 << int(np.ceil(np.log2(2 * t_len)))
+
+
+def assert_matches_whole_ensemble(positions, observable):
+    corr, means = trajectories._ensemble_autocovariance(positions, observable)
+    series = observable(positions)
+    oracle = whole_ensemble_autocovariance(series)
+    np.testing.assert_allclose(corr, oracle, rtol=1e-12,
+                               atol=1e-12 * abs(oracle[0]))
+    np.testing.assert_array_equal(means, series.mean(axis=1))
+    return oracle
+
+
+def test_streamed_autocovariance_matches_whole_ensemble():
+    model = drive_model(a=1.0, eps=0.2)
+    ens = fs.simulate_sde(model, dt=0.01, steps=3000, n_paths=301, seed=17)
+    start = int(np.ceil(0.2 * ens.n_stored))
+    positions = ens.positions[:, start:, :]
+    # the default budget splits 301 paths into unequal blocks
+    block = trajectories._FFT_BLOCK_SCALARS // fft_length(positions.shape[1])
+    assert 1 < block < 301 and 301 % block != 0
+
+    def first_harmonic(p):
+        return np.exp(2j * np.pi * p[..., 0] / ens.periods[0])
+
+    oracle = assert_matches_whole_ensemble(positions, first_harmonic)
+    fit = fs.autocorrelation_decay(ens, burn_in_fraction=0.2)
+    assert fit.c0 == pytest.approx(abs(oracle[0]), rel=1e-12)
+
+
+def test_streamed_autocovariance_on_the_torus(monkeypatch):
+    model = fs.build_model(
+        "torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}
+    )
+    ens = fs.simulate_sde(model, dt=0.01, steps=400, n_paths=301, seed=8)
+    # a small budget: 64-path blocks, the last one of 45 paths
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 64 * fft_length(401))
+    assert_matches_whole_ensemble(
+        ens.positions, lambda p: np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
+    )
+
+
+def test_autocovariance_memory_scales_with_the_block():
+    model = drive_model(a=1.0, eps=0.2)
+    ens = fs.simulate_sde(model, dt=0.01, steps=2600, n_paths=1000, seed=19)
+    full_array = ens.n_paths * fft_length(ens.n_stored) * 16  # complex128 bytes
+    tracemalloc.start()
+    try:
+        fit = fs.autocorrelation_decay(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.rate > 0
+    assert peak < full_array
