@@ -31,6 +31,7 @@ never enter the report; they go to the ``timings.json`` sidecar.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 import warnings
@@ -61,10 +62,11 @@ from .operators import normalize_backend
 from .spectral import (
     _DENSE_CAP,
     _block_eigenvalues,
+    _null_vector,
     _spectrum_report,
     classify_phase,
     export_spectrum_csv,
-    full_spectrum,
+    full_spectrum,  # not called by a run; flowbench/tracing.py patches this name
     witten_index,
     zero_mode_counts,
 )
@@ -245,6 +247,14 @@ class RunConfig:
                                  ("store_every", 1), ("bins", 64)):
                 sim[key] = _as_int(sim.get(key, default), f"simulate.{key}")
             sim.setdefault("autocorrelation", False)
+            window = sim.get("fit_window")
+            if window is not None:
+                pair = isinstance(window, list) and len(window) == 2
+                lo, hi = (_as_float(t, "simulate.fit_window") for t in window) if pair else (0, 0)
+                if not (np.isfinite(hi) and 0 <= lo < hi):
+                    raise ValidationError("simulate.fit_window must be a list [lo, hi] "
+                                          f"with finite 0 <= lo < hi, got {window!r}")
+                sim["fit_window"] = (lo, hi)
 
         morse_eps = None
         split = _as_object(data.get("morse") or {}, "'morse'").get("splitting_epsilons")
@@ -373,10 +383,6 @@ def _build_inline(spec: Dict) -> ModelSpec:
 # tasks
 # ----------------------------------------------------------------------
 
-# Tasks that read eigenvectors; every other task needs eigenvalues only.
-_VECTOR_TASKS = ("spectrum", "stationary")
-
-
 class _Levels:
     """Operators and per-degree eigenvalues by noise level, each made once.
 
@@ -419,17 +425,11 @@ class _RunState:
         self.config = config
         self.model = model
         self.levels = _Levels(model, config.backend)
-        self.needs_vectors = any(t in _VECTOR_TASKS for t in config.tasks)
-        self._spectrum = None
 
-    @property
+    @functools.cached_property
     def spectrum(self):
-        """Two-sided when a task reads eigenvectors, eigenvalues only otherwise."""
-        if self._spectrum is None:
-            eps = self.model.noise.epsilon
-            self._spectrum = (full_spectrum(self.levels.op(eps)) if self.needs_vectors
-                              else self.levels.spectrum(eps))
-        return self._spectrum
+        """Vector-free spectrum of the model's own noise level."""
+        return self.levels.spectrum(self.model.noise.epsilon)
 
 
 def _task_spectrum(state: _RunState, out_dir: Path) -> Dict:
@@ -439,7 +439,6 @@ def _task_spectrum(state: _RunState, out_dir: Path) -> Dict:
     result = {
         "spectral_radius": rep.spectral_radius,
         "entries_per_degree": {str(k): c for k, c in zip(degrees.tolist(), counts.tolist())},
-        "max_biorthogonality_residual": rep.max_residual(),
         "csv": "spectrum.csv",
     }
     dev = oracle_spectrum_residual(state.model, rep, state.config.backend)
@@ -479,10 +478,9 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
     top_values = rep.eigenvalues(top)
     if not len(top_values):
         raise NumericalError("no top-degree entries in the spectrum")
-    if rep.right is None:
-        raise ValidationError("stationary task needs eigenvectors (not synthetic input)")
     ground = int(np.argmin(np.abs(top_values)))
-    vec = rep.right[top][:, ground].real
+    op = state.levels.op(state.model.noise.epsilon)
+    vec = _null_vector(op, top, top_values[ground], rep.spectral_radius).real
     # fix sign so the dominant component is positive, then unit total mass
     j = int(np.argmax(np.abs(vec)))
     if vec[j] < 0:
@@ -599,10 +597,7 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
                     format_float(hist.density[b]),
                 ])
     if sim.get("autocorrelation"):
-        window = sim.get("fit_window")
-        fit = autocorrelation_decay(
-            ens, fit_window=tuple(window) if window else None
-        )
+        fit = autocorrelation_decay(ens, fit_window=sim.get("fit_window"))
         result["autocorrelation"] = {
             "rate": fit.rate,
             "frequency": fit.frequency,

@@ -1,8 +1,10 @@
 """Non-Hermitian eigenanalysis of graded operators, and spectrum-level verdicts.
 
-Each degree block is decomposed densely, with two-sided eigenvectors
-(``full_spectrum``) or eigenvalues only (``eigenvalue_spectrum``, all the
-verdicts need).  Left and right eigenvectors are paired per eigenvalue
+Each degree block is decomposed densely, with eigenvalues only
+(``eigenvalue_spectrum``, the run path) or with two-sided eigenvectors
+(``full_spectrum``, the library path and the test oracle); a run takes its
+one eigenvector, the stationary density, by inverse iteration
+(``_null_vector``).  Left and right eigenvectors are paired per eigenvalue
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
 pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
@@ -66,6 +68,8 @@ __all__ = [
 _CLUSTER_REL = 1e-7
 _DEFAULT_TOL_REL = 1e-8
 _DENSE_CAP = 8192
+_SHIFT_REL = 1e-8
+_INVERSE_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,35 @@ def _lapack(op: GradedOperator, k: int, solver, **kwargs):
         raise EigensolverError(
             f"eigensolver failed to converge on the degree-{k} block"
         ) from exc
+
+
+def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
+                 radius: float) -> np.ndarray:
+    """Right eigenvector of the degree-``k`` block for a known ``eigenvalue``.
+
+    Inverse iteration: one LU of ``H - sigma I``, sigma just past the
+    eigenvalue (``_SHIFT_REL`` of the spectral radius, so that no pivot is
+    exactly zero), then ``_INVERSE_STEPS`` solves from the constant vector.
+    Scaled as ``full_spectrum`` scales right vectors (unit norm, dominant
+    component real positive); refused unless ``||Hv - lambda v|| <= 1e-8 radius``.
+    """
+    block = op.block(k)
+    scale = radius or 1.0  # a zero block still gets a nonzero shift
+    shift = complex(eigenvalue) + _SHIFT_REL * scale
+    lu = scipy.linalg.lu_factor(block - shift * np.eye(len(block)), check_finite=False)
+    v = np.ones(len(block), dtype=complex)
+    for _ in range(_INVERSE_STEPS):
+        v = scipy.linalg.lu_solve(lu, v, check_finite=False)
+        v /= np.max(np.abs(v))
+    j = int(np.argmax(np.abs(v)))
+    v /= v[j] / abs(v[j]) * np.linalg.norm(v)
+    residual = float(np.linalg.norm(block @ v - eigenvalue * v))
+    if not residual <= _DEFAULT_TOL_REL * scale:  # also refuses NaN
+        raise EigensolverError(
+            f"inverse iteration on the degree-{k} block missed the eigenvalue "
+            f"{complex(eigenvalue)!r} (residual {residual:.3e})"
+        )
+    return v
 
 
 def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
@@ -459,8 +492,6 @@ def conjugate_closure_residual(report: SpectrumReport) -> float:
     worst = 0.0
     for k in range(report.dimension + 1):
         vals = report.eigenvalues(degree=k)
-        if len(vals) == 0:
-            continue
         for lam in vals:
             worst = max(worst, float(np.min(np.abs(vals - np.conj(lam)))))
     return worst

@@ -297,7 +297,8 @@ def autocorrelation_decay(
     (paths, times, dim) -> (paths, times), so estimator memory scales with
     the block, not the ensemble.  It must have zero stationary mean
     (default: the first harmonic ``exp(i phi)``); the ensemble should start
-    from the stationary distribution so no burn-in is discarded by default.
+    from the stationary distribution so no burn-in is discarded by default;
+    ``burn_in_fraction``, in [0, 1), drops that share of every path's start.
     ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
     units); without it the fit runs from the first lag until |C| drops to
     a tenth of |C(0)|.  Raises when the window leaves fewer than five lags
@@ -313,7 +314,10 @@ def autocorrelation_decay(
         def observable(pos):
             return np.exp(2j * np.pi * pos[..., 0] / period)
 
-    start = int(np.ceil(burn_in_fraction * ensemble.n_stored))
+    if not 0 <= burn_in_fraction < 1:
+        raise ValidationError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
+    # keep one sample, so that a burn-in near 1 fails as a too-short window
+    start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
     corr, means = _ensemble_autocovariance(ensemble.positions[:, start:, :], observable)
     dt_s = ensemble.dt * ensemble.store_every
     c0 = float(np.abs(corr[0]))

@@ -1,5 +1,6 @@
 """Run configs, canonical reports, and the command-line entry point."""
 
+import csv
 import json
 
 import numpy as np
@@ -288,15 +289,67 @@ def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
 
 
 @pytest.mark.parametrize("tasks", [["spectrum", "classify"], ["witten", "stationary"]])
-def test_vector_tasks_keep_the_two_sided_spectrum(tmp_path, work, tasks):
+def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, tasks):
     doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
-    assert len(work["ops"]) == 1
-    assert work["eig"] == 2 and work["eigvals"] == []
+    assert work["eig"] == 0
+    [op] = work["ops"]
+    # one eigvals per block of the base level, none solved twice
+    assert len(work["eigvals"]) == len(op.blocks)
+    assert all(any(a is block for a in work["eigvals"]) for block in op.blocks)
     res = doc.data["results"]
     if "spectrum" in res:
-        assert res["spectrum"]["max_biorthogonality_residual"] < 1e-10
+        sizes = {str(k): b.shape[0] for k, b in enumerate(op.blocks)}
+        assert res["spectrum"]["entries_per_degree"] == sizes
     else:
         assert res["stationary"]["oracle_max_rel_deviation"] < 1e-9
+
+
+def stationary_density(out_dir):
+    with open(out_dir / "stationary.csv", newline="", encoding="utf-8") as fh:
+        return np.array([float(row["density"]) for row in csv.DictReader(fh)])
+
+
+def test_stationary_density_in_the_metastable_regime(tmp_path):
+    # the tunnelling gap (~1e-14) sits below roundoff of the spectral radius,
+    # so a two-sided eig mixes the ground state with the tunnelling mode
+    deep = fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 8.0, "epsilon": 0.05, "n": 128}},
+        "tasks": ["stationary"],
+    })
+    res = fs.run(deep, out_dir=tmp_path / "deep").data["results"]["stationary"]
+    assert res["oracle_max_rel_deviation"] <= 1e-5
+
+    # asymmetric wells: compare with exp(-2W) averaged over cells
+    mesh = fs.build_circle_grid(128, 2 * np.pi)
+    phis = np.asarray(mesh.vertices).reshape(-1)
+    w = 8 * np.cos(2 * phis) + np.cos(phis)
+    inline = fs.RunConfig.from_dict({
+        "inline": {"mesh": {"kind": "circle", "n": 128},
+                   "flow": {"potential": w.tolist()}, "epsilon": 0.05},
+        "tasks": ["stationary"],
+    })
+    fs.run(inline, out_dir=tmp_path / "inline")
+    rho = np.exp(-2 * w)
+    cells = 0.5 * (rho[mesh.edges[:, 0]] + rho[mesh.edges[:, 1]])
+    cells /= np.sum(cells * mesh.primal_volumes[1])
+    density = stationary_density(tmp_path / "inline")
+    assert np.max(np.abs(density - cells)) <= 1e-5 * np.max(cells)
+
+
+@pytest.mark.parametrize("a, backend", [(0.0, "fd"), (1.0, "fd"), (1.0, "fourier")])
+def test_stationary_density_of_a_degenerate_kernel(tmp_path, a, backend):
+    # without noise the zero eigenvalue is degenerate (the whole block vanishes
+    # at a = 0; the grid's highest mode joins it at a = 1), yet the density is
+    # uniform
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "constant_drive_circle",
+                  "params": {"a": a, "epsilon": 0.0, "n": 32}},
+        "backend": backend,
+        "tasks": ["stationary"],
+    })
+    res = fs.run(cfg, out_dir=tmp_path).data["results"]["stationary"]
+    assert res["oracle_max_rel_deviation"] <= 1e-6
 
 
 def test_shared_levels_reproduce_the_standalone_scan(tmp_path):
@@ -378,10 +431,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     base_config(tasks=["morse"], morse=[1]),
     base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "seed": -1}),
     {"model": {"name": [1]}, "tasks": ["witten"]},
+    base_config(tasks=["simulate"], simulate={"autocorrelation": True, "fit_window": 5}),
+    base_config(tasks=["simulate"], simulate={"autocorrelation": True, "fit_window": [1]}),
+    base_config(tasks=["simulate"],
+                simulate={"autocorrelation": True, "fit_window": ["a", "b"]}),
+    base_config(tasks=["simulate"],
+                simulate={"autocorrelation": True, "fit_window": [0.5, 0.1]}),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
-        "negative-seed", "model-name-type"])
+        "negative-seed", "model-name-type", "fit-window-scalar", "fit-window-length",
+        "fit-window-type", "fit-window-order"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

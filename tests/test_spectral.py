@@ -137,6 +137,41 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
         assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
 
 
+def ground_state(name, backend):
+    """Operator, vector-free report and top-degree ground index of a registered model."""
+    model = fs.build_model(name, REGISTERED[name])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    values = fs.eigenvalue_spectrum(op)
+    top = model.mesh.dimension
+    return op, values, top, int(np.argmin(np.abs(values.eigenvalues(top))))
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+@pytest.mark.parametrize("name", sorted(REGISTERED))
+def test_null_vector_agrees_with_full_spectrum(name, backend):
+    from flowspec.spectral import _null_vector
+
+    op, values, top, ground = ground_state(name, backend)
+    v = _null_vector(op, top, values.eigenvalues(top)[ground], values.spectral_radius)
+    full = fs.full_spectrum(op)
+    r = full.right[top][:, np.argmin(np.abs(full.eigenvalues(top)))]
+    assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("bad", [lambda lu, b, **kw: np.arange(1.0, len(b) + 1),
+                                 lambda lu, b, **kw: np.full(len(b), np.nan)],
+                         ids=["wrong-vector", "nan"])
+def test_null_vector_residual_guard(monkeypatch, bad):
+    from flowspec.spectral import _null_vector
+
+    op, values, top, ground = ground_state("langevin_double_well_circle", "fd")
+    monkeypatch.setattr(scipy.linalg, "lu_solve", bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(fs.NumericalError, match="degree-1 block"):
+            _null_vector(op, top, values.eigenvalues(top)[ground], values.spectral_radius)
+
+
 def test_verdicts_on_synthetic_multisets():
     unbroken = fs.synthetic_spectrum([0.0, 0.5 + 0.3j, 0.5 - 0.3j, 1.2])
     assert fs.classify_phase(unbroken).verdict == "unbroken-Markovian"

@@ -139,6 +139,12 @@ def test_decay_fit_window_control():
     for wrong in (lambda p: p, lambda p: np.exp(1j * p[:, 0, 0]), lambda p: 1.0):
         with pytest.raises(fs.ValidationError, match="observable must map"):
             fs.autocorrelation_decay(ens, observable=wrong)
+    # the burn-in is a share of each path in [0, 1)
+    for fraction in (1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(fs.ValidationError, match="burn_in_fraction"):
+            fs.autocorrelation_decay(ens, burn_in_fraction=fraction)
+    with pytest.raises(fs.UnfittableDecayError, match="five lags"):
+        fs.autocorrelation_decay(ens, burn_in_fraction=0.9999)
 
 
 def test_torus_needs_explicit_observable():
