@@ -1,10 +1,10 @@
 """Graded-operator spectral analysis of noisy flows on periodic meshes.
 
 The package builds the evolution generator of a stochastic flow as a graded
-operator on discrete differential forms, extracts its two-sided spectrum,
-classifies the long-time dynamics, ties zero-mode counts to the topology of
-the underlying mesh, and cross-checks everything against exactly solvable
-models and direct path sampling.
+operator on discrete differential forms, extracts its spectrum, classifies
+the long-time dynamics, ties zero-mode counts to the topology of the
+underlying mesh, and cross-checks everything against exactly solvable models
+and direct path sampling.
 """
 
 from ._version import __version__
@@ -52,7 +52,6 @@ from .fields import (
     zero_flow,
 )
 from .operators import (
-    OperatorBlock,
     codifferential,
     exterior_derivative,
     inner_product_matrix,

@@ -5,8 +5,9 @@
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure (missing zero mode, indeterminate index, capacity, LAPACK breakdown;
-a defective eigenproblem can only come from ``spectrum`` and ``stationary``,
-the tasks that read eigenvectors: the others need eigenvalues only).
+a defective eigenproblem can only surface in ``stationary``, the one task
+that reads an eigenvector, by inverse iteration: the others need eigenvalues
+only).
 """
 
 from __future__ import annotations

@@ -2,17 +2,18 @@
 
 The generator acts degree-by-degree on cochains:
 
-    H_k = (d d† + d† d)_k / 2 - L_A(k)
+    H_k = {d, d†}_k / 2 - {d, iota_A}_k,   {d, x}_k = x_k d_k + d_{k-1} x_{k-1},
 
-with the codifferential carrying the noise scale and L_A the Cartan-assembled
-Lie derivative.  Ghost number (form degree) is conserved, so the operator is
-a tuple of square blocks.  The companion charge
+with the codifferential carrying the noise scale and the second term the
+Cartan-assembled Lie derivative L_A.  Ghost number (form degree) is
+conserved, so the operator is a tuple of square blocks.  The companion charge
 
     Qbar_k = d†_k - 2 iota_A(k)
 
-satisfies H = (Q Qbar + Qbar Q)/2 with Q = d; both assembly routes are built
-from the same blocks and compared at every assembly as a self-check (the
-identity is algebraic, so a violation means memory corruption, not roundoff).
+satisfies H = {Q, Qbar}/2 with Q = d.  Both assembly routes use the same d,
+d† and iota, built once per degree, and are compared at every assembly as a
+self-check (the identity is algebraic, so a violation means memory
+corruption, not roundoff).
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
 by the top Hodge star is the conventional density generator.  For gradient
@@ -36,12 +37,11 @@ from .exceptions import (
 from .fields import FlowField, langevin_flow
 from .mesh import MeshComplex, NoiseSpec, hodge_star
 from .operators import (
-    OperatorBlock,
-    codifferential,
+    _anticommutator,
+    _codifferential,
     exterior_derivative,
     inner_product_matrix,
     interior_product,
-    lie_derivative,
     normalize_backend,
 )
 
@@ -102,7 +102,7 @@ class GradedOperator:
         scale = max(np.max(np.abs(b)) for b in self.blocks)
         worst = 0.0
         for k in range(self.mesh.dimension):
-            d = exterior_derivative(self.mesh, k, self.backend).matrix
+            d = exterior_derivative(self.mesh, k, self.backend)
             r = np.max(np.abs(d @ self.block(k) - self.block(k + 1) @ d))
             worst = max(worst, r)
         return float(worst / max(scale, 1e-300))
@@ -120,13 +120,14 @@ def _deterministic_guard(flow: FlowField, noise: NoiseSpec, allow: bool, what: s
 
 
 def _graded_pieces(mesh, flow, noise, backend):
+    """d_k, d†_{k+1} and iota_{k+1} for k = 0..D-1, each built once."""
     dim = mesh.dimension
-    d = [exterior_derivative(mesh, k, backend).matrix for k in range(dim)]
+    d = [exterior_derivative(mesh, k) for k in range(dim)]
     if noise.is_deterministic:
-        ddag = [np.zeros((mesh.n_cells(k - 1), mesh.n_cells(k))) for k in range(1, dim + 1)]
+        ddag = [np.zeros(dk.T.shape) for dk in d]
     else:
-        ddag = [codifferential(mesh, k, noise, backend).matrix for k in range(1, dim + 1)]
-    iota = [interior_product(mesh, flow, k, backend).matrix for k in range(1, dim + 1)]
+        ddag = [_codifferential(mesh, d[k], k + 1, noise, backend) for k in range(dim)]
+    iota = [interior_product(mesh, flow, k, backend) for k in range(1, dim + 1)]
     return d, ddag, iota
 
 
@@ -153,36 +154,19 @@ def assemble_hamiltonian(
     """
     backend = normalize_backend(backend)
     _deterministic_guard(flow, noise, allow_deterministic, "the generator")
-    dim = mesh.dimension
     d, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
-
-    blocks = []
-    for k in range(dim + 1):
-        n = mesh.n_cells(k)
-        hk = np.zeros((n, n))
-        if k >= 1:
-            hk += 0.5 * (d[k - 1] @ ddag[k - 1])
-        if k < dim:
-            hk += 0.5 * (ddag[k] @ d[k])
-        hk -= lie_derivative(mesh, flow, k, backend).matrix
-        blocks.append(hk)
-
-    op = GradedOperator(tuple(blocks), 0, mesh, flow, noise, backend)
+    blocks = tuple(0.5 * _anticommutator(d, ddag, k) - _anticommutator(d, iota, k)
+                   for k in range(mesh.dimension + 1))
+    op = GradedOperator(blocks, 0, mesh, flow, noise, backend)
     _check_two_routes(op, d, ddag, iota)
     return op
 
 
 def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:
-    dim = op.mesh.dimension
-    qbar = [ddag[i] - 2.0 * iota[i] for i in range(dim)]
+    qbar = [dd - 2.0 * i for dd, i in zip(ddag, iota)]
     scale = max(max(np.max(np.abs(b)) for b in op.blocks), 1e-300)
-    for k in range(dim + 1):
-        n = op.mesh.n_cells(k)
-        alt = np.zeros((n, n))
-        if k >= 1:
-            alt += 0.5 * (d[k - 1] @ qbar[k - 1])
-        if k < dim:
-            alt += 0.5 * (qbar[k] @ d[k])
+    for k in op.degrees():
+        alt = 0.5 * _anticommutator(d, qbar, k)
         resid = np.max(np.abs(alt - op.block(k))) / scale
         if resid > _TWO_ROUTE_TOL:
             raise NumericalError(
@@ -203,7 +187,7 @@ def pseudo_adjoint_charge(
     backend = normalize_backend(backend)
     _deterministic_guard(flow, noise, allow_deterministic, "the conjugate charge")
     _, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
-    blocks = tuple(ddag[i] - 2.0 * iota[i] for i in range(mesh.dimension))
+    blocks = tuple(dd - 2.0 * i for dd, i in zip(ddag, iota))
     return GradedOperator(blocks, -1, mesh, flow, noise, backend)
 
 
@@ -212,7 +196,7 @@ def conventional_fp_operator(
     flow: FlowField,
     noise: NoiseSpec,
     backend: str = "fd",
-) -> OperatorBlock:
+) -> np.ndarray:
     """Density generator: the top-degree block conjugated by the top Hodge star.
 
     The result acts on pointwise density values at dual vertices (cell
@@ -235,11 +219,9 @@ def conventional_fp_operator(
     top = h.block(mesh.dimension)
     if backend == "fd":
         s = hodge_star(mesh, mesh.dimension, noise).values
-        mat = (s[:, None] * top) / s[None, :]
-    else:
-        m = inner_product_matrix(mesh, mesh.dimension, noise, backend)
-        mat = m @ top @ np.linalg.inv(m)
-    return OperatorBlock(mat, mesh.dimension, mesh.dimension, backend)
+        return (s[:, None] * top) / s[None, :]
+    m = inner_product_matrix(mesh, mesh.dimension, noise, backend)
+    return m @ top @ np.linalg.inv(m)
 
 
 @dataclass(frozen=True)

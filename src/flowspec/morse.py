@@ -40,8 +40,7 @@ from .exceptions import (
 )
 from .fields import FlowField, langevin_flow
 from .hamiltonian import assemble_hamiltonian
-from .mesh import MeshComplex, NoiseSpec
-from .operators import inner_product_matrix
+from .mesh import MeshComplex, NoiseSpec, hodge_star
 from .spectral import _block_eigenvalues
 
 __all__ = [
@@ -404,7 +403,7 @@ def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopStat
                 center = np.array([(i + 0.5) * hx, (j + 0.5) * hy])
                 values[f] = gaussian(center)
 
-    metric = np.diag(inner_product_matrix(mesh, degree, noise, "fd"))
+    metric = hodge_star(mesh, degree, noise).values
     norm = float(np.sqrt(np.sum(metric * values * values)))
     if norm == 0.0:
         raise IndeterminateIndexError("one-loop ansatz vanished on this mesh")

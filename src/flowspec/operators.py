@@ -1,5 +1,10 @@
 """Operator blocks between cochain spaces: d, codifferential, contraction, Lie.
 
+Every operator is a plain dense ``np.ndarray``.  ``_codifferential`` builds
+d† from a given d, and ``_anticommutator`` forms the graded anticommutator
+{d, x}_k of d with a degree-lowering operator; the generator assembly in
+``hamiltonian`` uses both on pieces it builds once per degree.
+
 Two backends exist on uniform periodic grids:
 
 * ``fd`` — local stencils.  Hodge stars are the diagonal dual/primal volume
@@ -24,8 +29,6 @@ Adjointness of the codifferential holds in each backend's own inner product:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -38,7 +41,6 @@ from .fields import FlowField
 from .mesh import MeshComplex, NoiseSpec, hodge_star
 
 __all__ = [
-    "OperatorBlock",
     "normalize_backend",
     "exterior_derivative",
     "inner_product_matrix",
@@ -63,34 +65,19 @@ def normalize_backend(backend: str) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
-class OperatorBlock:
-    """Linear map from degree ``domain_degree`` cochains to ``codomain_degree``."""
-
-    matrix: np.ndarray
-    domain_degree: int
-    codomain_degree: int
-    backend: str = "fd"
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
 # ----------------------------------------------------------------------
 # exterior derivative (backend-independent)
 # ----------------------------------------------------------------------
 
-def exterior_derivative(mesh: MeshComplex, k: int, backend: str = "fd") -> OperatorBlock:
+def exterior_derivative(mesh: MeshComplex, k: int, backend: str = "fd") -> np.ndarray:
     """d_k: degree k -> k+1, the signed incidence transpose (exact, both backends)."""
-    backend = normalize_backend(backend)
+    normalize_backend(backend)
     if not 0 <= k < mesh.dimension:
         raise DegreeError(
             f"exterior derivative undefined at degree {k} on a "
             f"{mesh.dimension}-dimensional mesh"
         )
-    mat = np.asarray(mesh.boundary_matrix(k + 1).T.todense(), dtype=float)
-    return OperatorBlock(mat, k, k + 1, backend)
+    return np.asarray(mesh.boundary_matrix(k + 1).T.todense(), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +174,7 @@ def inner_product_matrix(
 
 def codifferential(
     mesh: MeshComplex, k: int, noise: NoiseSpec, backend: str = "fd"
-) -> OperatorBlock:
+) -> np.ndarray:
     """d†_k: degree k -> k-1, the metric adjoint of d_{k-1}.
 
     Assembled as ``M_{k-1}^{-1} d^T M_k``; the epsilon powers in the masses
@@ -203,14 +190,17 @@ def codifferential(
             "codifferential requires epsilon > 0 (it scales linearly with the "
             "noise metric and vanishes identically in the deterministic limit)"
         )
-    d = exterior_derivative(mesh, k - 1, backend).matrix
-    m_lo = inner_product_matrix(mesh, k - 1, noise, backend)
-    m_hi = inner_product_matrix(mesh, k, noise, backend)
+    return _codifferential(mesh, exterior_derivative(mesh, k - 1), k, noise, backend)
+
+
+def _codifferential(mesh: MeshComplex, d: np.ndarray, k: int, noise: NoiseSpec,
+                    backend: str) -> np.ndarray:
+    """d†_k from the given d_{k-1}; fd masses are the diagonal Hodge stars."""
     if backend == "fd":
-        mat = (d.T * np.diag(m_hi)) / np.diag(m_lo)[:, None]
-    else:
-        mat = np.linalg.solve(m_lo, d.T @ m_hi)
-    return OperatorBlock(mat, k, k - 1, backend)
+        star_lo = hodge_star(mesh, k - 1, noise).values
+        return (d.T * hodge_star(mesh, k, noise).values) / star_lo[:, None]
+    m_lo = inner_product_matrix(mesh, k - 1, noise, backend)
+    return np.linalg.solve(m_lo, d.T @ inner_product_matrix(mesh, k, noise, backend))
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +209,7 @@ def codifferential(
 
 def interior_product(
     mesh: MeshComplex, flow: FlowField, k: int, backend: str = "fd"
-) -> OperatorBlock:
+) -> np.ndarray:
     """iota_A: degree k -> k-1, contraction of k-forms with the flow.
 
     fd backend: each k-cell's cochain value is converted to a pointwise form
@@ -235,8 +225,7 @@ def interior_product(
         raise DegreeError(f"contraction maps degrees 1..{mesh.dimension}, got {k}")
     if not mesh.is_structured:
         if flow.is_zero:
-            mat = np.zeros((mesh.n_cells(k - 1), mesh.n_cells(k)))
-            return OperatorBlock(mat, k, k - 1, backend)
+            return np.zeros((mesh.n_cells(k - 1), mesh.n_cells(k)))
         raise UnsupportedMeshError(
             "contraction with a nonzero flow needs a structured grid"
         )
@@ -253,7 +242,7 @@ def interior_product(
         e = np.arange(n_hi)
         np.add.at(mat, (mesh.edges[:, 0], e), w)
         np.add.at(mat, (mesh.edges[:, 1], e), w)
-        return OperatorBlock(mat, 1, 0, "fd")
+        return mat
 
     # k == 2, torus: faces -> edges. A 2-form F dx^dy contracts to
     # A_x F dy - A_y F dx; each face contributes to its four boundary edges
@@ -273,14 +262,13 @@ def interior_product(
     np.add.at(mat, (ex_top, f), -trans[ex_top] / (2.0 * hy))
     np.add.at(mat, (ey_left, f), trans[ey_left] / (2.0 * hx))
     np.add.at(mat, (ey_right, f), trans[ey_right] / (2.0 * hx))
-    return OperatorBlock(mat, 2, 1, "fd")
+    return mat
 
 
-def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> OperatorBlock:
+def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> np.ndarray:
     if mesh.kind == "circle":
         _, _, r = _fourier_factors(mesh.grid_shape[0], mesh.lengths[0])
-        mat = flow.vertex_values[:, None] * r
-        return OperatorBlock(mat, 1, 0, "fourier")
+        return flow.vertex_values[:, None] * r
 
     (nx, ny), (lx, ly) = mesh.grid_shape, mesh.lengths
     _, _, rx = _fourier_factors(nx, lx)
@@ -290,24 +278,35 @@ def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> Ope
     ry_full = np.kron(np.eye(nx), ry)
     if k == 1:
         ax, ay = flow.vertex_values[:, 0], flow.vertex_values[:, 1]
-        mat = np.hstack([ax[:, None] * rx_full, ay[:, None] * ry_full])
-        return OperatorBlock(mat, 1, 0, "fourier")
+        return np.hstack([ax[:, None] * rx_full, ay[:, None] * ry_full])
     trans = flow.transverse_edge_values(mesh)
-    mat = np.vstack([
+    return np.vstack([
         -trans[:n0, None] * ry_full,
         trans[n0:, None] * rx_full,
     ])
-    return OperatorBlock(mat, 2, 1, "fourier")
 
 
 # ----------------------------------------------------------------------
 # Lie derivative (Cartan assembly)
 # ----------------------------------------------------------------------
 
+def _anticommutator(d, x, k: int) -> np.ndarray:
+    """Graded anticommutator {d, x}_k = x_k d_k + d_{k-1} x_{k-1}.
+
+    ``d[j]`` maps degree j to j+1 and ``x[j]`` maps degree j+1 to j, for
+    j = 0..D-1; a term whose degree falls outside that range is dropped.
+    """
+    if k == 0:
+        return x[0] @ d[0]
+    if k == len(d):
+        return d[k - 1] @ x[k - 1]
+    return x[k] @ d[k] + d[k - 1] @ x[k - 1]
+
+
 def lie_derivative(
     mesh: MeshComplex, flow: FlowField, k: int, backend: str = "fd"
-) -> OperatorBlock:
-    """L_A at degree k via the Cartan formula L = d iota + iota d.
+) -> np.ndarray:
+    """L_A at degree k via the Cartan formula L = {d, iota}.
 
     Terms outside the degree range 0..D are dropped (there is nothing to
     contract a 0-form with, and nothing above top degree to differentiate
@@ -321,16 +320,9 @@ def lie_derivative(
         raise UnsupportedMeshError(
             "Lie derivative along a nonzero flow needs a structured grid"
         )
-    n = mesh.n_cells(k)
-    mat = np.zeros((n, n))
-    if k < mesh.dimension:
-        mat = mat + (
-            interior_product(mesh, flow, k + 1, backend).matrix
-            @ exterior_derivative(mesh, k, backend).matrix
-        )
-    if k > 0:
-        mat = mat + (
-            exterior_derivative(mesh, k - 1, backend).matrix
-            @ interior_product(mesh, flow, k, backend).matrix
-        )
-    return OperatorBlock(mat, k, k, backend)
+    near = (k - 1, k)  # the only pieces {d, iota}_k reads
+    d = [exterior_derivative(mesh, j) if j in near else None
+         for j in range(mesh.dimension)]
+    iota = [interior_product(mesh, flow, j + 1, backend) if j in near else None
+            for j in range(mesh.dimension)]
+    return _anticommutator(d, iota, k)

@@ -62,6 +62,7 @@ from .operators import normalize_backend
 from .spectral import (
     _DENSE_CAP,
     _block_eigenvalues,
+    _check_capacity,
     _null_vector,
     _spectrum_report,
     classify_phase,
@@ -413,7 +414,9 @@ class _Levels:
         return self._values[key]
 
     def spectrum(self, eps: float):
-        """Vector-free spectrum report of one level."""
+        """Vector-free spectrum report of one level, refused before assembly
+        when the blocks exceed the dense-solver cap."""
+        _check_capacity(self.model.mesh.cell_counts, _DENSE_CAP)
         return _spectrum_report(self.op(eps), _DENSE_CAP,
                                 lambda k: (self.eigenvalues(eps, k), None, None))
 

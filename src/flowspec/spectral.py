@@ -194,6 +194,15 @@ def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
     return _lapack(op, k, scipy.linalg.eigvals)
 
 
+def _check_capacity(sizes: Tuple[int, ...], cap: int) -> None:
+    """Refuse a dense solve of blocks with ``sizes`` unknowns beyond ``cap``."""
+    if sum(sizes) > cap:
+        raise CapacityError(
+            f"total unknowns {sum(sizes)} exceed the dense-solver cap {cap} "
+            f"(blocks: {sizes})"
+        )
+
+
 def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:
     """Capacity check, per-degree solve, packing and deterministic ordering.
 
@@ -202,11 +211,7 @@ def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:
     before any block is solved.
     """
     sizes = tuple(b.shape[0] for b in op.blocks)
-    if sum(sizes) > cap:
-        raise CapacityError(
-            f"total unknowns {sum(sizes)} exceed the dense-solver cap {cap} "
-            f"(blocks: {sizes})"
-        )
+    _check_capacity(sizes, cap)
     per_degree = [(k, *solve(k)) for k in op.degrees()]
     radius = max((float(np.max(np.abs(w))) for _, w, _, _ in per_degree if len(w)),
                  default=0.0)

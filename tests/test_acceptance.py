@@ -101,7 +101,7 @@ def test_acceptance_05_randomized_structural_invariants():
     noise = fs.NoiseSpec(0.3)
     for mesh, flow in cases:
         dim = mesh.dimension
-        d = [fs.exterior_derivative(mesh, k).matrix for k in range(dim)]
+        d = [fs.exterior_derivative(mesh, k) for k in range(dim)]
         for k in range(dim - 1):
             assert np.max(np.abs(d[k + 1] @ d[k])) == 0.0
 

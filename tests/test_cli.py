@@ -437,11 +437,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                 simulate={"autocorrelation": True, "fit_window": ["a", "b"]}),
     base_config(tasks=["simulate"],
                 simulate={"autocorrelation": True, "fit_window": [0.5, 0.1]}),
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": "x", "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
         "negative-seed", "model-name-type", "fit-window-scalar", "fit-window-length",
-        "fit-window-type", "fit-window-order"])
+        "fit-window-type", "fit-window-order", "param-value"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -455,6 +457,25 @@ def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
         tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "seed": 1})))
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-3"]) == 2
     assert "seed >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 1.0, "epsilon": 0.2, "n": 100_000}}, "tasks": ["classify"]},
+    {"model": {"name": "torus_shear_model",
+               "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 64}}, "tasks": ["witten"]},
+], ids=["circle-classify", "torus-witten"])
+def test_cli_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch, cfg):
+    import flowspec.reporting
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a level beyond the dense-solver cap")
+
+    monkeypatch.setattr(flowspec.reporting, "assemble_hamiltonian", no_assembly)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "dense-solver cap" in capsys.readouterr().err
 
 
 def test_cli_non_finite_block_exits_3(tmp_path, capsys):

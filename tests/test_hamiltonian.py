@@ -60,6 +60,45 @@ def test_intertwining_is_an_algebraic_identity():
     assert th.intertwining_residual() < 1e-13
 
 
+def test_assembly_builds_each_piece_once_per_degree(monkeypatch):
+    import flowspec.hamiltonian
+    import flowspec.operators
+
+    model = fs.build_model("torus_shear_model",
+                           {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 6})
+    calls = {"boundary": 0, "iota": 0}
+    boundary, iota = fs.MeshComplex.boundary_matrix, flowspec.operators.interior_product
+
+    def counted_boundary(self, k):
+        calls["boundary"] += 1
+        return boundary(self, k)
+
+    def counted_iota(*args, **kwargs):
+        calls["iota"] += 1
+        return iota(*args, **kwargs)
+
+    monkeypatch.setattr(fs.MeshComplex, "boundary_matrix", counted_boundary)
+    for module in (flowspec.operators, flowspec.hamiltonian):
+        monkeypatch.setattr(module, "interior_product", counted_iota)
+    fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    assert calls == {"boundary": 2, "iota": 2}  # one d_k and one iota per degree
+
+
+def test_two_route_check_refuses_a_corrupted_block():
+    import dataclasses
+
+    from flowspec.hamiltonian import _check_two_routes, _graded_pieces
+
+    mesh, flow, noise = circle_setup()
+    h = fs.assemble_hamiltonian(mesh, flow, noise)
+    pieces = _graded_pieces(mesh, flow, noise, "fd")
+    _check_two_routes(h, *pieces)
+    bad = h.block(1).copy()
+    bad[3, 3] += 1e-9 * np.max(np.abs(bad))
+    with pytest.raises(fs.NumericalError, match="degree 1"):
+        _check_two_routes(dataclasses.replace(h, blocks=(h.block(0), bad)), *pieces)
+
+
 def test_circle_blocks_are_isospectral():
     mesh, flow, noise = circle_setup(24)
     h = fs.assemble_hamiltonian(mesh, flow, noise)
@@ -76,7 +115,7 @@ def test_deterministic_limit_guard():
     # explicit opt-in gives the bare advection operator
     h = fs.assemble_hamiltonian(mesh, flow, fs.NoiseSpec(0.0),
                                 allow_deterministic=True)
-    l0 = fs.lie_derivative(mesh, flow, 0).matrix
+    l0 = fs.lie_derivative(mesh, flow, 0)
     np.testing.assert_array_equal(h.block(0), -l0)
     # zero flow needs no opt-in (the operator is simply zero)
     z = fs.assemble_hamiltonian(mesh, fs.zero_flow(mesh), fs.NoiseSpec(0.0))
@@ -119,11 +158,11 @@ def test_gradient_flow_kernel_vectors():
 def test_density_generator_conserves_probability():
     mesh, flow, noise = circle_setup(20)
     op = fs.conventional_fp_operator(mesh, flow, noise)
-    cols = np.sum(op.matrix, axis=0)
-    assert np.max(np.abs(cols)) < 1e-12 * np.max(np.abs(op.matrix))
+    cols = np.sum(op, axis=0)
+    assert np.max(np.abs(cols)) < 1e-12 * np.max(np.abs(op))
     # zero flow: positive semi-definite diffusion stencil (rates decay as e^{-lam t})
     diff = fs.conventional_fp_operator(mesh, fs.zero_flow(mesh), noise)
-    lam = np.linalg.eigvalsh(0.5 * (diff.matrix + diff.matrix.T))
+    lam = np.linalg.eigvalsh(0.5 * (diff + diff.T))
     assert lam.min() > -1e-12
     assert abs(lam[0]) < 1e-12  # conserved total mass
     with pytest.raises(fs.UnsupportedMeshError):

@@ -26,8 +26,8 @@ def test_backend_normalization():
 
 def test_exterior_derivative_squares_to_zero():
     mesh = torus(5)
-    d0 = fs.exterior_derivative(mesh, 0).matrix
-    d1 = fs.exterior_derivative(mesh, 1).matrix
+    d0 = fs.exterior_derivative(mesh, 0)
+    d1 = fs.exterior_derivative(mesh, 1)
     assert np.max(np.abs(d1 @ d0)) == 0.0
     with pytest.raises(fs.DegreeError):
         fs.exterior_derivative(mesh, 2)
@@ -36,14 +36,14 @@ def test_exterior_derivative_squares_to_zero():
 def test_exterior_derivative_identical_across_backends():
     mesh = circle()
     np.testing.assert_array_equal(
-        fs.exterior_derivative(mesh, 0, "fd").matrix,
-        fs.exterior_derivative(mesh, 0, "fourier").matrix,
+        fs.exterior_derivative(mesh, 0, "fd"),
+        fs.exterior_derivative(mesh, 0, "fourier"),
     )
 
 
 def test_circle_d0_is_the_difference_stencil():
     mesh = circle(5)
-    d0 = fs.exterior_derivative(mesh, 0).matrix
+    d0 = fs.exterior_derivative(mesh, 0)
     f = np.array([1.0, 3.0, -2.0, 0.5, 4.0])
     expect = np.roll(f, -1) - f
     np.testing.assert_array_equal(d0 @ f, expect)
@@ -54,8 +54,8 @@ def test_codifferential_is_the_metric_adjoint(backend):
     mesh = torus(4)
     rng = np.random.default_rng(11)
     for k in (1, 2):
-        d = fs.exterior_derivative(mesh, k - 1, backend).matrix
-        dd = fs.codifferential(mesh, k, EPS, backend).matrix
+        d = fs.exterior_derivative(mesh, k - 1, backend)
+        dd = fs.codifferential(mesh, k, EPS, backend)
         m_lo = fs.inner_product_matrix(mesh, k - 1, EPS, backend)
         m_hi = fs.inner_product_matrix(mesh, k, EPS, backend)
         a = rng.standard_normal(d.shape[1])
@@ -67,9 +67,9 @@ def test_codifferential_is_the_metric_adjoint(backend):
 
 def test_codifferential_scales_linearly_with_noise():
     mesh = circle()
-    base = fs.codifferential(mesh, 1, fs.NoiseSpec(1.0)).matrix
+    base = fs.codifferential(mesh, 1, fs.NoiseSpec(1.0))
     for eps in (0.5, 0.2, 0.05):
-        scaled = fs.codifferential(mesh, 1, fs.NoiseSpec(eps)).matrix
+        scaled = fs.codifferential(mesh, 1, fs.NoiseSpec(eps))
         np.testing.assert_allclose(scaled, eps * base, rtol=1e-14)
 
 
@@ -87,7 +87,7 @@ def test_contraction_of_unit_form_with_constant_flow():
     flow = fs.flow_from_vertex_samples(mesh, np.full(12, 1.7))
     cochain = np.full(12, mesh.spacings[0])
     for backend in ("fd", "fourier"):
-        iota = fs.interior_product(mesh, flow, 1, backend).matrix
+        iota = fs.interior_product(mesh, flow, 1, backend)
         np.testing.assert_allclose(iota @ cochain, 1.7, rtol=1e-13)
 
 
@@ -106,7 +106,7 @@ def test_torus_top_contraction_orientation():
     n0 = mesh.n_cells(0)
     flow = fs.flow_from_vertex_samples(mesh, np.tile([2.0, 5.0], (n0, 1)))
     face_area = mesh.spacings[0] * mesh.spacings[1]
-    iota = fs.interior_product(mesh, flow, 2).matrix
+    iota = fs.interior_product(mesh, flow, 2)
     out = iota @ np.full(mesh.n_cells(2), face_area)
     hx, hy = mesh.spacings
     np.testing.assert_allclose(out[:n0], -5.0 * hx, rtol=1e-13)
@@ -118,17 +118,17 @@ def test_transport_commutes_with_d(backend):
     rng = np.random.default_rng(7)
     mesh = circle(16)
     flow = fs.flow_from_vertex_samples(mesh, rng.standard_normal(16))
-    d0 = fs.exterior_derivative(mesh, 0, backend).matrix
-    l0 = fs.lie_derivative(mesh, flow, 0, backend).matrix
-    l1 = fs.lie_derivative(mesh, flow, 1, backend).matrix
+    d0 = fs.exterior_derivative(mesh, 0, backend)
+    l0 = fs.lie_derivative(mesh, flow, 0, backend)
+    l1 = fs.lie_derivative(mesh, flow, 1, backend)
     np.testing.assert_allclose(d0 @ l0, l1 @ d0, atol=1e-13)
 
     mesh = torus(5)
     flow = fs.flow_from_vertex_samples(mesh, rng.standard_normal((25, 2)))
     for k in (0, 1):
-        d = fs.exterior_derivative(mesh, k, backend).matrix
-        lo = fs.lie_derivative(mesh, flow, k, backend).matrix
-        hi = fs.lie_derivative(mesh, flow, k + 1, backend).matrix
+        d = fs.exterior_derivative(mesh, k, backend)
+        lo = fs.lie_derivative(mesh, flow, k, backend)
+        hi = fs.lie_derivative(mesh, flow, k + 1, backend)
         np.testing.assert_allclose(d @ lo, hi @ d, atol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_transport_of_constant_drive_is_exact_in_fourier():
     n, a = 32, 1.3
     mesh = circle(n)
     flow = fs.flow_from_vertex_samples(mesh, np.full(n, a))
-    l0 = fs.lie_derivative(mesh, flow, 0, "fourier").matrix
+    l0 = fs.lie_derivative(mesh, flow, 0, "fourier")
     phi = np.asarray(mesh.vertices)
     for m in (1, 3, 7):
         wave = np.exp(1j * m * phi)
@@ -148,7 +148,7 @@ def test_transport_of_constant_drive_is_exact_in_fourier():
 def test_unstructured_mesh_accepts_only_zero_flow():
     sph = fs.icosphere(0)
     flow = fs.zero_flow(sph)
-    l1 = fs.lie_derivative(sph, flow, 1).matrix
+    l1 = fs.lie_derivative(sph, flow, 1)
     assert np.max(np.abs(l1)) == 0.0
     bad = fs.flow_from_vertex_samples(sph, np.ones((12, 3)))
     with pytest.raises(fs.UnsupportedMeshError):
