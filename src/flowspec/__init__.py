@@ -74,7 +74,6 @@ from .spectral import (
     classify_phase,
     conjugate_closure_residual,
     eigenvalue_spectrum,
-    export_spectrum_csv,
     full_spectrum,
     physical_states,
     susy_pairing_check,
@@ -117,6 +116,7 @@ from .reporting import (
     ReportDocument,
     RunConfig,
     canonical_json,
+    export_spectrum_csv,
     format_float,
     run,
     sweep_epsilon,

@@ -3,8 +3,12 @@
     flowspec run CONFIG [--out DIR] [--seed N] [--backend fd|fourier]
     flowspec models
 
+``--seed`` and ``--backend`` are written into the loaded JSON object before
+it is validated, so ``report.json``'s ``config`` records what ran.
+
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (missing zero mode, indeterminate index, capacity, LAPACK breakdown;
+failure (missing zero mode, indeterminate index, capacity of the dense
+solver or of the SDE path store, LAPACK breakdown;
 a defective eigenproblem can only surface in ``stationary``, the one task
 that reads an eigenvector, by inverse iteration: the others need eigenvalues
 only).
@@ -13,14 +17,12 @@ only).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from .exceptions import FlowspecError, NumericalError, ValidationError
 from .models import list_models
-from .operators import normalize_backend
-from .reporting import RunConfig, run
+from .reporting import RunConfig, _read_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,12 +52,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(name)
             return 0
 
-        config = RunConfig.from_file(args.config)
-        if args.backend is not None:
-            config = dataclasses.replace(config, backend=normalize_backend(args.backend))
-        if args.seed is not None:
-            config = dataclasses.replace(config, sim={**config.sim, "seed": int(args.seed)})
-        doc = run(config, out_dir=args.out)
+        data = _read_config(args.config)
+        if isinstance(data, dict):  # anything else is refused by from_dict
+            if args.backend is not None:
+                data["backend"] = args.backend
+            sim = data.get("simulate") or {}
+            if args.seed is not None and isinstance(sim, dict):
+                data["simulate"] = {**sim, "seed": args.seed}
+        doc = run(RunConfig.from_dict(data), out_dir=args.out)
         print(doc.path)
         return 0
     except ValidationError as exc:

@@ -66,7 +66,8 @@ class NumericalError(FlowspecError):
 
 
 class CapacityError(NumericalError):
-    """Dense eigenproblem larger than the configured cap."""
+    """Dense eigenproblem larger than the configured cap, or an SDE path
+    store that cannot be allocated."""
 
 
 class EigensolverError(NumericalError):

@@ -2,13 +2,19 @@
 
 A flow is the velocity field of the underlying dynamics.  It is stored twice:
 
-* ``vertex_values`` — components per coordinate direction at vertices
-  (shape (n0,) on the circle, (n0, 2) on the torus, (n0, 3) tangent vectors
-  on surfaces).  This is the user-facing sampling and the one consumed by
-  critical-point analysis and trajectory simulation.
+* ``vertex_values`` — components per coordinate direction at vertices,
+  shaped like the vertex coordinates: (n0,) on the circle, (n0, 2) on the
+  torus, (n0, 3) tangent vectors on surfaces.  This is the user-facing
+  sampling and the one consumed by critical-point analysis and trajectory
+  simulation.
 * ``edge_vectors`` — the full flow vector at each edge midpoint (structured
   grids only, shape (n1, dim)).  Operators contract against edge samples;
   for generic flows these are endpoint averages of the vertex samples.
+
+On a periodic grid the circle is the one-axis torus, and every rule here
+runs per grid axis a: the edges along a form family a (one block of n0
+edges, in vertex order), and the tangential sample of such an edge is its
+component a.
 
 Gradient (Langevin) flows get a sharper edge rule: the tangential edge sample
 is ``(epsilon/h) * tanh(W_head - W_tail)``.  It agrees with
@@ -18,8 +24,7 @@ detailed balance *exactly* (the similarity transform by diag(e^W) is exactly
 symmetric at any resolution).  Vertex samples of a Langevin flow are the
 average of the two incident tangential edge samples per direction, so the
 "flow equals metric-scaled discrete gradient of W" consistency holds by
-construction.
-"""
+construction."""
 
 from __future__ import annotations
 
@@ -60,10 +65,9 @@ class FlowField:
     def tangential_edge_values(self, mesh: MeshComplex) -> np.ndarray:
         """Flow component along each edge's orientation, at the midpoint."""
         ev = self._validated_edges(mesh)
-        if mesh.kind == "circle":
-            return ev[:, 0]
-        n0 = mesh.n_cells(0)
-        return np.concatenate([ev[:n0, 0], ev[n0:, 1]])
+        dim = ev.shape[1]
+        family = ev.reshape(dim, -1, dim)   # (axis of the edge, edge, component)
+        return np.concatenate([family[a, :, a] for a in range(dim)])
 
     def transverse_edge_values(self, mesh: MeshComplex) -> np.ndarray:
         """Flow component across each edge (torus: A_y at x-edges, A_x at y-edges)."""
@@ -85,8 +89,7 @@ class FlowField:
         return self.edge_vectors
 
     def max_speed(self) -> float:
-        v = np.atleast_2d(self.vertex_values if self.vertex_values.ndim > 1
-                          else self.vertex_values[:, None])
+        v = self.vertex_values.reshape(len(self.vertex_values), -1)
         return float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
 
     def require_langevin(self) -> np.ndarray:
@@ -107,35 +110,32 @@ class FlowField:
 
 
 def zero_flow(mesh: MeshComplex) -> FlowField:
-    n0, n1 = mesh.n_cells(0), mesh.n_cells(1)
-    if mesh.kind == "circle":
-        return FlowField("circle", np.zeros(n0), np.zeros((n1, 1)))
-    if mesh.kind == "torus":
-        return FlowField("torus", np.zeros((n0, 2)), np.zeros((n1, 2)))
-    return FlowField("surface", np.zeros((n0, 3)), None)
+    return flow_from_vertex_samples(mesh, np.zeros(np.shape(mesh.vertices)))
 
 
 def flow_from_vertex_samples(mesh: MeshComplex, samples) -> FlowField:
-    """Generic flow from vertex samples; edge samples by endpoint averaging."""
+    """Generic flow from vertex samples; edge samples by endpoint averaging.
+
+    The samples are shaped like the vertex coordinates: (n0,) on a circle,
+    (n0, 2) on a torus, (n0, 3) tangent vectors on a surface.
+    """
     a = np.asarray(samples, dtype=float)
-    n0 = mesh.n_cells(0)
-    if mesh.kind == "circle":
-        if a.shape != (n0,):
-            raise ValueError(f"circle flow samples must have shape ({n0},)")
-        ev = 0.5 * (a[mesh.edges[:, 0]] + a[mesh.edges[:, 1]])[:, None]
-        return FlowField("circle", a, ev)
-    if mesh.kind == "torus":
-        if a.shape != (n0, 2):
-            raise ValueError(f"torus flow samples must have shape ({n0}, 2)")
-        ev = 0.5 * (a[mesh.edges[:, 0]] + a[mesh.edges[:, 1]])
-        return FlowField("torus", a, ev)
-    if a.shape != (n0, 3):
-        raise ValueError(f"surface flow samples must have shape ({n0}, 3)")
-    return FlowField("surface", a, None)
+    shape = np.shape(mesh.vertices)
+    if a.shape != shape:
+        raise ValueError(f"{mesh.kind} flow samples must have shape {shape}")
+    if not mesh.is_structured:
+        return FlowField(mesh.kind, a, None)
+    per_vertex = a.reshape(len(a), -1)
+    ev = 0.5 * (per_vertex[mesh.edges[:, 0]] + per_vertex[mesh.edges[:, 1]])
+    return FlowField(mesh.kind, a, ev)
 
 
 def langevin_flow(mesh: MeshComplex, w, noise: NoiseSpec) -> FlowField:
-    """Gradient flow A = epsilon * (discrete gradient of W), tanh edge rule."""
+    """Gradient flow A = epsilon * (discrete gradient of W), tanh edge rule.
+
+    Per grid axis a: the edges along a carry their own tanh sample as
+    component a, and the endpoint average of every other vertex component.
+    """
     w = np.asarray(w, dtype=float)
     n0 = mesh.n_cells(0)
     if w.shape != (n0,):
@@ -143,53 +143,33 @@ def langevin_flow(mesh: MeshComplex, w, noise: NoiseSpec) -> FlowField:
     if not mesh.is_structured:
         raise UnsupportedMeshError("gradient flows are built on structured grids only")
     eps = noise.epsilon
-
-    if mesh.kind == "circle":
-        h = mesh.spacings[0]
-        dw = w[mesh.edges[:, 1]] - w[mesh.edges[:, 0]]
-        tang = (eps / h) * np.tanh(dw)
-        vertex = 0.5 * (tang + np.roll(tang, 1))   # edges i-1 and i meet vertex i
-        return FlowField("circle", vertex, tang[:, None],
-                         langevin=True, w=w.copy(), epsilon=eps)
-
-    nx, ny = mesh.grid_shape
-    hx, hy = mesh.spacings
-    wg = w.reshape(nx, ny)
-    tx = (eps / hx) * np.tanh(np.roll(wg, -1, axis=0) - wg)   # x-edge (i,j)
-    ty = (eps / hy) * np.tanh(np.roll(wg, -1, axis=1) - wg)   # y-edge (i,j)
-    ax = 0.5 * (tx + np.roll(tx, 1, axis=0))                  # A_x at vertex (i,j)
-    ay = 0.5 * (ty + np.roll(ty, 1, axis=1))
-    vertex = np.column_stack([ax.ravel(), ay.ravel()])
-    # full vector at edge midpoints: own tanh sample along the edge,
-    # endpoint-averaged vertex sample across it
-    ay_on_xedge = 0.5 * (ay + np.roll(ay, -1, axis=0))
-    ax_on_yedge = 0.5 * (ax + np.roll(ax, -1, axis=1))
+    wg = w.reshape(mesh.grid_shape)
+    axes = range(wg.ndim)
+    # tangential sample on the edge leaving each vertex along axis a
+    tang = [(eps / h) * np.tanh(np.roll(wg, -1, axis=a) - wg)
+            for a, h in zip(axes, mesh.spacings)]
+    # component a at a vertex: mean of its two incident axis-a edge samples
+    comp = [0.5 * (t + np.roll(t, 1, axis=a)) for a, t in zip(axes, tang)]
+    vertex = np.column_stack([c.ravel() for c in comp]).reshape(np.shape(mesh.vertices))
     ev = np.vstack([
-        np.column_stack([tx.ravel(), ay_on_xedge.ravel()]),
-        np.column_stack([ax_on_yedge.ravel(), ty.ravel()]),
+        np.column_stack([(tang[a] if b == a else 0.5 * (c + np.roll(c, -1, axis=a))).ravel()
+                         for b, c in enumerate(comp)])
+        for a in axes
     ])
-    return FlowField("torus", vertex, ev, langevin=True, w=w.copy(), epsilon=eps)
+    return FlowField(mesh.kind, vertex, ev, langevin=True, w=w.copy(), epsilon=eps)
 
 
 def with_tilt(flow: FlowField, tilt) -> FlowField:
     """Add a constant drive to every sample; the result is no longer a gradient."""
+    if flow.edge_vectors is None:
+        raise UnsupportedMeshError("tilt is defined on structured grids only")
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
-    if flow.kind == "circle":
-        if tilt.shape != (1,):
-            raise ValueError("circle tilt is a single number")
-        return replace(
-            flow,
-            vertex_values=flow.vertex_values + tilt[0],
-            edge_vectors=flow.edge_vectors + tilt[0],
-            langevin=False, w=None, epsilon=None,
-        )
-    if flow.kind == "torus":
-        if tilt.shape != (2,):
-            raise ValueError("torus tilt is a 2-vector")
-        return replace(
-            flow,
-            vertex_values=flow.vertex_values + tilt[None, :],
-            edge_vectors=flow.edge_vectors + tilt[None, :],
-            langevin=False, w=None, epsilon=None,
-        )
-    raise UnsupportedMeshError("tilt is defined on structured grids only")
+    dim = flow.edge_vectors.shape[1]
+    if tilt.shape != (dim,):
+        raise ValueError(f"{flow.kind} tilt needs {dim} component(s), got {tilt.tolist()}")
+    return replace(
+        flow,
+        vertex_values=flow.vertex_values + tilt,
+        edge_vectors=flow.edge_vectors + tilt,
+        langevin=False, w=None, epsilon=None,
+    )

@@ -24,7 +24,7 @@ similarity; see ``hermitianize_langevin``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 

@@ -33,7 +33,7 @@ face (i, j) spans ``[x_i, x_{i+1}] x [y_j, y_{j+1}]`` and has index
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -19,7 +19,7 @@ level; both the diffusion and the drift carry one factor of eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np

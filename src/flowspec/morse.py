@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -115,8 +115,9 @@ def find_critical_points(mesh: MeshComplex, flow: FlowField) -> List[CriticalPoi
     """Locate and classify all zeros of the flow's vertex samples.
 
     Linear (circle) or bilinear (torus) interpolation between grid samples;
-    Jacobians by centered differences, interpolated to the zero.  Emits a
-    resolution warning when two zeros sit fewer than four cells apart.  A
+    Jacobians by centered differences, interpolated to the zero.  Emits one
+    resolution warning, naming the smallest periodic distance between two
+    zeros, when that distance is below four cells of the widest spacing.  A
     flow that vanishes identically has no isolated zeros and yields an empty
     list.
     """
@@ -227,52 +228,38 @@ def _torus_zeros(mesh, flow):
     # roots on shared cell edges are located twice; keep one representative
     points: List[CriticalPoint] = []
     tol = 1e-7 * max(hx, hy)
-    lx, ly = nx * hx, ny * hy
     for loc, jac in found:
-        dup = False
-        for p in points:
-            dx = min(abs(loc[0] - p.location[0]), lx - abs(loc[0] - p.location[0]))
-            dy = min(abs(loc[1] - p.location[1]), ly - abs(loc[1] - p.location[1]))
-            if np.hypot(dx, dy) < tol:
-                dup = True
-                break
-        if not dup:
+        kept = [p.location for p in points]
+        if not kept or np.min(_periodic_distance(mesh, kept, loc)) >= tol:
             points.append(_classify(loc, jac, mesh, scale))
     return points
+
+
+def _wrap_displacement(x, x0, periods):
+    d = np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)
+    periods = np.asarray(periods, dtype=float)
+    return (d + periods / 2.0) % periods - periods / 2.0
+
+
+def _periodic_distance(mesh, x, x0):
+    """Euclidean distance from ``x`` to ``x0`` along the shortest periodic images."""
+    return np.linalg.norm(_wrap_displacement(x, x0, mesh.lengths), axis=-1)
 
 
 def _warn_close_pairs(mesh, points):
     if len(points) < 2:
         return
-    if mesh.dimension == 1:
-        n = mesh.n_cells(0)
-        h = float(mesh.spacings[0])
-        length = n * h
-        phis = sorted(float(p.location[0]) for p in points)
-        gaps = [(phis[(i + 1) % len(phis)] - phis[i]) % length for i in range(len(phis))]
-        if min(gaps) < 4.0 * h:
-            warnings.warn(
-                f"zeros only {min(gaps):.3g} apart on a grid of spacing {h:.3g}; "
-                "at least four cells of separation are needed for reliable "
-                "interpolation",
-                ResolutionWarning, stacklevel=3,
-            )
-        return
-    hx, hy = (float(s) for s in mesh.spacings)
-    nx, ny = mesh.grid_shape
-    lx, ly = nx * hx, ny * hy
-    hmax = max(hx, hy)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dx = abs(points[i].location[0] - points[j].location[0])
-            dy = abs(points[i].location[1] - points[j].location[1])
-            d = np.hypot(min(dx, lx - dx), min(dy, ly - dy))
-            if d < 4.0 * hmax:
-                warnings.warn(
-                    f"zeros only {d:.3g} apart on a grid of spacing {hmax:.3g}",
-                    ResolutionWarning, stacklevel=3,
-                )
-                return
+    locs = np.array([p.location for p in points])
+    gap = min(float(np.min(_periodic_distance(mesh, locs[i + 1:], locs[i])))
+              for i in range(len(locs) - 1))
+    h = max(mesh.spacings)
+    if gap < 4.0 * h:
+        warnings.warn(
+            f"zeros only {gap:.3g} apart on a grid of spacing {h:.3g}; "
+            "at least four cells of separation are needed for reliable "
+            "interpolation",
+            ResolutionWarning, stacklevel=3,
+        )
 
 
 def poincare_hopf_sum(points: Sequence[CriticalPoint]) -> int:
@@ -334,12 +321,6 @@ def _stable_directions(jac):
     return basis[:, :col], weights[:col]
 
 
-def _wrap_displacement(x, x0, periods):
-    d = np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)
-    periods = np.asarray(periods, dtype=float)
-    return (d + periods / 2.0) % periods - periods / 2.0
-
-
 def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopState:
     """Leading small-noise state attached to a hyperbolic zero.
 
@@ -363,14 +344,10 @@ def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopStat
     eps = noise.epsilon
     dim = mesh.dimension
     degree = point.stable_count
-    periods = np.array(
-        [mesh.grid_shape[i] * mesh.spacings[i] for i in range(dim)]
-        if dim > 1 else [mesh.n_cells(0) * mesh.spacings[0]]
-    )
     basis, weights = _stable_directions(point.jacobian)
 
     def gaussian(pos):
-        u = np.linalg.solve(basis, _wrap_displacement(pos, point.location, periods))
+        u = np.linalg.solve(basis, _wrap_displacement(pos, point.location, mesh.lengths))
         return float(np.exp(-np.dot(weights, u * u) / eps))
 
     if degree == 0:

@@ -45,7 +45,6 @@ import scipy
 from ._version import __version__
 from .exceptions import (
     NumericalError,
-    UnsupportedMeshError,
     ValidationError,
 )
 from .fields import flow_from_vertex_samples, langevin_flow
@@ -60,13 +59,14 @@ from .morse import (
 )
 from .operators import normalize_backend
 from .spectral import (
+    SpectrumReport,
     _DENSE_CAP,
     _block_eigenvalues,
     _check_capacity,
+    _csv_flags,
     _null_vector,
     _spectrum_report,
     classify_phase,
-    export_spectrum_csv,
     full_spectrum,  # not called by a run; flowbench/tracing.py patches this name
     witten_index,
     zero_mode_counts,
@@ -84,6 +84,7 @@ __all__ = [
     "ReportDocument",
     "format_float",
     "canonical_json",
+    "export_spectrum_csv",
     "run",
     "sweep_epsilon",
 ]
@@ -150,6 +151,31 @@ def canonical_json(obj) -> str:
     return _canon(obj, 0, "$") + "\n"
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one CSV file; every float cell goes through :func:`format_float`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_float(c) if isinstance(c, float) else c for c in row])
+
+
+def export_spectrum_csv(report: SpectrumReport, path,
+                        tau_gamma: Optional[float] = None) -> None:
+    """Write (degree, index, gamma, e, pair_id, physical_flag) rows.
+
+    ``index`` is the global ordinal in the report's deterministic ordering.
+    ``pair_id`` links an oscillating eigenvalue with its complex conjugate
+    within the same degree (-1 for effectively real eigenvalues).
+    """
+    pair_ids, physical = _csv_flags(report, tau_gamma)
+    columns = zip(report.degree.tolist(), report.eigenvalue.tolist(),
+                  pair_ids.tolist(), physical.tolist())
+    _write_csv(path, ["degree", "index", "gamma", "e", "pair_id", "physical_flag"],
+               ([k, i, z.real, z.imag, pid, int(phys)]
+                for i, (k, z, pid, phys) in enumerate(columns)))
+
+
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
@@ -172,14 +198,7 @@ class RunConfig:
 
     @staticmethod
     def from_file(path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ValidationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}") from exc
-        return RunConfig.from_dict(data)
+        return RunConfig.from_dict(_read_config(path))
 
     @staticmethod
     def from_dict(data: Dict) -> "RunConfig":
@@ -257,6 +276,10 @@ class RunConfig:
                                           f"with finite 0 <= lo < hi, got {window!r}")
                 sim["fit_window"] = (lo, hi)
 
+        out_dir = data.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ValidationError(f"out_dir must be a string or null, got {out_dir!r}")
+
         morse_eps = None
         split = _as_object(data.get("morse") or {}, "'morse'").get("splitting_epsilons")
         if split:
@@ -276,9 +299,20 @@ class RunConfig:
             sweep_epsilons=sweep_eps,
             sim=sim,
             morse_epsilons=morse_eps,
-            out_dir=data.get("out_dir"),
+            out_dir=out_dir,
             raw=data,
         )
+
+
+def _read_config(path):
+    """The JSON value in a config file, before any validation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"config file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
 
 
 def _as_float(value, what: str) -> float:
@@ -359,8 +393,7 @@ def _build_inline(spec: Dict) -> ModelSpec:
                 raise ValidationError(
                     f"inline flow.constant needs {mesh.dimension} value(s), got {c.tolist()}"
                 )
-            n0 = mesh.n_cells(0)
-            samples = np.full(n0, c[0]) if mesh.dimension == 1 else np.tile(c, (n0, 1))
+            samples = np.tile(c, (mesh.n_cells(0), 1)).reshape(np.shape(mesh.vertices))
             flow = flow_from_vertex_samples(mesh, samples)
         else:
             raise ValidationError(
@@ -416,9 +449,10 @@ class _Levels:
     def spectrum(self, eps: float):
         """Vector-free spectrum report of one level, refused before assembly
         when the blocks exceed the dense-solver cap."""
-        _check_capacity(self.model.mesh.cell_counts, _DENSE_CAP)
-        return _spectrum_report(self.op(eps), _DENSE_CAP,
-                                lambda k: (self.eigenvalues(eps, k), None, None))
+        mesh = self.model.mesh
+        _check_capacity(mesh.cell_counts, _DENSE_CAP)
+        return _spectrum_report({k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
+                                mesh.dimension)
 
 
 class _RunState:
@@ -507,11 +541,7 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
         result["oracle_max_rel_deviation"] = float(
             np.max(np.abs(vec - oracle_cells)) / np.max(np.abs(oracle_cells))
         )
-    with open(out_dir / "stationary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "density"])
-        for i, v in enumerate(vec):
-            writer.writerow([i, format_float(v)])
+    _write_csv(out_dir / "stationary.csv", ["cell", "density"], enumerate(vec.tolist()))
     return result
 
 
@@ -589,16 +619,9 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
             result["histogram"]["tv_distance_to_oracle"] = tv_distance_to_density(
                 hist, model.density
             )
-        with open(out_dir / "histogram.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-            for b in range(len(hist.counts)):
-                writer.writerow([
-                    format_float(hist.bin_edges[b]),
-                    format_float(hist.bin_edges[b + 1]),
-                    int(hist.counts[b]),
-                    format_float(hist.density[b]),
-                ])
+        _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
+                   zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(),
+                       hist.counts.tolist(), hist.density.tolist()))
     if sim.get("autocorrelation"):
         fit = autocorrelation_decay(ens, fit_window=sim.get("fit_window"))
         result["autocorrelation"] = {

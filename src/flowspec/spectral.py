@@ -15,8 +15,12 @@ A ``SpectrumReport`` holds the spectrum as parallel arrays in that order:
 ``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
 zero without vectors).  With vectors, ``left[k]`` and ``right[k]`` are the
 degree-k eigenvector matrices, their columns in the order of
-``eigenvalues(k)``.  Multisets are compared by one greedy nearest-neighbour
-matcher, ``_match_nearest``.
+``eigenvalues(k)``.  One packer, ``_spectrum_report``, builds every report
+from per-degree eigenvalues; ``full_spectrum`` then attaches its vectors.
+Multisets are compared by one greedy nearest-neighbour matcher,
+``_match_nearest``.  This module writes no files: ``_csv_flags`` gives the
+spectrum CSV's pair-id and physical-flag columns as arrays, and
+``reporting`` writes the file.
 
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
 rate (decay rate of the mode) and E the oscillation frequency.  States with
@@ -33,10 +37,9 @@ matches the mesh Euler characteristic and is independent of the flow.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +65,6 @@ __all__ = [
     "zero_mode_counts",
     "susy_pairing_check",
     "conjugate_closure_residual",
-    "export_spectrum_csv",
 ]
 
 _CLUSTER_REL = 1e-7
@@ -130,10 +132,20 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     Raises the capacity error when the summed block sizes exceed ``cap`` and
     the eigensolver error if LAPACK fails to converge on some block.
     """
-    def solve(k):
-        return _lapack(op, k, scipy.linalg.eig, left=True, right=True)
-
-    return _spectrum_report(op, cap, solve)
+    _check_capacity(op.mesh.cell_counts, cap)
+    solved = {k: _lapack(op, k, scipy.linalg.eig, left=True, right=True)
+              for k in op.degrees()}
+    report = _spectrum_report({k: w for k, (w, _, _) in solved.items()},
+                              op.mesh.dimension)
+    residual = np.zeros(len(report.eigenvalue))
+    left, right = [], []
+    for k, (w, vl, vr) in solved.items():
+        vl, vr, res = _biorthonormalize(w, vl, vr, report.spectral_radius)
+        cols = np.lexsort((w.imag, w.real))  # the block's entries in report order
+        left.append(vl[:, cols])
+        right.append(vr[:, cols])
+        residual[report.degree == k] = res[cols]
+    return replace(report, residual=residual, left=tuple(left), right=tuple(right))
 
 
 def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
@@ -143,7 +155,9 @@ def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumRe
     ``left`` and ``right`` are ``None`` and every residual is zero.  Enough for the verdicts,
     the index and the zero-mode counts, at a fraction of the cost.
     """
-    return _spectrum_report(op, cap, lambda k: (_block_eigenvalues(op, k), None, None))
+    _check_capacity(op.mesh.cell_counts, cap)
+    return _spectrum_report({k: _block_eigenvalues(op, k) for k in op.degrees()},
+                            op.mesh.dimension)
 
 
 def _lapack(op: GradedOperator, k: int, solver, **kwargs):
@@ -203,36 +217,18 @@ def _check_capacity(sizes: Tuple[int, ...], cap: int) -> None:
         )
 
 
-def _spectrum_report(op: GradedOperator, cap: int, solve) -> SpectrumReport:
-    """Capacity check, per-degree solve, packing and deterministic ordering.
+def _spectrum_report(per_degree: Dict[int, np.ndarray], dimension: int) -> SpectrumReport:
+    """Pack the eigenvalues of each degree into one vector-free report.
 
-    ``solve(k)`` returns ``(w, vl, vr)`` for the degree-``k`` block, with
-    ``vl = vr = None`` when no eigenvectors are wanted.  The check runs
-    before any block is solved.
+    Entries are ordered by (Re, Im, degree); within one degree that is the
+    block's own (Re, Im) order.  Capacity is the caller's to check.
     """
-    sizes = tuple(b.shape[0] for b in op.blocks)
-    _check_capacity(sizes, cap)
-    per_degree = [(k, *solve(k)) for k in op.degrees()]
-    radius = max((float(np.max(np.abs(w))) for _, w, _, _ in per_degree if len(w)),
-                 default=0.0)
-
-    degree = np.concatenate([np.full(len(w), k) for k, w, _, _ in per_degree])
-    eigenvalue = np.concatenate([w for _, w, _, _ in per_degree]).astype(complex, copy=False)
+    degree = np.concatenate([np.full(len(w), k) for k, w in per_degree.items()])
+    eigenvalue = np.concatenate(list(per_degree.values())).astype(complex, copy=False)
     order = np.lexsort((degree, eigenvalue.imag, eigenvalue.real))
-    residual, left, right = np.zeros(len(order)), None, None
-    if per_degree[0][2] is not None:
-        # within one degree, report order is the block's own (Re, Im) order
-        left, right, residuals = [], [], []
-        for _, w, vl, vr in per_degree:
-            vl, vr, res = _biorthonormalize(w, vl, vr, radius)
-            cols = np.lexsort((w.imag, w.real))
-            left.append(vl[:, cols])
-            right.append(vr[:, cols])
-            residuals.append(res)
-        residual = np.concatenate(residuals)[order]
-        left, right = tuple(left), tuple(right)
-    return SpectrumReport(degree[order], eigenvalue[order], residual, left, right,
-                          radius, op.mesh.dimension, sizes)
+    radius = float(np.max(np.abs(eigenvalue), initial=0.0))
+    return SpectrumReport(degree[order], eigenvalue[order], np.zeros(len(order)), None, None,
+                          radius, dimension, tuple(len(w) for w in per_degree.values()))
 
 
 def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
@@ -321,11 +317,7 @@ def _biorthonormalize(w, vl, vr, radius):
 def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
                        dimension: int = 1) -> SpectrumReport:
     """Wrap a bare eigenvalue multiset for the classifiers (no eigenvectors)."""
-    vals = np.asarray(values, dtype=complex)
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    radius = float(np.max(np.abs(vals), initial=0.0))
-    return SpectrumReport(np.full(len(vals), degree), vals, np.zeros(len(vals)), None, None,
-                          radius, dimension, (len(vals),))
+    return _spectrum_report({degree: np.asarray(values, dtype=complex)}, dimension)
 
 
 # ----------------------------------------------------------------------
@@ -503,16 +495,16 @@ def conjugate_closure_residual(report: SpectrumReport) -> float:
 
 
 # ----------------------------------------------------------------------
-# CSV export
+# CSV columns
 # ----------------------------------------------------------------------
 
-def export_spectrum_csv(report: SpectrumReport, path,
-                        tau_gamma: Optional[float] = None) -> None:
-    """Write (degree, index, gamma, e, pair_id, physical_flag) rows.
+def _csv_flags(report: SpectrumReport,
+               tau_gamma: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair-id and physical-flag columns of the spectrum CSV, in report order.
 
-    ``index`` is the global ordinal in the report's deterministic ordering.
     ``pair_id`` links an oscillating eigenvalue with its complex conjugate
-    within the same degree (-1 for effectively real eigenvalues).
+    within the same degree (-1 for effectively real eigenvalues);
+    ``physical`` marks the entries with |Gamma| <= tau_gamma.
     """
     tau = _default_tau(report, tau_gamma)
     scale = max(report.spectral_radius, 1.0)
@@ -528,13 +520,4 @@ def export_spectrum_csv(report: SpectrumReport, path,
         pair_ids[pos[hit]] = ids
         pair_ids[neg[j[hit]]] = ids
         next_id += len(ids)
-    physical = np.abs(ev.real) <= tau
-
-    from .reporting import format_float  # local import to avoid a cycle
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "index", "gamma", "e", "pair_id", "physical_flag"])
-        rows = zip(report.degree.tolist(), ev.tolist(), pair_ids.tolist(), physical.tolist())
-        for i, (k, z, pid, phys) in enumerate(rows):
-            writer.writerow([k, i, format_float(z.real), format_float(z.imag), pid, int(phys)])
+    return pair_ids, np.abs(ev.real) <= tau

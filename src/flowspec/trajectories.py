@@ -27,6 +27,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import (
+    CapacityError,
     InsufficientSamplesError,
     StabilityWarning,
     UnfittableDecayError,
@@ -124,7 +125,8 @@ def simulate_sde(
         uniform spread over the domain.
 
     A stability warning is emitted when dt exceeds the heuristic threshold
-    0.1 * eps / max|A|^2 for the drift-dominated regime.
+    0.1 * eps / max|A|^2 for the drift-dominated regime.  A path store that
+    numpy refuses to allocate raises the capacity error before any step.
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ValidationError(f"step size must be positive, got {dt}")
@@ -156,8 +158,13 @@ def simulate_sde(
             )
 
     n_stored = steps // store_every + 1
-    positions = np.empty((n_paths, n_stored, dim))
-    windings = np.empty((n_paths, n_stored, dim), dtype=np.int32)
+    try:
+        positions = np.empty((n_paths, n_stored, dim))
+        windings = np.empty((n_paths, n_stored, dim), dtype=np.int32)
+    except (ValueError, MemoryError) as exc:
+        raise CapacityError(
+            f"cannot store {n_paths} paths x {n_stored} states x {dim} axes: {exc}"
+        ) from exc
     periods_arr = np.asarray(periods)
 
     def store(slot, state):

@@ -387,6 +387,27 @@ def test_cli_run_and_overrides(tmp_path, capsys):
     assert report["results"]["spectrum"]["oracle_satisfied"] is True
 
 
+def test_cli_overrides_reach_the_report(tmp_path, capsys):
+    # the report's config is what ran: overrides applied before validation
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(simulate={"seed": 1})))
+    code = main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--backend", "fourier", "--seed", "5"])
+    assert code == 0
+    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert config["backend"] == "fourier"
+    assert config["simulate"]["seed"] == 5
+    assert json.loads(cfg_path.read_text())["simulate"]["seed"] == 1
+
+
+def test_cli_unallocatable_path_store_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(
+        tasks=["simulate"], simulate={"steps": 10**15, "n_paths": 10**6})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: cannot store")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -439,11 +460,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                 simulate={"autocorrelation": True, "fit_window": [0.5, 0.1]}),
     {"model": {"name": "constant_drive_circle",
                "params": {"a": "x", "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
+    base_config(out_dir=5),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
         "negative-seed", "model-name-type", "fit-window-scalar", "fit-window-length",
-        "fit-window-type", "fit-window-order", "param-value"])
+        "fit-window-type", "fit-window-order", "param-value", "out-dir-type"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

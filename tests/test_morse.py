@@ -79,6 +79,68 @@ def test_unstructured_mesh_is_rejected():
         fs.find_critical_points(sph, fs.zero_flow(sph))
 
 
+def _min_periodic_separation(mesh, pts):
+    locs = np.array([p.location for p in pts])
+    d = locs[:, None, :] - locs[None, :, :]
+    d = np.abs(d) % np.asarray(mesh.lengths)
+    d = np.minimum(d, np.asarray(mesh.lengths) - d)
+    dist = np.sqrt(np.sum(d * d, axis=-1))
+    return float(np.min(dist[np.triu_indices(len(locs), 1)]))
+
+
+def _circle_and_torus_flows(close):
+    circle = fs.build_circle_grid(32, 2 * np.pi)
+    torus = fs.build_torus_grid(16, 16, 2 * np.pi, 2 * np.pi)
+    phi = np.asarray(circle.vertices)
+    x, y = np.asarray(torus.vertices).T
+    if close:
+        # zeros of sin 3y + 0.5 alternate 0.70 and 1.40 apart; 4 cells are 1.57
+        return [(circle, fs.flow_from_vertex_samples(circle, np.sin(3 * phi) + 0.5)),
+                (torus, fs.flow_from_vertex_samples(
+                    torus, np.column_stack([np.sin(x), np.sin(3 * y) + 0.5])))]
+    return [(circle, fs.flow_from_vertex_samples(circle, np.sin(phi))),
+            (torus, fs.flow_from_vertex_samples(
+                torus, np.column_stack([np.sin(x), np.sin(y)])))]
+
+
+@pytest.mark.parametrize("close", [True, False], ids=["close", "separated"])
+def test_close_zeros_warn_once_with_the_minimum_separation(close):
+    import warnings
+
+    for mesh, flow in _circle_and_torus_flows(close):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pts = fs.find_critical_points(mesh, flow)
+        warned = [w for w in caught if issubclass(w.category, fs.ResolutionWarning)]
+        gap = _min_periodic_separation(mesh, pts)
+        h = max(mesh.spacings)
+        assert (gap < 4 * h) == close, mesh.kind
+        assert len(warned) == int(close), mesh.kind
+        if close:
+            msg = str(warned[0].message)
+            assert f"zeros only {gap:.3g} apart" in msg, msg
+            assert f"spacing {h:.3g}" in msg and "four cells" in msg, msg
+
+
+def test_one_loop_states_on_the_torus():
+    mesh = fs.build_torus_grid(24, 24, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    flow = fs.flow_from_vertex_samples(mesh, np.column_stack([np.sin(x), np.sin(y)]))
+    noise = fs.NoiseSpec(0.2)
+    pts = fs.find_critical_points(mesh, flow)
+    assert len(pts) == 4
+    degrees = []
+    for p in pts:
+        state = fs.one_loop_ground_state(p, noise)
+        assert state.degree == p.stable_count
+        assert state.values.shape == (mesh.n_cells(state.degree),)
+        assert np.all(np.isfinite(state.values))
+        star = fs.hodge_star(mesh, state.degree, noise).values
+        np.testing.assert_allclose(np.sum(star * state.values ** 2), 1.0, rtol=1e-12)
+        degrees.append(state.degree)
+    assert sorted(degrees) == [0, 1, 1, 2]
+
+
 def test_one_loop_state_matches_local_gaussian():
     # linear drift a*phi near 0: stationary density ~ exp(-a phi^2 / (2 eps/2))
     n, eps = 64, 0.1

@@ -90,6 +90,18 @@ def test_input_validation():
         fs.simulate_sde(model, dt=0.01, steps=10, n_paths=2, seed=-1)
 
 
+def test_unallocatable_path_store_is_a_capacity_error():
+    # numpy refuses a 1e21-slot store without allocating it; no step may run
+    from dataclasses import replace
+
+    def no_drift(x):
+        raise AssertionError("integrated a path")
+
+    model = replace(drive_model(), drift=no_drift)
+    with pytest.raises(fs.CapacityError, match="paths"):
+        fs.simulate_sde(model, dt=0.01, steps=10**15, n_paths=10**6, seed=0)
+
+
 def test_histogram_needs_enough_samples():
     model = drive_model()
     ens = fs.simulate_sde(model, dt=0.01, steps=50, n_paths=10, seed=2)
