@@ -16,9 +16,16 @@ self-check (the identity is algebraic, so a violation means memory
 corruption, not roundoff).
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
-by the top Hodge star is the conventional density generator.  For gradient
-flows the whole operator is brought to a real symmetric form by a diagonal
-similarity; see ``hermitianize_langevin``.
+by the top Hodge star is the conventional density generator.
+
+For gradient flows a diagonal similarity brings a block to real symmetric
+form: exactly on every circle degree and on the torus degree 0, not on the
+torus degrees 1 and 2, whose edge families no diagonal weight reconciles.
+One helper, ``_symmetric_form``, builds the weights and measures the
+asymmetry left; ``hermitianize_langevin`` returns the transformed operator,
+and the eigensolver (``spectral._block_eigenvalues``) picks its route from
+the same measurement: a factored SVD at degree 0, ``eigvalsh`` on the other
+symmetric blocks, nonsymmetric ``eigvals`` everywhere else.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 _TWO_ROUTE_TOL = 1e-11
+_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -258,6 +266,12 @@ def hermitianize_langevin(
     the two edge families with weights no diagonal similarity can reconcile,
     so the call measures the asymmetry and raises rather than return a
     silently non-symmetric operator.
+
+    Runs use the same weights without calling this: the eigensolver solves
+    each fd block of a declared gradient flow in this form when its measured
+    asymmetry is within 1e-10, as ``svdvals`` of an edge factor at degree 0
+    and with ``eigvalsh`` at the other degrees, and with ``eigvals`` where the
+    similarity is not exact (see ``spectral``).
     """
     if noise.is_deterministic:
         raise DeterministicLimitError("hermitianization requires epsilon > 0")
@@ -268,28 +282,34 @@ def hermitianize_langevin(
     flow = langevin_flow(mesh, w, noise)
     ham = assemble_hamiltonian(mesh, flow, noise, backend="fd")
 
-    inv_vertex = np.exp(-2.0 * w)
-    etas = [np.exp(2.0 * w)]
-    etas.append(1.0 / (0.5 * (inv_vertex[mesh.edges[:, 0]] + inv_vertex[mesh.edges[:, 1]])))
-    if mesh.dimension == 2:
-        etas.append(1.0 / np.mean(inv_vertex[mesh.faces], axis=1))
-
-    blocks, asym = [], []
-    for k in range(mesh.dimension + 1):
-        s = np.sqrt(etas[k])
-        hk = (s[:, None] * ham.block(k)) / s[None, :]
-        scale = max(np.max(np.abs(hk)), 1e-300)
-        a = float(np.max(np.abs(hk - hk.T)) / scale)
-        blocks.append(hk)
-        asym.append(a)
-
-    worst = max(asym)
-    if worst > 1e-10:
+    etas, blocks, asym = zip(*(_symmetric_form(mesh, w, k, ham.block(k))
+                               for k in ham.degrees()))
+    worst = float(np.max(asym))
+    if not worst <= _SYMMETRY_TOL:  # also refuses NaN
         raise NumericalError(
             f"diagonal similarity left a relative asymmetry of {worst:.3e} "
-            "(tolerance 1e-10). On product grids the degree-1 block couples "
-            "the two edge families with weights that no diagonal metric can "
-            "reconcile; exact hermitianization is available on circle grids."
+            f"(tolerance {_SYMMETRY_TOL:g}). On product grids the degree-1 block "
+            "couples the two edge families with weights that no diagonal metric "
+            "can reconcile; exact hermitianization is available on circle grids."
         )
-    hermitian = GradedOperator(tuple(blocks), 0, mesh, flow, noise, "fd")
-    return hermitian, LangevinSimilarity(tuple(etas), tuple(asym), w.copy(), noise.epsilon)
+    hermitian = GradedOperator(blocks, 0, mesh, flow, noise, "fd")
+    return hermitian, LangevinSimilarity(etas, asym, w.copy(), noise.epsilon)
+
+
+def _symmetric_form(mesh: MeshComplex, w: np.ndarray, k: int,
+                    block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Degree-``k`` weights eta, S = diag(sqrt(eta)) H_k diag(1/sqrt(eta)), and
+    the relative asymmetry max|S - S^T| / max|S|.
+
+    eta is e^{2W} at a vertex and the harmonic mean of the vertex weights over
+    an edge's or a face's vertices.  Weights that overflow give a NaN
+    asymmetry, which no tolerance accepts.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inv_vertex = np.exp(-2.0 * np.asarray(w, dtype=float))
+        cells = (np.arange(len(inv_vertex))[:, None], mesh.edges, mesh.faces)[k]
+        eta = 1.0 / np.mean(inv_vertex[cells], axis=1)
+        s = np.sqrt(eta)
+        sym = (s[:, None] * block) / s[None, :]
+        scale = max(np.max(np.abs(sym)), 1e-300)
+        return eta, sym, float(np.max(np.abs(sym - sym.T)) / scale)

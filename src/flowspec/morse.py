@@ -41,7 +41,7 @@ from .exceptions import (
 from .fields import FlowField, langevin_flow
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec, hodge_star
-from .spectral import _block_eigenvalues
+from .spectral import _DENSE_CAP, _block_eigenvalues, _check_capacity
 
 __all__ = [
     "CriticalPoint",
@@ -444,6 +444,8 @@ def _splitting_scan(model, epsilons: Sequence[float],
         raise NoInstantonError(
             f"potential has {n_min} local minimum(s); no tunneling doublet exists"
         )
+    # refused before the first level is assembled
+    _check_capacity(model.mesh.cell_counts, _DENSE_CAP)
 
     splittings = []
     nontunneling = []

@@ -452,7 +452,7 @@ class _Levels:
         mesh = self.model.mesh
         _check_capacity(mesh.cell_counts, _DENSE_CAP)
         return _spectrum_report({k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
-                                mesh.dimension)
+                                mesh.dimension)[0]
 
 
 class _RunState:

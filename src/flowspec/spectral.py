@@ -8,10 +8,21 @@ one eigenvector, the stationary density, by inverse iteration
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
 pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
-solve bi-orthonormalizes the whole cluster).  Entries are ordered lexicographically by
-(Re eigenvalue, Im eigenvalue, degree), which makes reports deterministic.
+solve bi-orthonormalizes the whole cluster).  Reports order their entries by
+the same clusters: by centroid (Re, Im), then by degree, then (Re, Im), so
+that eigenvalues equal to roundoff keep one order whichever routine solved
+them.
 
-A ``SpectrumReport`` holds the spectrum as parallel arrays in that order:
+Eigenvalue-only solves (``_block_eigenvalues``) take one of three routes.
+An fd block of a declared gradient flow at epsilon > 0 whose diagonal
+similarity to symmetric form is exact (asymmetry within 1e-10, measured by
+``hamiltonian._symmetric_form``: every circle degree, the torus degree 0)
+is solved in that form: at degree 0 as the squared singular values of an
+edge factor B with B^T B = S (the small tunnelling gaps come out with high
+relative accuracy and the zero mode is exact), at other degrees with
+``eigvalsh``.  Everything else goes to nonsymmetric ``eigvals``.
+
+A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
 zero without vectors).  With vectors, ``left[k]`` and ``right[k]`` are the
 degree-k eigenvector matrices, their columns in the order of
@@ -50,7 +61,7 @@ from .exceptions import (
     ErgodicZeroMissingError,
     GapAmbiguityWarning,
 )
-from .hamiltonian import GradedOperator
+from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _symmetric_form
 
 __all__ = [
     "SpectrumReport",
@@ -72,6 +83,7 @@ _DEFAULT_TOL_REL = 1e-8
 _DENSE_CAP = 8192
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
+_FACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,9 +91,10 @@ class SpectrumReport:
     """Eigenvalues of every degree block, as parallel arrays in report order.
 
     ``degree[i]``, ``eigenvalue[i]`` and ``residual[i]`` describe entry i;
-    entries are ordered by (Re, Im, degree).  ``residual[i]`` is the worst
-    deviation of the entry's row of the left-right Gram matrix from the
-    identity, zero when no vectors were computed.  ``left[k]`` and
+    entries are in the canonical order of ``_spectrum_report``.
+    ``residual[i]`` is the worst deviation of the entry's row of the
+    left-right Gram matrix from the identity, zero when no vectors were
+    computed.  ``left[k]`` and
     ``right[k]`` hold the bi-orthonormalized eigenvectors of degree k as
     columns, in the order of ``eigenvalues(k)``; both are ``None`` for
     vector-free and synthetic reports.
@@ -133,15 +146,18 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     the eigensolver error if LAPACK fails to converge on some block.
     """
     _check_capacity(op.mesh.cell_counts, cap)
-    solved = {k: _lapack(op, k, scipy.linalg.eig, left=True, right=True)
+    solved = {k: _lapack(k, scipy.linalg.eig, _finite_block(op, k), left=True, right=True)
               for k in op.degrees()}
-    report = _spectrum_report({k: w for k, (w, _, _) in solved.items()},
-                              op.mesh.dimension)
+    report, order = _spectrum_report({k: w for k, (w, _, _) in solved.items()},
+                                     op.mesh.dimension)
     residual = np.zeros(len(report.eigenvalue))
     left, right = [], []
+    start = 0
     for k, (w, vl, vr) in solved.items():
         vl, vr, res = _biorthonormalize(w, vl, vr, report.spectral_radius)
-        cols = np.lexsort((w.imag, w.real))  # the block's entries in report order
+        # the block's entries in report order, read off the report's permutation
+        cols = order[report.degree == k] - start
+        start += len(w)
         left.append(vl[:, cols])
         right.append(vr[:, cols])
         residual[report.degree == k] = res[cols]
@@ -157,17 +173,23 @@ def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumRe
     """
     _check_capacity(op.mesh.cell_counts, cap)
     return _spectrum_report({k: _block_eigenvalues(op, k) for k in op.degrees()},
-                            op.mesh.dimension)
+                            op.mesh.dimension)[0]
 
 
-def _lapack(op: GradedOperator, k: int, solver, **kwargs):
-    """Solve the degree-``k`` block, refusing non-finite entries beforehand."""
+def _finite_block(op: GradedOperator, k: int) -> np.ndarray:
+    """The degree-``k`` block, refused when it has non-finite entries."""
     block = op.block(k)
     if not np.isfinite(block).all():
         raise EigensolverError(f"the degree-{k} block at noise level "
                                f"{op.noise.epsilon!r} has non-finite entries")
+    return block
+
+
+def _lapack(k: int, solver, a: np.ndarray, **kwargs):
+    """``solver(a)`` for the degree-``k`` block, a convergence failure raised
+    as the eigensolver error."""
     try:
-        return solver(block, check_finite=False, **kwargs)
+        return solver(a, check_finite=False, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(
             f"eigensolver failed to converge on the degree-{k} block"
@@ -204,8 +226,53 @@ def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
 
 
 def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
-    """Eigenvalues of the degree-``k`` block (LAPACK geev without vectors)."""
-    return _lapack(op, k, scipy.linalg.eigvals)
+    """Eigenvalues of the degree-``k`` block, by the route its form allows.
+
+    An fd block of a declared gradient flow at epsilon > 0 whose similarity
+    S = diag(sqrt(eta)) H diag(1/sqrt(eta)) is symmetric within
+    ``_SYMMETRY_TOL`` is solved as (S + S^T)/2: at degree 0 as the squared
+    singular values of its edge factor (see ``_gradient_factor``), elsewhere
+    with ``eigvalsh``.  Every other block, and a degree-0 block that does not
+    factor, goes to LAPACK geev without vectors.
+    """
+    block = _finite_block(op, k)
+    if op.backend == "fd" and op.flow.langevin and not op.noise.is_deterministic:
+        eta, sym, asymmetry = _symmetric_form(op.mesh, op.flow.w, k, block)
+        if asymmetry <= _SYMMETRY_TOL:
+            sym = 0.5 * (sym + sym.T)
+            factor = _gradient_factor(op.mesh, eta, sym) if k == 0 else None
+            if factor is not None:
+                return _lapack(k, scipy.linalg.svdvals, factor) ** 2
+            return _lapack(k, scipy.linalg.eigvalsh, sym)
+    return _lapack(k, scipy.linalg.eigvals, block)
+
+
+def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndarray]:
+    """Edge factor B with B^T B = ``sym``, or ``None`` when there is none.
+
+    With v = sqrt(eta) normalized, a symmetric degree-0 block that kills v and
+    couples vertices only along edges is sum_e c_e b_e b_e^T, where the edge
+    (i, j) has c_e = -S_ij / (v_i v_j) and b_e = v_j e_i - v_i e_j.  B stacks
+    the rows sqrt(c_e) b_e; it annihilates v exactly, so the zero mode is
+    exact, and its singular values carry the tunnelling gaps with high
+    relative accuracy.  Refused unless every c_e > 0, B has a row per vertex
+    at least, and ||B^T B - S|| <= ``_FACTOR_TOL`` ||S|| (max norm).
+    """
+    v = np.sqrt(eta)
+    v = v / np.linalg.norm(v)
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = -sym[i, j] / (v[i] * v[j])
+    if len(c) < len(v) or not np.all(c > 0):
+        return None
+    root, rows = np.sqrt(c), np.arange(len(c))
+    factor = np.zeros((len(c), len(v)))
+    factor[rows, i] = root * v[j]
+    factor[rows, j] = -root * v[i]
+    error = np.max(np.abs(factor.T @ factor - sym))
+    if not error <= _FACTOR_TOL * np.max(np.abs(sym)):  # also refuses NaN
+        return None
+    return factor
 
 
 def _check_capacity(sizes: Tuple[int, ...], cap: int) -> None:
@@ -217,27 +284,54 @@ def _check_capacity(sizes: Tuple[int, ...], cap: int) -> None:
         )
 
 
-def _spectrum_report(per_degree: Dict[int, np.ndarray], dimension: int) -> SpectrumReport:
+def _spectrum_report(per_degree: Dict[int, np.ndarray],
+                     dimension: int) -> Tuple[SpectrumReport, np.ndarray]:
     """Pack the eigenvalues of each degree into one vector-free report.
 
-    Entries are ordered by (Re, Im, degree); within one degree that is the
-    block's own (Re, Im) order.  Capacity is the caller's to check.
+    Returns the report and its permutation of the concatenated input.  The
+    entries are grouped into clusters (``_cluster_labels`` at
+    ``_CLUSTER_REL`` of the spectral radius), and the clusters are ordered by
+    their centroid (Re, Im): by Re, where centroids whose real parts chain by
+    steps within that tolerance count as one, then by Im.  The members of a
+    cluster follow by degree, then (Re, Im).  Eigenvalues that agree to
+    roundoff thus keep one order whichever solver produced them.  Capacity
+    is the caller's to check.
     """
     degree = np.concatenate([np.full(len(w), k) for k, w in per_degree.items()])
     eigenvalue = np.concatenate(list(per_degree.values())).astype(complex, copy=False)
-    order = np.lexsort((degree, eigenvalue.imag, eigenvalue.real))
     radius = float(np.max(np.abs(eigenvalue), initial=0.0))
-    return SpectrumReport(degree[order], eigenvalue[order], np.zeros(len(order)), None, None,
-                          radius, dimension, tuple(len(w) for w in per_degree.values()))
+    thr = _CLUSTER_REL * max(radius, 1e-300)
+    n = len(eigenvalue)
+    label = _cluster_labels(eigenvalue, thr)
+    size = np.bincount(label, minlength=n)[label]
+    centre_re = np.bincount(label, eigenvalue.real, n)[label] / size
+    centre_im = np.bincount(label, eigenvalue.imag, n)[label] / size
+    by_re = np.argsort(centre_re, kind="stable")
+    band = np.empty(n, dtype=int)
+    band[by_re] = np.cumsum(np.diff(centre_re[by_re], prepend=-np.inf) > thr)
+    order = np.lexsort((eigenvalue.imag, eigenvalue.real, degree, label, centre_im, band))
+    report = SpectrumReport(degree[order], eigenvalue[order], np.zeros(n), None, None,
+                            radius, dimension, tuple(len(w) for w in per_degree.values()))
+    return report, order
 
 
 def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
-    """Connected components of the graph joining eigenvalues within ``thr``.
+    """Connected components of the graph joining eigenvalues within ``thr``,
+    each listing its members in (Re, Im) order."""
+    label = _cluster_labels(w, thr)
+    order = np.lexsort((w.imag, w.real))
+    grouped = order[np.argsort(label[order], kind="stable")]
+    return np.split(grouped, np.flatnonzero(np.diff(label[grouped])) + 1)
+
+
+def _cluster_labels(w: np.ndarray, thr: float) -> np.ndarray:
+    """Per eigenvalue, the smallest index in its component of the graph
+    joining eigenvalues within ``thr``.
 
     Chaining only lexicographic neighbours splits a degenerate eigenvalue
     whose members interleave with their conjugates in that order, so every
     pair within ``thr`` is joined.  Candidates come from a window over the
-    sorted real parts; each component lists its members in (Re, Im) order.
+    sorted real parts.
     """
     n = len(w)
     by_real = np.argsort(w.real, kind="stable")
@@ -262,11 +356,8 @@ def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
         np.minimum.at(merged, j, low)
         merged = merged[merged]
         if np.array_equal(merged, labels):
-            break
+            return labels
         labels = merged
-    order = np.lexsort((w.imag, w.real))
-    grouped = order[np.argsort(labels[order], kind="stable")]
-    return np.split(grouped, np.flatnonzero(np.diff(labels[grouped])) + 1)
 
 
 def _biorthonormalize(w, vl, vr, radius):
@@ -317,7 +408,7 @@ def _biorthonormalize(w, vl, vr, radius):
 def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
                        dimension: int = 1) -> SpectrumReport:
     """Wrap a bare eigenvalue multiset for the classifiers (no eigenvectors)."""
-    return _spectrum_report({degree: np.asarray(values, dtype=complex)}, dimension)
+    return _spectrum_report({degree: np.asarray(values, dtype=complex)}, dimension)[0]
 
 
 # ----------------------------------------------------------------------

@@ -217,7 +217,8 @@ def test_run_morse_scan_on_inline_potential(tmp_path):
     })
     doc = fs.run(cfg, out_dir=tmp_path)
     scan = json.loads(doc.path.read_text())["results"]["morse"]["splitting_scan"]
-    assert scan["splittings"] == [0.0164014668431, 0.00820073342152, 0.00410036671077]
+    # mpmath on the same blocks: 0.00820073342152696..., 0.0041003667107635...
+    assert scan["splittings"] == [0.0164014668431, 8.20073342153e-03, 4.10036671076e-03]
 
 
 # ----------------------------------------------------------------------
@@ -226,33 +227,41 @@ def test_run_morse_scan_on_inline_potential(tmp_path):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts two-sided solves and records every eigvals block and assembly."""
+    """Counts two-sided solves and records every solved (operator, degree) and assembly."""
     import scipy.linalg
 
     import flowspec.morse
     import flowspec.reporting
+    import flowspec.spectral
 
-    calls = {"eig": 0, "eigvals": [], "ops": []}
-    eig, eigvals = scipy.linalg.eig, scipy.linalg.eigvals
+    calls = {"eig": 0, "solved": [], "ops": []}
+    eig = scipy.linalg.eig
+    solve = flowspec.spectral._block_eigenvalues
     assemble = flowspec.reporting.assemble_hamiltonian
 
     def counted_eig(*args, **kwargs):
         calls["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counted_eigvals(a, *args, **kwargs):
-        calls["eigvals"].append(a)
-        return eigvals(a, *args, **kwargs)
+    def counted_solve(op, k):
+        calls["solved"].append((op, k))
+        return solve(op, k)
 
     def counted_assemble(*args, **kwargs):
         calls["ops"].append(assemble(*args, **kwargs))
         return calls["ops"][-1]
 
     monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
-    monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
     for module in (flowspec.reporting, flowspec.morse):
+        monkeypatch.setattr(module, "_block_eigenvalues", counted_solve)
         monkeypatch.setattr(module, "assemble_hamiltonian", counted_assemble)
     return calls
+
+
+def solved_blocks(work):
+    """(assembly index, degree) of every solve; each operator is one the run assembled."""
+    index = {id(op): i for i, op in enumerate(work["ops"])}
+    return [(index[id(op)], k) for op, k in work["solved"]]
 
 
 def double_well_config(tasks, eps=0.2, **extra):
@@ -271,10 +280,8 @@ def test_verdict_tasks_solve_each_level_once_without_vectors(tmp_path, work):
     fs.run(cfg, out_dir=tmp_path)
     assert work["eig"] == 0
     assert sorted(op.noise.epsilon for op in work["ops"]) == [0.05, 0.1, 0.2, 0.4]
-    solved = [(i, k) for i, op in enumerate(work["ops"])
-              for k, block in enumerate(op.blocks)
-              if any(a is block for a in work["eigvals"])]
-    assert len(solved) == len(work["eigvals"])  # no block solved twice
+    solved = solved_blocks(work)
+    assert len(set(solved)) == len(solved)  # no block solved twice
     # both degrees at the three swept levels, degree 0 only at the scan's 0.05
     assert len(solved) == 7
 
@@ -284,8 +291,8 @@ def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
                              morse={"splitting_epsilons": [0.4, 0.2, 0.1]})
     fs.run(cfg, out_dir=tmp_path)
     assert work["eig"] == 0
-    assert len(work["ops"]) == 3 and len(work["eigvals"]) == 3
-    assert not any(a is op.block(1) for op in work["ops"] for a in work["eigvals"])
+    assert len(work["ops"]) == 3 and len(work["solved"]) == 3
+    assert sorted(solved_blocks(work)) == [(0, 0), (1, 0), (2, 0)]
 
 
 @pytest.mark.parametrize("tasks", [["spectrum", "classify"], ["witten", "stationary"]])
@@ -293,9 +300,8 @@ def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, tasks):
     doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
     assert work["eig"] == 0
     [op] = work["ops"]
-    # one eigvals per block of the base level, none solved twice
-    assert len(work["eigvals"]) == len(op.blocks)
-    assert all(any(a is block for a in work["eigvals"]) for block in op.blocks)
+    # one solve per block of the base level, none solved twice
+    assert sorted(solved_blocks(work)) == [(0, k) for k in range(len(op.blocks))]
     res = doc.data["results"]
     if "spectrum" in res:
         sizes = {str(k): b.shape[0] for k, b in enumerate(op.blocks)}
@@ -494,6 +500,25 @@ def test_cli_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch, cfg
         raise AssertionError("assembled a level beyond the dense-solver cap")
 
     monkeypatch.setattr(flowspec.reporting, "assemble_hamiltonian", no_assembly)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "dense-solver cap" in capsys.readouterr().err
+
+
+def test_cli_morse_scan_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch):
+    # the scan needs degree 0 only, but the run's levels are refused at the same cap
+    import flowspec.morse
+    import flowspec.reporting
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a level beyond the dense-solver cap")
+
+    for module in (flowspec.reporting, flowspec.morse):
+        monkeypatch.setattr(module, "assemble_hamiltonian", no_assembly)
+    cfg = {"model": {"name": "langevin_double_well_circle",
+                     "params": {"depth": 1.0, "epsilon": 0.2, "n": 100_000}},
+           "tasks": ["morse"], "morse": {"splitting_epsilons": [0.4, 0.2]}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3

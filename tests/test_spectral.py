@@ -25,8 +25,28 @@ def test_full_spectrum_against_difference_symbols():
     assert fs.oracle_spectrum_residual(model, report, "fd") < 1e-12
 
 
-def report_keys(report):
-    return list(zip(report.eigenvalue.real, report.eigenvalue.imag, report.degree))
+def assert_report_order(report):
+    """Clusters (eigenvalues chained by steps <= 1e-7 of the radius) are
+    contiguous and ordered by centroid (Re, Im), real parts that chain by
+    such steps counting as equal; members by degree, then (Re, Im)."""
+    w = report.eigenvalue
+    thr = 1e-7 * report.spectral_radius
+    near = np.abs(w[:, None] - w[None, :]) <= thr
+    linked = near
+    while True:  # transitive closure
+        grown = (linked.astype(int) @ near.astype(int)) > 0
+        if np.array_equal(grown, linked):
+            break
+        linked = grown
+    first = np.argmax(linked, axis=1)  # each entry's cluster, by its first member
+    assert np.all(np.diff(first) >= 0)  # contiguous, in order of appearance
+    centre = {c: w[first == c].mean() for c in np.unique(first)}
+    reals = np.sort([z.real for z in centre.values()])
+    starts = reals[np.diff(reals, prepend=-np.inf) > thr]  # lowest real part of each band
+    band = {c: np.searchsorted(starts, z.real, side="right") for c, z in centre.items()}
+    keys = [(band[c], centre[c].imag, c, k, z.real, z.imag)
+            for c, k, z in zip(first, report.degree, w)]
+    assert keys == sorted(keys)
 
 
 def right_vector(report, i):
@@ -37,8 +57,7 @@ def right_vector(report, i):
 
 def test_entry_ordering_and_normalization():
     _, report = constant_drive_report(n=32)
-    keys = report_keys(report)
-    assert keys == sorted(keys)
+    assert_report_order(report)
     for i in range(10):
         right = right_vector(report, i)
         np.testing.assert_allclose(np.linalg.norm(right), 1.0, rtol=1e-12)
@@ -93,16 +112,20 @@ def test_capacity_cap(monkeypatch):
 def test_non_finite_block_is_refused_before_lapack(monkeypatch):
     import dataclasses
 
-    model, _ = constant_drive_report(n=16)
-    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    bad = op.blocks[0].copy()
-    bad[0, 0] = np.inf
-    op = dataclasses.replace(op, blocks=(bad, op.blocks[1]))
-    monkeypatch.setattr(scipy.linalg, "eig", None)
-    monkeypatch.setattr(scipy.linalg, "eigvals", None)
-    for solver in (fs.full_spectrum, fs.eigenvalue_spectrum):
-        with pytest.raises(fs.NumericalError, match="degree-0 block at noise level 0.2"):
-            solver(op)
+    for solver in ("eig", "eigvals", "eigvalsh", "svdvals"):
+        monkeypatch.setattr(scipy.linalg, solver, None)
+    # a non-gradient flow, and a gradient flow that would take the symmetric route
+    for name, params in [("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16}),
+                         ("langevin_double_well_circle",
+                          {"depth": 1.0, "epsilon": 0.2, "n": 16})]:
+        model = fs.build_model(name, params)
+        op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+        bad = op.blocks[0].copy()
+        bad[0, 0] = np.inf
+        op = dataclasses.replace(op, blocks=(bad, op.blocks[1]))
+        for solve in (fs.full_spectrum, fs.eigenvalue_spectrum):
+            with pytest.raises(fs.NumericalError, match="degree-0 block at noise level 0.2"):
+                solve(op)
 
 
 REGISTERED = {
@@ -121,8 +144,8 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
     assert values.right is None and values.left is None
     assert values.block_sizes == full.block_sizes
     np.testing.assert_array_equal(values.degree, full.degree)
-    keys = report_keys(values)
-    assert keys == sorted(keys)
+    assert_report_order(values)
+    assert_report_order(full)
     cv, cf = fs.classify_phase(values), fs.classify_phase(full)
     assert (cv.verdict, cv.witten_index, len(cv.evidence)) == (
         cf.verdict, cf.witten_index, len(cf.evidence))
@@ -135,6 +158,119 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
         assert len(a) == len(b)
         gaps = np.abs(a[:, None] - b[None, :])
         assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Records the LAPACK driver that solves each block, by its size."""
+    calls = []
+    for solver in ("eigvals", "eigvalsh", "svdvals"):
+        def recorded(a, *args, _name=solver, _solve=getattr(scipy.linalg, solver), **kwargs):
+            calls.append((_name, a.shape[1]))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, solver, recorded)
+    return calls
+
+
+def test_gradient_blocks_take_the_symmetric_route(routes):
+    # circle double well: degree 0 factored, degree 1 symmetric; no geev
+    model = fs.build_model("langevin_double_well_circle",
+                           REGISTERED["langevin_double_well_circle"])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    values = fs.eigenvalue_spectrum(op)
+    assert routes == [("svdvals", 48), ("eigvalsh", 48)]
+    # the same blocks through geev agree within roundoff of the radius
+    tol = 1e-12 * values.spectral_radius
+    for k in op.degrees():
+        a, b = values.eigenvalues(k), scipy.linalg.eigvals(op.block(k))
+        gaps = np.abs(a[:, None] - b[None, :])
+        assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
+    assert not np.any(values.eigenvalue.imag)
+    routes.clear()
+
+    # torus potential: only degree 0 is symmetric under the diagonal similarity
+    mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
+    xy = np.asarray(mesh.vertices)
+    noise = fs.NoiseSpec(0.3)
+    flow = fs.langevin_flow(mesh, 0.5 * (np.cos(xy[:, 0]) + np.cos(xy[:, 1])), noise)
+    fs.eigenvalue_spectrum(fs.assemble_hamiltonian(mesh, flow, noise))
+    assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvals", 36)]
+
+
+@pytest.mark.parametrize("name", ["tilted_langevin_circle", "torus_shear_model"])
+def test_non_gradient_blocks_take_geev(routes, name):
+    model = fs.build_model(name, REGISTERED[name])
+    fs.eigenvalue_spectrum(fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+    assert [solver for solver, _ in routes] == ["eigvals"] * (model.mesh.dimension + 1)
+
+
+def mpmath_smallest_pair(block, dps=50, steps=12, shift=-1e-3):
+    """The two eigenvalues nearest zero of the generator with ``block``'s
+    off-diagonal rates, by subspace inverse iteration at ``dps`` digits.
+
+    The diagonal is the exact negative off-diagonal row sum: the degree-0
+    generator kills constants, and the float64 diagonal misses that by
+    roundoff, which alone would move a 1e-21 gap by 1e-16.  Below
+    ``shift < 0`` the shifted block is diagonally dominant, so its LU needs
+    no pivoting.
+    """
+    mp = pytest.importorskip("mpmath")
+    n = len(block)
+    with mp.workdps(dps):
+        a = [[mp.mpf(float(x)) for x in row] for row in block]
+        for i in range(n):
+            a[i][i] = -mp.fsum(a[i][j] for j in range(n) if j != i)
+        lu = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        for p in range(n):  # Doolittle, skipping the zeros of the stencil
+            for i in range(p + 1, n):
+                if lu[i][p]:
+                    lu[i][p] /= lu[p][p]
+                    for j in range(p + 1, n):
+                        if lu[p][j]:
+                            lu[i][j] -= lu[i][p] * lu[p][j]
+
+        def solve(b):
+            y = list(b)
+            for i in range(n):
+                y[i] -= mp.fsum(lu[i][j] * y[j] for j in range(i) if lu[i][j])
+            for i in reversed(range(n)):
+                y[i] -= mp.fsum(lu[i][j] * y[j] for j in range(i + 1, n) if lu[i][j])
+                y[i] /= lu[i][i]
+            return y
+
+        def dot(u, v):
+            return mp.fsum(s * t for s, t in zip(u, v))
+
+        def unit(u):
+            norm = mp.sqrt(dot(u, u))
+            return [t / norm for t in u]
+
+        x, y = [mp.mpf(1)] * n, [mp.mpf(i) / n for i in range(n)]
+        for _ in range(steps):
+            x, y = unit(solve(x)), solve(y)
+            c = dot(x, y)
+            y = unit([t - c * s for s, t in zip(x, y)])
+        ax, ay = ([mp.fsum(row[j] * u[j] for j in range(n) if row[j]) for row in a]
+                  for u in (x, y))
+        ritz = mp.eig(mp.matrix([[dot(x, ax), dot(x, ay)], [dot(y, ax), dot(y, ay)]]),
+                      left=False, right=False)
+        return sorted((complex(z) for z in ritz), key=abs)
+
+
+@pytest.mark.parametrize("depth, n, gap", [(12.0, 64, 2.15443649e-21),
+                                           (8.0, 128, 1.26929747e-14)])
+def test_tunnelling_gap_against_mpmath(depth, n, gap):
+    from flowspec.spectral import _block_eigenvalues
+
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": depth, "epsilon": 0.05, "n": n})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    zero, ref = mpmath_smallest_pair(op.block(0))
+    assert abs(zero) <= 1e-45 and abs(ref.imag) <= 1e-45
+    lam = np.sort(np.abs(_block_eigenvalues(op, 0)))
+    assert lam[0] <= 1e-30 * lam[-1]  # the zero mode is exact by construction
+    assert abs(ref.real - gap) <= 1e-8 * gap
+    assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
 
 
 def ground_state(name, backend):
