@@ -23,15 +23,24 @@ Conventions used throughout the package:
   expected ``epsilon`` prefactor into every codifferential (and nothing
   else): the exterior derivative stays metric-free.
 
-Torus cell layout (nx-by-ny grid, row-major with x as the major axis):
-vertex (i, j) has index ``i*ny + j``; x-edges (from (i,j) to (i+1,j)) occupy
-indices ``0 .. nx*ny-1`` in the same order; y-edges follow in a second block;
-face (i, j) spans ``[x_i, x_{i+1}] x [y_j, y_{j+1}]`` and has index
-``i*ny + j``.
+Periodic grid layout, per axis (the circle is the one-axis case, the torus
+the two-axis one; x is axis 0 and the major axis):
+
+* vertex (i, j) has index ``i*ny + j`` (on the circle, vertex i has index i);
+* the edges come in one block of n0 edges per axis, in vertex order: edge v
+  of the block for axis a runs from vertex v to its +1 neighbour along a, so
+  on the torus the x-edges are ``0 .. n0-1`` and the y-edges ``n0 .. 2*n0-1``;
+* on the torus, face (i, j) spans ``[x_i, x_{i+1}] x [y_j, y_{j+1}]`` and has
+  index ``i*ny + j``;
+* a cell that spans the axes S has primal volume prod_{a in S} h_a and dual
+  volume prod_{a not in S} h_a.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,6 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import (
+    CapacityError,
     DegreeError,
     GeometryWarning,
     InvalidNoiseError,
@@ -173,38 +183,7 @@ def build_circle_grid(n: int, length: float) -> MeshComplex:
     """
     if n < 3:
         raise InvalidResolutionError(f"circle grid needs n >= 3 vertices, got {n}")
-    if length <= 0:
-        raise ValueError(f"circumference must be positive, got {length}")
-    h = length / n
-    idx = np.arange(n)
-    vertices = idx * h
-    edges = np.column_stack([idx, (idx + 1) % n])
-
-    # boundary of edge i: head minus tail
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([idx, idx])
-    vals = np.concatenate([-np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-    d1 = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    mesh = MeshComplex(
-        kind="circle",
-        dimension=1,
-        vertices=vertices,
-        edges=edges,
-        faces=None,
-        incidence=(d1,),
-        primal_volumes=(np.ones(n), np.full(n, h)),
-        dual_volumes=(np.full(n, h), np.ones(n)),
-        lengths=(length,),
-        grid_shape=(n,),
-        spacings=(h,),
-    )
-    _check_chain_complex(mesh)
-    return mesh
-
-
-def torus_vertex_index(i: np.ndarray, j: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    return (np.asarray(i) % nx) * ny + (np.asarray(j) % ny)
+    return _periodic_grid("circle", (n,), (length,))
 
 
 def build_torus_grid(nx: int, ny: int, lx: float, ly: float) -> MeshComplex:
@@ -217,70 +196,86 @@ def build_torus_grid(nx: int, ny: int, lx: float, ly: float) -> MeshComplex:
         raise InvalidResolutionError(
             f"torus grid needs nx, ny >= 3, got ({nx}, {ny})"
         )
-    if lx <= 0 or ly <= 0:
-        raise ValueError(f"torus lengths must be positive, got ({lx}, {ly})")
-    hx, hy = lx / nx, ly / ny
-    n0 = nx * ny
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    v = torus_vertex_index(ii, jj, nx, ny)
+    return _periodic_grid("torus", (nx, ny), (lx, ly))
 
-    vertices = np.column_stack([ii * hx, jj * hy])
-    x_edges = np.column_stack([v, torus_vertex_index(ii + 1, jj, nx, ny)])
-    y_edges = np.column_stack([v, torus_vertex_index(ii, jj + 1, nx, ny)])
-    edges = np.vstack([x_edges, y_edges])
-    n1 = 2 * n0
 
-    e_idx = np.arange(n1)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([e_idx, e_idx])
-    vals = np.concatenate([-np.ones(n1, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    d1 = sp.csr_matrix((vals, (rows, cols)), shape=(n0, n1))
+def _periodic_grid(kind: str, shape: Tuple[int, ...], lengths: Tuple[float, ...]) -> MeshComplex:
+    """Periodic grid with one or two axes, laid out per axis (module docstring).
 
-    # face (i, j): counterclockwise boundary
-    #   +x-edge(i, j)  +y-edge(i+1, j)  -x-edge(i, j+1)  -y-edge(i, j)
-    f = v
-    ex = lambda a, b: torus_vertex_index(a, b, nx, ny)          # x-edge index
-    ey = lambda a, b: n0 + torus_vertex_index(a, b, nx, ny)     # y-edge index
-    rows2 = np.concatenate([ex(ii, jj), ey(ii + 1, jj), ex(ii, jj + 1), ey(ii, jj)])
-    cols2 = np.concatenate([f, f, f, f])
-    vals2 = np.concatenate(
-        [np.ones(n0), np.ones(n0), -np.ones(n0), -np.ones(n0)]
-    ).astype(np.int64)
-    d2 = sp.csr_matrix((vals2, (rows2, cols2)), shape=(n1, n0))
-
-    faces = np.column_stack(
-        [
-            v,
-            torus_vertex_index(ii + 1, jj, nx, ny),
-            torus_vertex_index(ii + 1, jj + 1, nx, ny),
-            torus_vertex_index(ii, jj + 1, nx, ny),
-        ]
-    )
+    Raises ``TypeError`` for a non-integer size, ``ValueError`` for a
+    non-finite or non-positive length, and ``CapacityError`` when the cell
+    arrays cannot be allocated (a size past float range or numpy's index
+    range counts as unallocatable).
+    """
+    shape = tuple(operator.index(n) for n in shape)
+    if not all(np.isfinite(x) and x > 0 for x in lengths):
+        raise ValueError(f"{kind} lengths must be finite and positive, got {tuple(lengths)}")
+    dim, n0 = len(shape), math.prod(shape)
+    try:
+        spacings = tuple(x / n for x, n in zip(lengths, shape))
+        v = np.arange(n0)
+        coords = [i * h for i, h in zip(np.unravel_index(v, shape), spacings)]
+        # +1 neighbour of every vertex along each axis
+        step = [np.roll(v.reshape(shape), -1, axis=a).ravel() for a in range(dim)]
+        edges = np.vstack([np.column_stack([v, s]) for s in step])
+        incidence = [_edge_incidence(edges, n0)]
+        faces = None
+        if dim == 2:
+            x, y = step
+            # face v spans [v, x[v]] x [v, y[v]], counterclockwise:
+            #   +x-edge(v)  +y-edge(x[v])  -x-edge(y[v])  -y-edge(v)
+            faces = np.column_stack([v, x, y[x], y])
+            incidence.append(sp.csr_matrix(
+                (np.repeat([1, 1, -1, -1], n0), (np.concatenate([v, n0 + x, y, n0 + v]),
+                                                 np.tile(v, 4))),
+                shape=(2 * n0, n0),
+            ))
+        primal = tuple(_family_volumes(spacings, n0, k, dual=False) for k in range(dim + 1))
+        dual = tuple(_family_volumes(spacings, n0, k, dual=True) for k in range(dim + 1))
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise CapacityError(
+            f"cannot allocate a {' x '.join(map(str, shape))} {kind} grid: {exc}"
+        ) from exc
 
     mesh = MeshComplex(
-        kind="torus",
-        dimension=2,
-        vertices=vertices,
+        kind=kind,
+        dimension=dim,
+        vertices=np.column_stack(coords) if dim > 1 else coords[0],
         edges=edges,
         faces=faces,
-        incidence=(d1, d2),
-        primal_volumes=(
-            np.ones(n0),
-            np.concatenate([np.full(n0, hx), np.full(n0, hy)]),
-            np.full(n0, hx * hy),
-        ),
-        dual_volumes=(
-            np.full(n0, hx * hy),
-            np.concatenate([np.full(n0, hy), np.full(n0, hx)]),
-            np.ones(n0),
-        ),
-        lengths=(lx, ly),
-        grid_shape=(nx, ny),
-        spacings=(hx, hy),
+        incidence=tuple(incidence),
+        primal_volumes=primal,
+        dual_volumes=dual,
+        lengths=tuple(lengths),
+        grid_shape=shape,
+        spacings=spacings,
     )
     _check_chain_complex(mesh)
     return mesh
+
+
+def _family_volumes(spacings: Tuple[float, ...], n0: int, k: int, dual: bool) -> np.ndarray:
+    """Degree-k cell volumes: one block of n0 per family, a choice S of k axes.
+
+    A cell spans the axes in S: its primal volume is the product of h_a over
+    S, its dual volume the product over the other axes.
+    """
+    axes = range(len(spacings))
+    return np.concatenate([
+        np.full(n0, math.prod((spacings[a] for a in axes if (a in s) != dual), start=1.0))
+        for s in itertools.combinations(axes, k)
+    ])
+
+
+def _edge_incidence(edges: np.ndarray, n0: int) -> sp.csr_matrix:
+    """Degree-1 boundary: each edge is its head minus its tail."""
+    n1 = len(edges)
+    e = np.arange(n1)
+    return sp.csr_matrix(
+        (np.repeat([-1, 1], n1), (np.concatenate([edges[:, 0], edges[:, 1]]),
+                                  np.concatenate([e, e]))),
+        shape=(n0, n1),
+    )
 
 
 # ======================================================================
@@ -343,10 +338,7 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
     n1 = len(edges)
     edge_id = {tuple(e): i for i, e in enumerate(edge_set)}
 
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([np.arange(n1), np.arange(n1)])
-    vals = np.concatenate([-np.ones(n1, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    d1 = sp.csr_matrix((vals, (rows, cols)), shape=(n0, n1))
+    d1 = _edge_incidence(edges, n0)
 
     r2, c2, v2 = [], [], []
     for fi, (a, b, c) in enumerate(tri):

@@ -322,7 +322,7 @@ def build_model(name: str, params: Dict) -> ModelSpec:
         )
     try:
         return _REGISTRY[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad parameters for model {name!r}: {exc}") from exc
 
 

@@ -8,15 +8,18 @@ d† from a given d, and ``_anticommutator`` forms the graded anticommutator
 Two backends exist on uniform periodic grids:
 
 * ``fd`` — local stencils.  Hodge stars are the diagonal dual/primal volume
-  ratios; the contraction averages incident-edge samples.  Second-order
-  accurate.
+  ratios; the contraction is the incidence pattern |boundary| scaled by flow
+  samples, so it averages incident-cell samples.  Second-order accurate.
 * ``fourier`` — circulant operators with exact bandlimited symbols.  The
   mass matrices are the exact "integrate the interpolated mode" forms, so the
   assembled generator reproduces continuum eigenvalues to rounding on every
   resolved mode.  Odd symbols (the edge-to-point resampler used by the
   contraction) have no real value at the Nyquist mode of an even grid and are
   set to zero there — the fd stencil's symbol vanishes at Nyquist as well, so
-  the two backends agree on that convention.
+  the two backends agree on that convention.  Every factor is per axis: a
+  mass block is the Kronecker product of the vertex or edge mass of each
+  axis, and the resampler along axis a is r_a with the identity on the other
+  axes, so the circle is the one-axis case of the torus.
 
 The exterior derivative is the signed incidence transpose in *both* backends:
 integration of forms over cells makes Stokes' theorem an identity, so d is
@@ -29,8 +32,12 @@ Adjointness of the codifferential holds in each backend's own inner product:
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .exceptions import (
     DegreeError,
@@ -149,23 +156,13 @@ def inner_product_matrix(
         return np.diag(hodge_star(mesh, k, noise).values)
 
     _require_fourier_grid(mesh)
-    eps = noise.epsilon
-    if mesh.kind == "circle":
-        s0, s1, _ = _fourier_factors(mesh.grid_shape[0], mesh.lengths[0])
-        return eps ** (k - 0.5) * (s0 if k == 0 else s1)
-
-    (nx, ny), (lx, ly) = mesh.grid_shape, mesh.lengths
-    s0x, s1x, _ = _fourier_factors(nx, lx)
-    s0y, s1y, _ = _fourier_factors(ny, ly)
-    if k == 0:
-        return np.kron(s0x, s0y) / eps
-    if k == 2:
-        return eps * np.kron(s1x, s1y)
-    n0 = nx * ny
-    m = np.zeros((2 * n0, 2 * n0))
-    m[:n0, :n0] = np.kron(s1x, s0y)
-    m[n0:, n0:] = np.kron(s0x, s1y)
-    return m
+    factors = [_fourier_factors(n, length) for n, length in zip(mesh.grid_shape, mesh.lengths)]
+    # one block per cell family (a choice of k axes, in mesh order): the edge
+    # mass along the family's axes, the vertex mass along the others
+    blocks = [functools.reduce(np.kron, [m1 if a in fam else m0
+                                         for a, (m0, m1, _) in enumerate(factors)])
+              for fam in itertools.combinations(range(mesh.dimension), k)]
+    return noise.epsilon ** (k - mesh.dimension / 2.0) * scipy.linalg.block_diag(*blocks)
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +212,10 @@ def interior_product(
     fd backend: each k-cell's cochain value is converted to a pointwise form
     value (divide by the cell measure), contracted with the flow sample on
     the cell, and the results from all k-cells adjacent to a (k-1)-cell are
-    averaged.  On uniform grids this is second-order accurate and makes the
-    Cartan-assembled Lie derivative commute with d exactly.
+    averaged: the incidence pattern |boundary_k| with its stored entries
+    scaled by the flow samples.  On uniform grids this is second-order
+    accurate and makes the Cartan-assembled Lie derivative commute with d
+    exactly.
 
     fourier backend: pseudospectral form diag(flow) @ (exact resampler).
     """
@@ -233,57 +232,35 @@ def interior_product(
     if backend == "fourier":
         return _interior_product_fourier(mesh, flow, k)
 
-    n_lo, n_hi = mesh.n_cells(k - 1), mesh.n_cells(k)
-    mat = np.zeros((n_lo, n_hi))
+    # |boundary| with its stored entries scaled by flow samples (a dense
+    # product would leave -0.0 wherever a structural zero meets a negative sample)
+    pattern = abs(mesh.incidence[k - 1])
     if k == 1:
-        tang = flow.tangential_edge_values(mesh)
-        hlen = mesh.primal_volumes[1]
-        w = tang / (2.0 * hlen)
-        e = np.arange(n_hi)
-        np.add.at(mat, (mesh.edges[:, 0], e), w)
-        np.add.at(mat, (mesh.edges[:, 1], e), w)
-        return mat
+        # each edge's tangential sample, split between its two endpoints
+        w = flow.tangential_edge_values(mesh) / (2.0 * mesh.primal_volumes[1])
+        return (pattern @ sp.diags(w)).toarray()
 
     # k == 2, torus: faces -> edges. A 2-form F dx^dy contracts to
     # A_x F dy - A_y F dx; each face contributes to its four boundary edges
-    # with the transverse flow sample taken on the receiving edge.
-    nx, ny = mesh.grid_shape
-    hx, hy = mesh.spacings
-    n0 = nx * ny
-    trans = flow.transverse_edge_values(mesh)
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    f = ii * ny + jj
-    ex_bot = ii * ny + jj
-    ex_top = ii * ny + (jj + 1) % ny
-    ey_left = n0 + (ii * ny + jj)
-    ey_right = n0 + (((ii + 1) % nx) * ny + jj)
-    np.add.at(mat, (ex_bot, f), -trans[ex_bot] / (2.0 * hy))
-    np.add.at(mat, (ex_top, f), -trans[ex_top] / (2.0 * hy))
-    np.add.at(mat, (ey_left, f), trans[ey_left] / (2.0 * hx))
-    np.add.at(mat, (ey_right, f), trans[ey_right] / (2.0 * hx))
-    return mat
+    # with the transverse flow sample taken on the receiving edge, over twice
+    # that edge's dual length.
+    sign = np.repeat([-1.0, 1.0], mesh.n_cells(0))
+    w = sign * flow.transverse_edge_values(mesh) / (2.0 * mesh.dual_volumes[1])
+    return (sp.diags(w) @ pattern).toarray()
 
 
 def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> np.ndarray:
-    if mesh.kind == "circle":
-        _, _, r = _fourier_factors(mesh.grid_shape[0], mesh.lengths[0])
-        return flow.vertex_values[:, None] * r
-
-    (nx, ny), (lx, ly) = mesh.grid_shape, mesh.lengths
-    _, _, rx = _fourier_factors(nx, lx)
-    _, _, ry = _fourier_factors(ny, ly)
-    n0 = nx * ny
-    rx_full = np.kron(rx, np.eye(ny))
-    ry_full = np.kron(np.eye(nx), ry)
+    factors = [_fourier_factors(n, length) for n, length in zip(mesh.grid_shape, mesh.lengths)]
+    eyes = [np.eye(n) for n in mesh.grid_shape]
+    # resampler along axis a: r_a on that axis, the identity on the others
+    r = [functools.reduce(np.kron, [f[2] if b == a else eyes[b] for b, f in enumerate(factors)])
+         for a in range(mesh.dimension)]
     if k == 1:
-        ax, ay = flow.vertex_values[:, 0], flow.vertex_values[:, 1]
-        return np.hstack([ax[:, None] * rx_full, ay[:, None] * ry_full])
-    trans = flow.transverse_edge_values(mesh)
-    return np.vstack([
-        -trans[:n0, None] * ry_full,
-        trans[n0:, None] * rx_full,
-    ])
+        comps = flow.vertex_values.reshape(mesh.n_cells(0), -1)
+        return np.hstack([comps[:, [a]] * r[a] for a in range(mesh.dimension)])
+    # k == 2, torus: x-edges take -A_y F resampled along y, y-edges A_x F along x
+    trans = flow.transverse_edge_values(mesh).reshape(2, -1)
+    return np.vstack([-trans[0][:, None] * r[1], trans[1][:, None] * r[0]])
 
 
 # ----------------------------------------------------------------------

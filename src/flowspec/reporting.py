@@ -356,13 +356,15 @@ def _build_inline(spec: Dict) -> ModelSpec:
     try:
         if kind == "circle":
             mesh = build_circle_grid(
-                int(mesh_spec["n"]), float(mesh_spec.get("length", 2 * np.pi))
+                _as_int(mesh_spec["n"], "inline mesh.n"),
+                _as_float(mesh_spec.get("length", 2 * np.pi), "inline mesh.length"),
             )
         elif kind == "torus":
             mesh = build_torus_grid(
-                int(mesh_spec["nx"]), int(mesh_spec["ny"]),
-                float(mesh_spec.get("lx", 2 * np.pi)),
-                float(mesh_spec.get("ly", 2 * np.pi)),
+                _as_int(mesh_spec["nx"], "inline mesh.nx"),
+                _as_int(mesh_spec["ny"], "inline mesh.ny"),
+                _as_float(mesh_spec.get("lx", 2 * np.pi), "inline mesh.lx"),
+                _as_float(mesh_spec.get("ly", 2 * np.pi), "inline mesh.ly"),
             )
         else:
             raise ValidationError(f"inline mesh kind must be circle or torus, got {kind!r}")
@@ -399,7 +401,7 @@ def _build_inline(spec: Dict) -> ModelSpec:
             raise ValidationError(
                 "inline flow needs one of: potential, vertex_samples, constant"
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"inline flow: {exc}") from exc
     return ModelSpec(
         name="inline",

@@ -467,16 +467,53 @@ def test_cli_exit_codes(tmp_path, capsys):
     {"model": {"name": "constant_drive_circle",
                "params": {"a": "x", "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
     base_config(out_dir=5),
+    {"inline": {"mesh": {"kind": "circle", "n": 16, "length": float("nan")},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16, "length": float("inf")},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "torus", "nx": 4, "ny": 4, "lx": float("inf")},
+                "flow": {"constant": [1.0, 0.5]}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": float("inf")},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 10**400, "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16},
+                "flow": {"constant": 10**400}, "epsilon": 0.2},
+     "tasks": ["witten"]},
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
         "negative-seed", "model-name-type", "fit-window-scalar", "fit-window-length",
-        "fit-window-type", "fit-window-order", "param-value", "out-dir-type"])
+        "fit-window-type", "fit-window-order", "param-value", "out-dir-type",
+        "nan-length", "inf-length", "torus-inf-length", "inf-size",
+        "param-beyond-float", "constant-beyond-float"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model": {"name": "torus_shear_model",
+               "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 10**8}},
+     "tasks": ["witten"]},
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 1.0, "epsilon": 0.2, "n": 10**16}}, "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 10**16},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+], ids=["torus-model", "circle-model", "inline-circle"])
+def test_cli_unallocatable_grid_exits_3(tmp_path, capsys, cfg):
+    # every size here needs more bytes than any user address space holds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: cannot allocate")
 
 
 def test_cli_negative_seed_override_exits_2(tmp_path, capsys):

@@ -20,8 +20,19 @@ def test_circle_counts_and_volumes():
 def test_circle_rejects_tiny_grids():
     with pytest.raises(fs.InvalidResolutionError):
         fs.build_circle_grid(2, 2 * np.pi)
+    for length in (-1.0, 0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            fs.build_circle_grid(8, length)
     with pytest.raises(ValueError):
-        fs.build_circle_grid(8, -1.0)
+        fs.build_torus_grid(4, 4, 1.0, float("inf"))
+
+
+def test_unallocatable_grid_is_a_capacity_error():
+    # sizes whose cell arrays exceed any user address space: nothing is allocated
+    with pytest.raises(fs.CapacityError, match="cannot allocate"):
+        fs.build_circle_grid(10**16, 2 * np.pi)
+    with pytest.raises(fs.CapacityError, match="3 x 100000000000000000000 torus"):
+        fs.build_torus_grid(3, 10**20, 1.0, 1.0)
 
 
 def test_torus_counts_and_chain_complex():
@@ -36,12 +47,21 @@ def test_torus_counts_and_chain_complex():
     # every face boundary has 4 signed edges
     assert np.all(np.sum(np.abs(d2), axis=0) == 4)
     np.testing.assert_allclose(mesh.total_volume(), 2.0)
-
-
-def test_torus_vertex_layout():
+    # per-family volumes: x-edges span hx across hy, y-edges the reverse
+    hx, hy = mesh.spacings
+    assert (hx, hy) == (1.0 / 5, 2.0 / 7)
+    np.testing.assert_array_equal(mesh.primal_volumes[1], np.repeat([hx, hy], 35))
+    np.testing.assert_array_equal(mesh.dual_volumes[1], np.repeat([hy, hx], 35))
+    np.testing.assert_array_equal(mesh.primal_volumes[2], hx * hy)
+    np.testing.assert_array_equal(mesh.dual_volumes[0], hx * hy)
+    np.testing.assert_array_equal(mesh.primal_volumes[0], 1.0)
+    np.testing.assert_array_equal(mesh.dual_volumes[2], 1.0)
     # vertex (i, j) lives at index i*ny + j
-    assert fs.mesh.torus_vertex_index(2, 3, 5, 7) == 17
-    assert fs.mesh.torus_vertex_index(5, 7, 5, 7) == 0  # wraps
+    np.testing.assert_array_equal(mesh.vertices[17], [2 * hx, 3 * hy])
+    # the x-edge of vertex (4, j) wraps to (0, j); y-edges follow the x block
+    for j in range(7):
+        np.testing.assert_array_equal(mesh.edges[4 * 7 + j], [4 * 7 + j, j])
+    np.testing.assert_array_equal(mesh.edges[35 + 2 * 7 + 6], [2 * 7 + 6, 2 * 7])
 
 
 def test_boundary_matrix_degree_errors():

@@ -16,6 +16,11 @@ def torus(n=6):
     return fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
 
 
+def oblong_torus():
+    # unequal counts and lengths, so a rule that swapped its axes shows
+    return fs.build_torus_grid(5, 7, 1.0, 2.0)
+
+
 def test_backend_normalization():
     assert fs.normalize_backend("fd") == "fd"
     assert fs.normalize_backend("finite-difference") == "fd"
@@ -51,18 +56,18 @@ def test_circle_d0_is_the_difference_stencil():
 
 @pytest.mark.parametrize("backend", ["fd", "fourier"])
 def test_codifferential_is_the_metric_adjoint(backend):
-    mesh = torus(4)
     rng = np.random.default_rng(11)
-    for k in (1, 2):
-        d = fs.exterior_derivative(mesh, k - 1, backend)
-        dd = fs.codifferential(mesh, k, EPS, backend)
-        m_lo = fs.inner_product_matrix(mesh, k - 1, EPS, backend)
-        m_hi = fs.inner_product_matrix(mesh, k, EPS, backend)
-        a = rng.standard_normal(d.shape[1])
-        b = rng.standard_normal(d.shape[0])
-        lhs = (d @ a) @ (m_hi @ b)
-        rhs = a @ (m_lo @ (dd @ b))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    for mesh in (torus(4), oblong_torus()):
+        for k in (1, 2):
+            d = fs.exterior_derivative(mesh, k - 1, backend)
+            dd = fs.codifferential(mesh, k, EPS, backend)
+            m_lo = fs.inner_product_matrix(mesh, k - 1, EPS, backend)
+            m_hi = fs.inner_product_matrix(mesh, k, EPS, backend)
+            a = rng.standard_normal(d.shape[1])
+            b = rng.standard_normal(d.shape[0])
+            lhs = (d @ a) @ (m_hi @ b)
+            rhs = a @ (m_lo @ (dd @ b))
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_codifferential_scales_linearly_with_noise():
@@ -102,15 +107,16 @@ def test_contraction_degree_range():
 
 def test_torus_top_contraction_orientation():
     # F dx^dy against A = (ax, ay) gives ax F on y-edges, -ay F on x-edges
-    mesh = torus(4)
-    n0 = mesh.n_cells(0)
-    flow = fs.flow_from_vertex_samples(mesh, np.tile([2.0, 5.0], (n0, 1)))
-    face_area = mesh.spacings[0] * mesh.spacings[1]
-    iota = fs.interior_product(mesh, flow, 2)
-    out = iota @ np.full(mesh.n_cells(2), face_area)
-    hx, hy = mesh.spacings
-    np.testing.assert_allclose(out[:n0], -5.0 * hx, rtol=1e-13)
-    np.testing.assert_allclose(out[n0:], 2.0 * hy, rtol=1e-13)
+    for mesh in (torus(4), oblong_torus()):
+        n0 = mesh.n_cells(0)
+        flow = fs.flow_from_vertex_samples(mesh, np.tile([2.0, 5.0], (n0, 1)))
+        face_area = mesh.spacings[0] * mesh.spacings[1]
+        hx, hy = mesh.spacings
+        for backend in ("fd", "fourier"):
+            iota = fs.interior_product(mesh, flow, 2, backend)
+            out = iota @ np.full(mesh.n_cells(2), face_area)
+            np.testing.assert_allclose(out[:n0], -5.0 * hx, rtol=1e-13)
+            np.testing.assert_allclose(out[n0:], 2.0 * hy, rtol=1e-13)
 
 
 @pytest.mark.parametrize("backend", ["fd", "fourier"])
@@ -123,13 +129,13 @@ def test_transport_commutes_with_d(backend):
     l1 = fs.lie_derivative(mesh, flow, 1, backend)
     np.testing.assert_allclose(d0 @ l0, l1 @ d0, atol=1e-13)
 
-    mesh = torus(5)
-    flow = fs.flow_from_vertex_samples(mesh, rng.standard_normal((25, 2)))
-    for k in (0, 1):
-        d = fs.exterior_derivative(mesh, k, backend)
-        lo = fs.lie_derivative(mesh, flow, k, backend)
-        hi = fs.lie_derivative(mesh, flow, k + 1, backend)
-        np.testing.assert_allclose(d @ lo, hi @ d, atol=1e-12)
+    for mesh in (torus(5), oblong_torus()):
+        flow = fs.flow_from_vertex_samples(mesh, rng.standard_normal((mesh.n_cells(0), 2)))
+        for k in (0, 1):
+            d = fs.exterior_derivative(mesh, k, backend)
+            lo = fs.lie_derivative(mesh, flow, k, backend)
+            hi = fs.lie_derivative(mesh, flow, k + 1, backend)
+            np.testing.assert_allclose(d @ lo, hi @ d, atol=1e-12)
 
 
 def test_transport_of_constant_drive_is_exact_in_fourier():
@@ -143,6 +149,34 @@ def test_transport_of_constant_drive_is_exact_in_fourier():
     for m in (1, 3, 7):
         wave = np.exp(1j * m * phi)
         np.testing.assert_allclose(l0 @ wave, 1j * m * a * wave, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+def test_oblong_torus_drift_diffusion_symbols(backend):
+    # constant flow on a 5 x 7 torus of sides 1 x 2: every degree carries the
+    # per-axis symbol sum, so a factor applied along the wrong axis shows
+    from flowspec.spectral import _match_nearest
+
+    nx, ny, lx, ly, ax, ay, eps = 5, 7, 1.0, 2.0, 0.7, -0.4, 0.3
+    mesh = fs.build_torus_grid(nx, ny, lx, ly)
+    flow = fs.flow_from_vertex_samples(mesh, np.tile([ax, ay], (nx * ny, 1)))
+    h = fs.assemble_hamiltonian(mesh, flow, fs.NoiseSpec(eps), backend)
+
+    def axis_symbols(n, length):
+        k = np.rint(np.fft.fftfreq(n) * n)
+        if backend == "fourier":
+            kappa = 2 * np.pi * k / length
+            return eps * kappa**2 / 2, kappa
+        theta, step = 2 * np.pi * k / n, length / n
+        return eps * (1 - np.cos(theta)) / step**2, np.sin(theta) / step
+
+    (dx, kx), (dy, ky) = axis_symbols(nx, lx), axis_symbols(ny, ly)
+    sym = ((dx[:, None] + dy[None, :]) - 1j * (ax * kx[:, None] + ay * ky[None, :])).ravel()
+    scale = np.max(np.abs(sym))
+    for k, copies in ((0, 1), (1, 2), (2, 1)):
+        computed = np.linalg.eigvals(h.block(k))
+        _, dist = _match_nearest(np.tile(sym, copies), computed)
+        assert np.max(dist) <= 1e-10 * scale, (k, np.max(dist) / scale)
 
 
 def test_unstructured_mesh_accepts_only_zero_flow():
