@@ -13,7 +13,9 @@ conserved, so the operator is a tuple of square blocks.  The companion charge
 satisfies H = {Q, Qbar}/2 with Q = d.  Both assembly routes use the same d,
 d† and iota, built once per degree, and are compared at every assembly as a
 self-check (the identity is algebraic, so a violation means memory
-corruption, not roundoff).
+corruption, not roundoff).  On fd the pieces, both routes and the comparison
+are CSR, and each block is made dense once, after the check, for LAPACK; on
+fourier every piece is dense, because its circulants are full.
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
 by the top Hodge star is the conventional density generator.
@@ -30,10 +32,11 @@ symmetric blocks, nonsymmetric ``eigvals`` everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import (
     DegreeError,
@@ -46,11 +49,15 @@ from .mesh import MeshComplex, NoiseSpec, hodge_star
 from .operators import (
     _anticommutator,
     _codifferential,
-    exterior_derivative,
+    _dense,
+    _exterior_derivative,
+    _stored,
     inner_product_matrix,
-    interior_product,
     normalize_backend,
 )
+# the contraction builder, in its backend's storage; operators.interior_product
+# is the same builder made dense
+from .operators import _interior_product as interior_product
 
 __all__ = [
     "GradedOperator",
@@ -110,7 +117,7 @@ class GradedOperator:
         scale = max(np.max(np.abs(b)) for b in self.blocks)
         worst = 0.0
         for k in range(self.mesh.dimension):
-            d = exterior_derivative(self.mesh, k, self.backend)
+            d = _exterior_derivative(self.mesh, k, "fd")  # CSR: d is the same on every backend
             r = np.max(np.abs(d @ self.block(k) - self.block(k + 1) @ d))
             worst = max(worst, r)
         return float(worst / max(scale, 1e-300))
@@ -128,11 +135,12 @@ def _deterministic_guard(flow: FlowField, noise: NoiseSpec, allow: bool, what: s
 
 
 def _graded_pieces(mesh, flow, noise, backend):
-    """d_k, d†_{k+1} and iota_{k+1} for k = 0..D-1, each built once."""
+    """d_k, d†_{k+1} and iota_{k+1} for k = 0..D-1, each built once, in the
+    backend's storage (CSR on fd, dense on fourier)."""
     dim = mesh.dimension
-    d = [exterior_derivative(mesh, k) for k in range(dim)]
+    d = [_exterior_derivative(mesh, k, backend) for k in range(dim)]
     if noise.is_deterministic:
-        ddag = [np.zeros(dk.T.shape) for dk in d]
+        ddag = [_stored(sp.csr_matrix(dk.T.shape), backend) for dk in d]
     else:
         ddag = [_codifferential(mesh, d[k], k + 1, noise, backend) for k in range(dim)]
     iota = [interior_product(mesh, flow, k, backend) for k in range(1, dim + 1)]
@@ -167,15 +175,16 @@ def assemble_hamiltonian(
                    for k in range(mesh.dimension + 1))
     op = GradedOperator(blocks, 0, mesh, flow, noise, backend)
     _check_two_routes(op, d, ddag, iota)
-    return op
+    return replace(op, blocks=tuple(_dense(b) for b in blocks))
 
 
 def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:
+    """Compare ``op`` with the charge route; blocks and pieces may be CSR or dense."""
     qbar = [dd - 2.0 * i for dd, i in zip(ddag, iota)]
-    scale = max(max(np.max(np.abs(b)) for b in op.blocks), 1e-300)
+    scale = max(max(abs(b).max() for b in op.blocks), 1e-300)
     for k in op.degrees():
         alt = 0.5 * _anticommutator(d, qbar, k)
-        resid = np.max(np.abs(alt - op.block(k))) / scale
+        resid = abs(alt - op.block(k)).max() / scale
         if resid > _TWO_ROUTE_TOL:
             raise NumericalError(
                 f"generator self-check failed at degree {k}: the charge-route "
@@ -195,7 +204,7 @@ def pseudo_adjoint_charge(
     backend = normalize_backend(backend)
     _deterministic_guard(flow, noise, allow_deterministic, "the conjugate charge")
     _, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
-    blocks = tuple(dd - 2.0 * i for dd, i in zip(ddag, iota))
+    blocks = tuple(_dense(dd - 2.0 * i) for dd, i in zip(ddag, iota))
     return GradedOperator(blocks, -1, mesh, flow, noise, backend)
 
 

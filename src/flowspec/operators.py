@@ -1,9 +1,13 @@
 """Operator blocks between cochain spaces: d, codifferential, contraction, Lie.
 
-Every operator is a plain dense ``np.ndarray``.  ``_codifferential`` builds
-d† from a given d, and ``_anticommutator`` forms the graded anticommutator
-{d, x}_k of d with a degree-lowering operator; the generator assembly in
-``hamiltonian`` uses both on pieces it builds once per degree.
+One builder per piece — ``_exterior_derivative``, ``_codifferential`` and
+``_interior_product`` — returns it in its backend's storage: CSR on fd, whose
+stencils have at most 9 nonzeros per row on the torus, and a dense
+``np.ndarray`` on fourier, whose circulants are full.  ``_anticommutator``
+forms the graded anticommutator {d, x}_k of d with a degree-lowering piece in
+either storage; the generator assembly in ``hamiltonian`` uses the builders
+once per degree.  The public functions return the same builders' output as a
+dense ``np.ndarray``.
 
 Two backends exist on uniform periodic grids:
 
@@ -78,13 +82,27 @@ def normalize_backend(backend: str) -> str:
 
 def exterior_derivative(mesh: MeshComplex, k: int, backend: str = "fd") -> np.ndarray:
     """d_k: degree k -> k+1, the signed incidence transpose (exact, both backends)."""
-    normalize_backend(backend)
+    backend = normalize_backend(backend)
     if not 0 <= k < mesh.dimension:
         raise DegreeError(
             f"exterior derivative undefined at degree {k} on a "
             f"{mesh.dimension}-dimensional mesh"
         )
-    return np.asarray(mesh.boundary_matrix(k + 1).T.todense(), dtype=float)
+    return _dense(_exterior_derivative(mesh, k, backend))
+
+
+def _exterior_derivative(mesh: MeshComplex, k: int, backend: str):
+    """d_k in the backend's storage; its entries are the same in both."""
+    return _stored(mesh.boundary_matrix(k + 1).T.astype(float), backend)
+
+
+def _stored(m: sp.spmatrix, backend: str):
+    """A piece in its backend's storage: CSR on fd, dense on fourier."""
+    return m.tocsr() if backend == "fd" else m.toarray()
+
+
+def _dense(m) -> np.ndarray:
+    return m.toarray() if sp.issparse(m) else m
 
 
 # ----------------------------------------------------------------------
@@ -187,15 +205,22 @@ def codifferential(
             "codifferential requires epsilon > 0 (it scales linearly with the "
             "noise metric and vanishes identically in the deterministic limit)"
         )
-    return _codifferential(mesh, exterior_derivative(mesh, k - 1), k, noise, backend)
+    d = _exterior_derivative(mesh, k - 1, backend)
+    return _dense(_codifferential(mesh, d, k, noise, backend))
 
 
-def _codifferential(mesh: MeshComplex, d: np.ndarray, k: int, noise: NoiseSpec,
-                    backend: str) -> np.ndarray:
-    """d†_k from the given d_{k-1}; fd masses are the diagonal Hodge stars."""
+def _codifferential(mesh: MeshComplex, d, k: int, noise: NoiseSpec, backend: str):
+    """d†_k from the given d_{k-1}, in the same storage.
+
+    fd masses are the diagonal Hodge stars, so d† is d^T with each stored
+    entry (i, j) scaled to d_ji * star_k[j] / star_{k-1}[i].
+    """
     if backend == "fd":
+        dt = d.T.tocoo()
         star_lo = hodge_star(mesh, k - 1, noise).values
-        return (d.T * hodge_star(mesh, k, noise).values) / star_lo[:, None]
+        star_hi = hodge_star(mesh, k, noise).values
+        vals = dt.data * star_hi[dt.col] / star_lo[dt.row]
+        return sp.csr_matrix((vals, (dt.row, dt.col)), shape=dt.shape)
     m_lo = inner_product_matrix(mesh, k - 1, noise, backend)
     return np.linalg.solve(m_lo, d.T @ inner_product_matrix(mesh, k, noise, backend))
 
@@ -222,9 +247,14 @@ def interior_product(
     backend = normalize_backend(backend)
     if not 1 <= k <= mesh.dimension:
         raise DegreeError(f"contraction maps degrees 1..{mesh.dimension}, got {k}")
+    return _dense(_interior_product(mesh, flow, k, backend))
+
+
+def _interior_product(mesh: MeshComplex, flow: FlowField, k: int, backend: str):
+    """iota_A at degree k in the backend's storage."""
     if not mesh.is_structured:
         if flow.is_zero:
-            return np.zeros((mesh.n_cells(k - 1), mesh.n_cells(k)))
+            return _stored(sp.csr_matrix((mesh.n_cells(k - 1), mesh.n_cells(k))), backend)
         raise UnsupportedMeshError(
             "contraction with a nonzero flow needs a structured grid"
         )
@@ -232,13 +262,14 @@ def interior_product(
     if backend == "fourier":
         return _interior_product_fourier(mesh, flow, k)
 
-    # |boundary| with its stored entries scaled by flow samples (a dense
-    # product would leave -0.0 wherever a structural zero meets a negative sample)
-    pattern = abs(mesh.incidence[k - 1])
+    # |boundary| with its stored entries scaled by flow samples; the rows keep
+    # the incidence's sorted order, so products with it sum in index order
+    pattern = abs(mesh.incidence[k - 1]).astype(float)
     if k == 1:
         # each edge's tangential sample, split between its two endpoints
         w = flow.tangential_edge_values(mesh) / (2.0 * mesh.primal_volumes[1])
-        return (pattern @ sp.diags(w)).toarray()
+        pattern.data *= w[pattern.indices]
+        return pattern
 
     # k == 2, torus: faces -> edges. A 2-form F dx^dy contracts to
     # A_x F dy - A_y F dx; each face contributes to its four boundary edges
@@ -246,7 +277,8 @@ def interior_product(
     # that edge's dual length.
     sign = np.repeat([-1.0, 1.0], mesh.n_cells(0))
     w = sign * flow.transverse_edge_values(mesh) / (2.0 * mesh.dual_volumes[1])
-    return (sp.diags(w) @ pattern).toarray()
+    pattern.data *= np.repeat(w, np.diff(pattern.indptr))
+    return pattern
 
 
 def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> np.ndarray:
@@ -267,11 +299,12 @@ def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> np.
 # Lie derivative (Cartan assembly)
 # ----------------------------------------------------------------------
 
-def _anticommutator(d, x, k: int) -> np.ndarray:
+def _anticommutator(d, x, k: int):
     """Graded anticommutator {d, x}_k = x_k d_k + d_{k-1} x_{k-1}.
 
     ``d[j]`` maps degree j to j+1 and ``x[j]`` maps degree j+1 to j, for
-    j = 0..D-1; a term whose degree falls outside that range is dropped.
+    j = 0..D-1; a term whose degree falls outside that range is dropped.  The
+    result has the storage of the pieces: CSR from CSR, dense from dense.
     """
     if k == 0:
         return x[0] @ d[0]
@@ -293,13 +326,9 @@ def lie_derivative(
     backend = normalize_backend(backend)
     if not 0 <= k <= mesh.dimension:
         raise DegreeError(f"degree {k} out of range for the Lie derivative")
-    if not mesh.is_structured and not flow.is_zero:
-        raise UnsupportedMeshError(
-            "Lie derivative along a nonzero flow needs a structured grid"
-        )
     near = (k - 1, k)  # the only pieces {d, iota}_k reads
-    d = [exterior_derivative(mesh, j) if j in near else None
+    d = [_exterior_derivative(mesh, j, backend) if j in near else None
          for j in range(mesh.dimension)]
-    iota = [interior_product(mesh, flow, j + 1, backend) if j in near else None
+    iota = [_interior_product(mesh, flow, j + 1, backend) if j in near else None
             for j in range(mesh.dimension)]
-    return _anticommutator(d, iota, k)
+    return _dense(_anticommutator(d, iota, k))

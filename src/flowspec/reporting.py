@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -323,10 +324,13 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+    """An integer read like a model size: 16.7, 16.0, "16" and true are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_object(value, what: str) -> Dict:

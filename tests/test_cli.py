@@ -498,6 +498,39 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _inline_circle(n):
+    return {"inline": {"mesh": {"kind": "circle", "n": n},
+                       "flow": {"constant": 1.0}, "epsilon": 0.2},
+            "tasks": ["witten"]}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (_inline_circle(16.7), "inline mesh.n"),
+    (_inline_circle(16.0), "inline mesh.n"),
+    (_inline_circle("16"), "inline mesh.n"),
+    (_inline_circle(True), "inline mesh.n"),
+    ({"inline": {"mesh": {"kind": "torus", "nx": 4.5, "ny": 4},
+                 "flow": {"constant": [1.0, 0.5]}, "epsilon": 0.2},
+      "tasks": ["witten"]}, "inline mesh.nx"),
+    (base_config(tasks=["simulate"], simulate={"steps": 10.5, "n_paths": 2}), "simulate.steps"),
+    (base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": True}), "simulate.n_paths"),
+    (base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "bins": "64"}),
+     "simulate.bins"),
+    (base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "store_every": 1.0}),
+     "simulate.store_every"),
+    (base_config(tasks=["simulate"], simulate={"steps": 10, "n_paths": 2, "seed": 1.5}),
+     "simulate.seed"),
+], ids=["inline-n-fraction", "inline-n-float", "inline-n-string", "inline-n-bool",
+        "inline-nx-fraction", "steps-fraction", "n-paths-bool", "bins-string",
+        "store-every-float", "seed-fraction"])
+def test_cli_non_integer_count_exits_2(tmp_path, capsys, cfg, field):
+    # counts and sizes follow the model-parameter rule: nothing is truncated
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be an integer")
+
+
 @pytest.mark.parametrize("cfg", [
     {"model": {"name": "torus_shear_model",
                "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 10**8}},

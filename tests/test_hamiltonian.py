@@ -99,6 +99,96 @@ def test_two_route_check_refuses_a_corrupted_block():
         _check_two_routes(dataclasses.replace(h, blocks=(h.block(0), bad)), *pieces)
 
 
+def _in_index_order(a, b):
+    """a @ b with each entry's terms summed in ascending inner index.
+
+    That is the order a CSR product with sorted rows sums in; BLAS picks its
+    own order, so it agrees with the CSR product to roundoff only.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for j in range(a.shape[1]):
+        out += np.outer(a[:, j], b[j])
+    return out
+
+
+def _dense_generator(mesh, flow, noise, matmul):
+    """H_k = {d, d†}_k / 2 - {d, iota}_k from dense pieces: d from the incidence,
+    d† from the Hodge star vectors, iota the |incidence| pattern times flow samples."""
+    from flowspec.mesh import hodge_star
+
+    dim = mesh.dimension
+    incidence = [mesh.boundary_matrix(k + 1).toarray().astype(float) for k in range(dim)]
+    d = [b.T for b in incidence]
+    star = [hodge_star(mesh, k, noise).values for k in range(dim + 1)]
+    ddag = [(d[k].T * star[k + 1]) / star[k][:, None] for k in range(dim)]
+    if flow.is_zero:
+        iota = [np.zeros(b.shape) for b in incidence]
+    else:
+        iota = [np.abs(incidence[0])
+                * (flow.tangential_edge_values(mesh) / (2 * mesh.primal_volumes[1]))]
+        if dim == 2:
+            sign = np.repeat([-1.0, 1.0], mesh.n_cells(0))
+            w = sign * flow.transverse_edge_values(mesh) / (2 * mesh.dual_volumes[1])
+            iota.append(w[:, None] * np.abs(incidence[1]))
+
+    def anticommutator(x, k):
+        terms = ([matmul(x[k], d[k])] if k < dim else []) + \
+                ([matmul(d[k - 1], x[k - 1])] if k > 0 else [])
+        return sum(terms[1:], terms[0])
+
+    return [0.5 * anticommutator(ddag, k) - anticommutator(iota, k) for k in range(dim + 1)]
+
+
+def _exactness_cases():
+    torus = fs.build_torus_grid(5, 7, 1.0, 2.0)
+    x, y = np.asarray(torus.vertices).T
+    w = 0.8 * np.cos(2 * np.pi * x) + 0.5 * np.sin(np.pi * y)
+    sphere = fs.icosphere(2)
+    cases = [
+        pytest.param(torus, fs.langevin_flow(torus, w, fs.NoiseSpec(0.05)), 0.05,
+                     id="torus-langevin"),
+        pytest.param(torus, fs.flow_from_vertex_samples(torus, np.tile([0.7, -0.4], (35, 1))),
+                     0.3, id="torus-constant"),
+        pytest.param(sphere, fs.zero_flow(sphere), 0.7, id="icosphere-zero"),
+    ]
+    for n in (17, 384):
+        circle = fs.build_circle_grid(n, 2 * np.pi)
+        samples = np.random.default_rng(n).standard_normal(n)
+        cases.append(pytest.param(circle, fs.flow_from_vertex_samples(circle, samples), 0.3,
+                                  id=f"circle-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("mesh, flow, eps", _exactness_cases())
+def test_sparse_assembly_matches_a_dense_reference(mesh, flow, eps):
+    noise = fs.NoiseSpec(eps)
+    h = fs.assemble_hamiltonian(mesh, flow, noise)
+    exact = _dense_generator(mesh, flow, noise, _in_index_order)
+    blas = _dense_generator(mesh, flow, noise, np.matmul)
+    for k in h.degrees():
+        assert isinstance(h.block(k), np.ndarray)
+        assert np.array_equal(h.block(k), exact[k]), k
+        scale = np.max(np.abs(blas[k]))
+        assert np.max(np.abs(h.block(k) - blas[k])) <= 1e-15 * scale, k
+
+
+def test_fd_assembly_peak_is_within_twice_its_dense_blocks():
+    # the pieces, both routes and the check are CSR; only the blocks are dense
+    import tracemalloc
+
+    model = fs.build_model("torus_shear_model",
+                           {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 24})
+    tracemalloc.start()
+    try:
+        op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = sum(b.nbytes for b in op.blocks)
+    assert [b.shape[0] for b in op.blocks] == [576, 1152, 576]
+    assert peak <= 2 * dense, f"peak {peak / dense:.2f}x the dense blocks"
+
+
 def test_circle_blocks_are_isospectral():
     mesh, flow, noise = circle_setup(24)
     h = fs.assemble_hamiltonian(mesh, flow, noise)
