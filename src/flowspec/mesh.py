@@ -147,6 +147,18 @@ class MeshComplex:
             raise DegreeError(f"no boundary matrix at degree {k}")
         return self.incidence[k - 1]
 
+    def cochain_shape(self, k: int) -> Optional[Tuple[int, ...]]:
+        """Shape ``(f, *grid_shape)`` that a degree-``k`` cochain of a periodic
+        grid reshapes to, or ``None`` on a surface.
+
+        The f = C(D, k) cell families (one per choice of k axes) follow one
+        another, each with n0 cells in C order of ``grid_shape`` (module
+        docstring), so a translation by t moves cell (a, x) to (a, x + t).
+        """
+        if not self.is_structured:
+            return None
+        return (math.comb(self.dimension, k),) + self.grid_shape
+
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** k * self.n_cells(k) for k in range(self.dimension + 1)))
 

@@ -13,14 +13,19 @@ the same clusters: by centroid (Re, Im), then by degree, then (Re, Im), so
 that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
-Eigenvalue-only solves (``_block_eigenvalues``) take one of three routes.
-An fd block of a declared gradient flow at epsilon > 0 whose diagonal
-similarity to symmetric form is exact (asymmetry within 1e-10, measured by
-``hamiltonian._symmetric_form``: every circle degree, the torus degree 0)
-is solved in that form: at degree 0 as the squared singular values of an
-edge factor B with B^T B = S (the small tunnelling gaps come out with high
-relative accuracy and the zero mode is exact), at other degrees with
-``eigvalsh``.  Everything else goes to nonsymmetric ``eigvals``.
+Eigenvalue-only solves (``_block_eigenvalues``) take one of four routes,
+tried in this order.  An fd block of a declared gradient flow at
+epsilon > 0 whose diagonal similarity to symmetric form is exact (asymmetry
+within 1e-10, measured by ``hamiltonian._symmetric_form``: every circle
+degree, the torus degree 0) is solved in that form: at degree 0 as the
+squared singular values of an edge factor B with B^T B = S (``svdvals``; the
+small tunnelling gaps come out with high relative accuracy and the zero mode
+is exact), at other degrees with ``eigvalsh``.  A block on a periodic grid
+that is translation-invariant (``_bloch_symbols``: exactly on fd, within
+roundoff on fourier; the constant flows on the circle and the torus) is
+solved per wavevector (``bloch``), as the eigenvalues of its f x f symbol
+matrices, f the number of cell families.  Everything else goes to
+nonsymmetric ``eigvals``.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
@@ -48,6 +53,7 @@ matches the mesh Euler characteristic and is independent of the flow.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,6 +90,9 @@ _DENSE_CAP = 8192
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
+# a fourier block's deviation from its translates is about 2 ulp of max|A|
+_TRANSLATION_TOL = 64 * np.finfo(float).eps
+_TRANSLATION_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,8 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     the eigensolver error if LAPACK fails to converge on some block.
     """
     _check_capacity(op.mesh.cell_counts, cap)
-    solved = {k: _lapack(k, scipy.linalg.eig, _finite_block(op, k), left=True, right=True)
+    solved = {k: _lapack(k, scipy.linalg.eig, _finite_block(op, k),
+                         check_finite=False, left=True, right=True)
               for k in op.degrees()}
     report, order = _spectrum_report({k: w for k, (w, _, _) in solved.items()},
                                      op.mesh.dimension)
@@ -186,10 +196,10 @@ def _finite_block(op: GradedOperator, k: int) -> np.ndarray:
 
 
 def _lapack(k: int, solver, a: np.ndarray, **kwargs):
-    """``solver(a)`` for the degree-``k`` block, a convergence failure raised
-    as the eigensolver error."""
+    """``solver(a, **kwargs)`` for the degree-``k`` block, a convergence
+    failure raised as the eigensolver error."""
     try:
-        return solver(a, check_finite=False, **kwargs)
+        return solver(a, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(
             f"eigensolver failed to converge on the degree-{k} block"
@@ -226,14 +236,24 @@ def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
 
 
 def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
-    """Eigenvalues of the degree-``k`` block, by the route its form allows.
+    """Eigenvalues of the degree-``k`` block, by the first route its form allows.
 
-    An fd block of a declared gradient flow at epsilon > 0 whose similarity
-    S = diag(sqrt(eta)) H diag(1/sqrt(eta)) is symmetric within
-    ``_SYMMETRY_TOL`` is solved as (S + S^T)/2: at degree 0 as the squared
-    singular values of its edge factor (see ``_gradient_factor``), elsewhere
-    with ``eigvalsh``.  Every other block, and a degree-0 block that does not
-    factor, goes to LAPACK geev without vectors.
+    1. An fd block of a declared gradient flow at epsilon > 0 whose
+       similarity S = diag(sqrt(eta)) H diag(1/sqrt(eta)) is symmetric within
+       ``_SYMMETRY_TOL`` is solved as (S + S^T)/2: at degree 0 as the squared
+       singular values of its edge factor (``svdvals``, see
+       ``_gradient_factor``), elsewhere, or when degree 0 does not factor,
+       with ``eigvalsh``.
+    2. A translation-invariant block on a periodic grid (``_bloch_symbols``)
+       is solved per wavevector (``bloch``): batched eigenvalues of its n0
+       symbol matrices of size f x f.
+    3. Every other block goes to LAPACK geev without vectors (``eigvals``).
+
+    The routes cut the solve, not the assembly: the capacity cap still
+    applies, because ``hamiltonian`` builds every block dense for its
+    two-route self-check and ``_null_vector`` factors the dense block.  A
+    block invariant along one grid axis only still goes to ``eigvals``, and
+    ``full_spectrum``, the library path and the test oracle, stays dense.
     """
     block = _finite_block(op, k)
     if op.backend == "fd" and op.flow.langevin and not op.noise.is_deterministic:
@@ -242,9 +262,50 @@ def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
             sym = 0.5 * (sym + sym.T)
             factor = _gradient_factor(op.mesh, eta, sym) if k == 0 else None
             if factor is not None:
-                return _lapack(k, scipy.linalg.svdvals, factor) ** 2
-            return _lapack(k, scipy.linalg.eigvalsh, sym)
-    return _lapack(k, scipy.linalg.eigvals, block)
+                return _lapack(k, scipy.linalg.svdvals, factor, check_finite=False) ** 2
+            return _lapack(k, scipy.linalg.eigvalsh, sym, check_finite=False)
+    symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
+    if symbols is not None:
+        return _lapack(k, np.linalg.eigvals, symbols).ravel()
+    return _lapack(k, scipy.linalg.eigvals, block, check_finite=False)
+
+
+def _bloch_symbols(mesh, k: int, block: np.ndarray, exact: bool) -> Optional[np.ndarray]:
+    """Symbol matrices of a translation-invariant degree-``k`` block, one per
+    wavevector, or ``None`` when the block is not invariant.
+
+    With the cells laid out as ``mesh.cochain_shape(k)`` = (f, *grid_shape),
+    the block is invariant when A[(a, x), (b, y)] = c_ab(y - x) for every
+    entry, where c_a is row (a, 0), the origin cell of family a.  The test
+    holds exactly when ``exact`` (fd), else within ``_TRANSLATION_TOL`` of the
+    largest origin-row entry (fourier: its dense circulant products differ
+    from translates at roundoff); a NaN fails it.  It runs over
+    ``_TRANSLATION_CHUNK`` rows at a time, with no block-sized temporary, and
+    stops at the first chunk that fails.  The symbols are the FFT of c over
+    the grid axes, as an (n0, f, f) stack: their eigenvalues over all n0
+    wavevectors are the block's (the transform's sign only permutes them).
+    """
+    shape = mesh.cochain_shape(k)
+    if shape is None:
+        return None
+    f, grid = shape[0], shape[1:]
+    n0 = math.prod(grid)
+    origin = block[::n0]  # row (a, 0) of each family a
+    tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(origin))
+    position = np.unravel_index(np.arange(n0), grid)
+    family = np.arange(f)[:, None] * n0
+    for start in range(0, len(block), _TRANSLATION_CHUNK):
+        chunk = block[start:start + _TRANSLATION_CHUNK]
+        rows = start + np.arange(len(chunk))
+        x = rows % n0
+        # column (b, y) of row (a, x) must equal origin[a, (b, y - x)]
+        shift = np.ravel_multi_index(
+            tuple((p[None, :] - p[x][:, None]) % n for p, n in zip(position, grid)), grid)
+        expected = origin[(rows // n0)[:, None, None], family + shift[:, None, :]]
+        if not np.all(np.abs(chunk - expected.reshape(len(rows), -1)) <= tol):
+            return None
+    symbols = np.fft.fftn(origin.reshape((f,) + shape), axes=tuple(range(2, 2 + len(grid))))
+    return np.moveaxis(symbols.reshape(f, f, n0), 2, 0)
 
 
 def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndarray]:

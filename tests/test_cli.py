@@ -596,7 +596,7 @@ def test_cli_morse_scan_capacity_refused_before_assembly(tmp_path, capsys, monke
 
 
 def test_cli_non_finite_block_exits_3(tmp_path, capsys):
-    # the first level overflows in assembly; the eigensolver must refuse it
+    # the first level overflows in assembly; its self-check must refuse it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_config(tasks=["sweep"],
                                            sweep={"epsilons": [1e308, 1.0]})))

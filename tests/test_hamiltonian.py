@@ -97,6 +97,11 @@ def test_two_route_check_refuses_a_corrupted_block():
     bad[3, 3] += 1e-9 * np.max(np.abs(bad))
     with pytest.raises(fs.NumericalError, match="degree 1"):
         _check_two_routes(dataclasses.replace(h, blocks=(h.block(0), bad)), *pieces)
+    # a NaN compares false against any tolerance, so it must fail the check too
+    bad = h.block(1).copy()
+    bad[3, 3] = np.nan
+    with pytest.raises(fs.NumericalError, match="degree 1"):
+        _check_two_routes(dataclasses.replace(h, blocks=(h.block(0), bad)), *pieces)
 
 
 def _in_index_order(a, b):

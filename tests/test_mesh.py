@@ -64,6 +64,17 @@ def test_torus_counts_and_chain_complex():
     np.testing.assert_array_equal(mesh.edges[35 + 2 * 7 + 6], [2 * 7 + 6, 2 * 7])
 
 
+def test_cochain_shape_is_the_family_major_grid_layout():
+    mesh = fs.build_torus_grid(5, 7, 1.0, 2.0)
+    assert [mesh.cochain_shape(k) for k in range(3)] == [(1, 5, 7), (2, 5, 7), (1, 5, 7)]
+    # cell (a, i, j) of degree 1 is the axis-a edge leaving vertex (i, j)
+    cell = np.arange(70).reshape(mesh.cochain_shape(1))
+    np.testing.assert_array_equal(mesh.edges[cell[1, 2, 6]], [2 * 7 + 6, 2 * 7])
+    np.testing.assert_array_equal(mesh.faces[:, 0], np.arange(35))
+    assert fs.build_circle_grid(9, 1.0).cochain_shape(1) == (1, 9)
+    assert fs.icosphere(0).cochain_shape(0) is None
+
+
 def test_boundary_matrix_degree_errors():
     mesh = fs.build_circle_grid(8, 2 * np.pi)
     with pytest.raises(fs.DegreeError):

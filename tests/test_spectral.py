@@ -112,12 +112,20 @@ def test_capacity_cap(monkeypatch):
 def test_non_finite_block_is_refused_before_lapack(monkeypatch):
     import dataclasses
 
+    import flowspec.spectral
+
     for solver in ("eig", "eigvals", "eigvalsh", "svdvals"):
         monkeypatch.setattr(scipy.linalg, solver, None)
-    # a non-gradient flow, and a gradient flow that would take the symmetric route
+    # the non-finite check runs before the invariance test and the bloch solve
+    monkeypatch.setattr(flowspec.spectral, "_bloch_symbols", None)
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+    # a translation-invariant flow, a gradient flow that would take the
+    # symmetric route, and a non-gradient flow that would take geev
     for name, params in [("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16}),
                          ("langevin_double_well_circle",
-                          {"depth": 1.0, "epsilon": 0.2, "n": 16})]:
+                          {"depth": 1.0, "epsilon": 0.2, "n": 16}),
+                         ("tilted_langevin_circle",
+                          {"depth": 1.0, "tilt": 0.3, "epsilon": 0.2, "n": 16})]:
         model = fs.build_model(name, params)
         op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
         bad = op.blocks[0].copy()
@@ -126,6 +134,24 @@ def test_non_finite_block_is_refused_before_lapack(monkeypatch):
         for solve in (fs.full_spectrum, fs.eigenvalue_spectrum):
             with pytest.raises(fs.NumericalError, match="degree-0 block at noise level 0.2"):
                 solve(op)
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+def test_the_invariance_test_refuses_nan(backend):
+    from flowspec.spectral import _bloch_symbols
+
+    model = fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    block = op.block(1)
+    assert _bloch_symbols(model.mesh, 1, block, exact=backend == "fd") is not None
+    # a NaN in an origin row and in every translate of that entry, then in
+    # one far row only
+    cells = np.arange(len(block)).reshape(model.mesh.cochain_shape(1))
+    everywhere, far = block.copy(), block.copy()
+    everywhere[cells.ravel(), np.roll(cells, -1, axis=2).ravel()] = np.nan
+    far[-1, -1] = np.nan
+    for bad in (everywhere, far):
+        assert _bloch_symbols(model.mesh, 1, bad, exact=backend == "fd") is None
 
 
 REGISTERED = {
@@ -162,13 +188,19 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Records the LAPACK driver that solves each block, by its size."""
+    """Records the route that solves each block, by the block's size: the
+    LAPACK solver, or ``bloch`` for a batched solve of n0 symbols of size f."""
     calls = []
     for solver in ("eigvals", "eigvalsh", "svdvals"):
         def recorded(a, *args, _name=solver, _solve=getattr(scipy.linalg, solver), **kwargs):
             calls.append((_name, a.shape[1]))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(scipy.linalg, solver, recorded)
+
+    def batched(a, _solve=np.linalg.eigvals):
+        calls.append(("bloch", a.shape[0] * a.shape[-1]))
+        return _solve(a)
+    monkeypatch.setattr(np.linalg, "eigvals", batched)
     return calls
 
 
@@ -197,11 +229,111 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
     assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvals", 36)]
 
 
-@pytest.mark.parametrize("name", ["tilted_langevin_circle", "torus_shear_model"])
+@pytest.mark.parametrize("name", ["tilted_langevin_circle"])
 def test_non_gradient_blocks_take_geev(routes, name):
+    # the potential varies along the circle, so no block is translation-invariant
     model = fs.build_model(name, REGISTERED[name])
     fs.eigenvalue_spectrum(fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
     assert [solver for solver, _ in routes] == ["eigvals"] * (model.mesh.dimension + 1)
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+@pytest.mark.parametrize("name", ["constant_drive_circle", "torus_shear_model"])
+def test_translation_invariant_blocks_take_bloch(routes, name, backend):
+    model = fs.build_model(name, REGISTERED[name])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    report = fs.eigenvalue_spectrum(op)
+    assert routes == [("bloch", n) for n in model.mesh.cell_counts]
+    assert fs.oracle_spectrum_residual(model, report, backend) <= model.oracle.rel_tol
+
+
+def bloch_and_dense(op, k, routes):
+    """The degree-``k`` eigenvalues by the bloch route (asserted taken) and by
+    dense ``eigvals`` of the same block, and the larger spectral radius."""
+    from flowspec.spectral import _block_eigenvalues
+
+    routes.clear()
+    bloch = _block_eigenvalues(op, k)
+    assert routes == [("bloch", len(op.block(k)))]
+    dense = scipy.linalg.eigvals(op.block(k))
+    return bloch, dense, max(np.max(np.abs(bloch)), np.max(np.abs(dense)))
+
+
+SHEAR_DRAWS = np.random.default_rng(11).uniform((0.5, 0.25), (1.5, 0.75), size=(3, 2))
+
+
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_bloch_agrees_with_dense_eigvals_on_the_torus(routes, n):
+    from flowspec.spectral import _match_nearest
+
+    for ax, ay in SHEAR_DRAWS:
+        model = fs.build_model("torus_shear_model",
+                               {"ax": ax, "ay": ay, "epsilon": 0.3, "n": n})
+        op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+        for k in op.degrees():
+            bloch, dense, radius = bloch_and_dense(op, k, routes)
+            assert len(bloch) == len(dense)
+            for a, b in ((bloch, dense), (dense, bloch)):
+                assert np.all(_match_nearest(a, b, 1e-13 * radius)[0] >= 0)
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+def test_bloch_agrees_with_dense_eigvals_on_the_circle(routes, backend):
+    from flowspec.spectral import _match_nearest
+
+    model = fs.build_model("constant_drive_circle", {"a": 1.3, "epsilon": 0.2, "n": 64})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    for k in op.degrees():
+        bloch, dense, radius = bloch_and_dense(op, k, routes)
+        for a, b in ((bloch, dense), (dense, bloch)):
+            assert np.all(_match_nearest(a, b, 1e-13 * radius)[0] >= 0)
+
+
+def with_block(op, k, block):
+    import dataclasses
+
+    blocks = list(op.blocks)
+    blocks[k] = block
+    return dataclasses.replace(op, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+def test_a_perturbed_row_far_from_the_origin_falls_through_to_geev(routes, backend):
+    model = fs.build_model("torus_shear_model", REGISTERED["torus_shear_model"])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    bad = op.block(1).copy()
+    # the last row, in the last chunk the invariance test reads; fd must be
+    # exact, so one ulp is enough there
+    if backend == "fd":
+        bad[-1, -1] = np.nextafter(bad[-1, -1], np.inf)
+    else:
+        bad[-1, -1] += 1e-9 * np.max(np.abs(bad))
+    fs.eigenvalue_spectrum(with_block(op, 1, bad))
+    sizes = model.mesh.cell_counts
+    assert routes == [("bloch", sizes[0]), ("eigvals", sizes[1]), ("bloch", sizes[2])]
+
+
+def test_the_bloch_route_reads_the_stencil_not_the_model(routes, tmp_path, monkeypatch):
+    import flowspec.reporting
+
+    # one origin-row entry of degree 0 moved, and every translate with it: the
+    # block stays invariant, so bloch solves it and the oracle must notice
+    def corrupted(*args, _assemble=flowspec.reporting.assemble_hamiltonian, **kwargs):
+        op = _assemble(*args, **kwargs)
+        bad = op.block(0).copy()
+        cells = np.arange(len(bad)).reshape(op.mesh.grid_shape)
+        bad[cells.ravel(), np.roll(cells, -2, axis=1).ravel()] += 0.1
+        assert np.count_nonzero(bad[0] != op.block(0)[0]) == 1
+        return with_block(op, 0, bad)
+
+    monkeypatch.setattr(flowspec.reporting, "assemble_hamiltonian", corrupted)
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model", "params": REGISTERED["torus_shear_model"]},
+        "tasks": ["spectrum"],
+    })
+    result = fs.run(cfg, out_dir=tmp_path).data["results"]["spectrum"]
+    assert [solver for solver, _ in routes] == ["bloch"] * 3
+    assert result["oracle_satisfied"] is False
 
 
 def mpmath_smallest_pair(block, dps=50, steps=12, shift=-1e-3):
