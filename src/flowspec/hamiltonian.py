@@ -25,12 +25,8 @@ form: exactly on every circle degree and on the torus degree 0, not on the
 torus degrees 1 and 2, whose edge families no diagonal weight reconciles.
 One helper, ``_symmetric_form``, builds the weights and measures the
 asymmetry left; ``hermitianize_langevin`` returns the transformed operator,
-and the eigensolver (``spectral._block_eigenvalues``) picks its route from
-the same measurement and then from the block's translation invariance, in
-this order: a factored SVD at degree 0 and ``eigvalsh`` on the other
-symmetric blocks; a per-wavevector (Bloch) solve of the blocks a constant
-flow gives on a periodic grid, on either backend; nonsymmetric ``eigvals``
-everywhere else.
+and the eigensolver uses the same measurement to pick its route (the routes
+and their order are described in ``spectral``).
 """
 
 from __future__ import annotations
@@ -281,9 +277,7 @@ def hermitianize_langevin(
 
     Runs use the same weights without calling this: the eigensolver solves
     each fd block of a declared gradient flow in this form when its measured
-    asymmetry is within 1e-10, as ``svdvals`` of an edge factor at degree 0
-    and with ``eigvalsh`` at the other degrees, and with ``eigvals`` where the
-    similarity is not exact (see ``spectral``).
+    asymmetry is within 1e-10 (see ``spectral`` for the routes).
     """
     if noise.is_deterministic:
         raise DeterministicLimitError("hermitianization requires epsilon > 0")

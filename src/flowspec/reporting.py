@@ -90,9 +90,6 @@ __all__ = [
     "sweep_epsilon",
 ]
 
-TASKS = ("spectrum", "classify", "witten", "stationary", "morse", "simulate", "sweep")
-
-
 # ----------------------------------------------------------------------
 # canonical serialization
 # ----------------------------------------------------------------------
@@ -707,6 +704,7 @@ _TASK_FNS = {
     "simulate": _task_simulate,
     "sweep": _task_sweep,
 }
+TASKS = tuple(_TASK_FNS)
 
 
 # ----------------------------------------------------------------------

@@ -13,19 +13,13 @@ the same clusters: by centroid (Re, Im), then by degree, then (Re, Im), so
 that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
-Eigenvalue-only solves (``_block_eigenvalues``) take one of four routes,
-tried in this order.  An fd block of a declared gradient flow at
-epsilon > 0 whose diagonal similarity to symmetric form is exact (asymmetry
-within 1e-10, measured by ``hamiltonian._symmetric_form``: every circle
-degree, the torus degree 0) is solved in that form: at degree 0 as the
-squared singular values of an edge factor B with B^T B = S (``svdvals``; the
-small tunnelling gaps come out with high relative accuracy and the zero mode
-is exact), at other degrees with ``eigvalsh``.  A block on a periodic grid
-that is translation-invariant (``_bloch_symbols``: exactly on fd, within
-roundoff on fourier; the constant flows on the circle and the torus) is
-solved per wavevector (``bloch``), as the eigenvalues of its f x f symbol
-matrices, f the number of cell families.  Everything else goes to
-nonsymmetric ``eigvals``.
+Eigenvalue-only solves (``_block_eigenvalues``, whose docstring gives the
+test each route makes) take the first route a block's form allows, in this
+order: the symmetric form of an fd gradient-flow block (``svdvals`` of an
+edge factor at degree 0, ``eigvalsh`` elsewhere); one f x f symbol matrix
+per wavevector for a translation-invariant block on a periodic grid
+(``bloch``: the constant flows on the circle and the torus); nonsymmetric
+``eigvals`` for everything else.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
@@ -92,7 +86,6 @@ _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
-_TRANSLATION_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -276,36 +269,36 @@ def _bloch_symbols(mesh, k: int, block: np.ndarray, exact: bool) -> Optional[np.
 
     With the cells laid out as ``mesh.cochain_shape(k)`` = (f, *grid_shape),
     the block is invariant when A[(a, x), (b, y)] = c_ab(y - x) for every
-    entry, where c_a is row (a, 0), the origin cell of family a.  The test
-    holds exactly when ``exact`` (fd), else within ``_TRANSLATION_TOL`` of the
-    largest origin-row entry (fourier: its dense circulant products differ
-    from translates at roundoff); a NaN fails it.  It runs over
-    ``_TRANSLATION_CHUNK`` rows at a time, with no block-sized temporary, and
-    stops at the first chunk that fails.  The symbols are the FFT of c over
-    the grid axes, as an (n0, f, f) stack: their eigenvalues over all n0
-    wavevectors are the block's (the transform's sign only permutes them).
+    entry, where the stencil c_a is row (a, 0), the origin cell of family a.
+    The rows it predicts are one strided view of c, nothing copied: with c
+    tiled twice along each grid axis, the length-n window that starts at
+    n - x on each axis is c(. - x).  The test holds exactly when ``exact``
+    (fd), else within ``_TRANSLATION_TOL`` of the largest stencil entry
+    (fourier: its dense circulant products differ from translates at
+    roundoff); a NaN fails it.  It compares one (a, x_0) slab of rows at a
+    time, with no block-sized temporary, and stops at the first slab that
+    fails.  The symbols are the FFT of c over the grid axes, as an
+    (n0, f, f) stack: their eigenvalues over all n0 wavevectors are the
+    block's (the transform's sign only permutes them).
     """
     shape = mesh.cochain_shape(k)
     if shape is None:
         return None
     f, grid = shape[0], shape[1:]
-    n0 = math.prod(grid)
-    origin = block[::n0]  # row (a, 0) of each family a
-    tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(origin))
-    position = np.unravel_index(np.arange(n0), grid)
-    family = np.arange(f)[:, None] * n0
-    for start in range(0, len(block), _TRANSLATION_CHUNK):
-        chunk = block[start:start + _TRANSLATION_CHUNK]
-        rows = start + np.arange(len(chunk))
-        x = rows % n0
-        # column (b, y) of row (a, x) must equal origin[a, (b, y - x)]
-        shift = np.ravel_multi_index(
-            tuple((p[None, :] - p[x][:, None]) % n for p, n in zip(position, grid)), grid)
-        expected = origin[(rows // n0)[:, None, None], family + shift[:, None, :]]
-        if not np.all(np.abs(chunk - expected.reshape(len(rows), -1)) <= tol):
+    axes = tuple(range(2, 2 + len(grid)))
+    stencil = block[::math.prod(grid)].reshape((f,) + shape)  # rows (a, 0)
+    tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(stencil))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.tile(stencil, (1, 1) + (2,) * len(grid)), grid, axis=axes)
+    # expected[a, x, b, y] = c_ab(y - x), laid out as the block's rows and columns
+    backwards = (slice(None), slice(None)) + tuple(slice(n, 0, -1) for n in grid)
+    expected = np.moveaxis(windows[backwards], 1, 1 + len(grid))
+    rows = block.reshape(expected.shape)
+    for slab in np.ndindex(f, grid[0]):
+        if not np.all(np.abs(rows[slab] - expected[slab]) <= tol):
             return None
-    symbols = np.fft.fftn(origin.reshape((f,) + shape), axes=tuple(range(2, 2 + len(grid))))
-    return np.moveaxis(symbols.reshape(f, f, n0), 2, 0)
+    symbols = np.fft.fftn(stencil, axes=axes)
+    return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
 
 
 def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndarray]:
@@ -363,17 +356,26 @@ def _spectrum_report(per_degree: Dict[int, np.ndarray],
     radius = float(np.max(np.abs(eigenvalue), initial=0.0))
     thr = _CLUSTER_REL * max(radius, 1e-300)
     n = len(eigenvalue)
-    label = _cluster_labels(eigenvalue, thr)
-    size = np.bincount(label, minlength=n)[label]
-    centre_re = np.bincount(label, eigenvalue.real, n)[label] / size
-    centre_im = np.bincount(label, eigenvalue.imag, n)[label] / size
-    by_re = np.argsort(centre_re, kind="stable")
+    label, centre = _cluster_centroids(eigenvalue, thr)
+    by_re = np.argsort(centre.real, kind="stable")
     band = np.empty(n, dtype=int)
-    band[by_re] = np.cumsum(np.diff(centre_re[by_re], prepend=-np.inf) > thr)
-    order = np.lexsort((eigenvalue.imag, eigenvalue.real, degree, label, centre_im, band))
+    band[by_re] = np.cumsum(np.diff(centre.real[by_re], prepend=-np.inf) > thr)
+    order = np.lexsort((eigenvalue.imag, eigenvalue.real, degree, label, centre.imag, band))
     report = SpectrumReport(degree[order], eigenvalue[order], np.zeros(n), None, None,
                             radius, dimension, tuple(len(w) for w in per_degree.values()))
     return report, order
+
+
+def _cluster_centroids(w: np.ndarray, thr: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per eigenvalue, its cluster label (``_cluster_labels``) and the mean
+    of its cluster, the same for every member."""
+    n = len(w)
+    label = _cluster_labels(w, thr)
+    size = np.bincount(label, minlength=n)[label]
+    centre = np.empty(n, dtype=complex)
+    centre.real = np.bincount(label, w.real, n)[label] / size
+    centre.imag = np.bincount(label, w.imag, n)[label] / size
+    return label, centre
 
 
 def _clusters(w: np.ndarray, thr: float) -> List[np.ndarray]:
@@ -656,17 +658,21 @@ def _csv_flags(report: SpectrumReport,
 
     ``pair_id`` links an oscillating eigenvalue with its complex conjugate
     within the same degree (-1 for effectively real eigenvalues);
-    ``physical`` marks the entries with |Gamma| <= tau_gamma.
+    ``physical`` marks the entries with |Gamma| <= tau_gamma.  Conjugates are
+    matched by cluster centroid (``_cluster_centroids``), so members of a
+    cluster degenerate to roundoff tie exactly and pair in report order,
+    whichever solver produced their last bits.
     """
     tau = _default_tau(report, tau_gamma)
     scale = max(report.spectral_radius, 1.0)
     ev = report.eigenvalue
+    centre = _cluster_centroids(ev, _CLUSTER_REL * max(report.spectral_radius, 1e-300))[1]
     pair_ids = np.full(len(ev), -1)
     next_id = 0
     for k in range(report.dimension + 1):
         pos = np.flatnonzero((report.degree == k) & (ev.imag > 1e-10 * scale))
         neg = np.flatnonzero((report.degree == k) & (ev.imag < -1e-10 * scale))
-        j, _ = _match_nearest(np.conj(ev[pos]), ev[neg], 1e-8 * scale)
+        j, _ = _match_nearest(np.conj(centre[pos]), centre[neg], 1e-8 * scale)
         hit = j >= 0
         ids = next_id + np.arange(np.sum(hit))
         pair_ids[pos[hit]] = ids

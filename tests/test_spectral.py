@@ -301,16 +301,56 @@ def with_block(op, k, block):
 def test_a_perturbed_row_far_from_the_origin_falls_through_to_geev(routes, backend):
     model = fs.build_model("torus_shear_model", REGISTERED["torus_shear_model"])
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
-    bad = op.block(1).copy()
-    # the last row, in the last chunk the invariance test reads; fd must be
-    # exact, so one ulp is enough there
-    if backend == "fd":
-        bad[-1, -1] = np.nextafter(bad[-1, -1], np.inf)
-    else:
-        bad[-1, -1] += 1e-9 * np.max(np.abs(bad))
-    fs.eigenvalue_spectrum(with_block(op, 1, bad))
     sizes = model.mesh.cell_counts
-    assert routes == [("bloch", sizes[0]), ("eigvals", sizes[1]), ("bloch", sizes[2])]
+    cells = np.arange(sizes[1]).reshape(model.mesh.cochain_shape(1))
+    # one entry in the last row (the last slab the invariance test reads), in
+    # the family-1 origin row only (the stencil it compares every row with),
+    # and in a row of a middle slab; fd must be exact, so one ulp is enough
+    for row in (cells[-1, -1, -1], cells[1, 0, 0], cells[0, 4, 3]):
+        bad = op.block(1).copy()
+        if backend == "fd":
+            bad[row, row] = np.nextafter(bad[row, row], np.inf)
+        else:
+            bad[row, row] += 1e-9 * np.max(np.abs(bad))
+        routes.clear()
+        fs.eigenvalue_spectrum(with_block(op, 1, bad))
+        assert routes == [("bloch", sizes[0]), ("eigvals", sizes[1]), ("bloch", sizes[2])], row
+
+
+@pytest.mark.parametrize("name, params, k", [
+    ("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 24}, 1),
+    ("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 1024}, 0),
+], ids=["torus_n24_degree1", "circle_n1024_degree0"])
+def test_the_invariance_test_holds_no_block_sized_temporary(name, params, k):
+    import tracemalloc
+
+    from flowspec.spectral import _bloch_symbols
+
+    model = fs.build_model(name, params)
+    block = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise).block(k)
+    tracemalloc.start()
+    try:
+        assert _bloch_symbols(model.mesh, k, block, exact=True) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes / 8, f"peak {peak / block.nbytes:.2f}x the block"
+
+
+def test_csv_pair_ids_do_not_depend_on_the_solver(routes, monkeypatch):
+    import flowspec.spectral
+    from flowspec.spectral import _csv_flags
+
+    # bloch and geev agree to roundoff only; conjugates that are degenerate
+    # to roundoff must still pair the same way
+    model = fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 12})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    bloch = _csv_flags(fs.eigenvalue_spectrum(op))
+    monkeypatch.setattr(flowspec.spectral, "_bloch_symbols", lambda *args, **kwargs: None)
+    dense = _csv_flags(fs.eigenvalue_spectrum(op))
+    assert [solver for solver, _ in routes] == ["bloch"] * 3 + ["eigvals"] * 3
+    for a, b in zip(bloch, dense):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_the_bloch_route_reads_the_stencil_not_the_model(routes, tmp_path, monkeypatch):
