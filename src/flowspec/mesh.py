@@ -34,6 +34,17 @@ the two-axis one; x is axis 0 and the major axis):
   index ``i*ny + j``;
 * a cell that spans the axes S has primal volume prod_{a in S} h_a and dual
   volume prod_{a not in S} h_a.
+
+Triangulated surface layout (one half-edge table, ``_half_edges``):
+
+* face f = (a, b, c) owns the half-edges 3f, 3f+1, 3f+2, running ab, bc, ca
+  (face-major order);
+* the edges are the (lower, higher) vertex pairs in sorted order; a
+  half-edge running from the lower to the higher vertex enters its face's
+  boundary with +1, one running against its edge with -1;
+* ``icosphere`` numbers the midpoint of every edge after the old vertices,
+  in the order in which the face-major half-edges first traverse the edges,
+  and splits (a, b, c) into (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -303,13 +314,16 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
         Embedded vertex positions.
     faces : (n2, 3) array_like of int
         Vertex index triples; all faces must share one orientation (each
-        interior edge traversed once in each direction).
+        interior edge traversed once in each direction).  Integral floats,
+        such as ``np.loadtxt`` returns, are accepted.
 
     Raises
     ------
     TopologyError
-        If some edge is not shared by exactly two faces (non-closed) or the
-        two traversals agree (non-orientable / inconsistent orientation).
+        If a vertex coordinate is not finite, a face index is not an integer
+        or out of range, a face repeats a vertex, some edge is not shared by
+        exactly two faces (non-closed) or the two traversals agree
+        (non-orientable / inconsistent orientation).
 
     Warns
     -----
@@ -319,51 +333,56 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
         consumed downstream and those are robust.
     """
     pts = np.asarray(vertices, dtype=float)
-    tri = np.asarray(faces, dtype=np.int64)
+    tri = np.asarray(faces)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise TopologyError(f"vertices must be (n, 3) points, got shape {pts.shape}")
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise TopologyError(f"faces must be (m, 3) index triples, got shape {tri.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise TopologyError("vertex coordinates must be finite")
+    if tri.dtype.kind == "f" and not np.all(np.isfinite(tri) & (tri == np.round(tri))):
+        raise TopologyError("face indices must be integers")
+    tri = tri.astype(np.int64)
     n0, n2 = len(pts), len(tri)
     if tri.min(initial=0) < 0 or tri.max(initial=-1) >= n0:
         raise TopologyError("face indices out of range")
-    if any(len(set(f)) != 3 for f in tri):
+    tail, head, edges, edge_of, _ = _half_edges(tri)
+    if np.any(tail == head):
         raise TopologyError("degenerate face with repeated vertices")
 
-    # collect oriented half-edges and pair them up
-    half = {}  # (a, b) -> face id
-    for fi, (a, b, c) in enumerate(tri):
-        for u, w in ((a, b), (b, c), (c, a)):
-            if (u, w) in half:
-                raise TopologyError(
-                    f"edge ({u}, {w}) traversed twice in the same direction: "
-                    "triangulation is not consistently oriented"
-                )
-            half[(u, w)] = fi
-    edge_set = sorted({(min(u, w), max(u, w)) for (u, w) in half})
-    for u, w in edge_set:
-        if (u, w) not in half or (w, u) not in half:
-            raise TopologyError(
-                f"edge ({u}, {w}) is not shared by two faces: surface is not closed"
-            )
-    edges = np.array(edge_set, dtype=np.int64)
+    # a closed, consistently oriented surface runs one half-edge along each
+    # edge (lower to higher vertex) and one against it
     n1 = len(edges)
-    edge_id = {tuple(e): i for i, e in enumerate(edge_set)}
+    along = tail < head
+    runs = np.stack([np.bincount(edge_of[along], minlength=n1),
+                     np.bincount(edge_of[~along], minlength=n1)])
+    twice = np.flatnonzero((runs > 1).any(axis=0))
+    if len(twice):
+        e = twice[0]
+        u, w = edges[e] if runs[0, e] > 1 else edges[e, ::-1]
+        raise TopologyError(f"edge ({u}, {w}) traversed twice in the same direction: "
+                            "triangulation is not consistently oriented")
+    if not runs.all():
+        u, w = edges[np.flatnonzero(runs.min(axis=0) == 0)[0]]
+        raise TopologyError(f"edge ({u}, {w}) is not shared by two faces: surface is not closed")
 
     d1 = _edge_incidence(edges, n0)
-
-    r2, c2, v2 = [], [], []
-    for fi, (a, b, c) in enumerate(tri):
-        for u, w in ((a, b), (b, c), (c, a)):
-            lo, hi = (u, w) if u < w else (w, u)
-            r2.append(edge_id[(lo, hi)])
-            c2.append(fi)
-            v2.append(1 if (u, w) == (lo, hi) else -1)
-    d2 = sp.csr_matrix((v2, (r2, c2)), shape=(n1, n2), dtype=np.int64)
-
+    d2 = sp.csr_matrix((np.where(along, 1, -1), (edge_of, np.repeat(np.arange(n2), 3))),
+                       shape=(n1, n2), dtype=np.int64)
     edge_len = np.linalg.norm(pts[edges[:, 1]] - pts[edges[:, 0]], axis=1)
-    face_area = _triangle_areas(pts, tri)
-    dual_len, dual_area = _circumcentric_duals(pts, tri, edges, edge_id)
+    p = pts[tri]
+    face_area = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+
+    # circumcentric duals.  Per half-edge, the distance from the face's
+    # circumcenter to the edge midpoint, signed by the barycentric weight of
+    # the opposite vertex, adds to the dual edge; a quarter of the edge length
+    # times it adds to the dual areas of tail and head (two corner pieces)
+    centers, bary = _circumcenters(p)
+    dist = np.linalg.norm(np.repeat(centers, 3, axis=0) - 0.5 * (pts[tail] + pts[head]), axis=1)
+    piece = np.where(bary[:, [2, 0, 1]].ravel() > 0, dist, -dist)
+    dual_len = np.bincount(edge_of, piece, n1)
+    corner = np.repeat(0.25 * edge_len[edge_of] * piece, 2)
+    dual_area = np.bincount(np.column_stack([tail, head]).ravel(), corner, n0)
 
     bad = int(np.sum(dual_len <= 0)) + int(np.sum(dual_area <= 0))
     if bad:
@@ -388,53 +407,28 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
     return mesh
 
 
-def _triangle_areas(pts: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    p, q, r = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=1)
+def _half_edges(tri: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Half-edge table of a triangle list (surface layout, module docstring).
 
-
-def _circumcenters(pts: np.ndarray, tri: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Circumcenters and their barycentric weights for each triangle."""
-    p, q, r = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    a2 = np.sum((q - r) ** 2, axis=1)   # opposite p
-    b2 = np.sum((p - r) ** 2, axis=1)   # opposite q
-    c2 = np.sum((p - q) ** 2, axis=1)   # opposite r
-    wp = a2 * (b2 + c2 - a2)
-    wq = b2 * (c2 + a2 - b2)
-    wr = c2 * (a2 + b2 - c2)
-    w = np.stack([wp, wq, wr], axis=1)
-    centers = (w[:, :, None] * np.stack([p, q, r], axis=1)).sum(axis=1) / w.sum(
-        axis=1, keepdims=True
+    Returns the tails and heads of the 3 * n2 face-major half-edges, the
+    sorted (lower, higher) edges, the edge of each half-edge, and the first
+    half-edge along each edge.
+    """
+    tail, head = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+    edges, first, edge_of = np.unique(
+        np.column_stack([np.minimum(tail, head), np.maximum(tail, head)]),
+        axis=0, return_index=True, return_inverse=True,
     )
-    return centers, w
+    # numpy 2.0.0 returns the inverse of an axis-0 unique as a column
+    return tail, head, edges, edge_of.ravel(), first
 
 
-def _circumcentric_duals(pts, tri, edges, edge_id):
-    """Signed dual edge lengths and dual vertex areas (circumcentric)."""
-    centers, bary = _circumcenters(pts, tri)
-    n1, n0 = len(edges), len(pts)
-    dual_len = np.zeros(n1)
-    dual_area = np.zeros(n0)
-    for fi, (a, b, c) in enumerate(tri):
-        cf = centers[fi]
-        # per edge of the face: signed distance of the circumcenter to the
-        # edge, positive when it lies on the same side as the opposite vertex
-        # (sign of the opposite barycentric weight)
-        for (u, w), opp_w in (((a, b), bary[fi, 2]), ((b, c), bary[fi, 0]),
-                              ((c, a), bary[fi, 1])):
-            lo, hi = (u, w) if u < w else (w, u)
-            ei = edge_id[(lo, hi)]
-            mid = 0.5 * (pts[u] + pts[w])
-            dist = np.linalg.norm(cf - mid)
-            sgn = 1.0 if opp_w > 0 else -1.0
-            piece = sgn * dist
-            dual_len[ei] += piece
-            # two corner quadrilateral pieces: half edge length times the
-            # signed circumcenter distance, split between both endpoints
-            contrib = 0.5 * (0.5 * np.linalg.norm(pts[w] - pts[u])) * piece
-            dual_area[u] += contrib
-            dual_area[w] += contrib
-    return dual_len, dual_area
+def _circumcenters(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Circumcenters and their barycentric weights of the triangles ``p[f]``."""
+    # squared length of the side opposite each corner
+    sq = np.sum((np.roll(p, -1, axis=1) - np.roll(p, 1, axis=1)) ** 2, axis=2)
+    w = sq * (np.roll(sq, -1, axis=1) + np.roll(sq, 1, axis=1) - sq)
+    return (w[:, :, None] * p).sum(axis=1) / w.sum(axis=1, keepdims=True), w
 
 
 # ---- canonical surface generators ----
@@ -468,25 +462,18 @@ def icosphere(level: int) -> MeshComplex:
     if level < 0:
         raise ValueError("subdivision level must be nonnegative")
     verts, faces = icosahedron()
-    verts = list(map(np.asarray, verts))
     for _ in range(level):
-        midpoint: Dict[Tuple[int, int], int] = {}
-
-        def mid(u: int, w: int) -> int:
-            key = (u, w) if u < w else (w, u)
-            if key not in midpoint:
-                m = verts[u] + verts[w]
-                m /= np.linalg.norm(m)
-                midpoint[key] = len(verts)
-                verts.append(m)
-            return midpoint[key]
-
-        new_faces: List[Tuple[int, int, int]] = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = np.array(new_faces, dtype=np.int64)
-    return build_triangulated_surface(np.array(verts), faces)
+        _, _, edges, edge_of, first = _half_edges(faces)
+        # one midpoint per edge, numbered in order of first traversal
+        order = np.argsort(first)
+        mid = np.empty(len(edges), dtype=np.int64)
+        mid[order] = len(verts) + np.arange(len(edges))
+        m = verts[edges[order, 0]] + verts[edges[order, 1]]
+        # row-wise dot products: the rounding of ``np.linalg.norm`` on one point
+        verts = np.vstack([verts, m / np.sqrt(m[:, None] @ m[:, :, None])[:, 0]])
+        (a, b, c), (ab, bc, ca) = faces.T, mid[edge_of].reshape(-1, 3).T
+        faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
+    return build_triangulated_surface(verts, faces)
 
 
 def load_off(path) -> MeshComplex:
@@ -499,18 +486,22 @@ def load_off(path) -> MeshComplex:
                 tokens.extend(line.split())
     if not tokens or tokens[0].upper() != "OFF":
         raise TopologyError(f"{path}: missing OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])  # edge count in the header is ignored
-    pos = 4
-    verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
-            raise TopologyError(f"{path}: only triangular faces supported, got {k}-gon")
-        faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
-        pos += 1 + k
-    return build_triangulated_surface(verts, np.array(faces, dtype=np.int64))
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])  # edge count in the header is ignored
+        pos = 4
+        verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
+        pos += 3 * nv
+        faces = []
+        for _ in range(nf):
+            k = int(tokens[pos])
+            if k != 3:
+                raise TopologyError(f"{path}: only triangular faces supported, got {k}-gon")
+            faces.append(tuple(int(tokens[pos + i]) for i in (1, 2, 3)))
+            pos += 1 + k
+        faces = np.array(faces, dtype=np.int64)
+    except (IndexError, ValueError) as exc:
+        raise TopologyError(f"{path}: malformed OFF data: {exc}") from exc
+    return build_triangulated_surface(verts, faces)
 
 
 # ======================================================================

@@ -22,10 +22,11 @@ per wavevector for a translation-invariant block on a periodic grid
 ``eigvals`` for everything else.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
-``degree``, ``eigenvalue`` and ``residual`` (the bi-orthonormality residual,
-zero without vectors).  With vectors, ``left[k]`` and ``right[k]`` are the
-degree-k eigenvector matrices, their columns in the order of
-``eigenvalues(k)``.  One packer, ``_spectrum_report``, builds every report
+``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
+zero without vectors) and ``centroid`` (the mean of each entry's cluster,
+which orders the report and pairs conjugates in the CSV).  With vectors,
+``left[k]`` and ``right[k]`` are the degree-k eigenvector matrices, their
+columns in the order of ``eigenvalues(k)``.  One packer, ``_spectrum_report``, builds every report
 from per-degree eigenvalues; ``full_spectrum`` then attaches its vectors.
 Multisets are compared by one greedy nearest-neighbour matcher,
 ``_match_nearest``.  This module writes no files: ``_csv_flags`` gives the
@@ -93,7 +94,8 @@ class SpectrumReport:
     """Eigenvalues of every degree block, as parallel arrays in report order.
 
     ``degree[i]``, ``eigenvalue[i]`` and ``residual[i]`` describe entry i;
-    entries are in the canonical order of ``_spectrum_report``.
+    entries are in the canonical order of ``_spectrum_report``, and
+    ``centroid[i]`` is the mean of entry i's eigenvalue cluster.
     ``residual[i]`` is the worst deviation of the entry's row of the
     left-right Gram matrix from the identity, zero when no vectors were
     computed.  ``left[k]`` and
@@ -105,6 +107,7 @@ class SpectrumReport:
     degree: np.ndarray
     eigenvalue: np.ndarray
     residual: np.ndarray
+    centroid: np.ndarray
     left: Optional[Tuple[np.ndarray, ...]]
     right: Optional[Tuple[np.ndarray, ...]]
     spectral_radius: float
@@ -361,8 +364,9 @@ def _spectrum_report(per_degree: Dict[int, np.ndarray],
     band = np.empty(n, dtype=int)
     band[by_re] = np.cumsum(np.diff(centre.real[by_re], prepend=-np.inf) > thr)
     order = np.lexsort((eigenvalue.imag, eigenvalue.real, degree, label, centre.imag, band))
-    report = SpectrumReport(degree[order], eigenvalue[order], np.zeros(n), None, None,
-                            radius, dimension, tuple(len(w) for w in per_degree.values()))
+    report = SpectrumReport(degree[order], eigenvalue[order], np.zeros(n), centre[order],
+                            None, None, radius, dimension,
+                            tuple(len(w) for w in per_degree.values()))
     return report, order
 
 
@@ -659,14 +663,13 @@ def _csv_flags(report: SpectrumReport,
     ``pair_id`` links an oscillating eigenvalue with its complex conjugate
     within the same degree (-1 for effectively real eigenvalues);
     ``physical`` marks the entries with |Gamma| <= tau_gamma.  Conjugates are
-    matched by cluster centroid (``_cluster_centroids``), so members of a
-    cluster degenerate to roundoff tie exactly and pair in report order,
-    whichever solver produced their last bits.
+    matched by the report's cluster centroids, so members of a cluster
+    degenerate to roundoff tie exactly and pair in report order, whichever
+    solver produced their last bits.
     """
     tau = _default_tau(report, tau_gamma)
     scale = max(report.spectral_radius, 1.0)
-    ev = report.eigenvalue
-    centre = _cluster_centroids(ev, _CLUSTER_REL * max(report.spectral_radius, 1e-300))[1]
+    ev, centre = report.eigenvalue, report.centroid
     pair_ids = np.full(len(ev), -1)
     next_id = 0
     for k in range(report.dimension + 1):

@@ -1,5 +1,7 @@
 """Mesh complexes: counts, chain-complex exactness, duals, metric scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,77 @@ def test_icosphere_dual_areas_cover_the_surface():
     )
 
 
+# SHA-256 of faces, edges and both incidence matrices (CSR indptr, indices,
+# data, each as little-endian int64), frozen from the dict-based builder
+ICOSPHERE_LAYOUT = {
+    0: "494c1d01a285e30029005ca76c74dbc1290439df6c30a8e2b4e15494317026e4",
+    1: "40e7aa866befcc384e375721d4698636d4fa642ea46195d001a10bf4a9534aaa",
+    2: "cc1504eb73e2cd3528ef0899a0acd2075b9a7217a477f84029a85d553c294878",
+    3: "c4669ab8dddd4aec5acff6323b63eda39a557b731f57107480affea8418ad226",
+    4: "0cf29be627661385a8b88aa8c3432bc9741fcfd19850d8ae3cd3974905dc6643",
+}
+
+
+@pytest.mark.parametrize("level", sorted(ICOSPHERE_LAYOUT))
+def test_icosphere_integer_layout_is_frozen(level):
+    mesh = fs.icosphere(level)
+    digest = hashlib.sha256()
+    arrays = [mesh.faces, mesh.edges]
+    for inc in mesh.incidence:
+        csr = inc.tocsr().sorted_indices()
+        arrays += [csr.indptr, csr.indices, csr.data]
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    assert digest.hexdigest() == ICOSPHERE_LAYOUT[level]
+
+
+def test_icosphere_level_4_is_a_sphere():
+    sph = fs.icosphere(4)
+    assert sph.cell_counts == (2562, 7680, 5120)
+    assert sph.euler_characteristic() == 2
+    np.testing.assert_allclose(
+        np.sum(sph.dual_volumes[0]), np.sum(sph.primal_volumes[2]), rtol=1e-13
+    )
+
+
+def test_icosphere_level_3_lengths_are_frozen():
+    # sums frozen from the per-face builder
+    sph = fs.icosphere(3)
+    np.testing.assert_allclose(np.sum(sph.primal_volumes[1]), 289.40103397417363, rtol=1e-13)
+    np.testing.assert_allclose(np.sum(sph.dual_volumes[1]), 167.13001243787355, rtol=1e-13)
+
+
+TETRA_VERTS = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+TETRA_FACES = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_vertex_is_rejected(bad):
+    verts = np.array(TETRA_VERTS, dtype=float)
+    verts[3, 1] = bad
+    with pytest.raises(fs.TopologyError, match="finite"):
+        fs.build_triangulated_surface(verts, TETRA_FACES)
+
+
+def test_non_integral_face_index_is_rejected():
+    faces = np.array(TETRA_FACES, dtype=float)
+    # integral floats, as np.loadtxt returns them, are indices
+    assert fs.build_triangulated_surface(TETRA_VERTS, faces).cell_counts == (4, 6, 4)
+    faces[0, 0] = 0.5
+    with pytest.raises(fs.TopologyError, match="integers"):
+        fs.build_triangulated_surface(TETRA_VERTS, faces)
+    faces[0, 0] = float("nan")
+    with pytest.raises(fs.TopologyError, match="integers"):
+        fs.build_triangulated_surface(TETRA_VERTS, faces)
+
+
+def test_edge_shared_by_three_faces_is_rejected():
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
+    faces = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+    with pytest.raises(fs.TopologyError, match=r"edge \(0, 1\) traversed twice in the same"):
+        fs.build_triangulated_surface(verts, faces)
+
+
 def test_open_surface_is_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     with pytest.raises(fs.TopologyError):
@@ -134,6 +207,21 @@ def test_off_loader_round_trip(tmp_path):
     mesh = fs.load_off(path)
     assert mesh.cell_counts == (12, 30, 20)
     assert mesh.euler_characteristic() == 2
+
+
+@pytest.mark.parametrize("text", [
+    "OFF\n3\n",
+    "OFF\n4 x 0\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 zero\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 1 2\n",
+], ids=["no-counts", "non-numeric-count", "non-numeric-coordinate",
+        "short-vertex-list", "short-face-list"])
+def test_malformed_off_names_the_file(tmp_path, text):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(fs.TopologyError, match="bad.off: malformed OFF data"):
+        fs.load_off(path)
 
 
 def test_noise_spec_validation():
