@@ -54,7 +54,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -320,10 +320,11 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
     Raises
     ------
     TopologyError
-        If a vertex coordinate is not finite, a face index is not an integer
-        or out of range, a face repeats a vertex, some edge is not shared by
-        exactly two faces (non-closed) or the two traversals agree
-        (non-orientable / inconsistent orientation).
+        If a vertex coordinate is not finite, there are no faces, a face
+        index is not an integer or out of range, a vertex lies on no face, a
+        face repeats a vertex, some edge is not shared by exactly two faces
+        (non-closed) or the two traversals agree (non-orientable /
+        inconsistent orientation).
 
     Warns
     -----
@@ -344,8 +345,15 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
         raise TopologyError("face indices must be integers")
     tri = tri.astype(np.int64)
     n0, n2 = len(pts), len(tri)
-    if tri.min(initial=0) < 0 or tri.max(initial=-1) >= n0:
+    if n2 == 0:
+        raise TopologyError("a closed surface needs at least one face")
+    if tri.min() < 0 or tri.max() >= n0:
         raise TopologyError("face indices out of range")
+    # a vertex on no face would get no dual area, hence a zero Hodge star entry
+    lonely = np.flatnonzero(np.bincount(tri.ravel(), minlength=n0) == 0)
+    if len(lonely):
+        raise TopologyError(f"vertex {lonely[0]} lies on no face "
+                            f"({len(lonely)} unreferenced vertices)")
     tail, head, edges, edge_of, _ = _half_edges(tri)
     if np.any(tail == head):
         raise TopologyError("degenerate face with repeated vertices")
@@ -477,20 +485,28 @@ def icosphere(level: int) -> MeshComplex:
 
 
 def load_off(path) -> MeshComplex:
-    """Read an OFF-format triangulation and build its cell complex."""
+    """Read an OFF-format triangulation and build its cell complex.
+
+    The count line (after the ``OFF`` keyword, on its line or the next) must
+    hold the vertex, face and edge counts; the edge count is not used.  The
+    vertex and face records after it are read as one token stream.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        tokens: List[str] = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    if not tokens or tokens[0].upper() != "OFF":
+        lines = [words for words in (line.split("#", 1)[0].split() for line in fh) if words]
+    if not lines or lines[0][0].upper() != "OFF":
         raise TopologyError(f"{path}: missing OFF header")
+    header, body = lines[0], lines[1:]
+    counts = header[1:] or (body.pop(0) if body else [])
+    tokens = [tok for words in body for tok in words]
+    if len(counts) != 3:
+        raise TopologyError(f"{path}: malformed OFF data: count line {' '.join(counts)!r} "
+                            "must hold the vertex, face and edge counts")
     try:
-        nv, nf = int(tokens[1]), int(tokens[2])  # edge count in the header is ignored
-        pos = 4
-        verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-        pos += 3 * nv
+        nv, nf = int(counts[0]), int(counts[1])
+        if min(nv, nf) < 0:
+            raise ValueError(f"negative count in {' '.join(counts)!r}")
+        verts = np.array(tokens[: 3 * nv], dtype=float).reshape(nv, 3)
+        pos = 3 * nv
         faces = []
         for _ in range(nf):
             k = int(tokens[pos])

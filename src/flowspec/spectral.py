@@ -87,6 +87,7 @@ _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
+_INVARIANCE_CHUNK = 1 << 14  # block entries compared at a time by the invariance test
 
 
 @dataclass(frozen=True)
@@ -278,11 +279,12 @@ def _bloch_symbols(mesh, k: int, block: np.ndarray, exact: bool) -> Optional[np.
     n - x on each axis is c(. - x).  The test holds exactly when ``exact``
     (fd), else within ``_TRANSLATION_TOL`` of the largest stencil entry
     (fourier: its dense circulant products differ from translates at
-    roundoff); a NaN fails it.  It compares one (a, x_0) slab of rows at a
-    time, with no block-sized temporary, and stops at the first slab that
-    fails.  The symbols are the FFT of c over the grid axes, as an
-    (n0, f, f) stack: their eigenvalues over all n0 wavevectors are the
-    block's (the transform's sign only permutes them).
+    roundoff); a NaN fails it.  It compares whole (a, x_0) slabs of rows,
+    several at a time where a slab is short (one-axis grids), with no
+    block-sized temporary, and stops at the first chunk that fails.  The
+    symbols are the FFT of c over the grid axes, as an (n0, f, f) stack:
+    their eigenvalues over all n0 wavevectors are the block's (the
+    transform's sign only permutes them).
     """
     shape = mesh.cochain_shape(k)
     if shape is None:
@@ -297,9 +299,13 @@ def _bloch_symbols(mesh, k: int, block: np.ndarray, exact: bool) -> Optional[np.
     backwards = (slice(None), slice(None)) + tuple(slice(n, 0, -1) for n in grid)
     expected = np.moveaxis(windows[backwards], 1, 1 + len(grid))
     rows = block.reshape(expected.shape)
-    for slab in np.ndindex(f, grid[0]):
-        if not np.all(np.abs(rows[slab] - expected[slab]) <= tol):
-            return None
+    # whole (a, x_0) slabs, as many at a time as fit _INVARIANCE_CHUNK entries
+    step = max(1, _INVARIANCE_CHUNK // rows[0, 0].size)
+    for a in range(f):
+        for lo in range(0, grid[0], step):
+            span = (a, slice(lo, lo + step))
+            if not np.all(np.abs(rows[span] - expected[span]) <= tol):
+                return None
     symbols = np.fft.fftn(stencil, axes=axes)
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
 

@@ -5,7 +5,11 @@ independent standard-normal increments per path and step.  Every path owns a
 counter-based generator spawned from one seed, so results are bit-identical
 for a fixed seed regardless of how many paths run.  Positions are stored
 wrapped into the fundamental domain together with integer winding numbers,
-from which unwrapped trajectories are reconstructed exactly.
+from which unwrapped trajectories are reconstructed exactly.  The store is
+time-major, (n_stored, n_paths, dim), so each step writes one contiguous row
+(and the increments come from one reused, time-major noise buffer);
+``TrajectoryEnsemble`` exposes it through transposed views of shape
+(n_paths, n_stored, dim).
 
 Estimators:
 
@@ -13,7 +17,13 @@ Estimators:
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
   of the evolution operator seen from sample paths); it streams over blocks
-  of whole paths, so its memory scales with one block, not the ensemble;
+  of whole paths, so its memory scales with one block, not the ensemble.
+  A fixed pool of two worker threads (``_WORKERS``, not a setting) computes
+  the blocks, each on half the block budget, so the two in flight hold
+  about what one full block would; the main thread adds their partial sums
+  in block order, so the result does not depend on thread timing or the
+  host's core count.  A custom ``observable`` is therefore called from
+  worker threads;
 * ``mean_squared_displacement`` / ``drift_velocity`` — moment diagnostics
   on unwrapped paths.
 """
@@ -21,6 +31,7 @@ Estimators:
 from __future__ import annotations
 
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -52,6 +63,7 @@ _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
 _CHUNK_SCALARS = 4_000_000  # noise buffer budget (doubles)
 _FFT_BLOCK_SCALARS = 1_000_000  # autocovariance block budget (complex scalars)
+_WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release the GIL
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,7 @@ class TrajectoryEnsemble:
     ``positions`` has shape (n_paths, n_stored, dim) with every coordinate
     in [0, period); ``windings`` holds the integer number of full turns, so
     ``positions + windings * periods`` is the exact unwrapped trajectory.
+    Both are transposed views of time-major stores, not C-contiguous.
     """
 
     positions: np.ndarray
@@ -158,9 +171,12 @@ def simulate_sde(
             )
 
     n_stored = steps // store_every + 1
+    chunk_steps = max(1, min(steps, _CHUNK_SCALARS // (n_paths * dim)))
     try:
-        positions = np.empty((n_paths, n_stored, dim))
-        windings = np.empty((n_paths, n_stored, dim), dtype=np.int32)
+        # time-major: every stored step and every noise row is one contiguous row
+        positions = np.empty((n_stored, n_paths, dim))
+        windings = np.empty((n_stored, n_paths, dim), dtype=np.int32)
+        noise = np.empty((chunk_steps, n_paths, dim))
     except (ValueError, MemoryError) as exc:
         raise CapacityError(
             f"cannot store {n_paths} paths x {n_stored} states x {dim} axes: {exc}"
@@ -169,22 +185,20 @@ def simulate_sde(
 
     def store(slot, state):
         turns = np.floor(state / periods_arr)
-        windings[:, slot, :] = turns.astype(np.int32)
-        positions[:, slot, :] = state - turns * periods_arr
+        windings[slot] = turns
+        positions[slot] = state - turns * periods_arr
 
     store(0, x)
     gens = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(seed).spawn(n_paths)]
     amp = np.sqrt(eps * dt)
-    chunk_steps = max(1, min(steps, _CHUNK_SCALARS // (n_paths * dim)))
 
     done = 0
     slot = 1
     while done < steps:
         m = min(chunk_steps, steps - done)
-        noise = np.empty((m, n_paths, dim))
         for p, g in enumerate(gens):
-            noise[:, p, :] = g.standard_normal((m, dim))
+            noise[:m, p, :] = g.standard_normal((m, dim))
         for t in range(m):
             a = np.asarray(model.drift(x[:, 0] if dim == 1 else x), dtype=float)
             x = x - a.reshape(x.shape) * dt + amp * noise[t]
@@ -194,8 +208,8 @@ def simulate_sde(
                 slot += 1
 
     return TrajectoryEnsemble(
-        positions=positions,
-        windings=windings,
+        positions=positions.transpose(1, 0, 2),
+        windings=windings.transpose(1, 0, 2),
         dt=float(dt),
         store_every=int(store_every),
         n_steps=int(steps),
@@ -229,7 +243,8 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
     if bins < 2:
         raise ValidationError(f"need at least 2 bins, got {bins}")
     start = int(np.ceil(_BURN_IN_FRACTION * ensemble.n_stored))
-    samples = ensemble.positions[:, start:, 0].ravel()
+    # in memory order: a view of the time-major store, not a copy
+    samples = ensemble.positions[:, start:, 0].ravel(order="K")
     if samples.size < _MIN_HISTOGRAM_SAMPLES:
         raise InsufficientSamplesError(
             f"{samples.size} samples after burn-in; at least "
@@ -275,19 +290,30 @@ def _ensemble_autocovariance(positions: np.ndarray, observable):
     """Path-averaged C(tau), tau < T, and per-path means for (paths, T, dim) positions.
 
     Wiener-Khinchin: |FFT|^2 is summed over blocks of whole paths, then inverted once.
+    The blocks run on a fixed pool of ``_WORKERS`` threads; the main thread adds
+    their partial sums in block order, so the result does not depend on timing.
     """
     n_paths, t_len = positions.shape[:2]
     nfft = 1 << int(np.ceil(np.log2(2 * t_len)))
-    block = max(1, _FFT_BLOCK_SCALARS // nfft)
-    power, means = np.zeros(nfft), np.empty(n_paths, dtype=complex)
-    for a in range(0, n_paths, block):
-        chunk = positions[a:a + block]
-        series = np.asarray(observable(chunk), dtype=complex)
-        if series.shape != chunk.shape[:2]:
+    # the budget is shared by the blocks in flight
+    block = max(1, _FFT_BLOCK_SCALARS // nfft // _WORKERS)
+    starts = range(0, n_paths, block)
+
+    def block_sums(a):
+        paths = positions[a:a + block]
+        # the observable gets a path-major copy, freed before the FFT: both
+        # then run along contiguous rows
+        series = np.asarray(observable(np.ascontiguousarray(paths)), dtype=complex)
+        if series.shape != paths.shape[:2]:
             raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
-        means[a:a + block] = series.mean(axis=1)
         f = np.fft.fft(series, n=nfft, axis=1)
-        power += (f.real**2 + f.imag**2).sum(axis=0)
+        return (f.real**2 + f.imag**2).sum(axis=0), series.mean(axis=1)
+
+    power, means = np.zeros(nfft), np.empty(n_paths, dtype=complex)
+    with futures.ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        for a, (part, block_means) in zip(starts, pool.map(block_sums, starts)):
+            power += part
+            means[a:a + block] = block_means
     # path mean of sum_t O(t+tau) O*(t), normalized by the overlap count
     return np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len)), means
 
@@ -302,7 +328,8 @@ def autocorrelation_decay(
 
     The observable is a state function applied to blocks of whole paths,
     (paths, times, dim) -> (paths, times), so estimator memory scales with
-    the block, not the ensemble.  It must have zero stationary mean
+    the block, not the ensemble; two worker threads call it at once, so it
+    must be thread-safe.  It must have zero stationary mean
     (default: the first harmonic ``exp(i phi)``); the ensemble should start
     from the stationary distribution so no burn-in is discarded by default;
     ``burn_in_fraction``, in [0, 1), drops that share of every path's start.

@@ -576,6 +576,20 @@ def test_cli_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch, cfg
     assert "dense-solver cap" in capsys.readouterr().err
 
 
+def test_cli_off_surface_with_an_unreferenced_vertex_exits_2(tmp_path, capsys, monkeypatch):
+    import flowspec.reporting
+
+    # no config names a mesh file, so the run's model build reads the OFF file
+    off = tmp_path / "tetra.off"
+    off.write_text("OFF\n5 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n5 5 5\n"
+                   "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+    monkeypatch.setattr(flowspec.reporting, "_resolve_model", lambda config: fs.load_off(off))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "vertex 4 lies on no face" in capsys.readouterr().err
+
+
 def test_cli_morse_scan_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch):
     # the scan needs degree 0 only, but the run's levels are refused at the same cap
     import flowspec.morse

@@ -184,6 +184,21 @@ def test_open_surface_is_rejected():
         fs.build_triangulated_surface(verts, [[0, 1, 2]])
 
 
+def test_empty_face_list_is_rejected():
+    with pytest.raises(fs.TopologyError, match="at least one face"):
+        fs.build_triangulated_surface(np.zeros((3, 3)), np.zeros((0, 3)))
+
+
+def test_vertex_on_no_face_is_rejected():
+    # a closed tetrahedron plus one vertex that no face uses: it would get a
+    # zero dual area and so a zero degree-0 Hodge star entry
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]]
+    faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+    fs.build_triangulated_surface(verts[:4], faces)
+    with pytest.raises(fs.TopologyError, match="vertex 4 lies on no face"):
+        fs.build_triangulated_surface(verts, faces)
+
+
 def test_inconsistent_orientation_is_rejected():
     # tetrahedron with one face flipped
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -215,12 +230,43 @@ def test_off_loader_round_trip(tmp_path):
     "OFF\n4 4 0\n0 0 0\n1 0 zero\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n",
     "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n",
     "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 1 2\n",
+    "OFF\n-1 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n",
 ], ids=["no-counts", "non-numeric-count", "non-numeric-coordinate",
-        "short-vertex-list", "short-face-list"])
+        "short-vertex-list", "short-face-list", "negative-count"])
 def test_malformed_off_names_the_file(tmp_path, text):
     path = tmp_path / "bad.off"
     path.write_text(text)
     with pytest.raises(fs.TopologyError, match="bad.off: malformed OFF data"):
+        fs.load_off(path)
+
+
+TETRA_OFF = """# a tetrahedron
+OFF
+4 4 6  # vertices faces edges
+0 0 0
+1 0 0
+0 1 0  # third vertex
+0 0 1
+3 0 2 1
+3 0 1 3
+3 1 2 3
+3 0 3 2
+"""
+
+
+def test_commented_tetrahedron_loads(tmp_path):
+    path = tmp_path / "tetra.off"
+    path.write_text(TETRA_OFF)
+    assert fs.load_off(path).cell_counts == (4, 6, 4)
+    # the counts may also follow the keyword on its own line
+    path.write_text(TETRA_OFF.replace("OFF\n4 4 6", "OFF 4 4 6"))
+    assert fs.load_off(path).cell_counts == (4, 6, 4)
+
+
+def test_off_count_line_without_the_edge_count_is_named(tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_text(TETRA_OFF.replace("4 4 6", "4 4"))
+    with pytest.raises(fs.TopologyError, match=r"bad.off: malformed OFF data: count line '4 4'"):
         fs.load_off(path)
 
 

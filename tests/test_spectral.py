@@ -317,6 +317,30 @@ def test_a_perturbed_row_far_from_the_origin_falls_through_to_geev(routes, backe
         assert routes == [("bloch", sizes[0]), ("eigvals", sizes[1]), ("bloch", sizes[2])], row
 
 
+@pytest.mark.parametrize("backend", ["fd", "fourier"])
+def test_the_invariance_test_reads_every_row_chunk_on_the_circle(backend):
+    from flowspec import spectral
+
+    # n = 256 one-cell slabs: the test compares them 64 rows at a time
+    model = fs.build_model("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 256})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+    block = op.block(0)
+    assert spectral._INVARIANCE_CHUNK // 256 == 64
+    symbols = spectral._bloch_symbols(model.mesh, 0, block, exact=backend == "fd")
+    np.testing.assert_array_equal(symbols, np.fft.fft(block[0])[:, None, None])
+    # the origin row, a row inside the third chunk, the last row; then a NaN
+    for row in (0, 130, 255):
+        bad = block.copy()
+        if backend == "fd":
+            bad[row, row] = np.nextafter(bad[row, row], np.inf)
+        else:
+            bad[row, row] += 1e-9 * np.max(np.abs(bad))
+        assert spectral._bloch_symbols(model.mesh, 0, bad, exact=backend == "fd") is None, row
+    bad = block.copy()
+    bad[200, 3] = np.nan
+    assert spectral._bloch_symbols(model.mesh, 0, bad, exact=backend == "fd") is None
+
+
 @pytest.mark.parametrize("name, params, k", [
     ("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 24}, 1),
     ("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 1024}, 0),

@@ -1,5 +1,6 @@
 """Path sampling and its moment / histogram / autocovariance diagnostics."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,65 @@ def test_msd_of_free_diffusion():
     mask = times > 1.0
     ratio = msd[mask] / (0.3 * times[mask])
     assert abs(ratio.mean() - 1.0) < 0.1
+
+
+def torus_model():
+    return fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8})
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# digests of (positions, windings) in (paths, states, dim) order, frozen from
+# the path-major sampler; constant drifts keep every step exact IEEE arithmetic
+FROZEN_DIGESTS = {
+    ("circle", 1): ("39ae96045eea79161314e10056bb7a031c67751e7bc94f1f2add99a1c1f65d27",
+                    "6a15b818e340d9783a25a424bae2441136f722e7798566d2437ccc6f2d2944ca"),
+    ("circle", 3): ("453a4a41afb567500cc62b94fcbf0800533978065fc32673b9abec0765e864c0",
+                    "b950aa230c5ea395c54ec82350992f4869110e7a909464b45b63f12ae72e4e94"),
+    ("torus", 1): ("102b77a6740f5c2f004e774ea6cafdfb3c184ee89dabbd0eb795fb8d4c299dd7",
+                   "dab237b62f1e10e1c346d301f25ab31fedc26dc3899a05830ff1a9cac00d7551"),
+    ("torus", 3): ("1ff6f5ebafaab818ca37bd81e1c8344761a8adc4361bfd8ce564606769e609f9",
+                   "8b58413652fcb3e13d50e4906a97e60a5baf1f556d8099de43e70c984488f496"),
+}
+
+
+@pytest.mark.parametrize("name, store_every", sorted(FROZEN_DIGESTS))
+def test_sampler_arrays_match_frozen_digests(name, store_every):
+    model = drive_model() if name == "circle" else torus_model()
+    ens = fs.simulate_sde(model, dt=0.01, steps=300, n_paths=24, seed=7,
+                          store_every=store_every)
+    assert ens.positions.shape == (24, 300 // store_every + 1, model.mesh.dimension)
+    assert (sha256(ens.positions), sha256(ens.windings)) == FROZEN_DIGESTS[name, store_every]
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_sampler_does_not_depend_on_the_noise_chunk(monkeypatch, store_every):
+    model = torus_model()
+    kw = dict(dt=0.01, steps=301, n_paths=24, seed=7, store_every=store_every)
+    whole = fs.simulate_sde(model, **kw)
+    # four-row noise buffer: 76 chunks, the last one short
+    monkeypatch.setattr(trajectories, "_CHUNK_SCALARS", 4 * 24 * 2)
+    chunked = fs.simulate_sde(model, **kw)
+    np.testing.assert_array_equal(chunked.positions, whole.positions)
+    np.testing.assert_array_equal(chunked.windings, whole.windings)
+
+
+def test_sampler_peak_is_the_store_and_one_noise_buffer(monkeypatch):
+    n_paths, steps = 200, 3000
+    monkeypatch.setattr(trajectories, "_CHUNK_SCALARS", n_paths * 1500)  # two chunks
+    store = (steps + 1) * n_paths * (8 + 4)  # float64 positions, int32 windings
+    noise = 1500 * n_paths * 8
+    model = drive_model()
+    tracemalloc.start()
+    try:
+        ens = fs.simulate_sde(model, dt=0.01, steps=steps, n_paths=n_paths, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.n_stored == steps + 1
+    assert peak < 1.1 * (store + noise), f"peak {peak / (store + noise):.2f}x"
 
 
 def test_stability_warning_on_coarse_steps():
@@ -189,7 +249,9 @@ def fft_length(t_len):
 
 def assert_matches_whole_ensemble(positions, observable):
     corr, means = trajectories._ensemble_autocovariance(positions, observable)
-    series = observable(positions)
+    # the estimator hands the observable path-major copies; numpy's vector
+    # loops for contiguous and strided arrays may differ in the last bit
+    series = observable(np.ascontiguousarray(positions))
     oracle = whole_ensemble_autocovariance(series)
     np.testing.assert_allclose(corr, oracle, rtol=1e-12,
                                atol=1e-12 * abs(oracle[0]))
@@ -202,8 +264,9 @@ def test_streamed_autocovariance_matches_whole_ensemble():
     ens = fs.simulate_sde(model, dt=0.01, steps=3000, n_paths=301, seed=17)
     start = int(np.ceil(0.2 * ens.n_stored))
     positions = ens.positions[:, start:, :]
-    # the default budget splits 301 paths into unequal blocks
-    block = trajectories._FFT_BLOCK_SCALARS // fft_length(positions.shape[1])
+    # the default budget, shared by the blocks in flight, splits 301 paths
+    # into unequal blocks
+    block = trajectories._FFT_BLOCK_SCALARS // fft_length(positions.shape[1]) // 2
     assert 1 < block < 301 and 301 % block != 0
 
     def first_harmonic(p):
@@ -238,3 +301,50 @@ def test_autocovariance_memory_scales_with_the_block():
         tracemalloc.stop()
     assert fit.rate > 0
     assert peak < full_array
+
+
+def serial_autocovariance(positions, observable):
+    """The streamed estimator's block partition, summed in one thread."""
+    n_paths, t_len = positions.shape[:2]
+    nfft = fft_length(t_len)
+    block = max(1, trajectories._FFT_BLOCK_SCALARS // nfft // trajectories._WORKERS)
+    power, means = np.zeros(nfft), []
+    for a in range(0, n_paths, block):
+        chunk = np.ascontiguousarray(positions[a:a + block])
+        series = np.asarray(observable(chunk), dtype=complex)
+        f = np.fft.fft(series, n=nfft, axis=1)
+        power += (f.real**2 + f.imag**2).sum(axis=0)
+        means.append(series.mean(axis=1))
+    corr = np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
+    return corr, np.concatenate(means)
+
+
+def test_pooled_autocovariance_equals_the_serial_block_sum(monkeypatch):
+    assert trajectories._WORKERS == 2
+    model = torus_model()
+    ens = fs.simulate_sde(model, dt=0.01, steps=400, n_paths=301, seed=8)
+    # 16-path blocks: 19 of them, so both workers take turns many times
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 32 * fft_length(401))
+
+    def observable(p):
+        return np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
+
+    corr, means = trajectories._ensemble_autocovariance(ens.positions, observable)
+    ref_corr, ref_means = serial_autocovariance(ens.positions, observable)
+    np.testing.assert_array_equal(corr, ref_corr)
+    np.testing.assert_array_equal(means, ref_means)
+
+
+def test_an_observable_raising_in_a_worker_reaches_the_caller(monkeypatch):
+    model = drive_model()
+    ens = fs.simulate_sde(model, dt=0.01, steps=400, n_paths=104, seed=8)
+    # 10-path blocks, the eleventh of 4 paths
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 20 * fft_length(401))
+
+    def observable(p):
+        if p.shape[0] < 10:  # only the short last block
+            raise fs.ValidationError("short block")
+        return np.exp(1j * p[..., 0])
+
+    with pytest.raises(fs.ValidationError, match="short block"):
+        fs.autocorrelation_decay(ens, observable=observable)
