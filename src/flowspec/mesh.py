@@ -488,8 +488,9 @@ def load_off(path) -> MeshComplex:
     """Read an OFF-format triangulation and build its cell complex.
 
     The count line (after the ``OFF`` keyword, on its line or the next) must
-    hold the vertex, face and edge counts; the edge count is not used.  The
-    vertex and face records after it are read as one token stream.
+    hold the vertex, face and edge counts; the edge count is not used.  Each
+    vertex and face record is one line; tokens after a face's three indices
+    (such as a colour) are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [words for words in (line.split("#", 1)[0].split() for line in fh) if words]
@@ -497,7 +498,6 @@ def load_off(path) -> MeshComplex:
         raise TopologyError(f"{path}: missing OFF header")
     header, body = lines[0], lines[1:]
     counts = header[1:] or (body.pop(0) if body else [])
-    tokens = [tok for words in body for tok in words]
     if len(counts) != 3:
         raise TopologyError(f"{path}: malformed OFF data: count line {' '.join(counts)!r} "
                             "must hold the vertex, face and edge counts")
@@ -505,17 +505,16 @@ def load_off(path) -> MeshComplex:
         nv, nf = int(counts[0]), int(counts[1])
         if min(nv, nf) < 0:
             raise ValueError(f"negative count in {' '.join(counts)!r}")
-        verts = np.array(tokens[: 3 * nv], dtype=float).reshape(nv, 3)
-        pos = 3 * nv
-        faces = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            if k != 3:
-                raise TopologyError(f"{path}: only triangular faces supported, got {k}-gon")
-            faces.append(tuple(int(tokens[pos + i]) for i in (1, 2, 3)))
-            pos += 1 + k
-        faces = np.array(faces, dtype=np.int64)
-    except (IndexError, ValueError) as exc:
+        if len(body) < nv + nf:
+            raise ValueError(f"{len(body)} records for {nv} vertices and {nf} faces")
+        verts = np.array([words[:3] for words in body[:nv]], dtype=float).reshape(nv, 3)
+        for words in body[nv:nv + nf]:
+            if int(words[0]) != 3:
+                raise TopologyError(f"{path}: only triangular faces supported, "
+                                    f"got {words[0]}-gon")
+        faces = np.array([words[1:4] for words in body[nv:nv + nf]],
+                         dtype=np.int64).reshape(nf, 3)
+    except ValueError as exc:
         raise TopologyError(f"{path}: malformed OFF data: {exc}") from exc
     return build_triangulated_surface(verts, faces)
 

@@ -19,7 +19,7 @@ level; both the diffusion and the drift carry one factor of eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -83,8 +83,20 @@ class ModelSpec:
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def rebuild_at(self, epsilon: float) -> "ModelSpec":
-        """Same model with the noise level replaced."""
-        return build_model(self.name, {**self.params, "epsilon": float(epsilon)})
+        """Same model at another noise level: the one rule every level is built by.
+
+        A registered model is rebuilt from its parameters.  Any other model
+        keeps its mesh and flow samples, except that a gradient flow, whose
+        samples carry one factor of eps, is resampled from ``w``.
+        """
+        epsilon = float(epsilon)
+        if epsilon == self.noise.epsilon:
+            return self
+        if self.name in _REGISTRY:
+            return build_model(self.name, {**self.params, "epsilon": epsilon})
+        noise = NoiseSpec(epsilon)
+        flow = langevin_flow(self.mesh, self.w, noise) if self.flow.langevin else self.flow
+        return replace(self, flow=flow, noise=noise)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .exceptions import (
     UnsupportedMeshError,
     ValidationError,
 )
-from .fields import FlowField, langevin_flow
+from .fields import FlowField
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec, hodge_star
 from .spectral import _DENSE_CAP, _block_eigenvalues, _check_capacity
@@ -409,18 +409,27 @@ def _count_minima(mesh, w):
     return int(np.sum(lower))
 
 
+def _scan_levels(epsilons: Sequence[float]) -> List[float]:
+    """At least two finite, positive, strictly descending levels; a NaN fails each check."""
+    eps = [float(e) for e in epsilons]
+    if len(eps) < 2:
+        raise ValidationError("need at least two noise levels to scan")
+    if not all(0 < e < np.inf for e in eps):
+        raise InvalidNoiseError(f"splitting scan requires finite, positive noise: {eps}")
+    if not all(b < a for a, b in zip(eps[:-1], eps[1:])):
+        raise ValidationError(f"noise levels must be strictly descending: {eps}")
+    return eps
+
+
 def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     """Smallest nonzero relaxation rate of a multi-well potential flow per eps.
 
-    ``model`` must be a potential-flow model (carrying ``mesh`` and vertex
-    potential ``w``) whose potential has at least two local minima; the
-    noise levels must be positive and strictly descending.
+    ``model`` must be a potential-flow ``ModelSpec`` whose ``w`` has at least
+    two local minima; each level is the fd generator of ``model.rebuild_at(eps)``.
     """
     def degree0_eigenvalues(eps):
-        noise = NoiseSpec(eps)
-        flow = langevin_flow(model.mesh, np.asarray(model.w, dtype=float), noise)
-        op = assemble_hamiltonian(model.mesh, flow, noise, backend="fd")
-        return _block_eigenvalues(op, 0)
+        m = model.rebuild_at(eps)
+        return _block_eigenvalues(assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd"), 0)
 
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 
@@ -428,14 +437,8 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
 def _splitting_scan(model, epsilons: Sequence[float],
                     degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
     """The scan, given the degree-0 eigenvalues of the fd generator per level."""
-    eps_list = [float(e) for e in epsilons]
-    if len(eps_list) < 2:
-        raise ValidationError("need at least two noise levels to scan")
-    if any(e <= 0 for e in eps_list):
-        raise InvalidNoiseError("splitting scan requires strictly positive noise")
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ValidationError("noise levels must be strictly descending")
-    if not getattr(model, "langevin", False):
+    eps_list = _scan_levels(epsilons)
+    if not model.langevin:
         raise NotPotentialError(
             "the tunneling-gap scan is defined for potential flows only"
         )

@@ -19,8 +19,9 @@ A run configuration is a JSON object:
 
 Instead of ``model``, an ``inline`` object may supply a mesh and flow table
 directly (see :func:`RunConfig.from_dict`); inline systems support the
-operator tasks but not ``simulate``/``sweep``, which need a closed-form
-drift and a rebuildable model.
+operator tasks and ``sweep`` but not ``simulate``, which needs a closed-form
+drift.  Every noise level a run reads, inline or registered, is the model's
+:meth:`~flowspec.models.ModelSpec.rebuild_at` at that level.
 
 ``report.json`` is byte-stable: keys sorted, every float printed with 12
 significant digits, negative zero normalized, non-finite values rejected,
@@ -31,7 +32,6 @@ never enter the report; they go to the ``timings.json`` sidecar.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import operator
 import time
@@ -53,9 +53,10 @@ from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
 from .models import ModelOracle, ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
+    _scan_levels,
     _splitting_scan,
     find_critical_points,
-    instanton_splitting_scan,
+    instanton_splitting_scan,  # not called by a run; flowbench/tracing.py patches this name
     poincare_hopf_sum,
 )
 from .operators import normalize_backend
@@ -229,11 +230,8 @@ class RunConfig:
             model_params = _as_object(m.get("params", {}), "'model.params'")
         else:
             inline = _as_object(data["inline"], "'inline'")
-            if any(t in ("simulate", "sweep") for t in tasks):
-                raise ValidationError(
-                    "'simulate' and 'sweep' need a registered model, not an "
-                    "inline system"
-                )
+            if "simulate" in tasks:
+                raise ValidationError("'simulate' needs a registered model, not an inline system")
 
         try:
             backend = normalize_backend(data.get("backend", "fd"))
@@ -255,8 +253,7 @@ class RunConfig:
             eps = _as_object(data.get("sweep") or {}, "'sweep'").get("epsilons")
             if not isinstance(eps, list) or not eps:
                 raise ValidationError("'sweep' task needs sweep.epsilons")
-            sweep_eps = tuple(_as_float(e, "sweep.epsilons") for e in eps)
-            _validate_sweep_epsilons(sweep_eps)
+            sweep_eps = _sweep_levels(_as_float(e, "sweep.epsilons") for e in eps)
 
         sim = _as_object(data.get("simulate") or {}, "'simulate'")
         if "simulate" in tasks:
@@ -284,6 +281,8 @@ class RunConfig:
             if not isinstance(split, list):
                 raise ValidationError("morse.splitting_epsilons must be a list")
             morse_eps = tuple(_as_float(e, "morse.splitting_epsilons") for e in split)
+            if "morse" in tasks:
+                _scan_levels(morse_eps)
 
         return RunConfig(
             tasks=tuple(tasks),
@@ -336,11 +335,15 @@ def _as_object(value, what: str) -> Dict:
     return dict(value)
 
 
-def _validate_sweep_epsilons(eps: Tuple[float, ...]) -> None:
+def _sweep_levels(epsilons) -> Tuple[float, ...]:
+    eps = tuple(float(e) for e in epsilons)
+    if not eps:
+        raise ValidationError("sweep needs at least one noise level")
     if any((not np.isfinite(e)) or e < 0 for e in eps):
         raise ValidationError(f"sweep noise levels must be finite and >= 0: {eps}")
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ValidationError(f"sweep noise levels must be strictly decreasing: {eps}")
+    return eps
 
 
 def _resolve_model(config: RunConfig) -> ModelSpec:
@@ -381,11 +384,9 @@ def _build_inline(spec: Dict) -> ModelSpec:
     flow_spec = spec.get("flow")
     if not isinstance(flow_spec, dict):
         raise ValidationError("inline system needs a 'flow' object")
-    w = None
     try:
         if "potential" in flow_spec:
-            w = np.asarray(flow_spec["potential"], dtype=float)
-            flow = langevin_flow(mesh, w, noise)
+            flow = langevin_flow(mesh, np.asarray(flow_spec["potential"], dtype=float), noise)
         elif "vertex_samples" in flow_spec:
             flow = flow_from_vertex_samples(
                 mesh, np.asarray(flow_spec["vertex_samples"], dtype=float)
@@ -412,7 +413,7 @@ def _build_inline(spec: Dict) -> ModelSpec:
         noise=noise,
         langevin=flow.langevin,
         oracle=ModelOracle(basis="structural", rel_tol=1e-9),
-        w=w,
+        w=flow.w,
     )
 
 
@@ -421,26 +422,23 @@ def _build_inline(spec: Dict) -> ModelSpec:
 # ----------------------------------------------------------------------
 
 class _Levels:
-    """Operators and per-degree eigenvalues by noise level, each made once.
+    """The run's one state: operators, per-degree eigenvalues and spectrum reports
+    by noise level, each made once from ``model.rebuild_at(eps)``."""
 
-    The model's own level uses the model itself; other levels come from
-    ``model.rebuild_at``, which only registered models support.
-    """
-
-    def __init__(self, model: ModelSpec, backend: str):
+    def __init__(self, model: ModelSpec, backend: str, config: Optional[RunConfig] = None):
         self.model = model
         self.backend = backend
+        self.config = config
         self._ops: Dict[float, GradedOperator] = {}
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
+        self._reports: Dict[float, SpectrumReport] = {}
 
     def op(self, eps: float) -> GradedOperator:
         eps = float(eps)
         if eps not in self._ops:
-            m = self.model if eps == self.model.noise.epsilon else self.model.rebuild_at(eps)
-            self._ops[eps] = assemble_hamiltonian(
-                m.mesh, m.flow, m.noise, backend=self.backend,
-                allow_deterministic=m.noise.is_deterministic,
-            )
+            m = self.model.rebuild_at(eps)
+            self._ops[eps] = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend,
+                                                  allow_deterministic=m.noise.is_deterministic)
         return self._ops[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:
@@ -449,31 +447,21 @@ class _Levels:
             self._values[key] = _block_eigenvalues(self.op(eps), k)
         return self._values[key]
 
-    def spectrum(self, eps: float):
-        """Vector-free spectrum report of one level, refused before assembly
-        when the blocks exceed the dense-solver cap."""
-        mesh = self.model.mesh
-        _check_capacity(mesh.cell_counts, _DENSE_CAP)
-        return _spectrum_report({k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
-                                mesh.dimension)[0]
+    def spectrum(self, eps: Optional[float] = None) -> SpectrumReport:
+        """Vector-free spectrum report of one level (by default the model's own),
+        refused before assembly when the blocks exceed the dense-solver cap."""
+        eps = self.model.noise.epsilon if eps is None else float(eps)
+        if eps not in self._reports:
+            mesh = self.model.mesh
+            _check_capacity(mesh.cell_counts, _DENSE_CAP)
+            self._reports[eps] = _spectrum_report(
+                {k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
+                mesh.dimension)[0]
+        return self._reports[eps]
 
 
-class _RunState:
-    """Operators, eigenvalues and the spectrum shared by the tasks of one run."""
-
-    def __init__(self, config: RunConfig, model: ModelSpec):
-        self.config = config
-        self.model = model
-        self.levels = _Levels(model, config.backend)
-
-    @functools.cached_property
-    def spectrum(self):
-        """Vector-free spectrum of the model's own noise level."""
-        return self.levels.spectrum(self.model.noise.epsilon)
-
-
-def _task_spectrum(state: _RunState, out_dir: Path) -> Dict:
-    rep = state.spectrum
+def _task_spectrum(state: _Levels, out_dir: Path) -> Dict:
+    rep = state.spectrum()
     export_spectrum_csv(rep, out_dir / "spectrum.csv", state.config.tau_gamma)
     degrees, counts = np.unique(rep.degree, return_counts=True)
     result = {
@@ -488,8 +476,8 @@ def _task_spectrum(state: _RunState, out_dir: Path) -> Dict:
     return result
 
 
-def _task_classify(state: _RunState, out_dir: Path) -> Dict:
-    cls = classify_phase(state.spectrum, state.config.tau_gamma, state.config.tau_e)
+def _task_classify(state: _Levels, out_dir: Path) -> Dict:
+    cls = classify_phase(state.spectrum(), state.config.tau_gamma, state.config.tau_e)
     return {
         "verdict": cls.verdict,
         "tau_gamma": cls.tau_gamma,
@@ -499,9 +487,9 @@ def _task_classify(state: _RunState, out_dir: Path) -> Dict:
     }
 
 
-def _task_witten(state: _RunState, out_dir: Path) -> Dict:
-    idx = witten_index(state.spectrum, state.config.tau0)
-    counts = zero_mode_counts(state.spectrum, state.config.tau0)
+def _task_witten(state: _Levels, out_dir: Path) -> Dict:
+    idx = witten_index(state.spectrum(), state.config.tau0)
+    counts = zero_mode_counts(state.spectrum(), state.config.tau0)
     chi = state.model.mesh.euler_characteristic()
     return {
         "witten_index": idx,
@@ -511,15 +499,15 @@ def _task_witten(state: _RunState, out_dir: Path) -> Dict:
     }
 
 
-def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
-    rep = state.spectrum
+def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
+    rep = state.spectrum()
     mesh = state.model.mesh
     top = mesh.dimension
     top_values = rep.eigenvalues(top)
     if not len(top_values):
         raise NumericalError("no top-degree entries in the spectrum")
     ground = int(np.argmin(np.abs(top_values)))
-    op = state.levels.op(state.model.noise.epsilon)
+    op = state.op(state.model.noise.epsilon)
     vec = _null_vector(op, top, top_values[ground], rep.spectral_radius).real
     # fix sign so the dominant component is positive, then unit total mass
     j = int(np.argmax(np.abs(vec)))
@@ -548,7 +536,7 @@ def _task_stationary(state: _RunState, out_dir: Path) -> Dict:
     return result
 
 
-def _task_morse(state: _RunState, out_dir: Path) -> Dict:
+def _task_morse(state: _Levels, out_dir: Path) -> Dict:
     model = state.model
     points = find_critical_points(model.mesh, model.flow)
     ph = poincare_hopf_sum(points)
@@ -571,15 +559,13 @@ def _task_morse(state: _RunState, out_dir: Path) -> Dict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result["matches_witten_index"] = bool(
-                ph == witten_index(state.spectrum, state.config.tau0)
+                ph == witten_index(state.spectrum(), state.config.tau0)
             )
     if state.config.morse_epsilons and model.langevin:
-        eps = state.config.morse_epsilons
-        if model.name != "inline" and state.config.backend == "fd":
-            # the run's fd levels are the scan's own operators, bit for bit
-            scan = _splitting_scan(model, eps, lambda e: state.levels.eigenvalues(e, 0))
-        else:
-            scan = instanton_splitting_scan(model, eps)
+        # the scan is defined on fd levels: the run's own on fd, a fresh memo on fourier
+        fd = state if state.backend == "fd" else _Levels(model, "fd")
+        scan = _splitting_scan(model, state.config.morse_epsilons,
+                               lambda e: fd.eigenvalues(e, 0))
         result["splitting_scan"] = {
             "epsilons": list(scan.epsilons),
             "splittings": list(scan.splittings),
@@ -591,7 +577,7 @@ def _task_morse(state: _RunState, out_dir: Path) -> Dict:
     return result
 
 
-def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
+def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
     model = state.model
     if model.drift is None:
         raise ValidationError("simulation needs a model with a closed-form drift")
@@ -636,8 +622,8 @@ def _task_simulate(state: _RunState, out_dir: Path) -> Dict:
     return result
 
 
-def _task_sweep(state: _RunState, out_dir: Path) -> Dict:
-    return _sweep(state.levels, state.config.sweep_epsilons,
+def _task_sweep(state: _Levels, out_dir: Path) -> Dict:
+    return _sweep(state, state.config.sweep_epsilons,
                   state.config.tau_gamma, state.config.tau_e)
 
 
@@ -657,15 +643,8 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
 
 def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
            tau_e: Optional[float]) -> Dict:
-    if levels.model.name == "inline":
-        raise ValidationError("sweeps need a registered, rebuildable model")
-    eps_tuple = tuple(float(e) for e in epsilons)
-    if not eps_tuple:
-        raise ValidationError("sweep needs at least one noise level")
-    _validate_sweep_epsilons(eps_tuple)
-
     rows: List[Dict] = []
-    for eps in eps_tuple:
+    for eps in _sweep_levels(epsilons):
         rep = levels.spectrum(eps)
         cls = classify_phase(rep, tau_gamma, tau_e)
         oscillating = rep.eigenvalue[np.abs(rep.eigenvalue.imag) > cls.tau_e]
@@ -734,7 +713,7 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
     out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
     model = _resolve_model(config)
-    state = _RunState(config, model)
+    state = _Levels(model, config.backend, config)
 
     results: Dict[str, Dict] = {}
     timings: Dict[str, float] = {}

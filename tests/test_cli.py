@@ -10,6 +10,15 @@ import flowspec as fs
 from flowspec.cli import main
 
 
+def double_well_dict(tasks, eps=0.2, **extra):
+    return {
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 1.0, "epsilon": eps, "n": 48}},
+        "tasks": tasks,
+        **extra,
+    }
+
+
 def base_config(**extra):
     cfg = {
         "model": {"name": "constant_drive_circle",
@@ -95,6 +104,10 @@ def test_inline_config_excludes_resampling_tasks():
         fs.RunConfig.from_dict({"tasks": ["simulate"], "inline": inline})
     cfg = fs.RunConfig.from_dict({"tasks": ["spectrum"], "inline": inline})
     assert cfg.inline is not None
+    # every level of an inline system comes from rebuild_at, so it sweeps
+    cfg = fs.RunConfig.from_dict({"tasks": ["sweep"], "inline": inline,
+                                  "sweep": {"epsilons": [0.2, 0.1]}})
+    assert cfg.sweep_epsilons == (0.2, 0.1)
 
 
 def test_config_file_errors(tmp_path):
@@ -194,19 +207,53 @@ def test_run_simulate_task(tmp_path):
     assert (tmp_path / "histogram.csv").exists()
 
 
-def test_sweep_needs_rebuildable_model():
-    inline = {"mesh": {"kind": "circle", "n": 16, "length": 6.283185307179586},
-              "flow": {"constant": 1.0}, "epsilon": 0.2}
-    cfg = fs.RunConfig.from_dict({"tasks": ["spectrum"], "inline": inline})
-    from flowspec.reporting import _resolve_model
+def sweep_of(tmp_path, name, system, eps, tasks=("sweep",), **extra):
+    cfg = fs.RunConfig.from_dict({**system, "tasks": list(tasks),
+                                  "sweep": {"epsilons": eps}, **extra})
+    return fs.run(cfg, out_dir=tmp_path / name).data["results"]
 
-    model = _resolve_model(cfg)
-    with pytest.raises(fs.ValidationError, match="rebuildable"):
-        fs.sweep_epsilon(model, [0.2, 0.1])
+
+def test_inline_constant_sweep_equals_the_registered_model(tmp_path):
+    eps = [0.4, 0.2, 0.1]
+    registered = {"model": {"name": "constant_drive_circle",
+                            "params": {"a": 1.0, "epsilon": 0.2, "n": 16}}}
+    inline = {"inline": {"mesh": {"kind": "circle", "n": 16},
+                         "flow": {"constant": 1.0}, "epsilon": 0.2}}
+    want = sweep_of(tmp_path, "registered", registered, eps)["sweep"]
+    assert len(want["rows"]) == 3
+    assert sweep_of(tmp_path, "inline", inline, eps)["sweep"] == want
+
+
+def test_inline_potential_sweep_equals_the_registered_model(tmp_path):
+    # gradient samples carry one factor of eps, so each level resamples W
+    eps = [0.4, 0.2, 0.1]
+    registered = {"model": {"name": "langevin_double_well_circle",
+                            "params": {"depth": 1.0, "epsilon": 0.2, "n": 48}}}
+    phis = np.asarray(fs.build_circle_grid(48, 2 * np.pi).vertices).reshape(-1)
+    inline = {"inline": {"mesh": {"kind": "circle", "n": 48},
+                         "flow": {"potential": np.cos(2.0 * phis).tolist()},
+                         "epsilon": 0.2}}
+    tasks = ("witten", "morse", "sweep")
+    morse = {"splitting_epsilons": eps}
+    want = sweep_of(tmp_path, "registered", registered, eps, tasks, morse=morse)
+    got = sweep_of(tmp_path, "inline", inline, eps, tasks, morse=morse)
+    assert got["sweep"] == want["sweep"]
+    assert got["morse"]["splitting_scan"] == want["morse"]["splitting_scan"]
+    assert got["witten"] == want["witten"]
+
+
+def test_fourier_run_scans_the_fd_levels(tmp_path):
+    eps = [0.4, 0.2, 0.1]
+    scans = [fs.run(double_well_config(["morse"], backend=backend,
+                                       morse={"splitting_epsilons": eps}),
+                    out_dir=tmp_path / backend).data["results"]["morse"]["splitting_scan"]
+             for backend in ("fd", "fourier")]
+    assert scans[1] == scans[0]
+    assert scans[0]["strictly_decreasing"] is True
 
 
 def test_run_morse_scan_on_inline_potential(tmp_path):
-    # inline models cannot be rebuilt per noise level; the scan assembles its own
+    # the inline model's levels come from rebuild_at, which resamples W per level
     phis = 2 * np.pi * np.arange(64) / 64
     cfg = fs.RunConfig.from_dict({
         "inline": {"mesh": {"kind": "circle", "n": 64},
@@ -265,12 +312,7 @@ def solved_blocks(work):
 
 
 def double_well_config(tasks, eps=0.2, **extra):
-    return fs.RunConfig.from_dict({
-        "model": {"name": "langevin_double_well_circle",
-                  "params": {"depth": 1.0, "epsilon": eps, "n": 48}},
-        "tasks": tasks,
-        **extra,
-    })
+    return fs.RunConfig.from_dict(double_well_dict(tasks, eps, **extra))
 
 
 def test_verdict_tasks_solve_each_level_once_without_vectors(tmp_path, work):
@@ -356,6 +398,24 @@ def test_stationary_density_of_a_degenerate_kernel(tmp_path, a, backend):
     })
     res = fs.run(cfg, out_dir=tmp_path).data["results"]["stationary"]
     assert res["oracle_max_rel_deviation"] <= 1e-6
+
+
+def test_each_level_is_packed_into_one_report(tmp_path, monkeypatch):
+    # the base-level sweep row reuses the report that classify and witten read
+    import flowspec.reporting
+
+    packed = []
+    pack = flowspec.reporting._spectrum_report
+
+    def counted(values, dimension):
+        packed.append(len(values[0]))
+        return pack(values, dimension)
+
+    monkeypatch.setattr(flowspec.reporting, "_spectrum_report", counted)
+    cfg = double_well_config(["classify", "witten", "sweep"],
+                             sweep={"epsilons": [0.4, 0.2, 0.1]})
+    fs.run(cfg, out_dir=tmp_path)
+    assert len(packed) == 3
 
 
 def test_shared_levels_reproduce_the_standalone_scan(tmp_path):
@@ -484,18 +544,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     {"inline": {"mesh": {"kind": "circle", "n": 16},
                 "flow": {"constant": 10**400}, "epsilon": 0.2},
      "tasks": ["witten"]},
+    *(double_well_dict(["spectrum", "morse"], morse={"splitting_epsilons": levels})
+      for levels in ([0.1, 0.2], [0.2], [0.2, 0.0], [0.2, float("nan")],
+                     [float("inf"), 0.2])),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
         "negative-seed", "model-name-type", "fit-window-scalar", "fit-window-length",
         "fit-window-type", "fit-window-order", "param-value", "out-dir-type",
         "nan-length", "inf-length", "torus-inf-length", "inf-size",
-        "param-beyond-float", "constant-beyond-float"])
+        "param-beyond-float", "constant-beyond-float", "morse-ascending",
+        "morse-single", "morse-zero", "morse-nan", "morse-inf"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # refused before any task wrote a file
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _inline_circle(n):

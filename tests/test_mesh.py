@@ -263,6 +263,25 @@ def test_commented_tetrahedron_loads(tmp_path):
     assert fs.load_off(path).cell_counts == (4, 6, 4)
 
 
+def test_face_colours_are_ignored(tmp_path):
+    plain, coloured = tmp_path / "plain.off", tmp_path / "coloured.off"
+    plain.write_text(TETRA_OFF)
+    coloured.write_text(TETRA_OFF.replace("3 0 2 1\n", "3 0 2 1 255 0 0\n")
+                        .replace("3 1 2 3\n", "3 1 2 3 0.5 0.5 0.5 1.0\n"))
+    a, b = fs.load_off(plain), fs.load_off(coloured)
+    assert b.cell_counts == a.cell_counts
+    np.testing.assert_array_equal(b.vertices, a.vertices)
+    for k in (1, 2):
+        assert (b.boundary_matrix(k) != a.boundary_matrix(k)).nnz == 0
+
+
+def test_quad_face_is_refused(tmp_path):
+    path = tmp_path / "quad.off"
+    path.write_text("OFF\n4 1 4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
+    with pytest.raises(fs.TopologyError, match="only triangular faces supported, got 4-gon"):
+        fs.load_off(path)
+
+
 def test_off_count_line_without_the_edge_count_is_named(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text(TETRA_OFF.replace("4 4 6", "4 4"))

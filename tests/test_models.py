@@ -153,6 +153,32 @@ def test_rebuild_at_changes_only_the_noise():
     assert again.mesh.cell_counts == model.mesh.cell_counts
 
 
+def test_rebuild_at_an_inline_model():
+    from dataclasses import replace
+
+    from flowspec.reporting import _build_inline
+
+    mesh = {"kind": "circle", "n": 16}
+    phis = np.asarray(fs.build_circle_grid(16, 2 * np.pi).vertices).reshape(-1)
+    grad = _build_inline({"mesh": mesh, "flow": {"potential": np.cos(2 * phis).tolist()},
+                          "epsilon": 0.2})
+    again = grad.rebuild_at(0.05)
+    assert again.noise.epsilon == 0.05
+    assert again.mesh is grad.mesh and again.params == grad.params and again.w is grad.w
+    # gradient samples carry one factor of eps: resampled from w
+    fresh = fs.langevin_flow(grad.mesh, grad.w, fs.NoiseSpec(0.05))
+    np.testing.assert_array_equal(again.flow.edge_vectors, fresh.edge_vectors)
+    np.testing.assert_array_equal(again.flow.vertex_values, fresh.vertex_values)
+    assert not np.array_equal(again.flow.edge_vectors, grad.flow.edge_vectors)
+    assert grad.rebuild_at(0.2) is grad
+
+    drive = _build_inline({"mesh": mesh, "flow": {"constant": 1.0}, "epsilon": 0.2})
+    assert drive.rebuild_at(0.05).flow is drive.flow
+    # registration is read from the registry, not from the name "inline"
+    named = replace(drive, name="my_drive")
+    assert named.rebuild_at(0.05).flow is drive.flow
+
+
 def test_oracle_residual_none_without_spectrum_oracle():
     model = fs.build_model(
         "langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": 32}
