@@ -7,13 +7,14 @@ underlying mesh, and cross-checks everything against exactly solvable models
 and direct path sampling.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .exceptions import (
     CapacityError,
     DegreeError,
     DeterministicLimitError,
     EigensolverError,
-    ErgodicZeroMissingError,
     FlowspecError,
     GapAmbiguityWarning,
     GeometryWarning,
@@ -33,7 +34,6 @@ from .exceptions import (
     ValidationError,
 )
 from .mesh import (
-    HodgeStar,
     MeshComplex,
     NoiseSpec,
     build_circle_grid,
@@ -61,21 +61,16 @@ from .operators import (
 )
 from .hamiltonian import (
     GradedOperator,
-    LangevinSimilarity,
     assemble_hamiltonian,
     conventional_fp_operator,
-    hermitianize_langevin,
-    pseudo_adjoint_charge,
 )
 from .spectral import (
     PairingReport,
     PhaseClassification,
     SpectrumReport,
     classify_phase,
-    conjugate_closure_residual,
     eigenvalue_spectrum,
     full_spectrum,
-    physical_states,
     susy_pairing_check,
     synthetic_spectrum,
     witten_index,
@@ -106,8 +101,6 @@ from .trajectories import (
     HistogramResult,
     TrajectoryEnsemble,
     autocorrelation_decay,
-    drift_velocity,
-    mean_squared_displacement,
     simulate_sde,
     stationary_histogram,
     tv_distance_to_density,
@@ -122,4 +115,6 @@ from .reporting import (
     sweep_epsilon,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds here
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -7,8 +7,8 @@
 it is validated, so ``report.json``'s ``config`` records what ran.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (missing zero mode, indeterminate index, capacity of the dense
-solver or of the SDE path store, LAPACK breakdown;
+failure (indeterminate index, capacity of the dense solver or of the SDE
+path store, LAPACK breakdown;
 a defective eigenproblem can only surface in ``stationary``, the one task
 that reads an eigenvector, by inverse iteration: the others need eigenvalues
 only).

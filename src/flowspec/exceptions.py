@@ -24,7 +24,7 @@ class InvalidResolutionError(ValidationError):
 
 
 class InvalidNoiseError(ValidationError):
-    """Negative noise intensity."""
+    """Negative noise intensity, or zero noise for a gradient flow."""
 
 
 class UnknownModelError(ValidationError):
@@ -56,7 +56,7 @@ class DeterministicLimitError(FlowspecError):
 
 
 class NotPotentialError(FlowspecError):
-    """Similarity transform requires a declared-potential (gradient) flow."""
+    """Operation requires a declared-potential (gradient) flow."""
 
 
 # ---- numerical family (CLI exit code 3) ----
@@ -72,11 +72,6 @@ class CapacityError(NumericalError):
 
 class EigensolverError(NumericalError):
     """LAPACK failed to converge on a block, or the block is not finite."""
-
-
-class ErgodicZeroMissingError(NumericalError):
-    """No eigenvalue on the decay-rate axis within tolerance: the discrete
-    operator lost its stationary state, which signals an inconsistent setup."""
 
 
 class IndeterminateIndexError(NumericalError):

@@ -24,15 +24,14 @@ For gradient flows a diagonal similarity brings a block to real symmetric
 form: exactly on every circle degree and on the torus degree 0, not on the
 torus degrees 1 and 2, whose edge families no diagonal weight reconciles.
 One helper, ``_symmetric_form``, builds the weights and measures the
-asymmetry left; ``hermitianize_langevin`` returns the transformed operator,
-and the eigensolver uses the same measurement to pick its route (the routes
-and their order are described in ``spectral``).
+asymmetry left, and the eigensolver uses that measurement to pick its route
+(the routes and their order are described in ``spectral``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +42,7 @@ from .exceptions import (
     NumericalError,
     UnsupportedMeshError,
 )
-from .fields import FlowField, langevin_flow
+from .fields import FlowField
 from .mesh import MeshComplex, NoiseSpec, hodge_star
 from .operators import (
     _anticommutator,
@@ -60,11 +59,8 @@ from .operators import _interior_product as interior_product
 
 __all__ = [
     "GradedOperator",
-    "LangevinSimilarity",
     "assemble_hamiltonian",
-    "pseudo_adjoint_charge",
     "conventional_fp_operator",
-    "hermitianize_langevin",
 ]
 
 _TWO_ROUTE_TOL = 1e-11
@@ -73,46 +69,24 @@ _SYMMETRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """Degree-graded operator: ``blocks[i]`` acts on degree ``i + max(0, -degree_shift)``.
-
-    ``degree_shift`` is 0 for degree-preserving operators (the generator) and
-    -1 for the conjugate charge (degree k -> k-1, defined for k >= 1).
-    """
+    """Degree-preserving operator on cochains: ``blocks[k]`` acts on degree k."""
 
     blocks: Tuple[np.ndarray, ...]
-    degree_shift: int
     mesh: MeshComplex
     flow: FlowField
     noise: NoiseSpec
     backend: str = "fd"
 
-    @property
-    def min_degree(self) -> int:
-        return max(0, -self.degree_shift)
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + len(self.blocks) - 1
-
     def block(self, k: int) -> np.ndarray:
-        if k < self.min_degree or k > self.max_degree:
-            if self.degree_shift < 0 and k == 0:
-                raise DegreeError(
-                    "the conjugate charge lowers degree and there are no "
-                    "(-1)-forms to map 0-cochains into"
-                )
-            raise DegreeError(
-                f"degree {k} outside {self.min_degree}..{self.max_degree}"
-            )
-        return self.blocks[k - self.min_degree]
+        if not 0 <= k < len(self.blocks):
+            raise DegreeError(f"degree {k} outside 0..{len(self.blocks) - 1}")
+        return self.blocks[k]
 
     def degrees(self):
-        return range(self.min_degree, self.max_degree + 1)
+        return range(len(self.blocks))
 
     def intertwining_residual(self) -> float:
         """max_k ||d H_k - H_{k+1} d|| / ||H|| — zero up to roundoff by construction."""
-        if self.degree_shift != 0:
-            raise DegreeError("intertwining is defined for degree-preserving operators")
         scale = max(np.max(np.abs(b)) for b in self.blocks)
         worst = 0.0
         for k in range(self.mesh.dimension):
@@ -122,10 +96,10 @@ class GradedOperator:
         return float(worst / max(scale, 1e-300))
 
 
-def _deterministic_guard(flow: FlowField, noise: NoiseSpec, allow: bool, what: str):
+def _deterministic_guard(flow: FlowField, noise: NoiseSpec, allow: bool):
     if noise.is_deterministic and not flow.is_zero and not allow:
         raise DeterministicLimitError(
-            f"{what} is singular at epsilon = 0 with a nonzero flow: the "
+            "the generator is singular at epsilon = 0 with a nonzero flow: the "
             "diffusive part vanishes and the spectrum collapses onto the "
             "imaginary axis. Use the noise-sweep diagnostic "
             "(reporting.sweep_epsilon) to study the approach to this limit, "
@@ -168,11 +142,11 @@ def assemble_hamiltonian(
         Opt in to the epsilon = 0 advection-only operator H = -L_A.
     """
     backend = normalize_backend(backend)
-    _deterministic_guard(flow, noise, allow_deterministic, "the generator")
+    _deterministic_guard(flow, noise, allow_deterministic)
     d, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
     blocks = tuple(0.5 * _anticommutator(d, ddag, k) - _anticommutator(d, iota, k)
                    for k in range(mesh.dimension + 1))
-    op = GradedOperator(blocks, 0, mesh, flow, noise, backend)
+    op = GradedOperator(blocks, mesh, flow, noise, backend)
     _check_two_routes(op, d, ddag, iota)
     return replace(op, blocks=tuple(_dense(b) for b in blocks))
 
@@ -190,21 +164,6 @@ def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:
                 f"at noise level {op.noise.epsilon!r} differs from the charge-route "
                 f"assembly by {resid:.3e} relative (tolerance {_TWO_ROUTE_TOL:g})"
             )
-
-
-def pseudo_adjoint_charge(
-    mesh: MeshComplex,
-    flow: FlowField,
-    noise: NoiseSpec,
-    backend: str = "fd",
-    allow_deterministic: bool = False,
-) -> GradedOperator:
-    """Conjugate charge blocks Qbar_k = d†_k - 2 iota_A(k) for k = 1..D."""
-    backend = normalize_backend(backend)
-    _deterministic_guard(flow, noise, allow_deterministic, "the conjugate charge")
-    _, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
-    blocks = tuple(_dense(dd - 2.0 * i) for dd, i in zip(ddag, iota))
-    return GradedOperator(blocks, -1, mesh, flow, noise, backend)
 
 
 def conventional_fp_operator(
@@ -234,72 +193,10 @@ def conventional_fp_operator(
     h = assemble_hamiltonian(mesh, flow, noise, backend)
     top = h.block(mesh.dimension)
     if backend == "fd":
-        s = hodge_star(mesh, mesh.dimension, noise).values
+        s = hodge_star(mesh, mesh.dimension, noise)
         return (s[:, None] * top) / s[None, :]
     m = inner_product_matrix(mesh, mesh.dimension, noise, backend)
     return m @ top @ np.linalg.inv(m)
-
-
-@dataclass(frozen=True)
-class LangevinSimilarity:
-    """Diagonal similarity bringing the gradient-flow generator to symmetric form.
-
-    ``eta[k]`` holds the per-cell metric weights at degree k (vertex weights
-    e^{2W}; edge and face weights are harmonic means of the vertex weights
-    over the cell's vertices).  ``asymmetry[k]`` is the measured relative
-    asymmetry of the transformed block.
-    """
-
-    eta: Tuple[np.ndarray, ...]
-    asymmetry: Tuple[float, ...]
-    w: np.ndarray
-    epsilon: float
-
-
-def hermitianize_langevin(
-    mesh: MeshComplex,
-    w_or_flow: Union[np.ndarray, FlowField],
-    noise: NoiseSpec,
-) -> Tuple[GradedOperator, LangevinSimilarity]:
-    """Similarity-transform the gradient-flow generator to real symmetric form.
-
-    Accepts either vertex samples of the superpotential W or a flow field
-    declared as a gradient flow (anything else raises the not-potential
-    error).  Uses the fd backend.  Per degree, the transformed block is
-    diag(sqrt(eta)) H diag(1/sqrt(eta)); the vertex weights are eta = e^{2W}
-    and higher-degree cell weights are harmonic means of the vertex weights.
-    On circle grids this is exactly symmetric at every degree for any W (the
-    tanh edge-flow rule is chosen to make it so).  On torus grids the
-    degree-0 block is still exactly symmetric, but the degree-1 block mixes
-    the two edge families with weights no diagonal similarity can reconcile,
-    so the call measures the asymmetry and raises rather than return a
-    silently non-symmetric operator.
-
-    Runs use the same weights without calling this: the eigensolver solves
-    each fd block of a declared gradient flow in this form when its measured
-    asymmetry is within 1e-10 (see ``spectral`` for the routes).
-    """
-    if noise.is_deterministic:
-        raise DeterministicLimitError("hermitianization requires epsilon > 0")
-    if isinstance(w_or_flow, FlowField):
-        w = w_or_flow.require_langevin()
-    else:
-        w = np.asarray(w_or_flow, dtype=float)
-    flow = langevin_flow(mesh, w, noise)
-    ham = assemble_hamiltonian(mesh, flow, noise, backend="fd")
-
-    etas, blocks, asym = zip(*(_symmetric_form(mesh, w, k, ham.block(k))
-                               for k in ham.degrees()))
-    worst = float(np.max(asym))
-    if not worst <= _SYMMETRY_TOL:  # also refuses NaN
-        raise NumericalError(
-            f"diagonal similarity left a relative asymmetry of {worst:.3e} "
-            f"(tolerance {_SYMMETRY_TOL:g}). On product grids the degree-1 block "
-            "couples the two edge families with weights that no diagonal metric "
-            "can reconcile; exact hermitianization is available on circle grids."
-        )
-    hermitian = GradedOperator(blocks, 0, mesh, flow, noise, "fd")
-    return hermitian, LangevinSimilarity(etas, asym, w.copy(), noise.epsilon)
 
 
 def _symmetric_form(mesh: MeshComplex, w: np.ndarray, k: int,

@@ -71,7 +71,6 @@ from .exceptions import (
 __all__ = [
     "NoiseSpec",
     "MeshComplex",
-    "HodgeStar",
     "build_circle_grid",
     "build_torus_grid",
     "build_triangulated_surface",
@@ -87,7 +86,8 @@ class NoiseSpec:
     """Noise intensity multiplying the unit base metric.
 
     ``epsilon == 0`` is accepted but only meaningful for deterministic-limit
-    diagnostics; metric-dependent operators either refuse it or flag it.
+    diagnostics; metric-dependent operators either refuse it or fall back to
+    the unit metric.
     """
 
     epsilon: float
@@ -179,15 +179,6 @@ class MeshComplex:
 
     def total_volume(self) -> float:
         return float(np.sum(self.primal_volumes[self.dimension]))
-
-
-@dataclass(frozen=True)
-class HodgeStar:
-    """Diagonal star at one degree: ``values[c]`` multiplies cell c."""
-
-    degree: int
-    values: np.ndarray
-    deterministic_limit: bool = False
 
 
 # ======================================================================
@@ -523,14 +514,13 @@ def load_off(path) -> MeshComplex:
 # Hodge star
 # ======================================================================
 
-def hodge_star(mesh: MeshComplex, k: int, noise: NoiseSpec) -> HodgeStar:
+def hodge_star(mesh: MeshComplex, k: int, noise: NoiseSpec) -> np.ndarray:
     """Diagonal Hodge star on degree-k cochains under the scaled metric.
 
-    The entries are dual/primal volume ratios times ``epsilon**(k - D/2)``;
-    they are strictly positive for ``epsilon > 0``.  With ``epsilon == 0``
-    the unit-metric star is returned and flagged ``deterministic_limit`` —
-    callers needing the metric scale must treat that flag as "the diffusive
-    sector is switched off", not as a usable metric.
+    Entry c multiplies cell c: the dual/primal volume ratio times
+    ``epsilon**(k - D/2)``, strictly positive for ``epsilon > 0``.  With
+    ``epsilon == 0`` the unit-metric ratio is returned: the diffusive sector
+    is switched off there, so the entries carry no metric scale.
 
     Parameters
     ----------
@@ -545,9 +535,8 @@ def hodge_star(mesh: MeshComplex, k: int, noise: NoiseSpec) -> HodgeStar:
         )
     ratio = mesh.dual_volumes[k] / mesh.primal_volumes[k]
     if noise.is_deterministic:
-        return HodgeStar(degree=k, values=ratio.copy(), deterministic_limit=True)
-    scale = noise.epsilon ** (k - mesh.dimension / 2.0)
-    return HodgeStar(degree=k, values=scale * ratio, deterministic_limit=False)
+        return ratio.copy()
+    return noise.epsilon ** (k - mesh.dimension / 2.0) * ratio
 
 
 def _check_chain_complex(mesh: MeshComplex) -> None:

@@ -82,12 +82,20 @@ class ModelSpec:
     w: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.flow.langevin and self.noise.is_deterministic:
+            raise InvalidNoiseError(
+                "a gradient flow needs epsilon > 0: its samples A = eps * grad W "
+                "vanish at epsilon = 0, leaving the zero generator"
+            )
+
     def rebuild_at(self, epsilon: float) -> "ModelSpec":
         """Same model at another noise level: the one rule every level is built by.
 
         A registered model is rebuilt from its parameters.  Any other model
         keeps its mesh and flow samples, except that a gradient flow, whose
-        samples carry one factor of eps, is resampled from ``w``.
+        samples carry one factor of eps, is resampled from ``w``.  A gradient
+        flow has no epsilon = 0 level: ``ModelSpec`` refuses it.
         """
         epsilon = float(epsilon)
         if epsilon == self.noise.epsilon:

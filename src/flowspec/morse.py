@@ -74,7 +74,6 @@ class CriticalPoint:
         ``(-1) ** delta``.
     hyperbolic : bool
         False when some eigenvalue real part is below the resolution floor.
-    has_complex_pair : bool
     mesh : MeshComplex
         The mesh the zero was located on (kept for downstream constructions).
     """
@@ -85,7 +84,6 @@ class CriticalPoint:
     delta: int
     sign: int
     hyperbolic: bool
-    has_complex_pair: bool
     mesh: MeshComplex
 
     @property
@@ -106,7 +104,6 @@ def _classify(location, jac, mesh, flow_scale) -> CriticalPoint:
         delta=delta,
         sign=(-1) ** delta,
         hyperbolic=hyperbolic,
-        has_complex_pair=bool(np.any(np.abs(eigs.imag) > floor)),
         mesh=mesh,
     )
 
@@ -380,7 +377,7 @@ def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopStat
                 center = np.array([(i + 0.5) * hx, (j + 0.5) * hy])
                 values[f] = gaussian(center)
 
-    metric = hodge_star(mesh, degree, noise).values
+    metric = hodge_star(mesh, degree, noise)
     norm = float(np.sqrt(np.sum(metric * values * values)))
     if norm == 0.0:
         raise IndeterminateIndexError("one-loop ansatz vanished on this mesh")

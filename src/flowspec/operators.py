@@ -171,7 +171,7 @@ def inner_product_matrix(
             "the scaled metric degenerates at epsilon = 0; no inner product exists"
         )
     if backend == "fd":
-        return np.diag(hodge_star(mesh, k, noise).values)
+        return np.diag(hodge_star(mesh, k, noise))
 
     _require_fourier_grid(mesh)
     factors = [_fourier_factors(n, length) for n, length in zip(mesh.grid_shape, mesh.lengths)]
@@ -217,8 +217,8 @@ def _codifferential(mesh: MeshComplex, d, k: int, noise: NoiseSpec, backend: str
     """
     if backend == "fd":
         dt = d.T.tocoo()
-        star_lo = hodge_star(mesh, k - 1, noise).values
-        star_hi = hodge_star(mesh, k, noise).values
+        star_lo = hodge_star(mesh, k - 1, noise)
+        star_hi = hodge_star(mesh, k, noise)
         vals = dt.data * star_hi[dt.col] / star_lo[dt.row]
         return sp.csr_matrix((vals, (dt.row, dt.col)), shape=dt.shape)
     m_lo = inner_product_matrix(mesh, k - 1, noise, backend)

@@ -262,6 +262,9 @@ class RunConfig:
                                  ("store_every", 1), ("bins", 64)):
                 sim[key] = _as_int(sim.get(key, default), f"simulate.{key}")
             sim.setdefault("autocorrelation", False)
+            if not isinstance(sim["autocorrelation"], bool):
+                raise ValidationError("simulate.autocorrelation must be true or false, "
+                                      f"got {sim['autocorrelation']!r}")
             window = sim.get("fit_window")
             if window is not None:
                 pair = isinstance(window, list) and len(window) == 2
@@ -348,8 +351,14 @@ def _sweep_levels(epsilons) -> Tuple[float, ...]:
 
 def _resolve_model(config: RunConfig) -> ModelSpec:
     if config.model_name is not None:
-        return build_model(config.model_name, config.model_params)
-    return _build_inline(config.inline)
+        model = build_model(config.model_name, config.model_params)
+    else:
+        model = _build_inline(config.inline)
+    if config.sweep_epsilons and config.sweep_epsilons[-1] == 0.0:
+        # levels decrease, so only the last can be 0: a model that refuses it
+        # (a gradient flow) is refused here, before any task writes a file
+        model.rebuild_at(0.0)
+    return model
 
 
 def _build_inline(spec: Dict) -> ModelSpec:

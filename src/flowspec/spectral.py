@@ -59,7 +59,6 @@ import scipy.linalg
 from .exceptions import (
     CapacityError,
     EigensolverError,
-    ErgodicZeroMissingError,
     GapAmbiguityWarning,
 )
 from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _symmetric_form
@@ -71,12 +70,10 @@ __all__ = [
     "full_spectrum",
     "eigenvalue_spectrum",
     "synthetic_spectrum",
-    "physical_states",
     "classify_phase",
     "witten_index",
     "zero_mode_counts",
     "susy_pairing_check",
-    "conjugate_closure_residual",
 ]
 
 _CLUSTER_REL = 1e-7
@@ -485,35 +482,17 @@ def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
 
 
 # ----------------------------------------------------------------------
-# physical states and phase verdicts
+# phase verdicts
 # ----------------------------------------------------------------------
-
-def physical_states(report: SpectrumReport,
-                    tau_gamma: Optional[float] = None) -> np.ndarray:
-    """Indices of the entries surviving the long-time evolution: |Gamma| <= tau_gamma.
-
-    Every sound discretization of an ergodic flow has at least one (the
-    stationary state); an empty result therefore raises.
-    """
-    tau = _default_tau(report, tau_gamma)
-    kept = np.flatnonzero(np.abs(report.eigenvalue.real) <= tau)
-    if not len(kept):
-        raise ErgodicZeroMissingError(
-            "no state with |Gamma| <= "
-            f"{tau:.3e} found; the stationary zero mode is missing, which "
-            "signals an inconsistent discretization"
-        )
-    return kept
-
 
 def classify_phase(report: SpectrumReport,
                    tau_gamma: Optional[float] = None,
                    tau_e: Optional[float] = None) -> PhaseClassification:
     """Phase verdict as a pure function of the eigenvalue multiset.
 
-    An empty survivor set yields "indeterminate" rather than an error so
-    sweeps over marginal operators always complete; call
-    ``physical_states`` directly to get the hard failure.
+    The survivors are the entries with |Gamma| <= tau_gamma.  An empty
+    survivor set yields "indeterminate" rather than an error, so sweeps over
+    marginal operators always complete.
     """
     tg = _default_tau(report, tau_gamma)
     te = _default_tau(report, tau_e)
@@ -646,16 +625,6 @@ def susy_pairing_check(report: SpectrumReport, tol: float = 1e-8) -> PairingRepo
         multiset_equal=multiset_equal,
         tol=tol,
     )
-
-
-def conjugate_closure_residual(report: SpectrumReport) -> float:
-    """Worst distance from each eigenvalue's conjugate to its own degree multiset."""
-    worst = 0.0
-    for k in range(report.dimension + 1):
-        vals = report.eigenvalues(degree=k)
-        for lam in vals:
-            worst = max(worst, float(np.min(np.abs(vals - np.conj(lam)))))
-    return worst
 
 
 # ----------------------------------------------------------------------

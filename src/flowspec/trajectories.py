@@ -23,9 +23,10 @@ Estimators:
   about what one full block would; the main thread adds their partial sums
   in block order, so the result does not depend on thread timing or the
   host's core count.  A custom ``observable`` is therefore called from
-  worker threads;
-* ``mean_squared_displacement`` / ``drift_velocity`` — moment diagnostics
-  on unwrapped paths.
+  worker threads.
+
+Moments such as the mean squared displacement are array reductions of
+``TrajectoryEnsemble.unwrapped()``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ __all__ = [
     "stationary_histogram",
     "tv_distance_to_density",
     "autocorrelation_decay",
-    "mean_squared_displacement",
-    "drift_velocity",
 ]
 
 _BURN_IN_FRACTION = 0.2
@@ -390,25 +389,3 @@ def autocorrelation_decay(
         c0=c0,
         dt=float(dt_s),
     )
-
-
-# ----------------------------------------------------------------------
-# moment diagnostics
-# ----------------------------------------------------------------------
-
-def mean_squared_displacement(ensemble: TrajectoryEnsemble):
-    """(times, msd) of unwrapped paths, components summed."""
-    u = ensemble.unwrapped()
-    disp = u - u[:, :1, :]
-    msd = np.sum(disp**2, axis=2).mean(axis=0)
-    return ensemble.times, msd
-
-
-def drift_velocity(ensemble: TrajectoryEnsemble):
-    """Mean end-to-end velocity per component and its standard error."""
-    u = ensemble.unwrapped()
-    total_time = ensemble.times[-1]
-    if total_time <= 0:
-        raise ValidationError("need at least one stored interval")
-    v = (u[:, -1, :] - u[:, 0, :]) / total_time
-    return v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(ensemble.n_paths)

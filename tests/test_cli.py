@@ -19,6 +19,14 @@ def double_well_dict(tasks, eps=0.2, **extra):
     }
 
 
+def _inline_potential(eps, tasks, **extra):
+    # the double well's W = cos 2 phi on a 32-point circle
+    w = np.cos(2 * np.arange(32) * (2 * np.pi / 32))
+    return {"inline": {"mesh": {"kind": "circle", "n": 32},
+                       "flow": {"potential": w.tolist()}, "epsilon": eps},
+            "tasks": tasks, **extra}
+
+
 def base_config(**extra):
     cfg = {
         "model": {"name": "constant_drive_circle",
@@ -547,6 +555,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     *(double_well_dict(["spectrum", "morse"], morse={"splitting_epsilons": levels})
       for levels in ([0.1, 0.2], [0.2], [0.2, 0.0], [0.2, float("nan")],
                      [float("inf"), 0.2])),
+    base_config(tasks=["simulate"], simulate={"steps": 500, "n_paths": 32,
+                                              "autocorrelation": "false"}),
+    base_config(tasks=["simulate"], simulate={"steps": 500, "n_paths": 32,
+                                              "autocorrelation": 1}),
+    _inline_potential(0.0, ["spectrum", "classify", "witten"]),
+    _inline_potential(0.2, ["spectrum", "sweep"], sweep={"epsilons": [0.4, 0.2, 0.0]}),
+    double_well_dict(["spectrum", "sweep"], sweep={"epsilons": [0.4, 0.2, 0.0]}),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
@@ -554,7 +569,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         "fit-window-type", "fit-window-order", "param-value", "out-dir-type",
         "nan-length", "inf-length", "torus-inf-length", "inf-size",
         "param-beyond-float", "constant-beyond-float", "morse-ascending",
-        "morse-single", "morse-zero", "morse-nan", "morse-inf"])
+        "morse-single", "morse-zero", "morse-nan", "morse-inf",
+        "autocorrelation-string", "autocorrelation-int", "potential-zero-noise",
+        "potential-sweep-zero", "double-well-sweep-zero"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

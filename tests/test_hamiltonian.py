@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowspec as fs
+from flowspec.hamiltonian import _SYMMETRY_TOL, _symmetric_form
 
 
 def circle_setup(n=32, eps=0.3, seed=5):
@@ -30,20 +31,11 @@ def match_residual(a, b):
 def test_block_grading_and_shapes():
     mesh, flow, noise = circle_setup()
     h = fs.assemble_hamiltonian(mesh, flow, noise)
-    assert h.degree_shift == 0
     assert list(h.degrees()) == [0, 1]
     assert h.block(0).shape == (32, 32)
-    with pytest.raises(fs.DegreeError):
-        h.block(2)
-
-
-def test_conjugate_charge_has_no_degree_zero_block():
-    mesh, flow, noise = circle_setup()
-    qbar = fs.pseudo_adjoint_charge(mesh, flow, noise)
-    assert qbar.degree_shift == -1
-    assert list(qbar.degrees()) == [1]
-    with pytest.raises(fs.DegreeError, match="forms"):
-        qbar.block(0)
+    for k in (-1, 2):
+        with pytest.raises(fs.DegreeError):
+            h.block(k)
 
 
 def test_intertwining_is_an_algebraic_identity():
@@ -124,7 +116,7 @@ def _dense_generator(mesh, flow, noise, matmul):
     dim = mesh.dimension
     incidence = [mesh.boundary_matrix(k + 1).toarray().astype(float) for k in range(dim)]
     d = [b.T for b in incidence]
-    star = [hodge_star(mesh, k, noise).values for k in range(dim + 1)]
+    star = [hodge_star(mesh, k, noise) for k in range(dim + 1)]
     ddag = [(d[k].T * star[k + 1]) / star[k][:, None] for k in range(dim)]
     if flow.is_zero:
         iota = [np.zeros(b.shape) for b in incidence]
@@ -265,31 +257,30 @@ def test_density_generator_conserves_probability():
 
 
 def test_hermitianization_on_circle_is_exact():
-    n = 64
+    # the eigensolver's symmetric route: every circle degree, any W
+    n, noise = 64, fs.NoiseSpec(0.2)
     mesh = fs.build_circle_grid(n, 2 * np.pi)
     rng = np.random.default_rng(2)
     w = rng.standard_normal(n)  # arbitrary potential, not just smooth ones
-    herm, sim = fs.hermitianize_langevin(mesh, w, fs.NoiseSpec(0.2))
-    assert max(sim.asymmetry) < 1e-12
-    np.testing.assert_allclose(sim.eta[0], np.exp(2 * w), rtol=1e-14)
-    # similarity preserves the spectrum and makes it manifestly real
-    h = fs.assemble_hamiltonian(
-        mesh, fs.langevin_flow(mesh, w, fs.NoiseSpec(0.2)), fs.NoiseSpec(0.2)
-    )
-    lam_sym = np.linalg.eigvalsh(0.5 * (herm.block(0) + herm.block(0).T))
-    lam_raw = np.sort(np.linalg.eigvals(h.block(0)).real)
-    np.testing.assert_allclose(np.sort(lam_sym), lam_raw, atol=1e-9 * lam_sym.max())
+    h = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
+    for k in h.degrees():
+        eta, sym, asymmetry = _symmetric_form(mesh, w, k, h.block(k))
+        assert asymmetry < 1e-12
+        if k == 0:
+            np.testing.assert_allclose(eta, np.exp(2 * w), rtol=1e-14)
+        # similarity preserves the spectrum and makes it manifestly real
+        lam_sym = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        lam_raw = np.sort(np.linalg.eigvals(h.block(k)).real)
+        np.testing.assert_allclose(np.sort(lam_sym), lam_raw, atol=1e-9 * lam_sym.max())
 
 
 def test_hermitianization_rejects_torus_degree_one():
+    # no diagonal weight reconciles the two edge families, so the symmetric
+    # route measures the asymmetry and leaves degree 1 to the general solver
     mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
     ij = np.asarray(mesh.vertices)
     w = 0.5 * (np.cos(ij[:, 0]) + np.cos(ij[:, 1]))
-    with pytest.raises(fs.NumericalError, match="edge families"):
-        fs.hermitianize_langevin(mesh, w, fs.NoiseSpec(0.3))
-
-
-def test_hermitianization_requires_gradient_flow():
-    mesh, flow, noise = circle_setup()
-    with pytest.raises(fs.NotPotentialError):
-        fs.hermitianize_langevin(mesh, flow, noise)
+    noise = fs.NoiseSpec(0.3)
+    h = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
+    assert _symmetric_form(mesh, w, 0, h.block(0))[2] < 1e-12
+    assert _symmetric_form(mesh, w, 1, h.block(1))[2] > _SYMMETRY_TOL

@@ -171,9 +171,13 @@ def test_rebuild_at_an_inline_model():
     np.testing.assert_array_equal(again.flow.vertex_values, fresh.vertex_values)
     assert not np.array_equal(again.flow.edge_vectors, grad.flow.edge_vectors)
     assert grad.rebuild_at(0.2) is grad
+    # at eps = 0 the samples vanish: a gradient flow refuses the level
+    with pytest.raises(fs.InvalidNoiseError, match="gradient flow"):
+        grad.rebuild_at(0.0)
 
     drive = _build_inline({"mesh": mesh, "flow": {"constant": 1.0}, "epsilon": 0.2})
     assert drive.rebuild_at(0.05).flow is drive.flow
+    assert drive.rebuild_at(0.0).noise.is_deterministic
     # registration is read from the registry, not from the name "inline"
     named = replace(drive, name="my_drive")
     assert named.rebuild_at(0.05).flow is drive.flow

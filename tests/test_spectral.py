@@ -533,12 +533,6 @@ def test_explicit_tau_overrides():
         fs.classify_phase(rep, tau_gamma=-1.0)
 
 
-def test_missing_stationary_mode_is_a_hard_error():
-    rep = fs.synthetic_spectrum([1.0, 2.0])
-    with pytest.raises(fs.ErgodicZeroMissingError):
-        fs.physical_states(rep)
-
-
 def test_gap_ambiguity_warning():
     rep = fs.synthetic_spectrum([0.0, 3e-8, 1.0])  # 3e-8 = 3*tau0, inside the band
     with pytest.warns(fs.GapAmbiguityWarning):
@@ -585,7 +579,10 @@ def test_pairing_on_torus_splits_by_adjacency():
 
 def test_conjugate_closure_of_real_operator():
     _, report = constant_drive_report(n=48)
-    assert fs.conjugate_closure_residual(report) < 1e-10
+    for k in range(report.dimension + 1):
+        vals = report.eigenvalues(k)
+        gaps = np.abs(vals[:, None] - np.conj(vals)[None, :])
+        assert gaps.min(axis=1).max() < 1e-10
 
 
 def test_spectrum_csv_layout(tmp_path):

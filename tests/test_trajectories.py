@@ -54,9 +54,11 @@ def test_storage_layout_and_windings():
 def test_winding_velocity_matches_drift():
     model = drive_model(a=1.0, eps=0.2)
     ens = fs.simulate_sde(model, dt=0.005, steps=4000, n_paths=200, seed=12)
-    v, se = fs.drift_velocity(ens)
-    assert abs(v[0] - (-1.0)) < 3 * se[0]
-    assert se[0] < 0.02
+    u = ens.unwrapped()
+    v = (u[:, -1, 0] - u[:, 0, 0]) / ens.times[-1]  # mean end-to-end velocity per path
+    se = v.std(ddof=1) / np.sqrt(ens.n_paths)
+    assert abs(v.mean() - (-1.0)) < 3 * se
+    assert se < 0.02
 
 
 def test_msd_of_free_diffusion():
@@ -66,7 +68,8 @@ def test_msd_of_free_diffusion():
         {"depth": 0.0, "tilt": 0.0, "epsilon": 0.3, "n": 32},
     )
     ens = fs.simulate_sde(model, dt=0.01, steps=2000, n_paths=400, seed=21)
-    times, msd = fs.mean_squared_displacement(ens)
+    u = ens.unwrapped()
+    times, msd = ens.times, np.sum((u - u[:, :1, :]) ** 2, axis=2).mean(axis=0)
     mask = times > 1.0
     ratio = msd[mask] / (0.3 * times[mask])
     assert abs(ratio.mean() - 1.0) < 0.1
