@@ -66,7 +66,7 @@ class NumericalError(FlowspecError):
 
 
 class CapacityError(NumericalError):
-    """Dense eigenproblem larger than the configured cap, or an SDE path
+    """Dense eigenproblem larger than the dense-solver cap, or an SDE path
     store that cannot be allocated."""
 
 

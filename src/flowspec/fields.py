@@ -22,9 +22,13 @@ is ``(epsilon/h) * tanh(W_head - W_tail)``.  It agrees with
 local rule for which the assembled degree-0 generator satisfies discrete
 detailed balance *exactly* (the similarity transform by diag(e^W) is exactly
 symmetric at any resolution).  Vertex samples of a Langevin flow are the
-average of the two incident tangential edge samples per direction, so the
-"flow equals metric-scaled discrete gradient of W" consistency holds by
-construction."""
+average of the two incident tangential edge samples per direction.
+
+A gradient flow records its superpotential ``w``; that field is the one
+declaration that a flow is a gradient (``FlowField.langevin`` reads it), and
+``with_tilt`` clears it.  The samples carry one factor of epsilon, but the
+flow does not record the level: the noise belongs to whoever pairs the flow
+with a ``NoiseSpec`` (``ModelSpec.noise``, ``GradedOperator.noise``)."""
 
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import NotPotentialError, UnsupportedMeshError
+from .exceptions import UnsupportedMeshError
 from .mesh import MeshComplex, NoiseSpec
 
 __all__ = [
@@ -52,9 +56,12 @@ class FlowField:
     kind: str
     vertex_values: np.ndarray
     edge_vectors: Optional[np.ndarray]
-    langevin: bool = False
-    w: Optional[np.ndarray] = None
-    epsilon: Optional[float] = None
+    w: Optional[np.ndarray] = None  # the superpotential of a gradient flow
+
+    @property
+    def langevin(self) -> bool:
+        """Declared as the gradient of a superpotential ``w``."""
+        return self.w is not None
 
     @property
     def is_zero(self) -> bool:
@@ -91,22 +98,6 @@ class FlowField:
     def max_speed(self) -> float:
         v = self.vertex_values.reshape(len(self.vertex_values), -1)
         return float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
-
-    def require_langevin(self) -> np.ndarray:
-        if not self.langevin or self.w is None:
-            raise NotPotentialError(
-                "flow is not declared as the gradient of a superpotential"
-            )
-        return self.w
-
-    def langevin_consistency_residual(self, mesh: MeshComplex) -> float:
-        """Max relative deviation of the stored samples from the gradient rule."""
-        w = self.require_langevin()
-        rebuilt = langevin_flow(mesh, w, NoiseSpec(self.epsilon))
-        scale = max(np.max(np.abs(rebuilt.vertex_values)), 1e-300)
-        dv = np.max(np.abs(self.vertex_values - rebuilt.vertex_values))
-        de = np.max(np.abs(self.edge_vectors - rebuilt.edge_vectors))
-        return float(max(dv, de) / scale)
 
 
 def zero_flow(mesh: MeshComplex) -> FlowField:
@@ -156,7 +147,7 @@ def langevin_flow(mesh: MeshComplex, w, noise: NoiseSpec) -> FlowField:
                          for b, c in enumerate(comp)])
         for a in axes
     ])
-    return FlowField(mesh.kind, vertex, ev, langevin=True, w=w.copy(), epsilon=eps)
+    return FlowField(mesh.kind, vertex, ev, w=w.copy())
 
 
 def with_tilt(flow: FlowField, tilt) -> FlowField:
@@ -171,5 +162,5 @@ def with_tilt(flow: FlowField, tilt) -> FlowField:
         flow,
         vertex_values=flow.vertex_values + tilt,
         edge_vectors=flow.edge_vectors + tilt,
-        langevin=False, w=None, epsilon=None,
+        w=None,
     )

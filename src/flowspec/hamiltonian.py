@@ -5,7 +5,9 @@ The generator acts degree-by-degree on cochains:
     H_k = {d, d†}_k / 2 - {d, iota_A}_k,   {d, x}_k = x_k d_k + d_{k-1} x_{k-1},
 
 with the codifferential carrying the noise scale and the second term the
-Cartan-assembled Lie derivative L_A.  Ghost number (form degree) is
+Cartan-assembled Lie derivative L_A.  At epsilon = 0 the codifferential
+vanishes and H_k = -L_A, the bare advection operator, assembled like any
+other level.  Ghost number (form degree) is
 conserved, so the operator is a tuple of square blocks.  The companion charge
 
     Qbar_k = d†_k - 2 iota_A(k)
@@ -96,17 +98,6 @@ class GradedOperator:
         return float(worst / max(scale, 1e-300))
 
 
-def _deterministic_guard(flow: FlowField, noise: NoiseSpec, allow: bool):
-    if noise.is_deterministic and not flow.is_zero and not allow:
-        raise DeterministicLimitError(
-            "the generator is singular at epsilon = 0 with a nonzero flow: the "
-            "diffusive part vanishes and the spectrum collapses onto the "
-            "imaginary axis. Use the noise-sweep diagnostic "
-            "(reporting.sweep_epsilon) to study the approach to this limit, "
-            "or pass allow_deterministic=True for the bare advection operator."
-        )
-
-
 def _graded_pieces(mesh, flow, noise, backend):
     """d_k, d†_{k+1} and iota_{k+1} for k = 0..D-1, each built once, in the
     backend's storage (CSR on fd, dense on fourier)."""
@@ -125,24 +116,22 @@ def assemble_hamiltonian(
     flow: FlowField,
     noise: NoiseSpec,
     backend: str = "fd",
-    allow_deterministic: bool = False,
 ) -> GradedOperator:
     """Generator blocks H_k = (d d† + d† d)/2 - L_A at every degree.
 
     The construction is verified on the spot against the charge route
     H = (Q Qbar + Qbar Q)/2; a mismatch raises rather than returning a bad
-    operator.
+    operator.  At epsilon = 0 the codifferential term vanishes and every
+    block is the bare advection operator -L_A, whose spectrum lies on the
+    imaginary axis (``reporting.sweep_epsilon`` follows the approach to it).
 
     Parameters
     ----------
     mesh, flow, noise
         The discretized phase space, the velocity field, and the noise scale.
     backend : {"fd", "fourier"}
-    allow_deterministic : bool
-        Opt in to the epsilon = 0 advection-only operator H = -L_A.
     """
     backend = normalize_backend(backend)
-    _deterministic_guard(flow, noise, allow_deterministic)
     d, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
     blocks = tuple(0.5 * _anticommutator(d, ddag, k) - _anticommutator(d, iota, k)
                    for k in range(mesh.dimension + 1))

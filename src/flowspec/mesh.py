@@ -177,9 +177,6 @@ class MeshComplex:
     def is_structured(self) -> bool:
         return self.kind in ("circle", "torus")
 
-    def total_volume(self) -> float:
-        return float(np.sum(self.primal_volumes[self.dimension]))
-
 
 # ======================================================================
 # structured grid builders

@@ -2,15 +2,13 @@
 
 Each constructor returns a fully assembled :class:`ModelSpec`: the mesh, the
 flow samples, the noise level, a continuum drift callable for trajectory
-integration, and an oracle stating what the computed spectrum and verdicts
-must look like.  Oracles come in three strengths:
-
-* ``analytic``   — closed-form eigenvalues per backend (translation-invariant
-  flows diagonalize in the Fourier basis, so the expected values are exact
-  symbol evaluations);
-* ``structural`` — no closed-form spectrum, but hard structure: reality,
-  stationary density, zero-mode counts, phase verdict;
-* ``numerical``  — frozen numbers from an independent computation.
+integration and, where one exists, a closed-form stationary density.  A
+model whose spectrum is known in closed form also carries a
+:class:`ModelOracle`: the expected eigenvalues per backend and degree
+(translation-invariant flows diagonalize in the Fourier basis, so they are
+exact symbol evaluations) and the tolerance a computed spectrum is held to.
+Verdicts, indices and zero-mode counts are not declared: a run computes
+them.
 
 Potential ("langevin") flows sample A = eps * grad W through the tanh edge
 rule, so their stationary density is exp(-2 W) exactly at the discrete
@@ -51,35 +49,27 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ModelOracle:
-    """What a computed spectrum of the model must satisfy."""
+    """A closed-form spectrum and the relative tolerance it is checked to.
 
-    basis: str  # "analytic" | "structural" | "numerical"
+    ``spectrum_fn(backend, degree)`` gives the expected eigenvalues of one
+    degree block, or ``None`` for a degree it does not predict.
+    """
+
     rel_tol: float
-    spectrum_fn: Optional[Callable[[str, int], Optional[np.ndarray]]] = None
-    real_spectrum: bool = False
-    witten_index: Optional[int] = None
-    zero_mode_counts: Optional[Tuple[int, ...]] = None
-    classification: Optional[str] = None
-
-    def expected_spectrum(self, backend: str, degree: int) -> Optional[np.ndarray]:
-        if self.spectrum_fn is None:
-            return None
-        return self.spectrum_fn(backend, degree)
+    spectrum_fn: Callable[[str, int], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named system: mesh + flow + noise + continuum drift + oracle."""
+    """A named system: mesh + flow + noise + continuum drift + oracle, if any."""
 
     name: str
     params: Dict[str, float]
     mesh: MeshComplex
     flow: FlowField
     noise: NoiseSpec
-    langevin: bool
-    oracle: ModelOracle
+    oracle: Optional[ModelOracle] = None
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    w: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -94,8 +84,8 @@ class ModelSpec:
 
         A registered model is rebuilt from its parameters.  Any other model
         keeps its mesh and flow samples, except that a gradient flow, whose
-        samples carry one factor of eps, is resampled from ``w``.  A gradient
-        flow has no epsilon = 0 level: ``ModelSpec`` refuses it.
+        samples carry one factor of eps, is resampled from ``flow.w``.  A
+        gradient flow has no epsilon = 0 level: ``ModelSpec`` refuses it.
         """
         epsilon = float(epsilon)
         if epsilon == self.noise.epsilon:
@@ -103,7 +93,7 @@ class ModelSpec:
         if self.name in _REGISTRY:
             return build_model(self.name, {**self.params, "epsilon": epsilon})
         noise = NoiseSpec(epsilon)
-        flow = langevin_flow(self.mesh, self.w, noise) if self.flow.langevin else self.flow
+        flow = langevin_flow(self.mesh, self.flow.w, noise) if self.flow.langevin else self.flow
         return replace(self, flow=flow, noise=noise)
 
 
@@ -164,15 +154,10 @@ def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
     mesh = build_circle_grid(n, _TWO_PI)
     flow = flow_from_vertex_samples(mesh, np.full(n, float(a)))
     oracle = ModelOracle(
-        basis="analytic",
         rel_tol=1e-10,
         spectrum_fn=lambda backend, deg, _n=n, _a=float(a), _e=float(epsilon): (
             _circle_symbol(_n, _TWO_PI, _a, _e, backend) if deg in (0, 1) else None
         ),
-        real_spectrum=(a == 0.0),
-        witten_index=0,
-        zero_mode_counts=(1, 1),
-        classification="unbroken-Markovian" if epsilon > 0 else "Q-broken",
     )
     return ModelSpec(
         name="constant_drive_circle",
@@ -180,7 +165,6 @@ def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
         mesh=mesh,
         flow=flow,
         noise=noise,
-        langevin=False,
         oracle=oracle,
         drift=lambda phi, _a=float(a): np.full_like(np.asarray(phi, dtype=float), _a),
         density=lambda phi: np.ones_like(np.asarray(phi, dtype=float)),
@@ -203,27 +187,15 @@ def langevin_double_well_circle(depth: float, epsilon: float, n: int) -> ModelSp
     mesh = build_circle_grid(n, _TWO_PI)
     phis = np.asarray(mesh.vertices).reshape(-1)
     w = depth * np.cos(2.0 * phis)
-    flow = langevin_flow(mesh, w, noise)
-    oracle = ModelOracle(
-        basis="structural",
-        rel_tol=1e-9,
-        real_spectrum=True,
-        witten_index=0,
-        zero_mode_counts=(1, 1),
-        classification="unbroken-Markovian",
-    )
     return ModelSpec(
         name="langevin_double_well_circle",
         params={"depth": float(depth), "epsilon": float(epsilon), "n": int(n)},
         mesh=mesh,
-        flow=flow,
+        flow=langevin_flow(mesh, w, noise),
         noise=noise,
-        langevin=True,
-        oracle=oracle,
         drift=lambda phi, _d=float(depth), _e=float(epsilon): (
             -2.0 * _e * _d * np.sin(2.0 * np.asarray(phi, dtype=float))
         ),
-        w=w,
         density=lambda phi, _d=float(depth): np.exp(
             -2.0 * _d * np.cos(2.0 * np.asarray(phi, dtype=float))
         ),
@@ -247,29 +219,16 @@ def tilted_langevin_circle(depth: float, tilt: float, epsilon: float, n: int) ->
     mesh = build_circle_grid(n, _TWO_PI)
     phis = np.asarray(mesh.vertices).reshape(-1)
     w = depth * np.cos(2.0 * phis)
-    flow = with_tilt(langevin_flow(mesh, w, noise), float(tilt))
-    oracle = ModelOracle(
-        basis="structural",
-        rel_tol=1e-9,
-        real_spectrum=(tilt == 0.0),
-        witten_index=0,
-        zero_mode_counts=(1, 1),
-        classification="unbroken-Markovian",
-    )
     return ModelSpec(
         name="tilted_langevin_circle",
         params={"depth": float(depth), "tilt": float(tilt),
                 "epsilon": float(epsilon), "n": int(n)},
         mesh=mesh,
-        flow=flow,
+        flow=with_tilt(langevin_flow(mesh, w, noise), float(tilt)),
         noise=noise,
-        langevin=False,
-        oracle=oracle,
         drift=lambda phi, _d=float(depth), _e=float(epsilon), _t=float(tilt): (
             -2.0 * _e * _d * np.sin(2.0 * np.asarray(phi, dtype=float)) + _t
         ),
-        w=w,
-        density=None,
     )
 
 
@@ -293,15 +252,6 @@ def torus_shear_model(ax: float, ay: float, epsilon: float, n: int) -> ModelSpec
         sym = _torus_symbol(_n, _TWO_PI, _ax, _ay, _e, backend)
         return np.concatenate([sym, sym]) if deg == 1 else sym
 
-    oracle = ModelOracle(
-        basis="analytic",
-        rel_tol=1e-10,
-        spectrum_fn=spectrum_fn,
-        real_spectrum=(ax == 0.0 and ay == 0.0),
-        witten_index=0,
-        zero_mode_counts=(1, 2, 1),
-        classification="unbroken-Markovian" if epsilon > 0 else "Q-broken",
-    )
     return ModelSpec(
         name="torus_shear_model",
         params={"ax": float(ax), "ay": float(ay),
@@ -309,8 +259,7 @@ def torus_shear_model(ax: float, ay: float, epsilon: float, n: int) -> ModelSpec
         mesh=mesh,
         flow=flow,
         noise=noise,
-        langevin=False,
-        oracle=oracle,
+        oracle=ModelOracle(rel_tol=1e-10, spectrum_fn=spectrum_fn),
         drift=lambda pos, _ax=float(ax), _ay=float(ay): np.broadcast_to(
             np.array([_ax, _ay]), np.shape(np.asarray(pos, dtype=float))
         ).copy(),
@@ -335,11 +284,18 @@ def list_models() -> Tuple[str, ...]:
 
 
 def build_model(name: str, params: Dict) -> ModelSpec:
-    """Instantiate a registered model; unknown names list the alternatives."""
+    """Instantiate a registered model; unknown names list the alternatives.
+
+    Parameter values must be numbers: a JSON true or "0.2" is refused.
+    """
     if name not in _REGISTRY:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(list_models())}"
         )
+    for key, value in params.items():
+        if isinstance(value, (bool, str)):
+            raise ValidationError(f"bad parameters for model {name!r}: {key} must be "
+                                  f"a number, got {value!r}")
     try:
         return _REGISTRY[name](**params)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -351,12 +307,13 @@ def oracle_spectrum_residual(model: ModelSpec, report, backend: str) -> Optional
 
     Multisets are compared by greedy nearest-neighbor matching (plain
     lexicographic zipping mis-pairs conjugate partners whose real parts are
-    degenerate up to roundoff); returns None when the oracle declares no
-    spectrum.
+    degenerate up to roundoff); returns None for a model without an oracle.
     """
+    if model.oracle is None:
+        return None
     worst = None
     for deg in range(model.mesh.dimension + 1):
-        expected = model.oracle.expected_spectrum(backend, deg)
+        expected = model.oracle.spectrum_fn(backend, deg)
         if expected is None:
             continue
         computed = report.eigenvalues(degree=deg)

@@ -41,7 +41,7 @@ from .exceptions import (
 from .fields import FlowField
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec, hodge_star
-from .spectral import _DENSE_CAP, _block_eigenvalues, _check_capacity
+from .spectral import _block_eigenvalues, _check_capacity
 
 __all__ = [
     "CriticalPoint",
@@ -421,8 +421,9 @@ def _scan_levels(epsilons: Sequence[float]) -> List[float]:
 def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     """Smallest nonzero relaxation rate of a multi-well potential flow per eps.
 
-    ``model`` must be a potential-flow ``ModelSpec`` whose ``w`` has at least
-    two local minima; each level is the fd generator of ``model.rebuild_at(eps)``.
+    ``model`` must be a potential-flow ``ModelSpec`` whose ``flow.w`` has at
+    least two local minima; each level is the fd generator of
+    ``model.rebuild_at(eps)``.
     """
     def degree0_eigenvalues(eps):
         m = model.rebuild_at(eps)
@@ -435,17 +436,17 @@ def _splitting_scan(model, epsilons: Sequence[float],
                     degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
     """The scan, given the degree-0 eigenvalues of the fd generator per level."""
     eps_list = _scan_levels(epsilons)
-    if not model.langevin:
+    if not model.flow.langevin:
         raise NotPotentialError(
             "the tunneling-gap scan is defined for potential flows only"
         )
-    n_min = _count_minima(model.mesh, np.asarray(model.w, dtype=float))
+    n_min = _count_minima(model.mesh, model.flow.w)
     if n_min < 2:
         raise NoInstantonError(
             f"potential has {n_min} local minimum(s); no tunneling doublet exists"
         )
     # refused before the first level is assembled
-    _check_capacity(model.mesh.cell_counts, _DENSE_CAP)
+    _check_capacity(model.mesh.cell_counts)
 
     splittings = []
     nontunneling = []

@@ -51,7 +51,7 @@ from .exceptions import (
 from .fields import flow_from_vertex_samples, langevin_flow
 from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
-from .models import ModelOracle, ModelSpec, build_model, oracle_spectrum_residual
+from .models import ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
     _scan_levels,
     _splitting_scan,
@@ -62,7 +62,6 @@ from .morse import (
 from .operators import normalize_backend
 from .spectral import (
     SpectrumReport,
-    _DENSE_CAP,
     _block_eigenvalues,
     _check_capacity,
     _csv_flags,
@@ -196,26 +195,19 @@ class RunConfig:
     raw: Dict = field(default_factory=dict)
 
     @staticmethod
-    def from_file(path) -> "RunConfig":
-        return RunConfig.from_dict(_read_config(path))
-
-    @staticmethod
     def from_dict(data: Dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        known = {"model", "inline", "backend", "tasks", "tolerances",
-                 "sweep", "simulate", "morse", "out_dir"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown config keys: {sorted(unknown)}; known: {sorted(known)}"
-            )
+        _check_keys(data, ("model", "inline", "backend", "tasks", "tolerances",
+                           "sweep", "simulate", "morse", "out_dir"), "config")
         tasks = data.get("tasks")
         if not isinstance(tasks, list) or not tasks:
             raise ValidationError("config needs a non-empty 'tasks' list")
         bad = [t for t in tasks if t not in TASKS]
         if bad:
             raise ValidationError(f"unknown tasks {bad}; available: {list(TASKS)}")
+        if len(set(tasks)) < len(tasks):
+            raise ValidationError(f"tasks must be distinct, got {tasks}")
 
         has_model = "model" in data
         has_inline = "inline" in data
@@ -226,6 +218,7 @@ class RunConfig:
             m = data["model"]
             if not isinstance(m, dict) or not isinstance(m.get("name"), str):
                 raise ValidationError("'model' must be an object with a string 'name'")
+            _check_keys(m, ("name", "params"), "model")
             model_name = m["name"]
             model_params = _as_object(m.get("params", {}), "'model.params'")
         else:
@@ -239,6 +232,7 @@ class RunConfig:
             raise ValidationError(str(exc)) from exc
 
         tol = _as_object(data.get("tolerances") or {}, "'tolerances'")
+        _check_keys(tol, ("tau_gamma", "tau_e", "tau0"), "tolerances")
         taus = {}
         for key in ("tau_gamma", "tau_e", "tau0"):
             v = tol.get(key)
@@ -248,14 +242,18 @@ class RunConfig:
                     raise ValidationError(f"{key} must be positive, got {v}")
             taus[key] = v
 
+        sweep = _as_object(data.get("sweep") or {}, "'sweep'")
+        _check_keys(sweep, ("epsilons",), "sweep")
         sweep_eps = None
         if "sweep" in tasks:
-            eps = _as_object(data.get("sweep") or {}, "'sweep'").get("epsilons")
+            eps = sweep.get("epsilons")
             if not isinstance(eps, list) or not eps:
                 raise ValidationError("'sweep' task needs sweep.epsilons")
             sweep_eps = _sweep_levels(_as_float(e, "sweep.epsilons") for e in eps)
 
         sim = _as_object(data.get("simulate") or {}, "'simulate'")
+        _check_keys(sim, ("dt", "steps", "n_paths", "seed", "store_every", "bins",
+                          "autocorrelation", "fit_window"), "simulate")
         if "simulate" in tasks:
             sim["dt"] = _as_float(sim.get("dt", 0.005), "simulate.dt")
             for key, default in (("steps", 20_000), ("n_paths", 200), ("seed", 2024),
@@ -279,7 +277,9 @@ class RunConfig:
             raise ValidationError(f"out_dir must be a string or null, got {out_dir!r}")
 
         morse_eps = None
-        split = _as_object(data.get("morse") or {}, "'morse'").get("splitting_epsilons")
+        morse = _as_object(data.get("morse") or {}, "'morse'")
+        _check_keys(morse, ("splitting_epsilons",), "morse")
+        split = morse.get("splitting_epsilons")
         if split:
             if not isinstance(split, list):
                 raise ValidationError("morse.splitting_epsilons must be a list")
@@ -316,10 +316,13 @@ def _read_config(path):
 
 
 def _as_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be a number, got {value!r}") from exc
+    """A real number read from JSON: true and "0.5" are refused."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
 def _as_int(value, what: str) -> int:
@@ -336,6 +339,15 @@ def _as_object(value, what: str) -> Dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be an object, got {value!r}")
     return dict(value)
+
+
+def _check_keys(obj: Dict, known: Tuple[str, ...], what: str) -> None:
+    """Refuse keys of a config object that nothing reads."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValidationError(
+            f"unknown {what} keys: {sorted(unknown)}; known: {sorted(known)}"
+        )
 
 
 def _sweep_levels(epsilons) -> Tuple[float, ...]:
@@ -361,26 +373,33 @@ def _resolve_model(config: RunConfig) -> ModelSpec:
     return model
 
 
+_INLINE_MESH_KEYS = {"circle": ("kind", "n", "length"),
+                     "torus": ("kind", "nx", "ny", "lx", "ly")}
+_INLINE_FLOW_KINDS = ("constant", "potential", "vertex_samples")
+
+
 def _build_inline(spec: Dict) -> ModelSpec:
+    _check_keys(spec, ("mesh", "flow", "epsilon"), "inline")
     mesh_spec = spec.get("mesh")
     if not isinstance(mesh_spec, dict) or "kind" not in mesh_spec:
         raise ValidationError("inline system needs mesh.kind")
     kind = mesh_spec["kind"]
+    if kind not in ("circle", "torus"):
+        raise ValidationError(f"inline mesh kind must be circle or torus, got {kind!r}")
+    _check_keys(mesh_spec, _INLINE_MESH_KEYS[kind], f"inline.mesh ({kind})")
     try:
         if kind == "circle":
             mesh = build_circle_grid(
                 _as_int(mesh_spec["n"], "inline mesh.n"),
                 _as_float(mesh_spec.get("length", 2 * np.pi), "inline mesh.length"),
             )
-        elif kind == "torus":
+        else:
             mesh = build_torus_grid(
                 _as_int(mesh_spec["nx"], "inline mesh.nx"),
                 _as_int(mesh_spec["ny"], "inline mesh.ny"),
                 _as_float(mesh_spec.get("lx", 2 * np.pi), "inline mesh.lx"),
                 _as_float(mesh_spec.get("ly", 2 * np.pi), "inline mesh.ly"),
             )
-        else:
-            raise ValidationError(f"inline mesh kind must be circle or torus, got {kind!r}")
     except KeyError as exc:
         raise ValidationError(f"inline mesh is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -393,6 +412,10 @@ def _build_inline(spec: Dict) -> ModelSpec:
     flow_spec = spec.get("flow")
     if not isinstance(flow_spec, dict):
         raise ValidationError("inline system needs a 'flow' object")
+    _check_keys(flow_spec, _INLINE_FLOW_KINDS, "inline.flow")
+    if len(flow_spec) != 1:
+        raise ValidationError(f"inline flow needs exactly one of: {', '.join(_INLINE_FLOW_KINDS)}"
+                              f"; got {sorted(flow_spec)}")
     try:
         if "potential" in flow_spec:
             flow = langevin_flow(mesh, np.asarray(flow_spec["potential"], dtype=float), noise)
@@ -400,7 +423,7 @@ def _build_inline(spec: Dict) -> ModelSpec:
             flow = flow_from_vertex_samples(
                 mesh, np.asarray(flow_spec["vertex_samples"], dtype=float)
             )
-        elif "constant" in flow_spec:
+        else:
             c = np.atleast_1d(np.asarray(flow_spec["constant"], dtype=float))
             if c.shape != (mesh.dimension,):
                 raise ValidationError(
@@ -408,22 +431,9 @@ def _build_inline(spec: Dict) -> ModelSpec:
                 )
             samples = np.tile(c, (mesh.n_cells(0), 1)).reshape(np.shape(mesh.vertices))
             flow = flow_from_vertex_samples(mesh, samples)
-        else:
-            raise ValidationError(
-                "inline flow needs one of: potential, vertex_samples, constant"
-            )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"inline flow: {exc}") from exc
-    return ModelSpec(
-        name="inline",
-        params={},
-        mesh=mesh,
-        flow=flow,
-        noise=noise,
-        langevin=flow.langevin,
-        oracle=ModelOracle(basis="structural", rel_tol=1e-9),
-        w=flow.w,
-    )
+    return ModelSpec(name="inline", params={}, mesh=mesh, flow=flow, noise=noise)
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +456,7 @@ class _Levels:
         eps = float(eps)
         if eps not in self._ops:
             m = self.model.rebuild_at(eps)
-            self._ops[eps] = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend,
-                                                  allow_deterministic=m.noise.is_deterministic)
+            self._ops[eps] = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
         return self._ops[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:
@@ -462,7 +471,7 @@ class _Levels:
         eps = self.model.noise.epsilon if eps is None else float(eps)
         if eps not in self._reports:
             mesh = self.model.mesh
-            _check_capacity(mesh.cell_counts, _DENSE_CAP)
+            _check_capacity(mesh.cell_counts)
             self._reports[eps] = _spectrum_report(
                 {k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
                 mesh.dimension)[0]
@@ -570,7 +579,7 @@ def _task_morse(state: _Levels, out_dir: Path) -> Dict:
             result["matches_witten_index"] = bool(
                 ph == witten_index(state.spectrum(), state.config.tau0)
             )
-    if state.config.morse_epsilons and model.langevin:
+    if state.config.morse_epsilons and model.flow.langevin:
         # the scan is defined on fd levels: the run's own on fd, a fresh memo on fourier
         fd = state if state.backend == "fd" else _Levels(model, "fd")
         scan = _splitting_scan(model, state.config.morse_epsilons,

@@ -142,13 +142,14 @@ def _default_tau(report: SpectrumReport, given: Optional[float]) -> float:
 # decomposition
 # ----------------------------------------------------------------------
 
-def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
+def full_spectrum(op: GradedOperator) -> SpectrumReport:
     """Dense two-sided eigendecomposition of every degree block.
 
-    Raises the capacity error when the summed block sizes exceed ``cap`` and
-    the eigensolver error if LAPACK fails to converge on some block.
+    Raises the capacity error when the summed block sizes exceed
+    ``_DENSE_CAP`` and the eigensolver error if LAPACK fails to converge on
+    some block.
     """
-    _check_capacity(op.mesh.cell_counts, cap)
+    _check_capacity(op.mesh.cell_counts)
     solved = {k: _lapack(k, scipy.linalg.eig, _finite_block(op, k),
                          check_finite=False, left=True, right=True)
               for k in op.degrees()}
@@ -168,14 +169,14 @@ def full_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
     return replace(report, residual=residual, left=tuple(left), right=tuple(right))
 
 
-def eigenvalue_spectrum(op: GradedOperator, cap: int = _DENSE_CAP) -> SpectrumReport:
+def eigenvalue_spectrum(op: GradedOperator) -> SpectrumReport:
     """Eigenvalues of every degree block, without eigenvectors.
 
     Same capacity check, errors and entry order as :func:`full_spectrum`;
     ``left`` and ``right`` are ``None`` and every residual is zero.  Enough for the verdicts,
     the index and the zero-mode counts, at a fraction of the cost.
     """
-    _check_capacity(op.mesh.cell_counts, cap)
+    _check_capacity(op.mesh.cell_counts)
     return _spectrum_report({k: _block_eigenvalues(op, k) for k in op.degrees()},
                             op.mesh.dimension)[0]
 
@@ -335,11 +336,14 @@ def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndar
     return factor
 
 
-def _check_capacity(sizes: Tuple[int, ...], cap: int) -> None:
-    """Refuse a dense solve of blocks with ``sizes`` unknowns beyond ``cap``."""
-    if sum(sizes) > cap:
+def _check_capacity(sizes: Tuple[int, ...]) -> None:
+    """Refuse a dense solve of blocks with ``sizes`` unknowns beyond ``_DENSE_CAP``.
+
+    The cap is read at call time, so a test may lower it.
+    """
+    if sum(sizes) > _DENSE_CAP:
         raise CapacityError(
-            f"total unknowns {sum(sizes)} exceed the dense-solver cap {cap} "
+            f"total unknowns {sum(sizes)} exceed the dense-solver cap {_DENSE_CAP} "
             f"(blocks: {sizes})"
         )
 

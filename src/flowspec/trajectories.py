@@ -60,6 +60,7 @@ __all__ = [
 
 _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
+_QUAD_POINTS = 33  # trapezoid nodes per histogram bin in the TV reference mass
 _CHUNK_SCALARS = 4_000_000  # noise buffer budget (doubles)
 _FFT_BLOCK_SCALARS = 1_000_000  # autocovariance block budget (complex scalars)
 _WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release the GIL
@@ -257,14 +258,14 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
 
 
 def tv_distance_to_density(hist: HistogramResult,
-                           density_fn: Callable[[np.ndarray], np.ndarray],
-                           quad_points: int = 33) -> float:
+                           density_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """Total variation between the histogram and a (possibly unnormalized)
-    reference density, with the reference integrated bin by bin."""
+    reference density, with the reference integrated bin by bin
+    (``_QUAD_POINTS`` trapezoid nodes per bin)."""
     trapz = getattr(np, "trapezoid", None) or np.trapz
     masses = np.empty(len(hist.counts))
     for b in range(len(hist.counts)):
-        xs = np.linspace(hist.bin_edges[b], hist.bin_edges[b + 1], quad_points)
+        xs = np.linspace(hist.bin_edges[b], hist.bin_edges[b + 1], _QUAD_POINTS)
         masses[b] = trapz(np.asarray(density_fn(xs), dtype=float), xs)
     masses /= masses.sum()
     empirical = hist.counts / hist.n_samples

@@ -86,6 +86,10 @@ def test_config_requires_tasks_and_model():
         fs.RunConfig.from_dict({"tasks": ["spectrum"]})
     with pytest.raises(fs.ValidationError, match="unknown config keys"):
         fs.RunConfig.from_dict(base_config(extra_key=1))
+    # nested objects name their known keys the same way
+    with pytest.raises(fs.ValidationError,
+                       match=r"unknown simulate keys: \['n_path'\]; known: .*'n_paths'"):
+        fs.RunConfig.from_dict(base_config(simulate={"n_path": 50}))
     with pytest.raises(fs.ValidationError, match="unknown tasks"):
         fs.RunConfig.from_dict(base_config(tasks=["spectra"]))
 
@@ -118,13 +122,16 @@ def test_inline_config_excludes_resampling_tasks():
     assert cfg.sweep_epsilons == (0.2, 0.1)
 
 
-def test_config_file_errors(tmp_path):
-    with pytest.raises(fs.ValidationError, match="not found"):
-        fs.RunConfig.from_file(tmp_path / "missing.json")
+def test_config_file_errors(tmp_path, capsys):
+    # the CLI reads every config file through _read_config
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+    assert "not found" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(fs.ValidationError, match="not valid JSON"):
-        fs.RunConfig.from_file(bad)
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -562,6 +569,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     _inline_potential(0.0, ["spectrum", "classify", "witten"]),
     _inline_potential(0.2, ["spectrum", "sweep"], sweep={"epsilons": [0.4, 0.2, 0.0]}),
     double_well_dict(["spectrum", "sweep"], sweep={"epsilons": [0.4, 0.2, 0.0]}),
+    # a key that nothing reads, in each nested object
+    base_config(tasks=["simulate"], simulate={"steps": 500, "n_path": 50}),
+    double_well_dict(["morse"], morse={"splitting_epsilon": [0.4, 0.2]}),
+    base_config(tolerances={"tau_gama": 1e-3}),
+    base_config(tasks=["sweep"], sweep={"epsilons": [0.4, 0.2], "levels": [0.1]}),
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 1.0, "epsilon": 0.2, "n": 16}, "seed": 1},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16}, "flow": {"constant": 1.0},
+                "epsilon": 0.2, "noise": 0.1},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16, "lenght": 3.0},
+                "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "torus", "nx": 4, "ny": 4, "length": 3.0},
+                "flow": {"constant": [1.0, 0.5]}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 32},
+                "flow": {"constant": 1.0,
+                         **_inline_potential(0.2, [])["inline"]["flow"]},
+                "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16},
+                "flow": {"constant": 1.0, "drift": 2.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    base_config(tasks=["classify", "classify"]),
+    # booleans and numeric strings are not numbers
+    base_config(tolerances={"tau_gamma": True}),
+    base_config(tasks=["sweep"], sweep={"epsilons": [True, 0.2]}),
+    base_config(tasks=["simulate"], simulate={"dt": "0.004", "steps": 500, "n_paths": 32}),
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 1.0, "epsilon": True, "n": 16}}, "tasks": ["witten"]},
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": "1.0", "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
@@ -571,7 +612,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         "param-beyond-float", "constant-beyond-float", "morse-ascending",
         "morse-single", "morse-zero", "morse-nan", "morse-inf",
         "autocorrelation-string", "autocorrelation-int", "potential-zero-noise",
-        "potential-sweep-zero", "double-well-sweep-zero"])
+        "potential-sweep-zero", "double-well-sweep-zero",
+        "simulate-unknown-key", "morse-unknown-key", "tolerances-unknown-key",
+        "sweep-unknown-key", "model-unknown-key", "inline-unknown-key",
+        "inline-mesh-unknown-key", "torus-mesh-unknown-key", "inline-flow-two-kinds",
+        "inline-flow-unknown-key", "duplicate-task", "tau-gamma-bool",
+        "sweep-level-bool", "simulate-dt-string", "param-bool", "param-string"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

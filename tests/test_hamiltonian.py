@@ -197,14 +197,11 @@ def test_circle_blocks_are_isospectral():
 
 def test_deterministic_limit_guard():
     mesh, flow, _ = circle_setup()
-    with pytest.raises(fs.DeterministicLimitError):
-        fs.assemble_hamiltonian(mesh, flow, fs.NoiseSpec(0.0))
-    # explicit opt-in gives the bare advection operator
-    h = fs.assemble_hamiltonian(mesh, flow, fs.NoiseSpec(0.0),
-                                allow_deterministic=True)
-    l0 = fs.lie_derivative(mesh, flow, 0)
-    np.testing.assert_array_equal(h.block(0), -l0)
-    # zero flow needs no opt-in (the operator is simply zero)
+    # at epsilon = 0 the generator is the bare advection operator -L_A
+    h = fs.assemble_hamiltonian(mesh, flow, fs.NoiseSpec(0.0))
+    for k in h.degrees():
+        np.testing.assert_array_equal(h.block(k), -fs.lie_derivative(mesh, flow, k))
+    # zero flow: the operator is simply zero
     z = fs.assemble_hamiltonian(mesh, fs.zero_flow(mesh), fs.NoiseSpec(0.0))
     assert np.max(np.abs(z.block(0))) == 0.0
 

@@ -15,7 +15,7 @@ def test_circle_counts_and_volumes():
     assert mesh.euler_characteristic() == 0
     assert mesh.is_structured
     np.testing.assert_allclose(mesh.spacings[0], 2 * np.pi / 16)
-    np.testing.assert_allclose(mesh.total_volume(), 2 * np.pi)
+    np.testing.assert_allclose(mesh.primal_volumes[1].sum(), 2 * np.pi)
     np.testing.assert_allclose(mesh.primal_volumes[1], 2 * np.pi / 16)
 
 
@@ -48,7 +48,7 @@ def test_torus_counts_and_chain_complex():
     assert np.all(d1 @ d2 == 0)
     # every face boundary has 4 signed edges
     assert np.all(np.sum(np.abs(d2), axis=0) == 4)
-    np.testing.assert_allclose(mesh.total_volume(), 2.0)
+    np.testing.assert_allclose(mesh.primal_volumes[2].sum(), 2.0)
     # per-family volumes: x-edges span hx across hy, y-edges the reverse
     hx, hy = mesh.spacings
     assert (hx, hy) == (1.0 / 5, 2.0 / 7)

@@ -1,5 +1,7 @@
 """Model library: registry, closed-form spectra, cross-backend agreement."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def test_constant_drive_difference_symbol():
     h = 2 * np.pi / n
     theta = 2 * np.pi * np.arange(n) / n
     want = eps * (1 - np.cos(theta)) / h**2 - 1j * a * np.sin(theta) / h
-    got = model.oracle.expected_spectrum("fd", 0)
+    got = model.oracle.spectrum_fn("fd", 0)
     np.testing.assert_allclose(csort(got), csort(want), rtol=1e-13)
 
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, "fd")
@@ -46,7 +48,7 @@ def test_constant_drive_difference_symbol():
 def test_constant_drive_fourier_symbol_drops_nyquist_drift():
     n, a, eps = 16, 1.3, 0.25
     model = fs.build_model("constant_drive_circle", {"a": a, "epsilon": eps, "n": n})
-    got = model.oracle.expected_spectrum("fourier", 0)
+    got = model.oracle.spectrum_fn("fourier", 0)
     k = np.rint(np.fft.fftfreq(n) * n).astype(int)
     want = eps * k.astype(float) ** 2 / 2 - 1j * a * k
     want[np.abs(k) == n // 2] = eps * (n // 2) ** 2 / 2  # unpaired mode: no drift
@@ -59,22 +61,23 @@ def test_constant_drive_fourier_symbol_drops_nyquist_drift():
 
 def test_constant_drive_degree_one_shares_the_symbol():
     model = fs.build_model("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16})
-    s0 = model.oracle.expected_spectrum("fd", 0)
-    s1 = model.oracle.expected_spectrum("fd", 1)
+    s0 = model.oracle.spectrum_fn("fd", 0)
+    s1 = model.oracle.spectrum_fn("fd", 1)
     np.testing.assert_array_equal(csort(s0), csort(s1))
 
 
-def test_double_well_oracle_properties():
-    model = fs.build_model(
-        "langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": 64}
-    )
-    assert model.langevin
-    assert model.oracle.real_spectrum
-    assert model.oracle.witten_index == 0
-    assert model.oracle.zero_mode_counts == (1, 1)
-    assert model.oracle.classification == "unbroken-Markovian"
+def _run_results(tmp_path, name, params, tasks):
+    cfg = fs.RunConfig.from_dict({"model": {"name": name, "params": params},
+                                  "tasks": tasks})
+    return fs.run(cfg, out_dir=tmp_path).data["results"]
+
+
+def test_double_well_oracle_properties(tmp_path):
+    params = {"depth": 1.0, "epsilon": 0.2, "n": 64}
+    model = fs.build_model("langevin_double_well_circle", params)
+    assert model.flow.langevin and model.oracle is None
     phi = np.asarray(model.mesh.vertices)
-    np.testing.assert_allclose(model.w, 1.0 * np.cos(2 * phi), rtol=1e-14)
+    np.testing.assert_allclose(model.flow.w, 1.0 * np.cos(2 * phi), rtol=1e-14)
     # normalizable stationary density, shaped e^{-2W}
     dens = model.density(phi)
     np.testing.assert_allclose(dens, np.exp(-2.0 * np.cos(2 * phi)), rtol=1e-14)
@@ -82,6 +85,25 @@ def test_double_well_oracle_properties():
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     lam = fs.full_spectrum(op).eigenvalues()
     assert np.max(np.abs(lam.imag)) <= 1e-9 * np.max(np.abs(lam))
+
+    # what a run reports: the verdict, the index, the zero modes, a real spectrum
+    r = _run_results(tmp_path, "langevin_double_well_circle", params,
+                     ["spectrum", "classify", "witten"])
+    assert r["classify"]["verdict"] == "unbroken-Markovian"
+    assert r["witten"]["witten_index"] == 0
+    assert r["witten"]["zero_modes_per_degree"] == [1, 1]
+    with open(tmp_path / "spectrum.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 128 and all(float(row["e"]) == 0.0 for row in rows)
+
+
+def test_constant_drive_without_noise_is_q_broken(tmp_path):
+    # at epsilon = 0 the grid's highest mode joins the kernel of each degree
+    r = _run_results(tmp_path, "constant_drive_circle",
+                     {"a": 1.0, "epsilon": 0.0, "n": 16}, ["classify", "witten"])
+    assert r["classify"]["verdict"] == "Q-broken"
+    assert r["witten"]["zero_modes_per_degree"] == [2, 2]
+    assert r["witten"]["witten_index"] == 0
 
 
 def test_double_well_parameter_validation():
@@ -103,7 +125,7 @@ def test_tilted_model_limits():
         {"depth": 1.0, "tilt": 0.0, "epsilon": 0.2, "n": 32},
     )
     np.testing.assert_array_equal(t0.flow.vertex_values, base.flow.vertex_values)
-    assert not t0.langevin  # the declaration is dropped even at zero tilt
+    assert not t0.flow.langevin  # the declaration is dropped even at zero tilt
 
     drive = fs.build_model(
         "constant_drive_circle", {"a": 0.7, "epsilon": 0.2, "n": 32}
@@ -132,9 +154,9 @@ def test_torus_shear_symbol_and_degeneracy():
     model = fs.build_model(
         "torus_shear_model", {"ax": ax, "ay": ay, "epsilon": eps, "n": n}
     )
-    s0 = model.oracle.expected_spectrum("fd", 0)
-    s1 = model.oracle.expected_spectrum("fd", 1)
-    s2 = model.oracle.expected_spectrum("fd", 2)
+    s0 = model.oracle.spectrum_fn("fd", 0)
+    s1 = model.oracle.spectrum_fn("fd", 1)
+    s2 = model.oracle.spectrum_fn("fd", 2)
     assert len(s0) == 36 and len(s1) == 72 and len(s2) == 36
     np.testing.assert_array_equal(s1, np.concatenate([s0, s0]))
     np.testing.assert_array_equal(s2, s0)
@@ -164,9 +186,10 @@ def test_rebuild_at_an_inline_model():
                           "epsilon": 0.2})
     again = grad.rebuild_at(0.05)
     assert again.noise.epsilon == 0.05
-    assert again.mesh is grad.mesh and again.params == grad.params and again.w is grad.w
+    assert again.mesh is grad.mesh and again.params == grad.params
+    np.testing.assert_array_equal(again.flow.w, grad.flow.w)
     # gradient samples carry one factor of eps: resampled from w
-    fresh = fs.langevin_flow(grad.mesh, grad.w, fs.NoiseSpec(0.05))
+    fresh = fs.langevin_flow(grad.mesh, grad.flow.w, fs.NoiseSpec(0.05))
     np.testing.assert_array_equal(again.flow.edge_vectors, fresh.edge_vectors)
     np.testing.assert_array_equal(again.flow.vertex_values, fresh.vertex_values)
     assert not np.array_equal(again.flow.edge_vectors, grad.flow.edge_vectors)

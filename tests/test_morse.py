@@ -269,7 +269,6 @@ def test_splitting_scan_needs_two_wells():
         mesh=mesh,
         flow=fs.langevin_flow(mesh, w, noise),
         noise=noise,
-        w=w,
         params={"depth": 1.0, "epsilon": 0.4, "n": 64},
     )
     with pytest.raises(fs.NoInstantonError):

@@ -99,14 +99,17 @@ def test_biorthonormality_on_torus_with_interleaved_conjugates(ax, ay):
 
 
 def test_capacity_cap(monkeypatch):
+    import flowspec.spectral
+
     model, _ = constant_drive_report(n=16)
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    # refused before any block is solved
+    # the cap is read at call time; refused before any block is solved
+    monkeypatch.setattr(flowspec.spectral, "_DENSE_CAP", 8)
     monkeypatch.setattr(scipy.linalg, "eig", None)
     monkeypatch.setattr(scipy.linalg, "eigvals", None)
     for solver in (fs.full_spectrum, fs.eigenvalue_spectrum):
-        with pytest.raises(fs.CapacityError):
-            solver(op, cap=8)
+        with pytest.raises(fs.CapacityError, match="cap 8"):
+            solver(op)
 
 
 def test_non_finite_block_is_refused_before_lapack(monkeypatch):
