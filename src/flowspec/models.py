@@ -305,9 +305,9 @@ def build_model(name: str, params: Dict) -> ModelSpec:
 def oracle_spectrum_residual(model: ModelSpec, report, backend: str) -> Optional[float]:
     """Worst relative deviation of computed eigenvalues from the oracle.
 
-    Multisets are compared by greedy nearest-neighbor matching (plain
-    lexicographic zipping mis-pairs conjugate partners whose real parts are
-    degenerate up to roundoff); returns None for a model without an oracle.
+    Each degree's oracle values, in (Re, Im) order, go through the one
+    multiset matcher, ``spectral._match_nearest`` (zipped sorted lists would
+    mis-pair conjugates); None for a model without an oracle.
     """
     if model.oracle is None:
         return None

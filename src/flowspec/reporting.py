@@ -31,7 +31,6 @@ never enter the report; they go to the ``timings.json`` sidecar.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 import time
@@ -96,12 +95,16 @@ __all__ = [
 
 def format_float(x: float) -> str:
     """12-significant-digit float token; rejects non-finite, normalizes -0."""
-    x = float(x)
-    if not np.isfinite(x):
-        raise NumericalError(f"non-finite value {x!r} cannot enter a report")
-    if x == 0.0:
-        x = 0.0  # collapses -0.0
-    return "%.11e" % x
+    return _float_tokens([float(x)])[0]
+
+
+def _float_tokens(values) -> List[str]:
+    """:func:`format_float` of every value, all refused if one is not finite."""
+    x = np.asarray(values, dtype=float) + 0.0  # collapses -0.0
+    if not np.isfinite(x).all():
+        bad = float(x[~np.isfinite(x)][0])
+        raise NumericalError(f"non-finite value {bad!r} cannot enter a report")
+    return list(map("%.11e".__mod__, x.tolist()))
 
 
 def _canon(obj, indent: int, path: str) -> str:
@@ -149,13 +152,15 @@ def canonical_json(obj) -> str:
     return _canon(obj, 0, "$") + "\n"
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write one CSV file; every float cell goes through :func:`format_float`."""
+def _write_csv(path, header, columns) -> None:
+    """Write one CSV file from its columns, float ones as :func:`_float_tokens`
+    and others as integers, with :mod:`csv`'s ``\\r\\n`` line ends.  Every
+    cell is formatted before the file opens: a non-finite value leaves none."""
+    cells = [_float_tokens(c) if np.asarray(c).dtype.kind == "f"
+             else list(map(str, np.asarray(c, dtype=int).tolist())) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(c) if isinstance(c, float) else c for c in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def export_spectrum_csv(report: SpectrumReport, path,
@@ -167,11 +172,9 @@ def export_spectrum_csv(report: SpectrumReport, path,
     within the same degree (-1 for effectively real eigenvalues).
     """
     pair_ids, physical = _csv_flags(report, tau_gamma)
-    columns = zip(report.degree.tolist(), report.eigenvalue.tolist(),
-                  pair_ids.tolist(), physical.tolist())
+    ev = report.eigenvalue
     _write_csv(path, ["degree", "index", "gamma", "e", "pair_id", "physical_flag"],
-               ([k, i, z.real, z.imag, pid, int(phys)]
-                for i, (k, z, pid, phys) in enumerate(columns)))
+               [report.degree, np.arange(len(ev)), ev.real, ev.imag, pair_ids, physical])
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +234,8 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
 
-        tol = _as_object(data.get("tolerances") or {}, "'tolerances'")
+        tol, sweep, sim, morse = ({} if data.get(k) is None else _as_object(data[k], f"'{k}'")
+                                  for k in ("tolerances", "sweep", "simulate", "morse"))
         _check_keys(tol, ("tau_gamma", "tau_e", "tau0"), "tolerances")
         taus = {}
         for key in ("tau_gamma", "tau_e", "tau0"):
@@ -242,7 +246,6 @@ class RunConfig:
                     raise ValidationError(f"{key} must be positive, got {v}")
             taus[key] = v
 
-        sweep = _as_object(data.get("sweep") or {}, "'sweep'")
         _check_keys(sweep, ("epsilons",), "sweep")
         sweep_eps = None
         if "sweep" in tasks:
@@ -251,7 +254,6 @@ class RunConfig:
                 raise ValidationError("'sweep' task needs sweep.epsilons")
             sweep_eps = _sweep_levels(_as_float(e, "sweep.epsilons") for e in eps)
 
-        sim = _as_object(data.get("simulate") or {}, "'simulate'")
         _check_keys(sim, ("dt", "steps", "n_paths", "seed", "store_every", "bins",
                           "autocorrelation", "fit_window"), "simulate")
         if "simulate" in tasks:
@@ -277,7 +279,6 @@ class RunConfig:
             raise ValidationError(f"out_dir must be a string or null, got {out_dir!r}")
 
         morse_eps = None
-        morse = _as_object(data.get("morse") or {}, "'morse'")
         _check_keys(morse, ("splitting_epsilons",), "morse")
         split = morse.get("splitting_epsilons")
         if split:
@@ -550,7 +551,7 @@ def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
         result["oracle_max_rel_deviation"] = float(
             np.max(np.abs(vec - oracle_cells)) / np.max(np.abs(oracle_cells))
         )
-    _write_csv(out_dir / "stationary.csv", ["cell", "density"], enumerate(vec.tolist()))
+    _write_csv(out_dir / "stationary.csv", ["cell", "density"], [np.arange(len(vec)), vec])
     return result
 
 
@@ -627,8 +628,7 @@ def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
                 hist, model.density
             )
         _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
-                   zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(),
-                       hist.counts.tolist(), hist.density.tolist()))
+                   [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
     if sim.get("autocorrelation"):
         fit = autocorrelation_decay(ens, fit_window=sim.get("fit_window"))
         result["autocorrelation"] = {
@@ -728,9 +728,9 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
     Writes ``report.json`` (byte-stable) plus per-task CSVs into the output
     directory, and wall-clock timings into the ``timings.json`` sidecar.
     """
+    model = _resolve_model(config)  # a refused model leaves no output directory
     out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
-    model = _resolve_model(config)
     state = _Levels(model, config.backend, config)
 
     results: Dict[str, Dict] = {}

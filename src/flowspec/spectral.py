@@ -29,9 +29,9 @@ which orders the report and pairs conjugates in the CSV).  With vectors,
 columns in the order of ``eigenvalues(k)``.  One packer, ``_spectrum_report``, builds every report
 from per-degree eigenvalues; ``full_spectrum`` then attaches its vectors.
 Multisets are compared by one greedy nearest-neighbour matcher,
-``_match_nearest``.  This module writes no files: ``_csv_flags`` gives the
-spectrum CSV's pair-id and physical-flag columns as arrays, and
-``reporting`` writes the file.
+``_match_nearest``, run cluster by cluster.  This module writes no files:
+``_csv_flags`` gives the spectrum CSV's pair-id and physical-flag columns as
+arrays, and ``reporting`` writes the file.
 
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
 rate (decay rate of the mode) and E the oscillation frequency.  States with
@@ -402,32 +402,34 @@ def _cluster_labels(w: np.ndarray, thr: float) -> np.ndarray:
     """Per eigenvalue, the smallest index in its component of the graph
     joining eigenvalues within ``thr``.
 
-    Chaining only lexicographic neighbours splits a degenerate eigenvalue
-    whose members interleave with their conjugates in that order, so every
-    pair within ``thr`` is joined.  Candidates come from a window over the
-    sorted real parts.
+    Every such pair is joined, not only lexicographic neighbours, whose
+    chain splits a degenerate eigenvalue interleaved with its conjugates.
+    Candidates are the pairs in one square or adjacent squares of a grid of
+    side 2 thr, which no pair within thr spans (side 1 for thr 0 or inf).
     """
-    n = len(w)
-    by_real = np.argsort(w.real, kind="stable")
-    re = w.real[by_real]
-    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for s in range(1, n):
-        near = np.flatnonzero(re[s:] - re[:-s] <= thr)
-        if not len(near):
-            break
-        i, j = by_real[near], by_real[near + s]
-        keep = np.abs(w[i] - w[j]) <= thr
-        rows.append(i[keep])
-        cols.append(j[keep])
-    i, j = np.concatenate(rows), np.concatenate(cols)
-    # min-label propagation with pointer jumping: at the fixed point both ends
-    # of every edge carry the smallest index of their component
-    labels = np.arange(n)
-    while True:
-        low = np.minimum(labels[i], labels[j])
+    side = 2 * thr if 0 < thr < np.inf else 1.0
+    key = np.empty(len(w), dtype=complex)  # the cell of each value
+    key.real, key.imag = np.floor(w.real / side), np.floor(w.imag / side)
+    order = np.flatnonzero(np.isfinite(key))  # a non-finite value joins nothing
+    order = order[np.argsort(key[order], kind="stable")]  # complex keys sort by (Re, Im)
+    cells, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    c1, c2 = [], []
+    for step in (0, 1j, 1 - 1j, 1, 1 + 1j):  # each cell, then its neighbours ahead
+        at = np.minimum(np.searchsorted(cells, cells + step), len(cells) - 1)
+        c1.append(np.flatnonzero(cells[at] == cells + step))
+        c2.append(at[c1[-1]])
+    c1, c2 = np.concatenate(c1), np.concatenate(c2)
+    count = size[c1] * size[c2]  # every member of cell c1 against every one of c2
+    block = np.repeat(np.arange(len(count)), count)
+    t = np.arange(np.sum(count)) - np.repeat(np.cumsum(count) - count, count)
+    i = order[start[c1][block] + t // size[c2][block]]
+    j = order[start[c2][block] + t % size[c2][block]]
+    keep = np.abs(w[i] - w[j]) <= thr
+    i, j = np.append(i[keep], j[keep]), np.append(j[keep], i[keep])  # both ways
+    labels = np.arange(len(w))
+    while True:  # min-label propagation with pointer jumping
         merged = labels.copy()
-        np.minimum.at(merged, i, low)
-        np.minimum.at(merged, j, low)
+        np.minimum.at(merged, i, labels[j])
         merged = merged[merged]
         if np.array_equal(merged, labels):
             return labels
@@ -558,16 +560,44 @@ def _match_nearest(a, b, tol: float = np.inf) -> Tuple[np.ndarray, np.ndarray]:
     rejected ``a[i]`` takes nothing.  Returns the matched indices (-1 where
     rejected) and the distance from each ``a[i]`` to its nearest free
     ``b[j]`` (inf once ``b`` is used up).
+
+    Phase 1 applies the rule within each cluster of a and b (``_cluster_labels``
+    at ``_CLUSTER_REL`` of max|a, b|) that is tight (bounding-box diagonal
+    within that threshold) and holds no more a's than b's, batched over the
+    clusters of one membership; phase 2 loops over the other a's against
+    the b's left free.  Clusters lie farther apart than a tight one is wide,
+    so when all are tight and balanced this is the plain loop, bit for bit.
     """
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    match, dist = np.full(len(a), -1), np.full(len(a), np.inf)
+    if not len(a) or not len(b):
+        return match, dist
+    w = np.concatenate([a, b])
+    thr = _CLUSTER_REL * np.max(np.abs(w))
+    label = _cluster_labels(w, thr)
+    order = np.argsort(label, kind="stable")  # by cluster, its a's first, each by index
+    start = np.flatnonzero(np.diff(label[order], prepend=-1))
+    size, n_a = np.diff(start, append=len(w)), np.add.reduceat(order < len(a), start)
+    box = [np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+           for x in (w.real[order], w.imag[order])]  # each cluster's extent in Re and Im
+    first = (np.hypot(*box) <= thr) & (n_a <= size - n_a) & np.isfinite(thr)
     free = np.ones(len(b), dtype=bool)
-    match = np.full(len(a), -1)
-    dist = np.full(len(a), np.inf)
-    for i, x in enumerate(a):
+    for na, m in set(zip(n_a[first].tolist(), size[first].tolist())):
+        members = order[start[first & (n_a == na) & (size == m)][:, None] + np.arange(m)]
+        ia, jb, rows = members[:, :na], members[:, na:] - len(a), np.arange(len(members))
+        for t in range(na):
+            near = np.where(free[jb], np.abs(b[jb] - a[ia[:, t, None]]), np.inf)
+            k = np.argmin(near, axis=1)
+            dist[ia[:, t]] = near[rows, k]
+            hit = near[rows, k] <= tol
+            match[ia[hit, t]] = jb[hit, k[hit]]
+            free[jb[hit, k[hit]]] = False
+    rest = np.sort(order[np.repeat(~first, size)])
+    for i in rest[rest < len(a)]:
         cand = np.flatnonzero(free)
         if not len(cand):
             break
-        d = np.abs(b[cand] - x)
+        d = np.abs(b[cand] - a[i])
         j = int(np.argmin(d))
         dist[i] = d[j]
         if d[j] <= tol:

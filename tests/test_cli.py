@@ -1,6 +1,7 @@
 """Run configs, canonical reports, and the command-line entry point."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -49,6 +50,62 @@ def test_format_float():
         fs.format_float(float("nan"))
     with pytest.raises(fs.NumericalError):
         fs.format_float(float("inf"))
+
+
+def _format_float_reference(x):
+    """The report's float token, one value at a time."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise fs.NumericalError(f"non-finite value {x!r}")
+    return "%.11e" % (0.0 if x == 0.0 else x)
+
+
+def _csv_reference(header, columns):
+    """The bytes :mod:`csv` writes row by row, floats as the report's token."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        writer.writerow([_format_float_reference(c) if isinstance(c, float) else c
+                         for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_writer_matches_the_row_writer(tmp_path):
+    from flowspec.reporting import _write_csv
+
+    floats = np.array([-0.0, 5e-324, 1e300, -1.5, -2.5e-7, 0.2, -5e-324])
+    ints = np.array([0, -3, 7, 12345678901, 1, -1, 42])
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["x", "n", "y"], [floats, ints, -floats])
+    assert path.read_bytes() == _csv_reference(["x", "n", "y"], [floats, ints, -floats])
+    # a header alone for no rows
+    _write_csv(path, ["x"], [np.zeros(0)])
+    assert path.read_bytes() == b"x\r\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_writer_refuses_non_finite_before_opening(tmp_path, bad):
+    from flowspec.reporting import _write_csv
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(fs.NumericalError, match="non-finite value"):
+        _write_csv(path, ["n", "x"], [np.arange(3), np.array([1.0, bad, 2.0])])
+    assert not path.exists()
+
+
+def test_run_csvs_match_the_row_writer(tmp_path):
+    cfg = double_well_dict(["spectrum", "stationary", "simulate"],
+                           simulate={"steps": 700, "n_paths": 20, "seed": 3})
+    cfg["model"]["params"]["n"] = 16  # 20 x 700 steps: the histogram needs 10^4 samples
+    fs.run(fs.RunConfig.from_dict(cfg), tmp_path)
+    integer = {"degree", "index", "pair_id", "physical_flag", "cell", "count"}
+    for name in ("spectrum.csv", "stationary.csv", "histogram.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        columns = [[(int if h in integer else float)(r[c]) for r in rows]
+                   for c, h in enumerate(header)]
+        assert (tmp_path / name).read_bytes() == _csv_reference(header, columns)
 
 
 def test_canonical_json_layout():
@@ -603,6 +660,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                "params": {"a": 1.0, "epsilon": True, "n": 16}}, "tasks": ["witten"]},
     {"model": {"name": "constant_drive_circle",
                "params": {"a": "1.0", "epsilon": 0.2, "n": 16}}, "tasks": ["witten"]},
+    # a falsy non-object is not an empty section
+    base_config(tolerances=False),
+    base_config(sweep=[]),
+    base_config(simulate=0),
+    base_config(morse=""),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
@@ -617,7 +679,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "sweep-unknown-key", "model-unknown-key", "inline-unknown-key",
         "inline-mesh-unknown-key", "torus-mesh-unknown-key", "inline-flow-two-kinds",
         "inline-flow-unknown-key", "duplicate-task", "tau-gamma-bool",
-        "sweep-level-bool", "simulate-dt-string", "param-bool", "param-string"])
+        "sweep-level-bool", "simulate-dt-string", "param-bool", "param-string",
+        "tolerances-false", "sweep-empty-list", "simulate-zero", "morse-empty-string"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -626,6 +689,21 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     assert capsys.readouterr().err.startswith("error:")
     # refused before any task wrote a file
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model": {"name": "constant_drive_circle",
+               "params": {"a": 1.0, "epsilon": True, "n": 16}}, "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16},
+                "flow": {"constant": [1.0, 0.5]}, "epsilon": 0.2}, "tasks": ["witten"]},
+], ids=["param-bool", "inline-constant-shape"])
+def test_cli_refused_model_leaves_no_output_directory(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def _inline_circle(n):

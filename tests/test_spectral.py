@@ -654,3 +654,117 @@ def test_match_nearest_greedy_rule():
     # once b is used up, the rest is rejected at infinite distance
     j, dist = _match_nearest([1.0, 1.0], [1.0])
     assert j.tolist() == [0, -1] and dist[1] == np.inf
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cluster_labels_are_the_components_of_all_pairs_within_thr(seed):
+    """Against every pair tested directly: lattice points spaced at about
+    thr, conjugates, exact repeats, and an occasional non-finite value."""
+    from flowspec.spectral import _cluster_labels
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 80))
+    w = (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)) * 0.5
+    w = w + rng.choice([0.0, 1e-13, 1e-9], n) * rng.normal(size=n)
+    w = np.concatenate([w, np.conj(w[: n // 3]), w[: n // 5]])
+    if seed % 4 == 0 and len(w):
+        w[int(rng.integers(len(w)))] = rng.choice([np.nan, np.inf, complex(1.0, -np.inf)])
+    for thr in (0.0, 0.5, 0.5 * (1 + 2e-16), 0.5 * (1 - 2e-16), 0.25, 1e-10):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            near = np.abs(w[:, None] - w[None, :]) <= thr
+        want = np.arange(len(w))
+        while True:  # least index over the transitive closure
+            low = np.minimum(want, np.min(np.where(near, want, len(w)), axis=1, initial=len(w)))
+            if np.array_equal(low, want):
+                break
+            want = low
+        assert np.array_equal(_cluster_labels(w, thr), want)
+
+
+def _greedy_reference(a, b, tol=np.inf):
+    """The greedy rule as a plain loop: for each a[i] in order, the nearest
+    free b[j] (first j on a tie), taken when within tol."""
+    b = np.asarray(b, dtype=complex)
+    free = np.ones(len(b), dtype=bool)
+    match = np.full(len(a), -1)
+    dist = np.full(len(a), np.inf)
+    for i, x in enumerate(a):
+        cand = np.flatnonzero(free)
+        if not len(cand):
+            break
+        d = np.abs(b[cand] - x)
+        j = int(np.argmin(d))
+        dist[i] = d[j]
+        if d[j] <= tol:
+            match[i] = cand[j]
+            free[cand[j]] = False
+    return match, dist
+
+
+def test_match_nearest_is_the_greedy_loop_on_planted_clusters():
+    """Balanced clusters of multiplicity 1-4 (real-axis, conjugate-symmetric
+    or general centres, members jittered by <= 1e-13 of the scale, a and b
+    shuffled independently) are matched exactly as the plain loop does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from flowspec.spectral import _match_nearest
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        centres=st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6), st.booleans(),
+                                   st.integers(1, 4)),
+                         min_size=1, max_size=12, unique_by=lambda c: c[:2]),
+        scale=st.sampled_from([1.0, 1e-3, 37.5, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(centres, scale, seed):
+        rng = np.random.default_rng(seed)
+
+        def members():
+            values = []
+            for p, q, conjugate, m in centres:
+                jitter = rng.uniform(-1e-13, 1e-13, (m, 2)) @ [1, 1j]
+                z = (complex(p, q) / 6 + jitter) * scale
+                if q == 0:
+                    z = z.real + 0j  # on the real axis
+                values.append(z)
+                if q and conjugate:
+                    values.append(np.conj(z))
+            return rng.permutation(np.concatenate(values))
+
+        a, b = members(), members()
+        for tol in (np.inf, 1e-8 * scale):
+            got, want = _match_nearest(a, b, tol), _greedy_reference(a, b, tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    check()
+
+
+def test_match_nearest_unbalanced_cluster_runs_after_the_balanced_ones():
+    from flowspec.spectral import _match_nearest
+
+    # {1, 1 | 1} holds more a's than b's; {2 | 2} is tight and balanced, so
+    # its b goes to its own a first, and the second 1 finds no free b
+    j, dist = _match_nearest([1.0, 1.0, 2.0], [1.0, 2.0])
+    assert j.tolist() == [0, -1, 1] and dist.tolist() == [0.0, np.inf, 0.0]
+    # the plain loop hands the 2 to the second 1 instead
+    j, dist = _greedy_reference([1.0, 1.0, 2.0], [1.0, 2.0])
+    assert j.tolist() == [0, 1, -1] and dist.tolist() == [0.0, 1.0, np.inf]
+
+
+def test_match_nearest_is_the_greedy_loop_on_torus_spectra():
+    from flowspec.spectral import _match_nearest
+
+    # the oracle against the computed spectrum, and each degree's conjugates
+    model = fs.build_model("torus_shear_model", {"ax": 1.2, "ay": 0.4, "epsilon": 0.3, "n": 8})
+    report = fs.eigenvalue_spectrum(
+        fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+    scale = max(report.spectral_radius, 1.0)
+    for k in range(3):
+        cases = [(model.oracle.spectrum_fn("fd", k), report.eigenvalues(k), np.inf)]
+        mine = (report.degree == k)
+        pos, neg = mine & (report.eigenvalue.imag > 0), mine & (report.eigenvalue.imag < 0)
+        cases.append((np.conj(report.centroid[pos]), report.centroid[neg], 1e-8 * scale))
+        for a, b, tol in cases:
+            got, want = _match_nearest(a, b, tol), _greedy_reference(a, b, tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
