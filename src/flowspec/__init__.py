@@ -86,7 +86,6 @@ from .morse import (
     poincare_hopf_sum,
 )
 from .models import (
-    ModelOracle,
     ModelSpec,
     build_model,
     constant_drive_circle,

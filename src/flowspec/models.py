@@ -3,12 +3,12 @@
 Each constructor returns a fully assembled :class:`ModelSpec`: the mesh, the
 flow samples, the noise level, a continuum drift callable for trajectory
 integration and, where one exists, a closed-form stationary density.  A
-model whose spectrum is known in closed form also carries a
-:class:`ModelOracle`: the expected eigenvalues per backend and degree
-(translation-invariant flows diagonalize in the Fourier basis, so they are
-exact symbol evaluations) and the tolerance a computed spectrum is held to.
-Verdicts, indices and zero-mode counts are not declared: a run computes
-them.
+model whose spectrum is known in closed form also carries an oracle, the
+function ``(backend, degree) -> eigenvalues`` (``None`` for a degree it does
+not predict): translation-invariant flows diagonalize in the Fourier basis,
+so the expected eigenvalues are exact symbol evaluations.  Every oracle is
+held to one relative tolerance, ``_ORACLE_REL_TOL``.  Verdicts, indices and
+zero-mode counts are not declared: a run computes them.
 
 Potential ("langevin") flows sample A = eps * grad W through the tanh edge
 rule, so their stationary density is exp(-2 W) exactly at the discrete
@@ -33,7 +33,6 @@ from .mesh import MeshComplex, NoiseSpec, build_circle_grid, build_torus_grid
 from .spectral import _match_nearest
 
 __all__ = [
-    "ModelOracle",
     "ModelSpec",
     "constant_drive_circle",
     "langevin_double_well_circle",
@@ -45,30 +44,20 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class ModelOracle:
-    """A closed-form spectrum and the relative tolerance it is checked to.
-
-    ``spectrum_fn(backend, degree)`` gives the expected eigenvalues of one
-    degree block, or ``None`` for a degree it does not predict.
-    """
-
-    rel_tol: float
-    spectrum_fn: Callable[[str, int], Optional[np.ndarray]]
+_ORACLE_REL_TOL = 1e-10  # worst relative deviation a spectrum may show from its oracle
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named system: mesh + flow + noise + continuum drift + oracle, if any."""
+    """A named system: mesh + flow + noise + continuum drift + oracle, if any;
+    ``oracle(backend, degree)`` is the expected eigenvalues of one block or ``None``."""
 
     name: str
     params: Dict[str, float]
     mesh: MeshComplex
     flow: FlowField
     noise: NoiseSpec
-    oracle: Optional[ModelOracle] = None
+    oracle: Optional[Callable[[str, int], Optional[np.ndarray]]] = None
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -153,19 +142,15 @@ def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
     noise = NoiseSpec(epsilon)
     mesh = build_circle_grid(n, _TWO_PI)
     flow = flow_from_vertex_samples(mesh, np.full(n, float(a)))
-    oracle = ModelOracle(
-        rel_tol=1e-10,
-        spectrum_fn=lambda backend, deg, _n=n, _a=float(a), _e=float(epsilon): (
-            _circle_symbol(_n, _TWO_PI, _a, _e, backend) if deg in (0, 1) else None
-        ),
-    )
     return ModelSpec(
         name="constant_drive_circle",
         params={"a": float(a), "epsilon": float(epsilon), "n": int(n)},
         mesh=mesh,
         flow=flow,
         noise=noise,
-        oracle=oracle,
+        oracle=lambda backend, deg, _n=n, _a=float(a), _e=float(epsilon): (
+            _circle_symbol(_n, _TWO_PI, _a, _e, backend) if deg in (0, 1) else None
+        ),
         drift=lambda phi, _a=float(a): np.full_like(np.asarray(phi, dtype=float), _a),
         density=lambda phi: np.ones_like(np.asarray(phi, dtype=float)),
     )
@@ -259,7 +244,7 @@ def torus_shear_model(ax: float, ay: float, epsilon: float, n: int) -> ModelSpec
         mesh=mesh,
         flow=flow,
         noise=noise,
-        oracle=ModelOracle(rel_tol=1e-10, spectrum_fn=spectrum_fn),
+        oracle=spectrum_fn,
         drift=lambda pos, _ax=float(ax), _ay=float(ay): np.broadcast_to(
             np.array([_ax, _ay]), np.shape(np.asarray(pos, dtype=float))
         ).copy(),
@@ -313,7 +298,7 @@ def oracle_spectrum_residual(model: ModelSpec, report, backend: str) -> Optional
         return None
     worst = None
     for deg in range(model.mesh.dimension + 1):
-        expected = model.oracle.spectrum_fn(backend, deg)
+        expected = model.oracle(backend, deg)
         if expected is None:
             continue
         computed = report.eigenvalues(degree=deg)

@@ -432,10 +432,8 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 
 
-def _splitting_scan(model, epsilons: Sequence[float],
-                    degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
-    """The scan, given the degree-0 eigenvalues of the fd generator per level."""
-    eps_list = _scan_levels(epsilons)
+def _scan_minima(model) -> int:
+    """Local minima of a model the scan admits: a potential flow with two or more."""
     if not model.flow.langevin:
         raise NotPotentialError(
             "the tunneling-gap scan is defined for potential flows only"
@@ -445,6 +443,14 @@ def _splitting_scan(model, epsilons: Sequence[float],
         raise NoInstantonError(
             f"potential has {n_min} local minimum(s); no tunneling doublet exists"
         )
+    return n_min
+
+
+def _splitting_scan(model, epsilons: Sequence[float],
+                    degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
+    """The scan, given the degree-0 eigenvalues of the fd generator per level."""
+    eps_list = _scan_levels(epsilons)
+    n_min = _scan_minima(model)
     # refused before the first level is assembled
     _check_capacity(model.mesh.cell_counts)
 

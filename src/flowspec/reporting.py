@@ -50,9 +50,10 @@ from .exceptions import (
 from .fields import flow_from_vertex_samples, langevin_flow
 from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
-from .models import ModelSpec, build_model, oracle_spectrum_residual
+from .models import _ORACLE_REL_TOL, ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
     _scan_levels,
+    _scan_minima,
     _splitting_scan,
     find_critical_points,
     instanton_splitting_scan,  # not called by a run; flowbench/tracing.py patches this name
@@ -371,6 +372,8 @@ def _resolve_model(config: RunConfig) -> ModelSpec:
         # levels decrease, so only the last can be 0: a model that refuses it
         # (a gradient flow) is refused here, before any task writes a file
         model.rebuild_at(0.0)
+    if "morse" in config.tasks and config.morse_epsilons:
+        _scan_minima(model)  # a model the splitting scan refuses is refused before any file
     return model
 
 
@@ -478,6 +481,11 @@ class _Levels:
                 mesh.dimension)[0]
         return self._reports[eps]
 
+    def index(self, eps: Optional[float] = None) -> int:
+        """Every index a run reports: the alternating ``zero_mode_counts`` at its tau0."""
+        tau0 = self.config.tau0 if self.config else None
+        return sum((-1) ** k * c for k, c in enumerate(zero_mode_counts(self.spectrum(eps), tau0)))
+
 
 def _task_spectrum(state: _Levels, out_dir: Path) -> Dict:
     rep = state.spectrum()
@@ -491,7 +499,7 @@ def _task_spectrum(state: _Levels, out_dir: Path) -> Dict:
     dev = oracle_spectrum_residual(state.model, rep, state.config.backend)
     if dev is not None:
         result["oracle_max_rel_deviation"] = dev
-        result["oracle_satisfied"] = bool(dev <= state.model.oracle.rel_tol)
+        result["oracle_satisfied"] = bool(dev <= _ORACLE_REL_TOL)
     return result
 
 
@@ -502,7 +510,7 @@ def _task_classify(state: _Levels, out_dir: Path) -> Dict:
         "tau_gamma": cls.tau_gamma,
         "tau_e": cls.tau_e,
         "n_surviving": len(cls.evidence),
-        "witten_index": cls.witten_index,
+        "witten_index": state.index(),
     }
 
 
@@ -575,12 +583,8 @@ def _task_morse(state: _Levels, out_dir: Path) -> Dict:
         "euler_characteristic": model.mesh.euler_characteristic(),
     }
     if "witten" in state.config.tasks or "spectrum" in state.config.tasks:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result["matches_witten_index"] = bool(
-                ph == witten_index(state.spectrum(), state.config.tau0)
-            )
-    if state.config.morse_epsilons and model.flow.langevin:
+        result["matches_witten_index"] = bool(ph == state.index())
+    if state.config.morse_epsilons:
         # the scan is defined on fd levels: the run's own on fd, a fresh memo on fourier
         fd = state if state.backend == "fd" else _Levels(model, "fd")
         scan = _splitting_scan(model, state.config.morse_epsilons,
@@ -669,7 +673,7 @@ def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
         row = {
             "epsilon": eps,
             "verdict": cls.verdict,
-            "witten_index": cls.witten_index,
+            "witten_index": levels.index(eps),
             "n_oscillating": len(oscillating),
             "ratio_gamma_over_e": None,
         }

@@ -42,7 +42,8 @@ the phase verdict:
 * surviving states exist and none oscillates          -> "unbroken-Markovian"
 * no surviving state at all                           -> "indeterminate"
 
-The alternating zero-mode count (the index) is a topological invariant: it
+One rule, ``_zero_modes``, decides which entries are zero modes (|lambda| <= tau0).
+Their alternating count by degree (the index) is a topological invariant: it
 matches the mesh Euler characteristic and is independent of the flow.
 """
 
@@ -127,7 +128,6 @@ class PhaseClassification:
     tau_gamma: float
     tau_e: float
     evidence: np.ndarray  # indices of the surviving entries in the report
-    witten_index: int
 
 
 def _default_tau(report: SpectrumReport, given: Optional[float]) -> float:
@@ -481,10 +481,14 @@ def _biorthonormalize(w, vl, vr, radius):
     return vl, vr, residuals
 
 
-def synthetic_spectrum(values: Sequence[complex], degree: int = 0,
-                       dimension: int = 1) -> SpectrumReport:
-    """Wrap a bare eigenvalue multiset for the classifiers (no eigenvectors)."""
-    return _spectrum_report({degree: np.asarray(values, dtype=complex)}, dimension)[0]
+def synthetic_spectrum(values: Sequence[complex]) -> SpectrumReport:
+    """Wrap a bare eigenvalue multiset, as degree 0 of a circle, for the
+    classifiers (no eigenvectors); a non-finite value is refused."""
+    w = np.asarray(values, dtype=complex)
+    bad = w[~np.isfinite(w)]
+    if len(bad):
+        raise ValueError(f"a synthetic spectrum needs finite values, got {complex(bad[0])!r}")
+    return _spectrum_report({0: w}, 1)[0]
 
 
 # ----------------------------------------------------------------------
@@ -509,24 +513,24 @@ def classify_phase(report: SpectrumReport,
         verdict = "unbroken-Markovian"
     else:
         verdict = "indeterminate"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GapAmbiguityWarning)
-        wi = witten_index(report)
-    return PhaseClassification(verdict, tg, te, surviving, wi)
+    return PhaseClassification(verdict, tg, te, surviving)
+
+
+def _zero_modes(report: SpectrumReport, tau0: Optional[float]) -> np.ndarray:
+    """The one zero-mode rule, as a mask over the report's entries: |lambda| <= tau0."""
+    return np.abs(report.eigenvalue) <= _default_tau(report, tau0)
 
 
 def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
-    """Alternating-by-degree count of zero modes, sum_k (-1)^k #{|lambda| <= tau0}.
+    """Alternating-by-degree count of zero modes, sum_k (-1)^k ``zero_mode_counts``[k].
 
     If some eigenvalue magnitude falls in the ambiguous band (tau0, 10*tau0],
     a gap-ambiguity warning is issued: the zero/nonzero split is then
     sensitive to the threshold.
     """
     tau = _default_tau(report, tau0)
-    mag = np.abs(report.eigenvalue)
-    zero = report.degree[mag <= tau]
-    total = int(np.sum(1 - 2 * (zero % 2)))
-    ambiguous = np.flatnonzero((mag > tau) & (mag <= 10.0 * tau))
+    ambiguous = np.flatnonzero(~_zero_modes(report, tau0)
+                               & (np.abs(report.eigenvalue) <= 10.0 * tau))
     if len(ambiguous):
         # Python scalars, so the message reads the same under every numpy
         shown = [(int(report.degree[i]), complex(report.eigenvalue[i]))
@@ -538,13 +542,12 @@ def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
             GapAmbiguityWarning,
             stacklevel=2,
         )
-    return total
+    return sum((-1) ** k * c for k, c in enumerate(zero_mode_counts(report, tau0)))
 
 
 def zero_mode_counts(report: SpectrumReport, tau0: Optional[float] = None) -> Tuple[int, ...]:
-    """Number of |lambda| <= tau0 eigenvalues per degree 0..D."""
-    tau = _default_tau(report, tau0)
-    zero = report.degree[np.abs(report.eigenvalue) <= tau]
+    """Number of zero modes (|lambda| <= tau0) per degree 0..D."""
+    zero = report.degree[_zero_modes(report, tau0)]
     return tuple(np.bincount(zero, minlength=report.dimension + 1).tolist())
 
 
@@ -626,7 +629,7 @@ def susy_pairing_check(report: SpectrumReport, tol: float = 1e-8) -> PairingRepo
     degree-1 spectra agree as multisets.
     """
     atol = tol * max(report.spectral_radius, 1.0)
-    nonzero = np.abs(report.eigenvalue) > _DEFAULT_TOL_REL * report.spectral_radius
+    nonzero = ~_zero_modes(report, None)
     by_degree = [report.eigenvalue[nonzero & (report.degree == k)]
                  for k in range(report.dimension + 1)]
 

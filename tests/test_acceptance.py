@@ -238,7 +238,7 @@ PUBLIC_NAMES = [
     "DeterministicLimitError", "EigensolverError", "FlowField", "FlowspecError",
     "GapAmbiguityWarning", "GeometryWarning", "GradedOperator", "HistogramResult",
     "IndeterminateIndexError", "InsufficientSamplesError", "InvalidNoiseError",
-    "InvalidResolutionError", "MeshComplex", "ModelOracle", "ModelSpec",
+    "InvalidResolutionError", "MeshComplex", "ModelSpec",
     "NoInstantonError", "NoiseSpec", "NotPotentialError", "NumericalError",
     "OneLoopState", "PairingReport", "PhaseClassification", "ReportDocument",
     "ResolutionWarning", "RunConfig", "SpectrumReport", "SplittingScan",

@@ -400,6 +400,26 @@ def test_verdict_tasks_solve_each_level_once_without_vectors(tmp_path, work):
     assert len(solved) == 7
 
 
+def test_every_reported_index_is_one_count_at_tau0(tmp_path):
+    # at tau0 = 1e-14 the degree-1 zero mode of the depth-2 well (roundoff-sized)
+    # is no longer counted, so an index read at the default threshold would differ
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 2.0, "epsilon": 0.2, "n": 128}},
+        "tasks": ["classify", "witten", "morse", "sweep"],
+        "tolerances": {"tau0": 1e-14},
+        "sweep": {"epsilons": [0.4, 0.2]},
+    })
+    res = fs.run(cfg, out_dir=tmp_path).data["results"]
+    zero = res["witten"]["zero_modes_per_degree"]
+    index = sum((-1) ** k * c for k, c in enumerate(zero))
+    [base] = [row for row in res["sweep"]["rows"] if row["epsilon"] == 0.2]
+    assert res["classify"]["witten_index"] == res["witten"]["witten_index"] == index
+    assert base["witten_index"] == index
+    morse = res["morse"]
+    assert morse["matches_witten_index"] == (morse["poincare_hopf_sum"] == index)
+
+
 def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
     cfg = double_well_config(["morse"], eps=0.3,
                              morse={"splitting_epsilons": [0.4, 0.2, 0.1]})
@@ -696,7 +716,16 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
                "params": {"a": 1.0, "epsilon": True, "n": 16}}, "tasks": ["witten"]},
     {"inline": {"mesh": {"kind": "circle", "n": 16},
                 "flow": {"constant": [1.0, 0.5]}, "epsilon": 0.2}, "tasks": ["witten"]},
-], ids=["param-bool", "inline-constant-shape"])
+    # the splitting scan needs a potential flow with two minima
+    {"model": {"name": "tilted_langevin_circle",
+               "params": {"depth": 1.0, "tilt": 0.3, "epsilon": 0.2, "n": 64}},
+     "tasks": ["morse"], "morse": {"splitting_epsilons": [0.4, 0.2]}},
+    {"inline": {"mesh": {"kind": "circle", "n": 32},
+                "flow": {"potential": np.cos(np.arange(32) * (2 * np.pi / 32)).tolist()},
+                "epsilon": 0.2},
+     "tasks": ["morse"], "morse": {"splitting_epsilons": [0.4, 0.2]}},
+], ids=["param-bool", "inline-constant-shape", "morse-scan-not-potential",
+        "morse-scan-single-well"])
 def test_cli_refused_model_leaves_no_output_directory(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

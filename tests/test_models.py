@@ -36,7 +36,7 @@ def test_constant_drive_difference_symbol():
     h = 2 * np.pi / n
     theta = 2 * np.pi * np.arange(n) / n
     want = eps * (1 - np.cos(theta)) / h**2 - 1j * a * np.sin(theta) / h
-    got = model.oracle.spectrum_fn("fd", 0)
+    got = model.oracle("fd", 0)
     np.testing.assert_allclose(csort(got), csort(want), rtol=1e-13)
 
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, "fd")
@@ -48,7 +48,7 @@ def test_constant_drive_difference_symbol():
 def test_constant_drive_fourier_symbol_drops_nyquist_drift():
     n, a, eps = 16, 1.3, 0.25
     model = fs.build_model("constant_drive_circle", {"a": a, "epsilon": eps, "n": n})
-    got = model.oracle.spectrum_fn("fourier", 0)
+    got = model.oracle("fourier", 0)
     k = np.rint(np.fft.fftfreq(n) * n).astype(int)
     want = eps * k.astype(float) ** 2 / 2 - 1j * a * k
     want[np.abs(k) == n // 2] = eps * (n // 2) ** 2 / 2  # unpaired mode: no drift
@@ -61,8 +61,8 @@ def test_constant_drive_fourier_symbol_drops_nyquist_drift():
 
 def test_constant_drive_degree_one_shares_the_symbol():
     model = fs.build_model("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16})
-    s0 = model.oracle.spectrum_fn("fd", 0)
-    s1 = model.oracle.spectrum_fn("fd", 1)
+    s0 = model.oracle("fd", 0)
+    s1 = model.oracle("fd", 1)
     np.testing.assert_array_equal(csort(s0), csort(s1))
 
 
@@ -154,9 +154,9 @@ def test_torus_shear_symbol_and_degeneracy():
     model = fs.build_model(
         "torus_shear_model", {"ax": ax, "ay": ay, "epsilon": eps, "n": n}
     )
-    s0 = model.oracle.spectrum_fn("fd", 0)
-    s1 = model.oracle.spectrum_fn("fd", 1)
-    s2 = model.oracle.spectrum_fn("fd", 2)
+    s0 = model.oracle("fd", 0)
+    s1 = model.oracle("fd", 1)
+    s2 = model.oracle("fd", 2)
     assert len(s0) == 36 and len(s1) == 72 and len(s2) == 36
     np.testing.assert_array_equal(s1, np.concatenate([s0, s0]))
     np.testing.assert_array_equal(s2, s0)
