@@ -33,6 +33,15 @@ Multisets are compared by one greedy nearest-neighbour matcher,
 ``_csv_flags`` gives the spectrum CSV's pair-id and physical-flag columns as
 arrays, and ``reporting`` writes the file.
 
+One BLAS per run: numpy and scipy wheels each bundle their own OpenBLAS,
+each with its own thread pool, and a numpy BLAS call next to a scipy LAPACK
+solve makes the two pools contend (it about doubles the solve on two cores).
+So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
+``scipy.sparse``) does all matrix-sized work: the edge factor is checked by a
+sparse product, and ``_null_vector``'s residual is two ``dgemv`` calls.
+numpy does elementwise work, FFTs and the tiny batched solves (the f x f
+Bloch symbols here, the 1 x 1 and 2 x 2 matrices of ``morse``).
+
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
 rate (decay rate of the mode) and E the oscillation frequency.  States with
 Gamma ~ 0 survive the long-time evolution; their oscillation content decides
@@ -56,6 +65,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.sparse
 
 from .exceptions import (
     CapacityError,
@@ -214,14 +225,18 @@ def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
     block = op.block(k)
     scale = radius or 1.0  # a zero block still gets a nonzero shift
     shift = complex(eigenvalue) + _SHIFT_REL * scale
-    lu = scipy.linalg.lu_factor(block - shift * np.eye(len(block)), check_finite=False)
+    shifted = block.astype(complex)
+    shifted.flat[::len(block) + 1] -= shift
+    lu = scipy.linalg.lu_factor(shifted, check_finite=False)
     v = np.ones(len(block), dtype=complex)
     for _ in range(_INVERSE_STEPS):
         v = scipy.linalg.lu_solve(lu, v, check_finite=False)
         v /= np.max(np.abs(v))
     j = int(np.argmax(np.abs(v)))
     v /= v[j] / abs(v[j]) * np.linalg.norm(v)
-    residual = float(np.linalg.norm(block @ v - eigenvalue * v))
+    # Hv as two real products; block.T is Fortran-ordered, so dgemv copies nothing
+    hv = [scipy.linalg.blas.dgemv(1.0, block.T, part, trans=1) for part in (v.real, v.imag)]
+    residual = float(np.linalg.norm(hv[0] + 1j * hv[1] - eigenvalue * v))
     if not residual <= _DEFAULT_TOL_REL * scale:  # also refuses NaN
         raise EigensolverError(
             f"inverse iteration on the degree-{k} block missed the eigenvalue "
@@ -326,14 +341,16 @@ def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndar
         c = -sym[i, j] / (v[i] * v[j])
     if len(c) < len(v) or not np.all(c > 0):
         return None
-    root, rows = np.sqrt(c), np.arange(len(c))
-    factor = np.zeros((len(c), len(v)))
-    factor[rows, i] = root * v[j]
-    factor[rows, j] = -root * v[i]
-    error = np.max(np.abs(factor.T @ factor - sym))
+    root = np.sqrt(c)
+    # row e holds sqrt(c_e) v_j at column i and -sqrt(c_e) v_i at column j
+    factor = scipy.sparse.csr_array(
+        (np.column_stack([root * v[j], -root * v[i]]).ravel(),
+         np.column_stack([i, j]).ravel(), np.arange(0, 2 * len(c) + 1, 2)),
+        shape=(len(c), len(v)))
+    error = np.max(np.abs(factor.T @ factor - sym))  # every entry, on the stencil or off it
     if not error <= _FACTOR_TOL * np.max(np.abs(sym)):  # also refuses NaN
         return None
-    return factor
+    return factor.toarray()
 
 
 def _check_capacity(sizes: Tuple[int, ...]) -> None:

@@ -232,6 +232,57 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
     assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvals", 36)]
 
 
+def double_well_symmetric_block(n=64):
+    """Mesh, weights and symmetrized degree-0 block of the double well."""
+    from flowspec.hamiltonian import _symmetric_form
+
+    model = fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": n})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    eta, sym, _ = _symmetric_form(model.mesh, model.flow.w, 0, op.block(0))
+    return model.mesh, eta, 0.5 * (sym + sym.T)
+
+
+def test_gradient_factor_is_the_dense_edge_factor():
+    from flowspec.spectral import _gradient_factor
+
+    mesh, eta, sym = double_well_symmetric_block()
+    v = np.sqrt(eta)
+    v = v / np.linalg.norm(v)
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    root, rows = np.sqrt(-sym[i, j] / (v[i] * v[j])), np.arange(len(i))
+    reference = np.zeros((len(i), len(v)))
+    reference[rows, i] = root * v[j]
+    reference[rows, j] = -root * v[i]
+    assert np.array_equal(_gradient_factor(mesh, eta, sym), reference)
+
+
+def flip_coupling(s, mesh):
+    a, b = mesh.edges[5]
+    s[a, b] = s[b, a] = -s[a, b]
+
+
+def move_diagonal(s, mesh):
+    s[7, 7] *= 1 + 1e-9
+
+
+def off_stencil_pair(s, mesh):
+    s[0, 2] = s[2, 0] = 1e-9 * np.max(np.abs(s))
+
+
+def nan_diagonal(s, mesh):
+    s[3, 3] = np.nan
+
+
+@pytest.mark.parametrize("perturb", [flip_coupling, move_diagonal, off_stencil_pair, nan_diagonal],
+                         ids=["non-positive-coupling", "diagonal", "off-stencil", "nan"])
+def test_gradient_factor_refusals(perturb):
+    from flowspec.spectral import _gradient_factor
+
+    mesh, eta, sym = double_well_symmetric_block()
+    perturb(sym, mesh)
+    assert _gradient_factor(mesh, eta, sym) is None
+
+
 @pytest.mark.parametrize("name", ["tilted_langevin_circle"])
 def test_non_gradient_blocks_take_geev(routes, name):
     # the potential varies along the circle, so no block is translation-invariant
