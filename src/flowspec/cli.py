@@ -10,8 +10,7 @@ Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure (indeterminate index, capacity of the dense solver or of the SDE
 path store, LAPACK breakdown;
 a defective eigenproblem can only surface in ``stationary``, the one task
-that reads an eigenvector, by inverse iteration: the others need eigenvalues
-only).
+that reads an eigenvector: the others need eigenvalues only).
 """
 
 from __future__ import annotations

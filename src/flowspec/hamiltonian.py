@@ -15,9 +15,10 @@ conserved, so the operator is a tuple of square blocks.  The companion charge
 satisfies H = {Q, Qbar}/2 with Q = d.  Both assembly routes use the same d,
 d† and iota, built once per degree, and are compared at every assembly as a
 self-check (the identity is algebraic, so a violation means memory
-corruption, not roundoff).  On fd the pieces, both routes and the comparison
-are CSR, and each block is made dense once, after the check, for LAPACK; on
-fourier every piece is dense, because its circulants are full.
+corruption, not roundoff).  On fd the pieces, both routes, the comparison
+and the blocks the operator keeps are CSR; only a dense solver in
+``spectral`` makes a dense copy of a block, when it solves it.  On fourier
+every piece and block is dense, because its circulants are full.
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
 by the top Hodge star is the conventional density generator.
@@ -32,8 +33,8 @@ asymmetry left, and the eigensolver uses that measurement to pick its route
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,30 +72,36 @@ _SYMMETRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """Degree-preserving operator on cochains: ``blocks[k]`` acts on degree k."""
+    """Degree-preserving operator on cochains: ``blocks[k]`` acts on degree k.
 
-    blocks: Tuple[np.ndarray, ...]
+    The blocks are kept in the storage assembly builds them in: CSR on fd,
+    dense on fourier.  ``block(k)`` is the dense view.
+    """
+
+    blocks: Tuple[Union[np.ndarray, sp.csr_matrix], ...]
     mesh: MeshComplex
     flow: FlowField
     noise: NoiseSpec
     backend: str = "fd"
 
     def block(self, k: int) -> np.ndarray:
+        """The degree-``k`` block as a dense array; on fd each call builds a
+        dense copy of the CSR block."""
         if not 0 <= k < len(self.blocks):
             raise DegreeError(f"degree {k} outside 0..{len(self.blocks) - 1}")
-        return self.blocks[k]
+        return _dense(self.blocks[k])
 
     def degrees(self):
         return range(len(self.blocks))
 
     def intertwining_residual(self) -> float:
         """max_k ||d H_k - H_{k+1} d|| / ||H|| — zero up to roundoff by construction."""
-        scale = max(np.max(np.abs(b)) for b in self.blocks)
+        h = self.blocks
+        scale = max(abs(b).max() for b in h)
         worst = 0.0
         for k in range(self.mesh.dimension):
             d = _exterior_derivative(self.mesh, k, "fd")  # CSR: d is the same on every backend
-            r = np.max(np.abs(d @ self.block(k) - self.block(k + 1) @ d))
-            worst = max(worst, r)
+            worst = max(worst, abs(d @ h[k] - h[k + 1] @ d).max())
         return float(worst / max(scale, 1e-300))
 
 
@@ -137,7 +144,7 @@ def assemble_hamiltonian(
                    for k in range(mesh.dimension + 1))
     op = GradedOperator(blocks, mesh, flow, noise, backend)
     _check_two_routes(op, d, ddag, iota)
-    return replace(op, blocks=tuple(_dense(b) for b in blocks))
+    return op
 
 
 def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:
@@ -146,7 +153,7 @@ def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:
     scale = max(max(abs(b).max() for b in op.blocks), 1e-300)
     for k in op.degrees():
         alt = 0.5 * _anticommutator(d, qbar, k)
-        resid = abs(alt - op.block(k)).max() / scale
+        resid = abs(alt - op.blocks[k]).max() / scale
         if not resid <= _TWO_ROUTE_TOL:  # also refuses NaN
             raise NumericalError(
                 f"generator self-check failed at degree {k}: the degree-{k} block "
@@ -189,19 +196,25 @@ def conventional_fp_operator(
 
 
 def _symmetric_form(mesh: MeshComplex, w: np.ndarray, k: int,
-                    block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+                    block) -> Tuple[np.ndarray, Union[np.ndarray, sp.csr_matrix], float]:
     """Degree-``k`` weights eta, S = diag(sqrt(eta)) H_k diag(1/sqrt(eta)), and
     the relative asymmetry max|S - S^T| / max|S|.
 
-    eta is e^{2W} at a vertex and the harmonic mean of the vertex weights over
-    an edge's or a face's vertices.  Weights that overflow give a NaN
-    asymmetry, which no tolerance accepts.
+    S has the storage of ``block``: a CSR block has its stored entries
+    scaled, a dense one every entry.  eta is e^{2W} at a vertex and the
+    harmonic mean of the vertex weights over an edge's or a face's vertices.
+    Weights that overflow give a NaN asymmetry, which no tolerance accepts.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inv_vertex = np.exp(-2.0 * np.asarray(w, dtype=float))
         cells = (np.arange(len(inv_vertex))[:, None], mesh.edges, mesh.faces)[k]
         eta = 1.0 / np.mean(inv_vertex[cells], axis=1)
         s = np.sqrt(eta)
-        sym = (s[:, None] * block) / s[None, :]
-        scale = max(np.max(np.abs(sym)), 1e-300)
-        return eta, sym, float(np.max(np.abs(sym - sym.T)) / scale)
+        if sp.issparse(block):
+            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+            sym = sp.csr_matrix((s[rows] * block.data / s[block.indices],
+                                 block.indices, block.indptr), shape=block.shape)
+        else:
+            sym = (s[:, None] * block) / s[None, :]
+        scale = max(abs(sym).max(), 1e-300)
+        return eta, sym, float(abs(sym - sym.T).max() / scale)

@@ -1,10 +1,14 @@
 """Non-Hermitian eigenanalysis of graded operators, and spectrum-level verdicts.
 
-Each degree block is decomposed densely, with eigenvalues only
-(``eigenvalue_spectrum``, the run path) or with two-sided eigenvectors
-(``full_spectrum``, the library path and the test oracle); a run takes its
-one eigenvector, the stationary density, by inverse iteration
-(``_null_vector``).  Left and right eigenvectors are paired per eigenvalue
+Each degree block is decomposed with eigenvalues only
+(``eigenvalue_spectrum``, the run path) or densely with two-sided
+eigenvectors (``full_spectrum``, the library path and the test oracle); a
+run takes its one eigenvector, the stationary density, from the block's
+Bloch symbols or by inverse iteration (``_null_vector``).  Blocks arrive in
+their stored form (CSR on fd, dense on fourier) and are read in it; a dense
+solver makes a dense copy of what it solves, when it solves it, so a run
+whose blocks all take the bloch route builds no dense block.  Left and right
+eigenvectors are paired per eigenvalue
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
 pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
@@ -38,7 +42,8 @@ each with its own thread pool, and a numpy BLAS call next to a scipy LAPACK
 solve makes the two pools contend (it about doubles the solve on two cores).
 So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
 ``scipy.sparse``) does all matrix-sized work: the edge factor is checked by a
-sparse product, and ``_null_vector``'s residual is two ``dgemv`` calls.
+sparse product, and ``_null_vector`` takes its residual from a sparse
+product (two ``dgemv`` calls on a dense block) and its norms from ``dznrm2``.
 numpy does elementwise work, FFTs and the tiny batched solves (the f x f
 Bloch symbols here, the 1 x 1 and 2 x 2 matrices of ``morse``).
 
@@ -74,6 +79,7 @@ from .exceptions import (
     GapAmbiguityWarning,
 )
 from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _symmetric_form
+from .operators import _dense
 
 __all__ = [
     "SpectrumReport",
@@ -96,7 +102,7 @@ _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
-_INVARIANCE_CHUNK = 1 << 14  # block entries compared at a time by the invariance test
+_INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def full_spectrum(op: GradedOperator) -> SpectrumReport:
     some block.
     """
     _check_capacity(op.mesh.cell_counts)
-    solved = {k: _lapack(k, scipy.linalg.eig, _finite_block(op, k),
+    solved = {k: _lapack(k, scipy.linalg.eig, _dense(_finite_block(op, k)),
                          check_finite=False, left=True, right=True)
               for k in op.degrees()}
     report, order = _spectrum_report({k: w for k, (w, _, _) in solved.items()},
@@ -192,10 +198,11 @@ def eigenvalue_spectrum(op: GradedOperator) -> SpectrumReport:
                             op.mesh.dimension)[0]
 
 
-def _finite_block(op: GradedOperator, k: int) -> np.ndarray:
-    """The degree-``k`` block, refused when it has non-finite entries."""
-    block = op.block(k)
-    if not np.isfinite(block).all():
+def _finite_block(op: GradedOperator, k: int):
+    """The degree-``k`` block in its stored form, refused when a stored value
+    is not finite."""
+    block = op.blocks[k]
+    if not np.isfinite(block.data if scipy.sparse.issparse(block) else block).all():
         raise EigensolverError(f"the degree-{k} block at noise level "
                                f"{op.noise.epsilon!r} has non-finite entries")
     return block
@@ -216,33 +223,62 @@ def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
                  radius: float) -> np.ndarray:
     """Right eigenvector of the degree-``k`` block for a known ``eigenvalue``.
 
-    Inverse iteration: one LU of ``H - sigma I``, sigma just past the
-    eigenvalue (``_SHIFT_REL`` of the spectral radius, so that no pivot is
-    exactly zero), then ``_INVERSE_STEPS`` solves from the constant vector.
-    Scaled as ``full_spectrum`` scales right vectors (unit norm, dominant
-    component real positive); refused unless ``||Hv - lambda v|| <= 1e-8 radius``.
+    A translation-invariant block (``_bloch_symbols``) gives it from its
+    symbols: the wavevector q and symbol eigenpair (mu, u) with mu nearest
+    the eigenvalue make the Bloch mode v(a, x) = u_a e^{i theta_q . x}.  Any
+    other block goes by inverse iteration: one LU of its dense ``H - sigma
+    I``, sigma just past the eigenvalue (``_SHIFT_REL`` of the spectral
+    radius, so that no pivot is exactly zero), then ``_INVERSE_STEPS`` solves
+    from the constant vector.  Scaled as ``full_spectrum`` scales right
+    vectors (unit norm, dominant component real positive); refused unless
+    ``||Hv - lambda v|| <= 1e-8 radius``, with Hv taken from the stored block.
     """
-    block = op.block(k)
+    block = op.blocks[k]
     scale = radius or 1.0  # a zero block still gets a nonzero shift
-    shift = complex(eigenvalue) + _SHIFT_REL * scale
-    shifted = block.astype(complex)
-    shifted.flat[::len(block) + 1] -= shift
-    lu = scipy.linalg.lu_factor(shifted, check_finite=False)
-    v = np.ones(len(block), dtype=complex)
-    for _ in range(_INVERSE_STEPS):
-        v = scipy.linalg.lu_solve(lu, v, check_finite=False)
-        v /= np.max(np.abs(v))
+    symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
+    if symbols is not None:
+        v = _bloch_mode(op.mesh.cochain_shape(k), symbols, eigenvalue)
+    else:
+        shifted = _dense(block).astype(complex)
+        shifted.flat[::len(shifted) + 1] -= complex(eigenvalue) + _SHIFT_REL * scale
+        lu = scipy.linalg.lu_factor(shifted, check_finite=False)
+        v = np.ones(len(shifted), dtype=complex)
+        for _ in range(_INVERSE_STEPS):
+            v = scipy.linalg.lu_solve(lu, v, check_finite=False)
+            v /= np.max(np.abs(v))
     j = int(np.argmax(np.abs(v)))
-    v /= v[j] / abs(v[j]) * np.linalg.norm(v)
-    # Hv as two real products; block.T is Fortran-ordered, so dgemv copies nothing
-    hv = [scipy.linalg.blas.dgemv(1.0, block.T, part, trans=1) for part in (v.real, v.imag)]
-    residual = float(np.linalg.norm(hv[0] + 1j * hv[1] - eigenvalue * v))
+    v /= v[j] / abs(v[j]) * scipy.linalg.blas.dznrm2(v)
+    if scipy.sparse.issparse(block):
+        hv = block @ v
+    else:  # two real products; block.T is Fortran-ordered, so dgemv copies nothing
+        hv = [scipy.linalg.blas.dgemv(1.0, block.T, part, trans=1) for part in (v.real, v.imag)]
+        hv = hv[0] + 1j * hv[1]
+    residual = float(scipy.linalg.blas.dznrm2(hv - eigenvalue * v))
     if not residual <= _DEFAULT_TOL_REL * scale:  # also refuses NaN
         raise EigensolverError(
-            f"inverse iteration on the degree-{k} block missed the eigenvalue "
+            f"the eigenvector of the degree-{k} block misses the eigenvalue "
             f"{complex(eigenvalue)!r} (residual {residual:.3e})"
         )
     return v
+
+
+def _bloch_mode(shape, symbols: np.ndarray, eigenvalue: complex) -> np.ndarray:
+    """The Bloch mode v(a, x) = u_a e^{i theta_q . x} of the symbol eigenpair
+    (mu, u) nearest ``eigenvalue``, over the cells laid out as ``shape`` =
+    (f, *grid_shape).
+
+    ``symbols[q]`` = sum_z c(z) e^{-2 pi i q.z / n} (``_bloch_symbols``) is
+    the block on e^{-2 pi i q.x / n}, so theta_q = -2 pi q / n on each axis;
+    the phase is reduced modulo n exactly, so q = 0 gives a constant mode.
+    """
+    # the wavevector by eigenvalues alone, then one symbol's eigenvectors
+    q = int(np.argmin(np.min(np.abs(np.linalg.eigvals(symbols) - eigenvalue), axis=1)))
+    mu, u = np.linalg.eig(symbols[q])
+    v = u[:, np.argmin(np.abs(mu - eigenvalue))]
+    for n, qa in zip(shape[1:], np.unravel_index(q, shape[1:])):
+        phase = np.exp(-2j * np.pi * (qa * np.arange(n) % n) / n)
+        v = np.multiply.outer(v, phase)
+    return v.ravel()
 
 
 def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
@@ -259,11 +295,13 @@ def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
        symbol matrices of size f x f.
     3. Every other block goes to LAPACK geev without vectors (``eigvals``).
 
-    The routes cut the solve, not the assembly: the capacity cap still
-    applies, because ``hamiltonian`` builds every block dense for its
-    two-route self-check and ``_null_vector`` factors the dense block.  A
-    block invariant along one grid axis only still goes to ``eigvals``, and
-    ``full_spectrum``, the library path and the test oracle, stays dense.
+    Every route reads the block in its stored form (CSR on fd) and only a
+    dense solver makes it dense: ``svdvals`` its edge factor, ``eigvalsh``
+    the symmetric form and ``eigvals`` the block, each when it solves it; the
+    bloch route makes nothing dense.  The capacity cap still applies to every
+    route.  A block invariant along one grid axis only still goes to
+    ``eigvals``, and ``full_spectrum``, the library path and the test
+    oracle, stays dense.
     """
     block = _finite_block(op, k)
     if op.backend == "fd" and op.flow.langevin and not op.noise.is_deterministic:
@@ -273,53 +311,65 @@ def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
             factor = _gradient_factor(op.mesh, eta, sym) if k == 0 else None
             if factor is not None:
                 return _lapack(k, scipy.linalg.svdvals, factor, check_finite=False) ** 2
-            return _lapack(k, scipy.linalg.eigvalsh, sym, check_finite=False)
+            return _lapack(k, scipy.linalg.eigvalsh, _dense(sym), check_finite=False)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
     if symbols is not None:
         return _lapack(k, np.linalg.eigvals, symbols).ravel()
-    return _lapack(k, scipy.linalg.eigvals, block, check_finite=False)
+    return _lapack(k, scipy.linalg.eigvals, _dense(block), check_finite=False)
 
 
-def _bloch_symbols(mesh, k: int, block: np.ndarray, exact: bool) -> Optional[np.ndarray]:
+def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     """Symbol matrices of a translation-invariant degree-``k`` block, one per
     wavevector, or ``None`` when the block is not invariant.
 
     With the cells laid out as ``mesh.cochain_shape(k)`` = (f, *grid_shape),
     the block is invariant when A[(a, x), (b, y)] = c_ab(y - x) for every
     entry, where the stencil c_a is row (a, 0), the origin cell of family a.
-    The rows it predicts are one strided view of c, nothing copied: with c
-    tiled twice along each grid axis, the length-n window that starts at
-    n - x on each axis is c(. - x).  The test holds exactly when ``exact``
-    (fd), else within ``_TRANSLATION_TOL`` of the largest stencil entry
-    (fourier: its dense circulant products differ from translates at
-    roundoff); a NaN fails it.  It compares whole (a, x_0) slabs of rows,
-    several at a time where a slab is short (one-axis grids), with no
-    block-sized temporary, and stops at the first chunk that fails.  The
-    symbols are the FFT of c over the grid axes, as an (n0, f, f) stack:
-    their eigenvalues over all n0 wavevectors are the block's (the
-    transform's sign only permutes them).
+    The test holds exactly when ``exact`` (fd), else within
+    ``_TRANSLATION_TOL`` of the largest stencil entry (fourier: its dense
+    circulant products differ from translates at roundoff); a NaN fails it.
+
+    It reads the block, CSR or dense, a chunk of rows at a time as CSR with
+    duplicates summed, each chunk about ``_INVARIANCE_CHUNK`` stored entries,
+    and stops at the first chunk that fails.  Every stored entry must lie
+    within the tolerance of its c_ab(y - x), and every row of family a must
+    store each stencil entry of family a larger than the tolerance: an entry
+    not stored is zero, which is within the tolerance of c exactly when
+    |c| is.  That is the entrywise test, in time and memory of the stored
+    entries.  The symbols are the FFT of c over the grid axes, as an
+    (n0, f, f) stack: their eigenvalues over all n0 wavevectors are the
+    block's (the transform's sign only permutes them).
     """
     shape = mesh.cochain_shape(k)
     if shape is None:
         return None
     f, grid = shape[0], shape[1:]
-    axes = tuple(range(2, 2 + len(grid)))
-    stencil = block[::math.prod(grid)].reshape((f,) + shape)  # rows (a, 0)
+    cells = math.prod(grid)
+    stencil = _dense(block[::cells]).reshape((f,) + shape)  # rows (a, 0)
     tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(stencil))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.tile(stencil, (1, 1) + (2,) * len(grid)), grid, axis=axes)
-    # expected[a, x, b, y] = c_ab(y - x), laid out as the block's rows and columns
-    backwards = (slice(None), slice(None)) + tuple(slice(n, 0, -1) for n in grid)
-    expected = np.moveaxis(windows[backwards], 1, 1 + len(grid))
-    rows = block.reshape(expected.shape)
-    # whole (a, x_0) slabs, as many at a time as fit _INVARIANCE_CHUNK entries
-    step = max(1, _INVARIANCE_CHUNK // rows[0, 0].size)
-    for a in range(f):
-        for lo in range(0, grid[0], step):
-            span = (a, slice(lo, lo + step))
-            if not np.all(np.abs(rows[span] - expected[span]) <= tol):
-                return None
-    symbols = np.fft.fftn(stencil, axes=axes)
+    c = stencil.reshape(f, f, cells)
+    # per family, the stencil entries every one of its rows must store
+    need = np.count_nonzero(np.abs(c) > tol, axis=(1, 2))
+    n = block.shape[0]
+    stored = block.nnz if scipy.sparse.issparse(block) else block.size
+    step = max(1, _INVARIANCE_CHUNK * n // max(stored, 1))
+    for lo in range(0, n, step):
+        chunk = scipy.sparse.csr_matrix(block[lo:lo + step])  # new arrays: summing leaves the block
+        chunk.sum_duplicates()
+        span = np.arange(lo, lo + chunk.shape[0])
+        row = np.repeat(span, np.diff(chunk.indptr))
+        a, x = np.divmod(row, cells)
+        b, y = np.divmod(chunk.indices, cells)
+        offset = np.ravel_multi_index(
+            tuple(np.subtract(np.unravel_index(y, grid), np.unravel_index(x, grid))),
+            grid, mode="wrap")
+        expected = c[a, b, offset]  # c_ab(y - x)
+        if not np.all(np.abs(chunk.data - expected) <= tol):
+            return None
+        held = np.bincount(row - lo, np.abs(expected) > tol, minlength=len(span))
+        if not np.array_equal(held, need[span // cells]):
+            return None
+    symbols = np.fft.fftn(stencil, axes=tuple(range(2, 2 + len(grid))))
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
 
 
@@ -338,7 +388,7 @@ def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndar
     v = v / np.linalg.norm(v)
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = -sym[i, j] / (v[i] * v[j])
+        c = -np.asarray(sym[i, j]).ravel() / (v[i] * v[j])
     if len(c) < len(v) or not np.all(c > 0):
         return None
     root = np.sqrt(c)
@@ -347,8 +397,8 @@ def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndar
         (np.column_stack([root * v[j], -root * v[i]]).ravel(),
          np.column_stack([i, j]).ravel(), np.arange(0, 2 * len(c) + 1, 2)),
         shape=(len(c), len(v)))
-    error = np.max(np.abs(factor.T @ factor - sym))  # every entry, on the stencil or off it
-    if not error <= _FACTOR_TOL * np.max(np.abs(sym)):  # also refuses NaN
+    error = abs(factor.T @ factor - sym).max()  # every entry, on the stencil or off it
+    if not error <= _FACTOR_TOL * abs(sym).max():  # also refuses NaN
         return None
     return factor.toarray()
 

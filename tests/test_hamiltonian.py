@@ -169,21 +169,37 @@ def test_sparse_assembly_matches_a_dense_reference(mesh, flow, eps):
         assert np.max(np.abs(h.block(k) - blas[k])) <= 1e-15 * scale, k
 
 
-def test_fd_assembly_peak_is_within_twice_its_dense_blocks():
-    # the pieces, both routes and the check are CSR; only the blocks are dense
+def test_fd_run_builds_no_dense_block(tmp_path):
+    # fd keeps its blocks CSR: assembly holds no dense block, and a run whose
+    # every block takes the bloch route never makes one
     import tracemalloc
 
-    model = fs.build_model("torus_shear_model",
-                           {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 24})
+    params = {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 24}
+    model = fs.build_model("torus_shear_model", params)
     tracemalloc.start()
     try:
         op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    dense = sum(b.nbytes for b in op.blocks)
-    assert [b.shape[0] for b in op.blocks] == [576, 1152, 576]
-    assert peak <= 2 * dense, f"peak {peak / dense:.2f}x the dense blocks"
+    sizes = [b.shape[0] for b in op.blocks]
+    assert sizes == [576, 1152, 576]
+    dense = sum(8 * n * n for n in sizes)
+    assert peak <= dense / 8, f"assembly peak {peak / dense:.3f}x the dense blocks"
+
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model", "params": params},
+        "backend": "fd",
+        "tasks": ["spectrum", "classify", "witten", "stationary"],
+    })
+    tracemalloc.start()
+    try:
+        fs.run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = 8 * max(sizes) ** 2
+    assert peak < largest, f"run peak {peak / largest:.2f}x the largest dense block"
 
 
 def test_circle_blocks_are_isospectral():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import flowspec as fs
 
@@ -158,6 +159,73 @@ def test_the_invariance_test_refuses_nan(backend):
         assert _bloch_symbols(model.mesh, 1, bad, exact=backend == "fd") is None
 
 
+def with_stored_entry(block, row, col, value):
+    """CSR ``block`` with one more stored entry (row, col) = ``value``, left
+    unsummed with any entry already stored there."""
+    at = block.indptr[row + 1]
+    indptr = block.indptr.copy()
+    indptr[row + 1:] += 1
+    return scipy.sparse.csr_matrix((np.insert(block.data, at, value),
+                                    np.insert(block.indices, at, col), indptr),
+                                   shape=block.shape)
+
+
+def csr_variants(block):
+    """(name, CSR block, invariant?) for edits to the last row of ``block``,
+    a row far from the origin rows the stencil is read from."""
+    row = block.shape[0] - 1
+    lo, hi = block.indptr[row], block.indptr[row + 1]
+    cols = block.indices[lo:hi]
+    stencil = next(c for c, v in zip(cols, block.data[lo:hi]) if c != row and v != 0)
+    off = next(c for c in range(block.shape[1]) if c not in cols)
+    scale = np.max(np.abs(block.data))
+
+    ulp = block.copy()
+    ulp[row, row] = np.nextafter(ulp[row, row], np.inf)
+    removed = block.copy()
+    removed[row, stencil] = 0.0
+    removed.eliminate_zeros()
+    assert removed.nnz == block.nnz - 1
+    nan = block.copy()
+    nan.data[lo] = np.nan
+    half = block.copy()
+    half[row, stencil] = block[row, stencil] / 2
+    return [
+        ("one-ulp", ulp, False),
+        ("stencil-entry-removed", removed, False),
+        ("stored-zero-off-stencil", with_stored_entry(block, row, off, 0.0), True),
+        ("nan", nan, False),
+        ("duplicate-halves", with_stored_entry(half, row, stencil, block[row, stencil] / 2), True),
+        ("duplicate-moves-entry", with_stored_entry(block, row, stencil, 1e-3 * scale), False),
+    ]
+
+
+@pytest.mark.parametrize("name, params, k", [
+    ("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}, 1),
+    ("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16}, 0),
+], ids=["torus_n8_degree1", "circle_n16_degree0"])
+def test_the_invariance_test_gives_one_verdict_on_csr_and_dense(name, params, k):
+    from flowspec.spectral import _bloch_symbols
+
+    model = fs.build_model(name, params)
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    block = op.blocks[k]
+    assert scipy.sparse.issparse(block)
+    reference = _bloch_symbols(model.mesh, k, block.toarray(), exact=True)
+    np.testing.assert_array_equal(_bloch_symbols(model.mesh, k, block, exact=True), reference)
+    for case, bad, invariant in csr_variants(block):
+        nnz = bad.nnz
+        summed = bad.copy()
+        summed.sum_duplicates()
+        verdicts = [_bloch_symbols(model.mesh, k, m, exact=True)
+                    for m in (bad, summed, bad.toarray())]
+        assert [v is not None for v in verdicts] == [invariant] * 3, case
+        assert bad.nnz == nnz, case  # the block read is left as it was
+        if invariant:
+            for v in verdicts:
+                np.testing.assert_array_equal(v, reference)
+
+
 REGISTERED = {
     "constant_drive_circle": {"a": 1.0, "epsilon": 0.2, "n": 32},
     "langevin_double_well_circle": {"depth": 1.0, "epsilon": 0.2, "n": 48},
@@ -230,6 +298,49 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
     flow = fs.langevin_flow(mesh, 0.5 * (np.cos(xy[:, 0]) + np.cos(xy[:, 1])), noise)
     fs.eigenvalue_spectrum(fs.assemble_hamiltonian(mesh, flow, noise))
     assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvals", 36)]
+
+
+@pytest.mark.parametrize("shape", ["circle", "torus"])
+def test_symmetric_form_of_a_csr_block_is_the_dense_form(shape):
+    from flowspec.hamiltonian import _symmetric_form
+    from flowspec.spectral import _gradient_factor
+
+    if shape == "circle":
+        name = "langevin_double_well_circle"
+        model = fs.build_model(name, REGISTERED[name])
+        mesh, flow, noise = model.mesh, model.flow, model.noise
+    else:
+        mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
+        xy = np.asarray(mesh.vertices)
+        noise = fs.NoiseSpec(0.3)
+        flow = fs.langevin_flow(mesh, 0.5 * (np.cos(xy[:, 0]) + np.cos(xy[:, 1])), noise)
+    op = fs.assemble_hamiltonian(mesh, flow, noise)
+    for k in op.degrees():
+        eta, sym, asymmetry = _symmetric_form(mesh, flow.w, k, op.blocks[k])
+        ref_eta, ref_sym, ref_asymmetry = _symmetric_form(mesh, flow.w, k, op.block(k))
+        assert scipy.sparse.issparse(sym) and isinstance(ref_sym, np.ndarray)
+        np.testing.assert_array_equal(eta, ref_eta)
+        np.testing.assert_array_equal(sym.toarray(), ref_sym)
+        assert asymmetry == ref_asymmetry
+    eta, sym, _ = _symmetric_form(mesh, flow.w, 0, op.blocks[0])
+    sym = 0.5 * (sym + sym.T)
+    np.testing.assert_array_equal(_gradient_factor(mesh, eta, sym),
+                                  _gradient_factor(mesh, eta, sym.toarray()))
+
+
+def test_overflowing_weights_leave_the_symmetric_route(routes):
+    from flowspec.hamiltonian import _symmetric_form
+
+    # e^{-2W} overflows at the minima of W: the weights are inf or 0 there
+    mesh, noise = fs.build_circle_grid(16, 2 * np.pi), fs.NoiseSpec(0.2)
+    w = 400.0 * np.cos(np.asarray(mesh.vertices))
+    op = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
+    for k in op.degrees():
+        _, sym, asymmetry = _symmetric_form(mesh, w, k, op.blocks[k])
+        assert scipy.sparse.issparse(sym) and np.isnan(asymmetry), k
+        assert np.isnan(_symmetric_form(mesh, w, k, op.block(k))[2]), k
+    fs.eigenvalue_spectrum(op)
+    assert routes == [("eigvals", 16), ("eigvals", 16)]
 
 
 def double_well_symmetric_block(n=64):
@@ -542,6 +653,32 @@ def test_null_vector_agrees_with_full_spectrum(name, backend):
     full = fs.full_spectrum(op)
     r = full.right[top][:, np.argmin(np.abs(full.eigenvalues(top)))]
     assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_null_vector_of_an_invariant_block_is_a_bloch_mode(monkeypatch, k):
+    from flowspec.spectral import _null_vector
+
+    model = fs.build_model("torus_shear_model", REGISTERED["torus_shear_model"])
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    values = fs.eigenvalue_spectrum(op)
+    radius, block = values.spectral_radius, op.block(k)
+    lam = values.eigenvalues(k)
+    # three oscillating eigenvalues, each with its conjugate, and the largest real one
+    upper = lam[lam.imag > 1e-8 * radius]
+    picks = [upper[0], upper[len(upper) // 2], upper[-1]]
+    picks += [lam[np.argmin(np.abs(lam - np.conj(z)))] for z in picks]
+    picks.append(lam[np.argmax(np.abs(lam) * (np.abs(lam.imag) <= 1e-8 * radius))])
+    assert len(set(picks)) == 7
+    monkeypatch.setattr(scipy.linalg, "lu_factor", None)  # the symbols need no LU
+    for z in picks:
+        v = _null_vector(op, k, z, radius)
+        assert np.linalg.norm(block @ v - z * v) <= 1e-12 * radius, z
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14, z
+        # a Bloch mode's components tie in modulus up to roundoff: one of the
+        # largest is the one scaled real positive
+        top = v[np.abs(v) >= (1.0 - 1e-13) * np.max(np.abs(v))]
+        assert np.any((top.real > 0) & (np.abs(top.imag) <= 1e-15 * top.real)), z
 
 
 @pytest.mark.parametrize("bad", [lambda lu, b, **kw: np.arange(1.0, len(b) + 1),
