@@ -66,8 +66,8 @@ class NumericalError(FlowspecError):
 
 
 class CapacityError(NumericalError):
-    """Dense eigenproblem larger than the dense-solver cap, or an SDE path
-    store that cannot be allocated."""
+    """Blocks that a dense solve makes dense beyond the dense-solver cap, or
+    arrays (a grid, a level, an SDE path store) that cannot be allocated."""
 
 
 class EigensolverError(NumericalError):

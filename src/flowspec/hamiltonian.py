@@ -18,7 +18,8 @@ self-check (the identity is algebraic, so a violation means memory
 corruption, not roundoff).  On fd the pieces, both routes, the comparison
 and the blocks the operator keeps are CSR; only a dense solver in
 ``spectral`` makes a dense copy of a block, when it solves it.  On fourier
-every piece and block is dense, because its circulants are full.
+every piece and block is dense, because its circulants are full, so the
+dense-solver cap (``_check_capacity``) refuses a level before any piece.
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
 by the top Hodge star is the conventional density generator.
@@ -40,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import (
+    CapacityError,
     DegreeError,
     DeterministicLimitError,
     NumericalError,
@@ -68,6 +70,7 @@ __all__ = [
 
 _TWO_ROUTE_TOL = 1e-11
 _SYMMETRY_TOL = 1e-10
+_DENSE_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,22 @@ def assemble_hamiltonian(
     backend : {"fd", "fourier"}
     """
     backend = normalize_backend(backend)
+    if backend == "fourier":
+        _check_capacity(mesh.cell_counts)
     d, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
     blocks = tuple(0.5 * _anticommutator(d, ddag, k) - _anticommutator(d, iota, k)
                    for k in range(mesh.dimension + 1))
     op = GradedOperator(blocks, mesh, flow, noise, backend)
     _check_two_routes(op, d, ddag, iota)
     return op
+
+
+def _check_capacity(sizes: Tuple[int, ...]) -> None:
+    """Refuse dense blocks of ``sizes`` unknowns beyond ``_DENSE_CAP`` in total
+    (read at call time, so a test may lower it)."""
+    if sum(sizes) > _DENSE_CAP:
+        raise CapacityError(f"total unknowns {sum(sizes)} exceed the dense-solver cap "
+                            f"{_DENSE_CAP} (blocks: {sizes})")
 
 
 def _check_two_routes(op: GradedOperator, d, ddag, iota) -> None:

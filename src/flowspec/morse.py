@@ -41,7 +41,7 @@ from .exceptions import (
 from .fields import FlowField
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec, hodge_star
-from .spectral import _block_eigenvalues, _check_capacity
+from .spectral import _plan, _solve
 
 __all__ = [
     "CriticalPoint",
@@ -427,7 +427,7 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     """
     def degree0_eigenvalues(eps):
         m = model.rebuild_at(eps)
-        return _block_eigenvalues(assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd"), 0)
+        return _solve(0, _plan(assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd"))[0])
 
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 
@@ -451,8 +451,6 @@ def _splitting_scan(model, epsilons: Sequence[float],
     """The scan, given the degree-0 eigenvalues of the fd generator per level."""
     eps_list = _scan_levels(epsilons)
     n_min = _scan_minima(model)
-    # refused before the first level is assembled
-    _check_capacity(model.mesh.cell_counts)
 
     splittings = []
     nontunneling = []

@@ -44,6 +44,7 @@ import scipy
 
 from ._version import __version__
 from .exceptions import (
+    CapacityError,
     NumericalError,
     ValidationError,
 )
@@ -62,10 +63,10 @@ from .morse import (
 from .operators import normalize_backend
 from .spectral import (
     SpectrumReport,
-    _block_eigenvalues,
-    _check_capacity,
     _csv_flags,
     _null_vector,
+    _plan,
+    _solve,
     _spectrum_report,
     classify_phase,
     full_spectrum,  # not called by a run; flowbench/tracing.py patches this name
@@ -445,40 +446,39 @@ def _build_inline(spec: Dict) -> ModelSpec:
 # ----------------------------------------------------------------------
 
 class _Levels:
-    """The run's one state: operators, per-degree eigenvalues and spectrum reports
-    by noise level, each made once from ``model.rebuild_at(eps)``."""
+    """The run's one state: operators and their route plans, per-degree eigenvalues
+    and spectrum reports by noise level, each made once from ``model.rebuild_at(eps)``."""
 
     def __init__(self, model: ModelSpec, backend: str, config: Optional[RunConfig] = None):
         self.model = model
         self.backend = backend
         self.config = config
-        self._ops: Dict[float, GradedOperator] = {}
+        self._levels: Dict[float, Tuple[GradedOperator, Tuple]] = {}
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
         self._reports: Dict[float, SpectrumReport] = {}
 
-    def op(self, eps: float) -> GradedOperator:
+    def level(self, eps: float) -> Tuple[GradedOperator, Tuple]:
+        """A level's operator and its ``_plan``, which the dense-solver cap may refuse."""
         eps = float(eps)
-        if eps not in self._ops:
+        if eps not in self._levels:
             m = self.model.rebuild_at(eps)
-            self._ops[eps] = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
-        return self._ops[eps]
+            op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
+            self._levels[eps] = op, _plan(op)
+        return self._levels[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:
         key = (float(eps), k)
         if key not in self._values:
-            self._values[key] = _block_eigenvalues(self.op(eps), k)
+            self._values[key] = _solve(k, self.level(eps)[1][k])
         return self._values[key]
 
     def spectrum(self, eps: Optional[float] = None) -> SpectrumReport:
-        """Vector-free spectrum report of one level (by default the model's own),
-        refused before assembly when the blocks exceed the dense-solver cap."""
+        """Vector-free spectrum report of one level (by default the model's own)."""
         eps = self.model.noise.epsilon if eps is None else float(eps)
         if eps not in self._reports:
-            mesh = self.model.mesh
-            _check_capacity(mesh.cell_counts)
+            dim = self.model.mesh.dimension
             self._reports[eps] = _spectrum_report(
-                {k: self.eigenvalues(eps, k) for k in range(mesh.dimension + 1)},
-                mesh.dimension)[0]
+                {k: self.eigenvalues(eps, k) for k in range(dim + 1)}, dim)[0]
         return self._reports[eps]
 
     def index(self, eps: Optional[float] = None) -> int:
@@ -534,8 +534,8 @@ def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
     if not len(top_values):
         raise NumericalError("no top-degree entries in the spectrum")
     ground = int(np.argmin(np.abs(top_values)))
-    op = state.op(state.model.noise.epsilon)
-    vec = _null_vector(op, top, top_values[ground], rep.spectral_radius).real
+    op, plan = state.level(state.model.noise.epsilon)
+    vec = _null_vector(op, top, plan[top], top_values[ground], rep.spectral_radius).real
     # fix sign so the dominant component is positive, then unit total mass
     j = int(np.argmax(np.abs(vec)))
     if vec[j] < 0:
@@ -744,7 +744,10 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
         warnings.simplefilter("always")
         for task in config.tasks:
             t0 = time.perf_counter()
-            results[task] = _TASK_FNS[task](state, out)
+            try:
+                results[task] = _TASK_FNS[task](state, out)
+            except MemoryError as exc:  # an assembly or a solve too large for this machine
+                raise CapacityError(f"cannot allocate the arrays of task {task!r}: {exc}") from exc
             timings[task] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_all
 

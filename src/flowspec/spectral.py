@@ -17,13 +17,14 @@ the same clusters: by centroid (Re, Im), then by degree, then (Re, Im), so
 that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
-Eigenvalue-only solves (``_block_eigenvalues``, whose docstring gives the
-test each route makes) take the first route a block's form allows, in this
-order: the symmetric form of an fd gradient-flow block (``svdvals`` of an
-edge factor at degree 0, ``eigvalsh`` elsewhere); one f x f symbol matrix
-per wavevector for a translation-invariant block on a periodic grid
-(``bloch``: the constant flows on the circle and the torus); nonsymmetric
-``eigvals`` for everything else.
+Eigenvalue-only solves are planned, then solved.  ``_plan`` gives every
+block the first route its form allows (``_block_route`` gives each test):
+the symmetric form of an fd gradient-flow block (``svdvals`` of an edge
+factor at degree 0, ``eigvalsh`` elsewhere); one f x f symbol matrix per
+wavevector for a translation-invariant block on a periodic grid (``bloch``:
+the constant flows on the circle and the torus); nonsymmetric ``eigvals``
+for everything else.  It makes nothing dense, and caps the blocks of every
+route but bloch, before ``_solve`` makes their dense copies.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
@@ -74,11 +75,10 @@ import scipy.linalg.blas
 import scipy.sparse
 
 from .exceptions import (
-    CapacityError,
     EigensolverError,
     GapAmbiguityWarning,
 )
-from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _symmetric_form
+from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _check_capacity, _symmetric_form
 from .operators import _dense
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
 
 _CLUSTER_REL = 1e-7
 _DEFAULT_TOL_REL = 1e-8
-_DENSE_CAP = 8192
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
@@ -162,9 +161,9 @@ def _default_tau(report: SpectrumReport, given: Optional[float]) -> float:
 def full_spectrum(op: GradedOperator) -> SpectrumReport:
     """Dense two-sided eigendecomposition of every degree block.
 
-    Raises the capacity error when the summed block sizes exceed
-    ``_DENSE_CAP`` and the eigensolver error if LAPACK fails to converge on
-    some block.
+    Every block is made dense, so the capacity error is raised when the
+    summed block sizes exceed the dense-solver cap, before any block is; the
+    eigensolver error if LAPACK fails to converge on some block.
     """
     _check_capacity(op.mesh.cell_counts)
     solved = {k: _lapack(k, scipy.linalg.eig, _dense(_finite_block(op, k)),
@@ -189,12 +188,12 @@ def full_spectrum(op: GradedOperator) -> SpectrumReport:
 def eigenvalue_spectrum(op: GradedOperator) -> SpectrumReport:
     """Eigenvalues of every degree block, without eigenvectors.
 
-    Same capacity check, errors and entry order as :func:`full_spectrum`;
-    ``left`` and ``right`` are ``None`` and every residual is zero.  Enough for the verdicts,
-    the index and the zero-mode counts, at a fraction of the cost.
+    Same errors and entry order as :func:`full_spectrum`, but the capacity
+    error counts only the blocks a dense route solves (``_plan``); ``left``
+    and ``right`` are ``None`` and every residual is zero.  Enough for the
+    verdicts, the index and the zero-mode counts, at a fraction of the cost.
     """
-    _check_capacity(op.mesh.cell_counts)
-    return _spectrum_report({k: _block_eigenvalues(op, k) for k in op.degrees()},
+    return _spectrum_report({k: _solve(k, route) for k, route in enumerate(_plan(op))},
                             op.mesh.dimension)[0]
 
 
@@ -219,11 +218,11 @@ def _lapack(k: int, solver, a: np.ndarray, **kwargs):
         ) from exc
 
 
-def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
-                 radius: float) -> np.ndarray:
+def _null_vector(op: GradedOperator, k: int, route: Tuple[str, object],
+                 eigenvalue: complex, radius: float) -> np.ndarray:
     """Right eigenvector of the degree-``k`` block for a known ``eigenvalue``.
 
-    A translation-invariant block (``_bloch_symbols``) gives it from its
+    A block whose planned ``route`` is bloch gives it from the route's
     symbols: the wavevector q and symbol eigenpair (mu, u) with mu nearest
     the eigenvalue make the Bloch mode v(a, x) = u_a e^{i theta_q . x}.  Any
     other block goes by inverse iteration: one LU of its dense ``H - sigma
@@ -235,9 +234,8 @@ def _null_vector(op: GradedOperator, k: int, eigenvalue: complex,
     """
     block = op.blocks[k]
     scale = radius or 1.0  # a zero block still gets a nonzero shift
-    symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
-    if symbols is not None:
-        v = _bloch_mode(op.mesh.cochain_shape(k), symbols, eigenvalue)
+    if route[0] == "bloch":
+        v = _bloch_mode(op.mesh.cochain_shape(k), route[1], eigenvalue)
     else:
         shifted = _dense(block).astype(complex)
         shifted.flat[::len(shifted) + 1] -= complex(eigenvalue) + _SHIFT_REL * scale
@@ -281,27 +279,22 @@ def _bloch_mode(shape, symbols: np.ndarray, eigenvalue: complex) -> np.ndarray:
     return v.ravel()
 
 
-def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
-    """Eigenvalues of the degree-``k`` block, by the first route its form allows.
+def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
+    """The first route the degree-``k`` block's form allows, and the matrix it solves.
 
     1. An fd block of a declared gradient flow at epsilon > 0 whose
        similarity S = diag(sqrt(eta)) H diag(1/sqrt(eta)) is symmetric within
        ``_SYMMETRY_TOL`` is solved as (S + S^T)/2: at degree 0 as the squared
-       singular values of its edge factor (``svdvals``, see
+       singular values of its edge factor (``svdvals`` of the CSR factor, see
        ``_gradient_factor``), elsewhere, or when degree 0 does not factor,
-       with ``eigvalsh``.
+       with ``eigvalsh`` of the symmetric form.
     2. A translation-invariant block on a periodic grid (``_bloch_symbols``)
        is solved per wavevector (``bloch``): batched eigenvalues of its n0
-       symbol matrices of size f x f.
+       symbol matrices of size f x f, which this step computes.
     3. Every other block goes to LAPACK geev without vectors (``eigvals``).
 
-    Every route reads the block in its stored form (CSR on fd) and only a
-    dense solver makes it dense: ``svdvals`` its edge factor, ``eigvalsh``
-    the symmetric form and ``eigvals`` the block, each when it solves it; the
-    bloch route makes nothing dense.  The capacity cap still applies to every
-    route.  A block invariant along one grid axis only still goes to
-    ``eigvals``, and ``full_spectrum``, the library path and the test
-    oracle, stays dense.
+    The tests read the block in its stored form (CSR on fd) and make nothing
+    dense.  A block invariant along one grid axis only goes to ``eigvals``.
     """
     block = _finite_block(op, k)
     if op.backend == "fd" and op.flow.langevin and not op.noise.is_deterministic:
@@ -309,13 +302,28 @@ def _block_eigenvalues(op: GradedOperator, k: int) -> np.ndarray:
         if asymmetry <= _SYMMETRY_TOL:
             sym = 0.5 * (sym + sym.T)
             factor = _gradient_factor(op.mesh, eta, sym) if k == 0 else None
-            if factor is not None:
-                return _lapack(k, scipy.linalg.svdvals, factor, check_finite=False) ** 2
-            return _lapack(k, scipy.linalg.eigvalsh, _dense(sym), check_finite=False)
+            return ("eigvalsh", sym) if factor is None else ("svdvals", factor)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
-    if symbols is not None:
-        return _lapack(k, np.linalg.eigvals, symbols).ravel()
-    return _lapack(k, scipy.linalg.eigvals, _dense(block), check_finite=False)
+    return ("eigvals", block) if symbols is None else ("bloch", symbols)
+
+
+def _plan(op: GradedOperator) -> Tuple[Tuple[str, object], ...]:
+    """Every degree's route (``_block_route``), refused by the capacity error
+    when the blocks of the dense routes, every route but bloch, exceed the cap."""
+    plan = tuple(_block_route(op, k) for k in op.degrees())
+    _check_capacity(tuple(n for n, (name, _) in zip(op.mesh.cell_counts, plan)
+                          if name != "bloch"))
+    return plan
+
+
+def _solve(k: int, route: Tuple[str, object]) -> np.ndarray:
+    """Eigenvalues of the degree-``k`` block by its planned ``route``: the
+    batched symbol solve, or one LAPACK call on a dense copy of its matrix."""
+    name, matrix = route
+    if name == "bloch":
+        return _lapack(k, np.linalg.eigvals, matrix).ravel()
+    values = _lapack(k, getattr(scipy.linalg, name), _dense(matrix), check_finite=False)
+    return values ** 2 if name == "svdvals" else values
 
 
 def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
@@ -373,8 +381,8 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
 
 
-def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndarray]:
-    """Edge factor B with B^T B = ``sym``, or ``None`` when there is none.
+def _gradient_factor(mesh, eta: np.ndarray, sym) -> Optional[scipy.sparse.csr_array]:
+    """Edge factor B (CSR) with B^T B = ``sym``, or ``None`` when there is none.
 
     With v = sqrt(eta) normalized, a symmetric degree-0 block that kills v and
     couples vertices only along edges is sum_e c_e b_e b_e^T, where the edge
@@ -400,19 +408,7 @@ def _gradient_factor(mesh, eta: np.ndarray, sym: np.ndarray) -> Optional[np.ndar
     error = abs(factor.T @ factor - sym).max()  # every entry, on the stencil or off it
     if not error <= _FACTOR_TOL * abs(sym).max():  # also refuses NaN
         return None
-    return factor.toarray()
-
-
-def _check_capacity(sizes: Tuple[int, ...]) -> None:
-    """Refuse a dense solve of blocks with ``sizes`` unknowns beyond ``_DENSE_CAP``.
-
-    The cap is read at call time, so a test may lower it.
-    """
-    if sum(sizes) > _DENSE_CAP:
-        raise CapacityError(
-            f"total unknowns {sum(sizes)} exceed the dense-solver cap {_DENSE_CAP} "
-            f"(blocks: {sizes})"
-        )
+    return factor
 
 
 def _spectrum_report(per_degree: Dict[int, np.ndarray],

@@ -346,25 +346,31 @@ def test_run_morse_scan_on_inline_potential(tmp_path):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts two-sided solves and records every solved (operator, degree) and assembly."""
+    """Counts two-sided solves and records every solved (operator, degree),
+    every route plan with its operator, and every assembly."""
     import scipy.linalg
 
     import flowspec.morse
     import flowspec.reporting
     import flowspec.spectral
 
-    calls = {"eig": 0, "solved": [], "ops": []}
+    calls = {"eig": 0, "solved": [], "ops": [], "plans": []}
     eig = scipy.linalg.eig
-    solve = flowspec.spectral._block_eigenvalues
+    plan, solve = flowspec.spectral._plan, flowspec.spectral._solve
     assemble = flowspec.reporting.assemble_hamiltonian
 
     def counted_eig(*args, **kwargs):
         calls["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counted_solve(op, k):
+    def counted_plan(op):
+        calls["plans"].append((op, plan(op)))
+        return calls["plans"][-1][1]
+
+    def counted_solve(k, route):
+        [op] = [op for op, routes in calls["plans"] if routes[k] is route]
         calls["solved"].append((op, k))
-        return solve(op, k)
+        return solve(k, route)
 
     def counted_assemble(*args, **kwargs):
         calls["ops"].append(assemble(*args, **kwargs))
@@ -372,7 +378,8 @@ def work(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
     for module in (flowspec.reporting, flowspec.morse):
-        monkeypatch.setattr(module, "_block_eigenvalues", counted_solve)
+        monkeypatch.setattr(module, "_plan", counted_plan)
+        monkeypatch.setattr(module, "_solve", counted_solve)
         monkeypatch.setattr(module, "assemble_hamiltonian", counted_assemble)
     return calls
 
@@ -794,23 +801,113 @@ def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
     assert "seed >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg", [
-    {"model": {"name": "constant_drive_circle",
-               "params": {"a": 1.0, "epsilon": 0.2, "n": 100_000}}, "tasks": ["classify"]},
-    {"model": {"name": "torus_shear_model",
-               "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 64}}, "tasks": ["witten"]},
+@pytest.fixture
+def no_dense_copy(monkeypatch):
+    """Makes every dense solver, the LU and a dense copy of a block fail: the
+    invariance test makes only its f <= 2 stencil rows dense."""
+    import scipy.linalg
+
+    import flowspec.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense copy or a LAPACK call beyond the dense-solver cap")
+
+    for solver in ("eig", "eigvals", "eigvalsh", "svdvals", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, solver, refuse)
+    dense = flowspec.spectral._dense
+    monkeypatch.setattr(flowspec.spectral, "_dense",
+                        lambda m: refuse() if m.shape[0] > 2 else dense(m))
+
+
+@pytest.mark.parametrize("cfg, task, key, expected", [
+    ({"model": {"name": "constant_drive_circle",
+                "params": {"a": 1.0, "epsilon": 0.2, "n": 100_000}}, "tasks": ["classify"]},
+     "classify", "witten_index", 0),
+    ({"model": {"name": "torus_shear_model",
+                "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 64}}, "tasks": ["witten"]},
+     "witten", "zero_modes_per_degree", [1, 2, 1]),
 ], ids=["circle-classify", "torus-witten"])
-def test_cli_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch, cfg):
-    import flowspec.reporting
-
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("assembled a level beyond the dense-solver cap")
-
-    monkeypatch.setattr(flowspec.reporting, "assemble_hamiltonian", no_assembly)
+def test_cli_bloch_levels_are_not_capped(tmp_path, no_dense_copy, cfg, task, key, expected):
+    # every block takes the bloch route, so nothing is made dense and the
+    # dense-solver cap (8192 unknowns in total) does not apply
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"][task][key] == expected
+
+
+def _inline_shear_torus(n, tasks):
+    """An inline torus flow (sin y + 0.3 cos(x + 2y), 0.5 cos x + 0.2) at its
+    vertices: neither a gradient nor translation-invariant, so every block
+    takes the dense ``eigvals`` route."""
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    samples = np.column_stack([np.sin(y) + 0.3 * np.cos(x + 2 * y), 0.5 * np.cos(x) + 0.2])
+    return {"inline": {"mesh": {"kind": "torus", "nx": n, "ny": n},
+                       "flow": {"vertex_samples": samples.tolist()}, "epsilon": 0.3},
+            "tasks": tasks}
+
+
+def test_cli_dense_routes_refused_before_any_dense_copy(tmp_path, capsys, no_dense_copy):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_inline_shear_torus(46, ["spectrum", "classify", "witten"])))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "dense-solver cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: total unknowns 8464 exceed the dense-solver cap 8192 "
+                          "(blocks: (2116, 4232, 2116))"), err
+
+
+def test_cli_fourier_capacity_refused_before_any_piece(tmp_path, capsys, monkeypatch):
+    import flowspec.hamiltonian
+
+    def no_pieces(*args, **kwargs):
+        raise AssertionError("built a fourier piece beyond the dense-solver cap")
+
+    monkeypatch.setattr(flowspec.hamiltonian, "_graded_pieces", no_pieces)
+    cfg = {"model": {"name": "torus_shear_model",
+                     "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 46}},
+           "tasks": ["spectrum", "classify", "witten", "stationary"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--backend", "fourier"]) == 3
+    assert "total unknowns 8464 exceed the dense-solver cap 8192" in capsys.readouterr().err
+
+
+def test_cli_bloch_symbols_once_per_block(tmp_path, monkeypatch):
+    import flowspec.spectral
+
+    calls = []
+    symbols = flowspec.spectral._bloch_symbols
+
+    def counted(mesh, k, block, exact):
+        calls.append(k)
+        return symbols(mesh, k, block, exact)
+
+    monkeypatch.setattr(flowspec.spectral, "_bloch_symbols", counted)
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model",
+                  "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 24}},
+        "backend": "fd", "tasks": ["spectrum", "classify", "witten", "stationary"]})
+    fs.run(cfg, out_dir=tmp_path)
+    # planned once as the level is assembled; stationary reads the plan's symbols
+    assert calls == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["assemble_hamiltonian", "_solve"])
+def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch, name):
+    import flowspec.reporting
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(flowspec.reporting, name, too_large)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: cannot allocate"), err
+    assert "64.0 GiB" in err
 
 
 def test_cli_off_surface_with_an_unreferenced_vertex_exits_2(tmp_path, capsys, monkeypatch):
@@ -827,23 +924,17 @@ def test_cli_off_surface_with_an_unreferenced_vertex_exits_2(tmp_path, capsys, m
     assert "vertex 4 lies on no face" in capsys.readouterr().err
 
 
-def test_cli_morse_scan_capacity_refused_before_assembly(tmp_path, capsys, monkeypatch):
-    # the scan needs degree 0 only, but the run's levels are refused at the same cap
-    import flowspec.morse
-    import flowspec.reporting
-
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("assembled a level beyond the dense-solver cap")
-
-    for module in (flowspec.reporting, flowspec.morse):
-        monkeypatch.setattr(module, "assemble_hamiltonian", no_assembly)
+def test_cli_morse_scan_capacity_refused_before_any_dense_copy(tmp_path, capsys,
+                                                               no_dense_copy):
+    # the scan needs degree 0 only, but a level's plan caps both of its dense routes
     cfg = {"model": {"name": "langevin_double_well_circle",
                      "params": {"depth": 1.0, "epsilon": 0.2, "n": 100_000}},
            "tasks": ["morse"], "morse": {"splitting_epsilons": [0.4, 0.2]}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "dense-solver cap" in capsys.readouterr().err
+    assert ("total unknowns 200000 exceed the dense-solver cap 8192 (blocks: (100000, 100000))"
+            in capsys.readouterr().err)
 
 
 def test_cli_non_finite_block_exits_3(tmp_path, capsys):

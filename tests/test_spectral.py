@@ -101,17 +101,29 @@ def test_biorthonormality_on_torus_with_interleaved_conjugates(ax, ay):
 
 
 def test_capacity_cap(monkeypatch):
-    import flowspec.spectral
+    import flowspec.hamiltonian
 
-    model, _ = constant_drive_report(n=16)
-    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    # the cap is read at call time; refused before any block is solved
-    monkeypatch.setattr(flowspec.spectral, "_DENSE_CAP", 8)
-    monkeypatch.setattr(scipy.linalg, "eig", None)
-    monkeypatch.setattr(scipy.linalg, "eigvals", None)
-    for solver in (fs.full_spectrum, fs.eigenvalue_spectrum):
+    ops = {}
+    for name, params in [("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16}),
+                         ("tilted_langevin_circle",
+                          {"depth": 1.0, "tilt": 0.3, "epsilon": 0.2, "n": 16})]:
+        model = fs.build_model(name, params)
+        ops[name] = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    # the cap is read at call time; the bloch route makes nothing dense, so
+    # the constant drive is not capped
+    monkeypatch.setattr(flowspec.hamiltonian, "_DENSE_CAP", 8)
+    assert fs.eigenvalue_spectrum(ops["constant_drive_circle"]).block_sizes == (16, 16)
+    # the tilted circle's blocks take dense routes: refused before any is solved,
+    # and full_spectrum makes every block dense, so it is refused on both
+    for solver in ("eig", "eigvals", "eigvalsh", "svdvals"):
+        monkeypatch.setattr(scipy.linalg, solver, None)
+    with pytest.raises(fs.CapacityError,
+                       match=re.escape("total unknowns 32 exceed the dense-solver cap 8 "
+                                       "(blocks: (16, 16))")):
+        fs.eigenvalue_spectrum(ops["tilted_langevin_circle"])
+    for op in ops.values():
         with pytest.raises(fs.CapacityError, match="cap 8"):
-            solver(op)
+            fs.full_spectrum(op)
 
 
 def test_non_finite_block_is_refused_before_lapack(monkeypatch):
@@ -324,8 +336,8 @@ def test_symmetric_form_of_a_csr_block_is_the_dense_form(shape):
         assert asymmetry == ref_asymmetry
     eta, sym, _ = _symmetric_form(mesh, flow.w, 0, op.blocks[0])
     sym = 0.5 * (sym + sym.T)
-    np.testing.assert_array_equal(_gradient_factor(mesh, eta, sym),
-                                  _gradient_factor(mesh, eta, sym.toarray()))
+    np.testing.assert_array_equal(_gradient_factor(mesh, eta, sym).toarray(),
+                                  _gradient_factor(mesh, eta, sym.toarray()).toarray())
 
 
 def test_overflowing_weights_leave_the_symmetric_route(routes):
@@ -364,7 +376,8 @@ def test_gradient_factor_is_the_dense_edge_factor():
     reference = np.zeros((len(i), len(v)))
     reference[rows, i] = root * v[j]
     reference[rows, j] = -root * v[i]
-    assert np.array_equal(_gradient_factor(mesh, eta, sym), reference)
+    factor = _gradient_factor(mesh, eta, sym)
+    assert scipy.sparse.issparse(factor) and np.array_equal(factor.toarray(), reference)
 
 
 def flip_coupling(s, mesh):
@@ -415,10 +428,10 @@ def test_translation_invariant_blocks_take_bloch(routes, name, backend):
 def bloch_and_dense(op, k, routes):
     """The degree-``k`` eigenvalues by the bloch route (asserted taken) and by
     dense ``eigvals`` of the same block, and the larger spectral radius."""
-    from flowspec.spectral import _block_eigenvalues
+    from flowspec.spectral import _block_route, _solve
 
     routes.clear()
-    bloch = _block_eigenvalues(op, k)
+    bloch = _solve(k, _block_route(op, k))
     assert routes == [("bloch", len(op.block(k)))]
     dense = scipy.linalg.eigvals(op.block(k))
     return bloch, dense, max(np.max(np.abs(bloch)), np.max(np.abs(dense)))
@@ -621,14 +634,14 @@ def mpmath_smallest_pair(block, dps=50, steps=12, shift=-1e-3):
 @pytest.mark.parametrize("depth, n, gap", [(12.0, 64, 2.15443649e-21),
                                            (8.0, 128, 1.26929747e-14)])
 def test_tunnelling_gap_against_mpmath(depth, n, gap):
-    from flowspec.spectral import _block_eigenvalues
+    from flowspec.spectral import _block_route, _solve
 
     model = fs.build_model("langevin_double_well_circle",
                            {"depth": depth, "epsilon": 0.05, "n": n})
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     zero, ref = mpmath_smallest_pair(op.block(0))
     assert abs(zero) <= 1e-45 and abs(ref.imag) <= 1e-45
-    lam = np.sort(np.abs(_block_eigenvalues(op, 0)))
+    lam = np.sort(np.abs(_solve(0, _block_route(op, 0))))
     assert lam[0] <= 1e-30 * lam[-1]  # the zero mode is exact by construction
     assert abs(ref.real - gap) <= 1e-8 * gap
     assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
@@ -646,10 +659,11 @@ def ground_state(name, backend):
 @pytest.mark.parametrize("backend", ["fd", "fourier"])
 @pytest.mark.parametrize("name", sorted(REGISTERED))
 def test_null_vector_agrees_with_full_spectrum(name, backend):
-    from flowspec.spectral import _null_vector
+    from flowspec.spectral import _block_route, _null_vector
 
     op, values, top, ground = ground_state(name, backend)
-    v = _null_vector(op, top, values.eigenvalues(top)[ground], values.spectral_radius)
+    v = _null_vector(op, top, _block_route(op, top), values.eigenvalues(top)[ground],
+                     values.spectral_radius)
     full = fs.full_spectrum(op)
     r = full.right[top][:, np.argmin(np.abs(full.eigenvalues(top)))]
     assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
@@ -657,7 +671,7 @@ def test_null_vector_agrees_with_full_spectrum(name, backend):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_null_vector_of_an_invariant_block_is_a_bloch_mode(monkeypatch, k):
-    from flowspec.spectral import _null_vector
+    from flowspec.spectral import _block_route, _null_vector
 
     model = fs.build_model("torus_shear_model", REGISTERED["torus_shear_model"])
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
@@ -670,9 +684,11 @@ def test_null_vector_of_an_invariant_block_is_a_bloch_mode(monkeypatch, k):
     picks += [lam[np.argmin(np.abs(lam - np.conj(z)))] for z in picks]
     picks.append(lam[np.argmax(np.abs(lam) * (np.abs(lam.imag) <= 1e-8 * radius))])
     assert len(set(picks)) == 7
+    route = _block_route(op, k)
+    assert route[0] == "bloch"
     monkeypatch.setattr(scipy.linalg, "lu_factor", None)  # the symbols need no LU
     for z in picks:
-        v = _null_vector(op, k, z, radius)
+        v = _null_vector(op, k, route, z, radius)
         assert np.linalg.norm(block @ v - z * v) <= 1e-12 * radius, z
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14, z
         # a Bloch mode's components tie in modulus up to roundoff: one of the
@@ -685,14 +701,16 @@ def test_null_vector_of_an_invariant_block_is_a_bloch_mode(monkeypatch, k):
                                  lambda lu, b, **kw: np.full(len(b), np.nan)],
                          ids=["wrong-vector", "nan"])
 def test_null_vector_residual_guard(monkeypatch, bad):
-    from flowspec.spectral import _null_vector
+    from flowspec.spectral import _block_route, _null_vector
 
     op, values, top, ground = ground_state("langevin_double_well_circle", "fd")
+    route = _block_route(op, top)
     monkeypatch.setattr(scipy.linalg, "lu_solve", bad)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(fs.NumericalError, match="degree-1 block"):
-            _null_vector(op, top, values.eigenvalues(top)[ground], values.spectral_radius)
+            _null_vector(op, top, route, values.eigenvalues(top)[ground],
+                         values.spectral_radius)
 
 
 def test_verdicts_on_synthetic_multisets():
