@@ -116,13 +116,18 @@ def _circulant(mult: np.ndarray) -> np.ndarray:
     return scipy.linalg.circulant(col.real)
 
 
-def _fourier_factors(n: int, length: float):
-    """1-D circulant factors: vertex mass, edge mass, edge->point resampler."""
-    h = length / n
-    # integer mode numbers, physical wavenumbers and grid phases of the axis
+def _axis_symbols(n: int, length: float):
+    """Integer mode numbers, physical wavenumbers, and grid phases for one axis."""
     kk = np.rint(np.fft.fftfreq(n) * n).astype(int)
     kappa = 2.0 * np.pi * kk / length
     theta = 2.0 * np.pi * kk / n
+    return kk, kappa, theta
+
+
+def _fourier_factors(n: int, length: float):
+    """1-D circulant factors: vertex mass, edge mass, edge->point resampler."""
+    h = length / n
+    kk, kappa, theta = _axis_symbols(n, length)
     s = 2.0 * np.sin(theta / 2.0)
 
     m0 = np.empty(n)
@@ -143,6 +148,13 @@ def _fourier_factors(n: int, length: float):
     return _circulant(m0), _circulant(m1), _circulant(r)
 
 
+def _require_fourier_grid(mesh: MeshComplex) -> None:
+    if not mesh.is_structured:
+        raise UnsupportedMeshError(
+            "fourier backend is defined on uniform periodic grids only"
+        )
+
+
 # ----------------------------------------------------------------------
 # inner products / mass matrices
 # ----------------------------------------------------------------------
@@ -161,8 +173,7 @@ def inner_product_matrix(
     if backend == "fd":
         return np.diag(hodge_star(mesh, k, noise))
 
-    if not mesh.is_structured:
-        raise UnsupportedMeshError("fourier backend is defined on uniform periodic grids only")
+    _require_fourier_grid(mesh)
     factors = [_fourier_factors(n, length) for n, length in zip(mesh.grid_shape, mesh.lengths)]
     # one block per cell family (a choice of k axes, in mesh order): the edge
     # mass along the family's axes, the vertex mass along the others

@@ -24,7 +24,8 @@ factor at degree 0, ``eigvalsh`` elsewhere); one f x f symbol matrix per
 wavevector for a translation-invariant block on a periodic grid (``bloch``:
 the constant flows on the circle and the torus); nonsymmetric ``eigvals``
 for everything else.  It makes nothing dense, and caps the blocks of every
-route but bloch, before ``_solve`` makes their dense copies.
+route but bloch, before ``_solve`` makes their dense copies; a bloch level
+is refused instead on a grid finer than the zero-mode threshold resolves.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
@@ -77,6 +78,7 @@ import scipy.sparse
 from .exceptions import (
     EigensolverError,
     GapAmbiguityWarning,
+    NumericalError,
 )
 from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _check_capacity, _symmetric_form
 from .operators import _dense
@@ -189,7 +191,8 @@ def eigenvalue_spectrum(op: GradedOperator) -> SpectrumReport:
     """Eigenvalues of every degree block, without eigenvectors.
 
     Same errors and entry order as :func:`full_spectrum`, but the capacity
-    error counts only the blocks a dense route solves (``_plan``); ``left``
+    error counts only the blocks a dense route solves, and a grid finer than
+    the zero-mode threshold resolves is refused (``_plan``); ``left``
     and ``right`` are ``None`` and every residual is zero.  Enough for the
     verdicts, the index and the zero-mode counts, at a fraction of the cost.
     """
@@ -309,10 +312,25 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
 
 def _plan(op: GradedOperator) -> Tuple[Tuple[str, object], ...]:
     """Every degree's route (``_block_route``), refused by the capacity error
-    when the blocks of the dense routes, every route but bloch, exceed the cap."""
+    when the blocks of the dense routes, every route but bloch, exceed the
+    cap, and by a numerical error when a grid axis is finer than the relative
+    zero-mode threshold resolves.
+
+    An axis of n cells relaxes its slowest diffusive mode at sin^2(pi/n) of
+    its fastest, and the default thresholds are ``_DEFAULT_TOL_REL`` of the
+    spectral radius: within ten times that, the gap-ambiguity band, the slow
+    modes would count as zero modes and survivors, so an axis has at most
+    9934 cells.  The cap, checked first, keeps dense routes below that; only
+    a bloch route reaches it.
+    """
     plan = tuple(_block_route(op, k) for k in op.degrees())
     _check_capacity(tuple(n for n, (name, _) in zip(op.mesh.cell_counts, plan)
                           if name != "bloch"))
+    finest = int(math.pi / math.asin(math.sqrt(10 * _DEFAULT_TOL_REL)))
+    if max(op.mesh.grid_shape or (0,)) > finest:
+        raise NumericalError(
+            f"a grid of {op.mesh.grid_shape} cells is finer than the zero-mode threshold "
+            f"({_DEFAULT_TOL_REL:g} of the spectral radius) resolves: at most {finest} an axis")
     return plan
 
 

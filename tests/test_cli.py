@@ -819,22 +819,39 @@ def no_dense_copy(monkeypatch):
                         lambda m: refuse() if m.shape[0] > 2 else dense(m))
 
 
-@pytest.mark.parametrize("cfg, task, key, expected", [
+@pytest.mark.parametrize("cfg, zero_modes", [
     ({"model": {"name": "constant_drive_circle",
-                "params": {"a": 1.0, "epsilon": 0.2, "n": 100_000}}, "tasks": ["classify"]},
-     "classify", "witten_index", 0),
+                "params": {"a": 1.0, "epsilon": 0.2, "n": 9934}}}, [1, 1]),
     ({"model": {"name": "torus_shear_model",
-                "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 64}}, "tasks": ["witten"]},
-     "witten", "zero_modes_per_degree", [1, 2, 1]),
+                "params": {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 64}}}, [1, 2, 1]),
 ], ids=["circle-classify", "torus-witten"])
-def test_cli_bloch_levels_are_not_capped(tmp_path, no_dense_copy, cfg, task, key, expected):
+def test_cli_bloch_levels_are_not_capped(tmp_path, no_dense_copy, cfg, zero_modes):
     # every block takes the bloch route, so nothing is made dense and the
-    # dense-solver cap (8192 unknowns in total) does not apply
+    # dense-solver cap (8192 unknowns in total) does not apply; the circle is
+    # the finest grid the zero-mode threshold resolves, and its verdict and
+    # zero modes are still those of the continuum (test_models)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**cfg, "tasks": ["classify", "witten"]}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["results"][task][key] == expected
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert results["classify"]["verdict"] == "unbroken-Markovian"
+    assert results["classify"]["n_surviving"] == sum(zero_modes)
+    assert results["witten"]["zero_modes_per_degree"] == zero_modes
+
+
+@pytest.mark.parametrize("n", [9935, 100_000])
+def test_cli_grid_finer_than_the_zero_mode_threshold_exits_3(tmp_path, capsys, no_dense_copy, n):
+    # past 9934 cells an axis the circle's slowest modes fall within ten times
+    # the zero-mode threshold (1e-8 of a spectral radius growing as n^2), and
+    # the run would report survivors and zero modes that the continuum lacks
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"name": "constant_drive_circle", "params": {"a": 1.0, "epsilon": 0.2, "n": n}},
+        "tasks": ["classify", "witten"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: a grid of ({n},) cells is finer than the zero-mode threshold "
+        "(1e-08 of the spectral radius) resolves: at most 9934 an axis\n")
 
 
 def _inline_shear_torus(n, tasks):
