@@ -23,13 +23,6 @@ dense-solver cap (``_check_capacity``) refuses a level before any piece.
 
 Degree-0 blocks propagate observables (kets); the top-degree block conjugated
 by the top Hodge star is the conventional density generator.
-
-For gradient flows a diagonal similarity brings a block to real symmetric
-form: exactly on every circle degree and on the torus degree 0, not on the
-torus degrees 1 and 2, whose edge families no diagonal weight reconciles.
-One helper, ``_symmetric_form``, builds the weights and measures the
-asymmetry left, and the eigensolver uses that measurement to pick its route
-(the routes and their order are described in ``spectral``).
 """
 
 from __future__ import annotations
@@ -69,7 +62,6 @@ __all__ = [
 ]
 
 _TWO_ROUTE_TOL = 1e-11
-_SYMMETRY_TOL = 1e-10
 _DENSE_CAP = 8192
 
 
@@ -207,27 +199,3 @@ def conventional_fp_operator(
     m = inner_product_matrix(mesh, mesh.dimension, noise, backend)
     return m @ top @ np.linalg.inv(m)
 
-
-def _symmetric_form(mesh: MeshComplex, w: np.ndarray, k: int,
-                    block) -> Tuple[np.ndarray, Union[np.ndarray, sp.csr_matrix], float]:
-    """Degree-``k`` weights eta, S = diag(sqrt(eta)) H_k diag(1/sqrt(eta)), and
-    the relative asymmetry max|S - S^T| / max|S|.
-
-    S has the storage of ``block``: a CSR block has its stored entries
-    scaled, a dense one every entry.  eta is e^{2W} at a vertex and the
-    harmonic mean of the vertex weights over an edge's or a face's vertices.
-    Weights that overflow give a NaN asymmetry, which no tolerance accepts.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inv_vertex = np.exp(-2.0 * np.asarray(w, dtype=float))
-        cells = (np.arange(len(inv_vertex))[:, None], mesh.edges, mesh.faces)[k]
-        eta = 1.0 / np.mean(inv_vertex[cells], axis=1)
-        s = np.sqrt(eta)
-        if sp.issparse(block):
-            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-            sym = sp.csr_matrix((s[rows] * block.data / s[block.indices],
-                                 block.indices, block.indptr), shape=block.shape)
-        else:
-            sym = (s[:, None] * block) / s[None, :]
-        scale = max(abs(sym).max(), 1e-300)
-        return eta, sym, float(abs(sym - sym.T).max() / scale)

@@ -427,7 +427,8 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     """
     def degree0_eigenvalues(eps):
         m = model.rebuild_at(eps)
-        return _solve(0, _plan(assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd"))[0])
+        op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd")
+        return _solve(0, _plan(op, (0,))[0])
 
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 

@@ -447,23 +447,28 @@ def _build_inline(spec: Dict) -> ModelSpec:
 
 class _Levels:
     """The run's one state: operators and their route plans, per-degree eigenvalues
-    and spectrum reports by noise level, each made once from ``model.rebuild_at(eps)``."""
+    and spectrum reports by noise level, each made once from ``model.rebuild_at(eps)``.
+    A level in ``scan_only``, which the splitting scan alone reads, is planned and
+    solved at degree 0 alone; any other is planned whole, so that the dense-solver
+    cap refuses it before any of its blocks is made dense."""
 
-    def __init__(self, model: ModelSpec, backend: str, config: Optional[RunConfig] = None):
+    def __init__(self, model: ModelSpec, backend: str, config: Optional[RunConfig] = None,
+                 scan_only: frozenset = frozenset()):
         self.model = model
         self.backend = backend
         self.config = config
-        self._levels: Dict[float, Tuple[GradedOperator, Tuple]] = {}
+        self.scan_only = scan_only
+        self._levels: Dict[float, Tuple[GradedOperator, Dict]] = {}
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
         self._reports: Dict[float, SpectrumReport] = {}
 
-    def level(self, eps: float) -> Tuple[GradedOperator, Tuple]:
+    def level(self, eps: float) -> Tuple[GradedOperator, Dict]:
         """A level's operator and its ``_plan``, which the dense-solver cap may refuse."""
         eps = float(eps)
         if eps not in self._levels:
             m = self.model.rebuild_at(eps)
             op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
-            self._levels[eps] = op, _plan(op)
+            self._levels[eps] = op, _plan(op, (0,) if eps in self.scan_only else op.degrees())
         return self._levels[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:
@@ -584,11 +589,11 @@ def _task_morse(state: _Levels, out_dir: Path) -> Dict:
     }
     if "witten" in state.config.tasks or "spectrum" in state.config.tasks:
         result["matches_witten_index"] = bool(ph == state.index())
-    if state.config.morse_epsilons:
+    levels = state.config.morse_epsilons
+    if levels:
         # the scan is defined on fd levels: the run's own on fd, a fresh memo on fourier
-        fd = state if state.backend == "fd" else _Levels(model, "fd")
-        scan = _splitting_scan(model, state.config.morse_epsilons,
-                               lambda e: fd.eigenvalues(e, 0))
+        fd = state if state.backend == "fd" else _Levels(model, "fd", scan_only=frozenset(levels))
+        scan = _splitting_scan(model, levels, lambda e: fd.eigenvalues(e, 0))
         result["splitting_scan"] = {
             "epsilons": list(scan.epsilons),
             "splittings": list(scan.splittings),
@@ -735,7 +740,11 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
     model = _resolve_model(config)  # a refused model leaves no output directory
     out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
-    state = _Levels(model, config.backend, config)
+    # the splitting scan's levels that no other task reads
+    whole = set(config.sweep_epsilons or ()) if "sweep" in config.tasks else set()
+    if {"spectrum", "classify", "witten", "stationary"} & set(config.tasks):
+        whole.add(model.noise.epsilon)
+    state = _Levels(model, config.backend, config, frozenset(config.morse_epsilons or ()) - whole)
 
     results: Dict[str, Dict] = {}
     timings: Dict[str, float] = {}

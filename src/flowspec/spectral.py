@@ -17,15 +17,11 @@ the same clusters: by centroid (Re, Im), then by degree, then (Re, Im), so
 that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
-Eigenvalue-only solves are planned, then solved.  ``_plan`` gives every
-block the first route its form allows (``_block_route`` gives each test):
-the symmetric form of an fd gradient-flow block (``svdvals`` of an edge
-factor at degree 0, ``eigvalsh`` elsewhere); one f x f symbol matrix per
-wavevector for a translation-invariant block on a periodic grid (``bloch``:
-the constant flows on the circle and the torus); nonsymmetric ``eigvals``
-for everything else.  It makes nothing dense, and caps the blocks of every
-route but bloch, before ``_solve`` makes their dense copies; a bloch level
-is refused instead on a grid finer than the zero-mode threshold resolves.
+Eigenvalue-only solves are planned, then solved: ``_plan`` routes every
+block by its entries (``_block_route``: bloch, a measured symmetric form, or
+``eigvals``), makes nothing dense, and caps the blocks of every route but
+bloch before ``_solve`` makes their dense copies; a bloch level is refused
+instead on a grid finer than the zero-mode threshold resolves.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
@@ -43,7 +39,7 @@ One BLAS per run: numpy and scipy wheels each bundle their own OpenBLAS,
 each with its own thread pool, and a numpy BLAS call next to a scipy LAPACK
 solve makes the two pools contend (it about doubles the solve on two cores).
 So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
-``scipy.sparse``) does all matrix-sized work: the edge factor is checked by a
+``scipy.sparse``) does all matrix-sized work: the pair factor is checked by a
 sparse product, and ``_null_vector`` takes its residual from a sparse
 product (two ``dgemv`` calls on a dense block) and its norms from ``dznrm2``.
 numpy does elementwise work, FFTs and the tiny batched solves (the f x f
@@ -80,7 +76,7 @@ from .exceptions import (
     GapAmbiguityWarning,
     NumericalError,
 )
-from .hamiltonian import _SYMMETRY_TOL, GradedOperator, _check_capacity, _symmetric_form
+from .hamiltonian import GradedOperator, _check_capacity
 from .operators import _dense
 
 __all__ = [
@@ -101,6 +97,7 @@ _DEFAULT_TOL_REL = 1e-8
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
+_SYMMETRY_TOL = 1e-10
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
 _INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
@@ -196,7 +193,8 @@ def eigenvalue_spectrum(op: GradedOperator) -> SpectrumReport:
     and ``right`` are ``None`` and every residual is zero.  Enough for the
     verdicts, the index and the zero-mode counts, at a fraction of the cost.
     """
-    return _spectrum_report({k: _solve(k, route) for k, route in enumerate(_plan(op))},
+    plan = _plan(op, op.degrees())
+    return _spectrum_report({k: _solve(k, route) for k, route in plan.items()},
                             op.mesh.dimension)[0]
 
 
@@ -283,38 +281,32 @@ def _bloch_mode(shape, symbols: np.ndarray, eigenvalue: complex) -> np.ndarray:
 
 
 def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
-    """The first route the degree-``k`` block's form allows, and the matrix it solves.
-
-    1. An fd block of a declared gradient flow at epsilon > 0 whose
-       similarity S = diag(sqrt(eta)) H diag(1/sqrt(eta)) is symmetric within
-       ``_SYMMETRY_TOL`` is solved as (S + S^T)/2: at degree 0 as the squared
-       singular values of its edge factor (``svdvals`` of the CSR factor, see
-       ``_gradient_factor``), elsewhere, or when degree 0 does not factor,
-       with ``eigvalsh`` of the symmetric form.
-    2. A translation-invariant block on a periodic grid (``_bloch_symbols``)
-       is solved per wavevector (``bloch``): batched eigenvalues of its n0
-       symbol matrices of size f x f, which this step computes.
-    3. Every other block goes to LAPACK geev without vectors (``eigvals``).
-
-    The tests read the block in its stored form (CSR on fd) and make nothing
-    dense.  A block invariant along one grid axis only goes to ``eigvals``.
+    """The first route the degree-``k`` block's entries allow, and the matrix it solves:
+    ``bloch``, the n0 symbol matrices of size f x f of a translation-invariant
+    block on a periodic grid (``_bloch_symbols``, solved batched); the form of
+    a block made symmetric by a diagonal similarity (``_diagonal_similarity``),
+    by ``svdvals`` of its CSR pair factor at degree 0 (``_gradient_factor``)
+    and ``eigvalsh`` otherwise; LAPACK geev without vectors (``eigvals``) for
+    every other block.  The tests read the block as stored (CSR on fd) and
+    make nothing dense.
     """
     block = _finite_block(op, k)
-    if op.backend == "fd" and op.flow.langevin and not op.noise.is_deterministic:
-        eta, sym, asymmetry = _symmetric_form(op.mesh, op.flow.w, k, block)
-        if asymmetry <= _SYMMETRY_TOL:
-            sym = 0.5 * (sym + sym.T)
-            factor = _gradient_factor(op.mesh, eta, sym) if k == 0 else None
-            return ("eigvalsh", sym) if factor is None else ("svdvals", factor)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
-    return ("eigvals", block) if symbols is None else ("bloch", symbols)
+    if symbols is not None:
+        return ("bloch", symbols)
+    similar = _diagonal_similarity(block)
+    if similar is None:
+        return ("eigvals", block)
+    s, sym = similar
+    factor = _gradient_factor(s, sym) if k == 0 else None
+    return ("eigvalsh", sym) if factor is None else ("svdvals", factor)
 
 
-def _plan(op: GradedOperator) -> Tuple[Tuple[str, object], ...]:
-    """Every degree's route (``_block_route``), refused by the capacity error
-    when the blocks of the dense routes, every route but bloch, exceed the
-    cap, and by a numerical error when a grid axis is finer than the relative
-    zero-mode threshold resolves.
+def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, object]]:
+    """The route of each of ``degrees`` (``_block_route``), refused by the
+    capacity error when the blocks of the dense routes, every route but
+    bloch, exceed the cap, and by a numerical error when a grid axis is finer
+    than the relative zero-mode threshold resolves.
 
     An axis of n cells relaxes its slowest diffusive mode at sin^2(pi/n) of
     its fastest, and the default thresholds are ``_DEFAULT_TOL_REL`` of the
@@ -323,8 +315,8 @@ def _plan(op: GradedOperator) -> Tuple[Tuple[str, object], ...]:
     9934 cells.  The cap, checked first, keeps dense routes below that; only
     a bloch route reaches it.
     """
-    plan = tuple(_block_route(op, k) for k in op.degrees())
-    _check_capacity(tuple(n for n, (name, _) in zip(op.mesh.cell_counts, plan)
+    plan = {k: _block_route(op, k) for k in degrees}
+    _check_capacity(tuple(op.mesh.cell_counts[k] for k, (name, _) in plan.items()
                           if name != "bloch"))
     finest = int(math.pi / math.asin(math.sqrt(10 * _DEFAULT_TOL_REL)))
     if max(op.mesh.grid_shape or (0,)) > finest:
@@ -399,31 +391,79 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
 
 
-def _gradient_factor(mesh, eta: np.ndarray, sym) -> Optional[scipy.sparse.csr_array]:
-    """Edge factor B (CSR) with B^T B = ``sym``, or ``None`` when there is none.
+def _diagonal_similarity(block) -> Optional[Tuple[np.ndarray, scipy.sparse.csr_matrix]]:
+    """Weights s and the symmetric form (CSR) of S = diag(s) H diag(1/s), or ``None``.
 
-    With v = sqrt(eta) normalized, a symmetric degree-0 block that kills v and
-    couples vertices only along edges is sum_e c_e b_e b_e^T, where the edge
-    (i, j) has c_e = -S_ij / (v_i v_j) and b_e = v_j e_i - v_i e_j.  B stacks
-    the rows sqrt(c_e) b_e; it annihilates v exactly, so the zero mode is
-    exact, and its singular values carry the tunnelling gaps with high
-    relative accuracy.  Refused unless every c_e > 0, B has a row per vertex
-    at least, and ||B^T B - S|| <= ``_FACTOR_TOL`` ||S|| (max norm).
+    S is symmetric when s_i^2 / s_j^2 = H_ji / H_ij on every coupled pair, so
+    the pattern (stored zeros aside) must be symmetric with H_ij H_ji > 0,
+    tested on the block as stored: a dense block that fails is not copied.
+    Log-weights summed along a spanning forest (``_forest_sums``) give s, and
+    S is kept when |S - S^T| <= ``_SYMMETRY_TOL`` max|S|, which tests the
+    pairs off the forest (Kolmogorov's criterion); overflowing weights fail it.
     """
-    v = np.sqrt(eta)
-    v = v / np.linalg.norm(v)
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    product = block.multiply(block.T) if scipy.sparse.issparse(block) else block * block.T
+    if (product > 0).sum() != (block != 0).sum():
+        return None
+    h = scipy.sparse.coo_matrix(block)
+    i, j, data = (x[h.data != 0] for x in (h.row, h.col, h.data))
+    # the entry k-th by (i, j) has its transpose k-th by (j, i): data[t] = H_ji
+    t = np.lexsort((i, j))[np.argsort(np.lexsort((j, i)))]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.exp(_forest_sums(h.shape[0], i, j, 0.5 * np.log(data[t] / data)))
+        scaled = s[i] * data / s[j]
+        scale = np.max(np.abs(scaled), initial=0.0)
+        if not np.all(np.abs(scaled - scaled[t]) <= _SYMMETRY_TOL * scale):  # NaN fails
+            return None
+    return s, scipy.sparse.csr_matrix((0.5 * (scaled + scaled[t]), (i, j)), shape=h.shape)
+
+
+def _forest_sums(n: int, i, j, g) -> np.ndarray:
+    """x over n vertices with x_i - x_j = g on the pairs (i, j) (both ways
+    listed) of a spanning forest, zero at each tree's root: each round every
+    root hooks under the lowest root coupled to it, if lower, and pointer
+    jumping sums the offsets."""
+    root, x = np.arange(n), np.zeros(n)  # x_v - x_root(v)
+    while True:
+        a, b = root[i], root[j]
+        cross = np.flatnonzero(b < a)
+        if not len(cross):
+            return x
+        cross = cross[np.lexsort((b[cross], a[cross]))]
+        first = cross[np.diff(a[cross], prepend=-1) != 0]  # per root a, its lowest b
+        parent, step = np.arange(n), np.zeros(n)  # step[r] = x_r - x_parent(r)
+        parent[a[first]] = b[first]
+        step[a[first]] = g[first] - x[i[first]] + x[j[first]]
+        while not np.array_equal(parent[parent], parent):
+            step, parent = step + step[parent], parent[parent]
+        x += step[root]
+        root = parent[root]
+
+
+def _gradient_factor(s: np.ndarray, sym) -> Optional[scipy.sparse.csr_array]:
+    """Pair factor B (CSR) with B^T B = ``sym``, or ``None`` when there is none.
+
+    With v = s normalized, a symmetric block that kills v is sum_p c_p b_p b_p^T
+    over the pairs i < j of its upper triangle, with c_p = -S_ij / (v_i v_j)
+    and b_p = v_j e_i - v_i e_j.  B stacks the rows sqrt(c_p) b_p; it
+    annihilates v exactly, so the zero mode is exact, and its singular values
+    carry the tunnelling gaps with high relative accuracy.  Refused unless
+    every c_p > 0, B has a row per vertex at least, and ||B^T B - S|| <=
+    ``_FACTOR_TOL`` ||S|| (max norm).
+    """
+    v = s / np.linalg.norm(s)
+    upper = scipy.sparse.triu(sym, k=1, format="coo")
+    i, j = upper.row, upper.col
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = -np.asarray(sym[i, j]).ravel() / (v[i] * v[j])
+        c = -upper.data / (v[i] * v[j])
     if len(c) < len(v) or not np.all(c > 0):
         return None
     root = np.sqrt(c)
-    # row e holds sqrt(c_e) v_j at column i and -sqrt(c_e) v_i at column j
+    # row p holds sqrt(c_p) v_j at column i and -sqrt(c_p) v_i at column j
     factor = scipy.sparse.csr_array(
         (np.column_stack([root * v[j], -root * v[i]]).ravel(),
          np.column_stack([i, j]).ravel(), np.arange(0, 2 * len(c) + 1, 2)),
         shape=(len(c), len(v)))
-    error = abs(factor.T @ factor - sym).max()  # every entry, on the stencil or off it
+    error = abs(factor.T @ factor - sym).max()  # every entry, on the pattern or off it
     if not error <= _FACTOR_TOL * abs(sym).max():  # also refuses NaN
         return None
     return factor

@@ -363,12 +363,12 @@ def work(monkeypatch):
         calls["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counted_plan(op):
-        calls["plans"].append((op, plan(op)))
+    def counted_plan(op, degrees=None):
+        calls["plans"].append((op, plan(op, degrees)))
         return calls["plans"][-1][1]
 
     def counted_solve(k, route):
-        [op] = [op for op, routes in calls["plans"] if routes[k] is route]
+        [op] = [op for op, routes in calls["plans"] if routes.get(k) is route]
         calls["solved"].append((op, k))
         return solve(k, route)
 
@@ -943,14 +943,46 @@ def test_cli_off_surface_with_an_unreferenced_vertex_exits_2(tmp_path, capsys, m
 
 def test_cli_morse_scan_capacity_refused_before_any_dense_copy(tmp_path, capsys,
                                                                no_dense_copy):
-    # the scan needs degree 0 only, but a level's plan caps both of its dense routes
+    # the scan plans and caps degree 0 alone
     cfg = {"model": {"name": "langevin_double_well_circle",
                      "params": {"depth": 1.0, "epsilon": 0.2, "n": 100_000}},
            "tasks": ["morse"], "morse": {"splitting_epsilons": [0.4, 0.2]}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert ("total unknowns 200000 exceed the dense-solver cap 8192 (blocks: (100000, 100000))"
+    assert ("total unknowns 100000 exceed the dense-solver cap 8192 (blocks: (100000,))"
+            in capsys.readouterr().err)
+
+
+def test_cli_scan_only_levels_are_capped_at_degree_zero(tmp_path, monkeypatch):
+    import flowspec.hamiltonian
+
+    # n=48: degree 0 fits the lowered cap, a whole level (96 unknowns) does not
+    monkeypatch.setattr(flowspec.hamiltonian, "_DENSE_CAP", 60)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(double_well_dict(
+        ["morse"], morse={"splitting_epsilons": [0.4, 0.2, 0.1]})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    scan = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["morse"]
+    assert scan["splitting_scan"]["strictly_decreasing"] is True
+
+
+@pytest.mark.parametrize("extra", [
+    {"tasks": ["morse", "sweep"], "sweep": {"epsilons": [0.4]},
+     "morse": {"splitting_epsilons": [0.4, 0.2, 0.1]}},
+    {"tasks": ["morse", "witten"], "morse": {"splitting_epsilons": [0.2, 0.1]}},
+], ids=["sweep", "witten"])
+def test_cli_levels_other_tasks_read_are_capped_whole(tmp_path, capsys, monkeypatch,
+                                                       no_dense_copy, extra):
+    import flowspec.hamiltonian
+
+    # the scan's first level is one the sweep or witten reads whole: it is
+    # refused before any of its blocks is made dense
+    monkeypatch.setattr(flowspec.hamiltonian, "_DENSE_CAP", 60)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(double_well_dict(**extra)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert ("total unknowns 96 exceed the dense-solver cap 60 (blocks: (48, 48))"
             in capsys.readouterr().err)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowspec as fs
-from flowspec.hamiltonian import _SYMMETRY_TOL, _symmetric_form
+from flowspec.spectral import _diagonal_similarity
 
 
 def circle_setup(n=32, eps=0.3, seed=5):
@@ -277,23 +277,24 @@ def test_hermitianization_on_circle_is_exact():
     w = rng.standard_normal(n)  # arbitrary potential, not just smooth ones
     h = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
     for k in h.degrees():
-        eta, sym, asymmetry = _symmetric_form(mesh, w, k, h.block(k))
-        assert asymmetry < 1e-12
-        if k == 0:
-            np.testing.assert_allclose(eta, np.exp(2 * w), rtol=1e-14)
+        s, sym = _diagonal_similarity(h.blocks[k])
+        if k == 0:  # measured from the block; e^{2W} is the independent oracle
+            np.testing.assert_allclose(s ** 2 / s[0] ** 2, np.exp(2 * (w - w[0])), rtol=1e-12)
         # similarity preserves the spectrum and makes it manifestly real
-        lam_sym = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        lam_sym = np.linalg.eigvalsh(sym.toarray())
         lam_raw = np.sort(np.linalg.eigvals(h.block(k)).real)
         np.testing.assert_allclose(np.sort(lam_sym), lam_raw, atol=1e-9 * lam_sym.max())
 
 
 def test_hermitianization_rejects_torus_degree_one():
-    # no diagonal weight reconciles the two edge families, so the symmetric
-    # route measures the asymmetry and leaves degree 1 to the general solver
+    # the torus degree 1 of a potential couples a quarter of its pairs with
+    # opposite signs, so no diagonal similarity exists and it goes to the
+    # general solver; degrees 0 and 2 are reversible chains on the vertices
+    # and the faces
     mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
     ij = np.asarray(mesh.vertices)
     w = 0.5 * (np.cos(ij[:, 0]) + np.cos(ij[:, 1]))
     noise = fs.NoiseSpec(0.3)
     h = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
-    assert _symmetric_form(mesh, w, 0, h.block(0))[2] < 1e-12
-    assert _symmetric_form(mesh, w, 1, h.block(1))[2] > _SYMMETRY_TOL
+    assert [_diagonal_similarity(b) is not None for b in h.blocks] == [True, False, True]
+    assert h.blocks[1].multiply(h.blocks[1].T).min() < 0

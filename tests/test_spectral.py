@@ -287,6 +287,15 @@ def routes(monkeypatch):
     return calls
 
 
+def torus_potential_operator(n, depth, eps, wells=1):
+    """fd generator of W = depth (cos(wells x) + cos(wells y)) on an n x n torus."""
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    xy = np.asarray(mesh.vertices)
+    noise = fs.NoiseSpec(eps)
+    w = depth * (np.cos(wells * xy[:, 0]) + np.cos(wells * xy[:, 1]))
+    return fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
+
+
 def test_gradient_blocks_take_the_symmetric_route(routes):
     # circle double well: degree 0 factored, degree 1 symmetric; no geev
     model = fs.build_model("langevin_double_well_circle",
@@ -303,81 +312,89 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
     assert not np.any(values.eigenvalue.imag)
     routes.clear()
 
-    # torus potential: only degree 0 is symmetric under the diagonal similarity
-    mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
-    xy = np.asarray(mesh.vertices)
-    noise = fs.NoiseSpec(0.3)
-    flow = fs.langevin_flow(mesh, 0.5 * (np.cos(xy[:, 0]) + np.cos(xy[:, 1])), noise)
-    fs.eigenvalue_spectrum(fs.assemble_hamiltonian(mesh, flow, noise))
-    assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvals", 36)]
+    # torus potential: degrees 0 and 2 are symmetric under a measured diagonal
+    # similarity; degree 1 couples some pairs with opposite signs
+    fs.eigenvalue_spectrum(torus_potential_operator(6, 0.5, 0.3))
+    assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvalsh", 36)]
 
 
 @pytest.mark.parametrize("shape", ["circle", "torus"])
 def test_symmetric_form_of_a_csr_block_is_the_dense_form(shape):
-    from flowspec.hamiltonian import _symmetric_form
-    from flowspec.spectral import _gradient_factor
+    from flowspec.spectral import _diagonal_similarity, _gradient_factor
 
     if shape == "circle":
         name = "langevin_double_well_circle"
         model = fs.build_model(name, REGISTERED[name])
-        mesh, flow, noise = model.mesh, model.flow, model.noise
+        op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     else:
-        mesh = fs.build_torus_grid(6, 6, 2 * np.pi, 2 * np.pi)
-        xy = np.asarray(mesh.vertices)
-        noise = fs.NoiseSpec(0.3)
-        flow = fs.langevin_flow(mesh, 0.5 * (np.cos(xy[:, 0]) + np.cos(xy[:, 1])), noise)
-    op = fs.assemble_hamiltonian(mesh, flow, noise)
+        op = torus_potential_operator(6, 0.5, 0.3)
     for k in op.degrees():
-        eta, sym, asymmetry = _symmetric_form(mesh, flow.w, k, op.blocks[k])
-        ref_eta, ref_sym, ref_asymmetry = _symmetric_form(mesh, flow.w, k, op.block(k))
-        assert scipy.sparse.issparse(sym) and isinstance(ref_sym, np.ndarray)
-        np.testing.assert_array_equal(eta, ref_eta)
-        np.testing.assert_array_equal(sym.toarray(), ref_sym)
-        assert asymmetry == ref_asymmetry
-    eta, sym, _ = _symmetric_form(mesh, flow.w, 0, op.blocks[0])
-    sym = 0.5 * (sym + sym.T)
-    np.testing.assert_array_equal(_gradient_factor(mesh, eta, sym).toarray(),
-                                  _gradient_factor(mesh, eta, sym.toarray()).toarray())
+        stored, dense = _diagonal_similarity(op.blocks[k]), _diagonal_similarity(op.block(k))
+        if (shape, k) == ("torus", 1):
+            assert stored is None and dense is None
+            continue
+        np.testing.assert_array_equal(stored[0], dense[0])
+        assert scipy.sparse.issparse(stored[1]) and scipy.sparse.issparse(dense[1])
+        np.testing.assert_array_equal(stored[1].toarray(), dense[1].toarray())
+    s, sym = _diagonal_similarity(op.blocks[0])
+    np.testing.assert_array_equal(_gradient_factor(s, sym).toarray(),
+                                  _gradient_factor(s, sym.toarray()).toarray())
 
 
 def test_overflowing_weights_leave_the_symmetric_route(routes):
-    from flowspec.hamiltonian import _symmetric_form
+    from flowspec.spectral import _diagonal_similarity
 
-    # e^{-2W} overflows at the minima of W: the weights are inf or 0 there
+    def chain(m):
+        # a path whose rates are 1e-150 one way and 1 the other: reversible,
+        # with weights 1e75 apart per step
+        return scipy.sparse.diags([np.full(m - 1, -1e-150), np.ones(m), np.full(m - 1, -1.0)],
+                                  [1, 0, -1], format="csr")
+
+    assert _diagonal_similarity(chain(4)) is not None
+    # six vertices need weights beyond the float range: a non-finite S fails
+    # the asymmetry test
+    assert _diagonal_similarity(chain(6)) is None
+    # W = 400 cos phi saturates the edge rates: one direction of each pair is
+    # a roundoff-sized positive rate, so the sign test refuses every degree
     mesh, noise = fs.build_circle_grid(16, 2 * np.pi), fs.NoiseSpec(0.2)
     w = 400.0 * np.cos(np.asarray(mesh.vertices))
     op = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
     for k in op.degrees():
-        _, sym, asymmetry = _symmetric_form(mesh, w, k, op.blocks[k])
-        assert scipy.sparse.issparse(sym) and np.isnan(asymmetry), k
-        assert np.isnan(_symmetric_form(mesh, w, k, op.block(k))[2]), k
+        assert _diagonal_similarity(op.blocks[k]) is None, k
     fs.eigenvalue_spectrum(op)
     assert routes == [("eigvals", 16), ("eigvals", 16)]
 
 
 def double_well_symmetric_block(n=64):
-    """Mesh, weights and symmetrized degree-0 block of the double well."""
-    from flowspec.hamiltonian import _symmetric_form
+    """Model, operator, measured weights and symmetric degree-0 form of the double well."""
+    from flowspec.spectral import _diagonal_similarity
 
     model = fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": n})
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    eta, sym, _ = _symmetric_form(model.mesh, model.flow.w, 0, op.block(0))
-    return model.mesh, eta, 0.5 * (sym + sym.T)
+    s, sym = _diagonal_similarity(op.blocks[0])
+    return model, op, s, sym.toarray()
 
 
 def test_gradient_factor_is_the_dense_edge_factor():
     from flowspec.spectral import _gradient_factor
 
-    mesh, eta, sym = double_well_symmetric_block()
-    v = np.sqrt(eta)
+    model, op, s, sym = double_well_symmetric_block()
+    # the oracle: s = e^{W}, whose square e^{2W} is the left null vector of H_0
+    v = np.exp(model.flow.w)
     v = v / np.linalg.norm(v)
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    root, rows = np.sqrt(-sym[i, j] / (v[i] * v[j])), np.arange(len(i))
+    np.testing.assert_allclose(s / np.linalg.norm(s), v, rtol=1e-13)
+    h = op.block(0)
+    oracle = v[:, None] * h / v[None, :]
+    # one row per edge, its vertices in order (i < j), the rows in (i, j) order
+    pairs = np.sort(model.mesh.edges, axis=1)
+    i, j = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    root, rows = np.sqrt(-oracle[i, j] / (v[i] * v[j])), np.arange(len(i))
     reference = np.zeros((len(i), len(v)))
     reference[rows, i] = root * v[j]
     reference[rows, j] = -root * v[i]
-    factor = _gradient_factor(mesh, eta, sym)
-    assert scipy.sparse.issparse(factor) and np.array_equal(factor.toarray(), reference)
+    factor = _gradient_factor(s, sym)
+    assert scipy.sparse.issparse(factor)
+    np.testing.assert_allclose(factor.toarray(), reference, rtol=1e-12, atol=0)
 
 
 def flip_coupling(s, mesh):
@@ -402,9 +419,91 @@ def nan_diagonal(s, mesh):
 def test_gradient_factor_refusals(perturb):
     from flowspec.spectral import _gradient_factor
 
-    mesh, eta, sym = double_well_symmetric_block()
-    perturb(sym, mesh)
-    assert _gradient_factor(mesh, eta, sym) is None
+    model, _, s, sym = double_well_symmetric_block()
+    perturb(sym, model.mesh)
+    assert _gradient_factor(s, sym) is None
+
+
+def test_measured_weights_survive_permutation_and_components():
+    from flowspec.spectral import _diagonal_similarity
+
+    model, op, s, sym = double_well_symmetric_block()
+    w = model.flow.w
+
+    def oracle_ratio(weights, w):
+        # s^2 is e^{2W} up to one factor
+        ratio = weights ** 2 / np.exp(2 * w)
+        return np.max(np.abs(ratio / ratio[0] - 1))
+
+    assert oracle_ratio(s, w) <= 1e-13
+    # a random relabelling of the vertices
+    perm = np.random.default_rng(7).permutation(len(w))
+    permuted = op.blocks[0][perm][:, perm]
+    s_perm, sym_perm = _diagonal_similarity(permuted)
+    assert oracle_ratio(s_perm, w[perm]) <= 1e-13
+    np.testing.assert_allclose(sym_perm.toarray(), sym[perm][:, perm], rtol=1e-12,
+                               atol=1e-14 * np.max(np.abs(sym)))
+    # two components, each weighed up to its own factor
+    other = fs.build_model("langevin_double_well_circle", {"depth": 2.0, "epsilon": 0.2, "n": 16})
+    other_op = fs.assemble_hamiltonian(other.mesh, other.flow, other.noise)
+    both = scipy.sparse.block_diag([op.blocks[0], other_op.blocks[0]], format="csr")
+    s_both, _ = _diagonal_similarity(both)
+    assert oracle_ratio(s_both[:len(w)], w) <= 1e-13
+    assert oracle_ratio(s_both[len(w):], other.flow.w) <= 1e-13
+
+
+def test_circulation_and_stored_zeros_by_rule():
+    from flowspec.spectral import _diagonal_similarity
+
+    # the tilted circle's drive circulates: its pattern is symmetric and its
+    # rates one-signed, but the loop leaves an asymmetry no weight removes
+    tilted = fs.build_model("tilted_langevin_circle", REGISTERED["tilted_langevin_circle"])
+    op = fs.assemble_hamiltonian(tilted.mesh, tilted.flow, tilted.noise)
+    h = op.blocks[0]
+    assert (h.multiply(h.T) > 0).count_nonzero() == h.count_nonzero()
+    assert _diagonal_similarity(h) is None
+    # a stored zero is no coupling: the pattern, weights and form are those
+    # of the block without it
+    _, op, s, sym = double_well_symmetric_block()
+    h = op.blocks[0].tocoo()
+    block = scipy.sparse.csr_matrix((np.append(h.data, 0.0), (np.append(h.row, 0),
+                                                               np.append(h.col, 5))), shape=h.shape)
+    assert block.nnz == h.nnz + 1 and block[0, 5] == 0 and block[5, 0] == 0
+    s_stored, sym_stored = _diagonal_similarity(block)
+    np.testing.assert_array_equal(s_stored, s)
+    np.testing.assert_array_equal(sym_stored.toarray(), sym)
+    # a block that stores nothing is its own symmetric form
+    s_empty, sym_empty = _diagonal_similarity(scipy.sparse.csr_matrix((3, 3)))
+    assert np.array_equal(s_empty, np.ones(3)) and sym_empty.nnz == 0
+
+
+@pytest.mark.parametrize("depth", [1.0, 8.0])
+def test_four_well_torus_top_degree_takes_eigvalsh(depth):
+    from flowspec.spectral import _block_route, _solve
+
+    op = torus_potential_operator(24, depth, 0.2, wells=2)
+    route = _block_route(op, 2)
+    assert route[0] == "eigvalsh"
+    values = _solve(2, route)
+    h = op.block(2)
+    radius = np.max(np.abs(values))
+    # the spectrum's invariants, read from the entries: tr H and tr H^2
+    assert abs(np.sum(values) - np.trace(h)) <= 1e-12 * len(h) * radius
+    assert abs(np.sum(values ** 2) - np.sum(h * h.T)) <= 1e-12 * len(h) * radius ** 2
+    if depth == 1.0:
+        # geev agrees while the block is well conditioned; at depth 8 the
+        # weights span 11 decades, and geev's error grows with them
+        dense = scipy.linalg.eigvals(h)
+        gaps = np.abs(values[:, None] - dense[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12 * radius
+
+
+def test_zero_flow_icosphere_takes_the_symmetric_routes(routes):
+    sphere = fs.icosphere(2)
+    op = fs.assemble_hamiltonian(sphere, fs.zero_flow(sphere), fs.NoiseSpec(1.0))
+    report = fs.eigenvalue_spectrum(op)
+    assert routes == [("svdvals", 162), ("eigvalsh", 480), ("eigvalsh", 320)]
+    assert fs.zero_mode_counts(report) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("name", ["tilted_langevin_circle"])
