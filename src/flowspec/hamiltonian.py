@@ -75,7 +75,6 @@ class GradedOperator:
 
     blocks: Tuple[Union[np.ndarray, sp.csr_matrix], ...]
     mesh: MeshComplex
-    flow: FlowField
     noise: NoiseSpec
     backend: str = "fd"
 
@@ -139,7 +138,7 @@ def assemble_hamiltonian(
     d, ddag, iota = _graded_pieces(mesh, flow, noise, backend)
     blocks = tuple(0.5 * _anticommutator(d, ddag, k) - _anticommutator(d, iota, k)
                    for k in range(mesh.dimension + 1))
-    op = GradedOperator(blocks, mesh, flow, noise, backend)
+    op = GradedOperator(blocks, mesh, noise, backend)
     _check_two_routes(op, d, ddag, iota)
     return op
 

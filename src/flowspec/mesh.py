@@ -110,8 +110,6 @@ class MeshComplex:
     Attributes
     ----------
     kind : {"circle", "torus", "surface"}
-    dimension : int
-        Top cell degree (1 or 2).
     vertices : ndarray
         Coordinates: shape (n0,) of angles for the circle, (n0, 2) for the
         torus, (n0, 3) embedded points for surfaces.
@@ -125,12 +123,14 @@ class MeshComplex:
         n_{k-1} x n_k, integer entries).
     primal_volumes, dual_volumes : tuple of ndarray
         Unit-metric cell measures per degree 0..D.
-    lengths, grid_shape, spacings
+    lengths, grid_shape
         Structured-grid metadata (None on surfaces).
+
+    The top cell degree ``dimension`` (1 or 2) is the number of incidence
+    matrices, and the grid ``spacings`` are ``lengths / grid_shape``.
     """
 
     kind: str
-    dimension: int
     vertices: np.ndarray
     edges: np.ndarray
     faces: Optional[np.ndarray]
@@ -139,7 +139,16 @@ class MeshComplex:
     dual_volumes: Tuple[np.ndarray, ...]
     lengths: Optional[Tuple[float, ...]] = None
     grid_shape: Optional[Tuple[int, ...]] = None
-    spacings: Optional[Tuple[float, ...]] = None
+
+    @property
+    def dimension(self) -> int:
+        return len(self.incidence)
+
+    @property
+    def spacings(self) -> Optional[Tuple[float, ...]]:
+        if self.grid_shape is None:
+            return None
+        return tuple(x / n for x, n in zip(self.lengths, self.grid_shape))
 
     def n_cells(self, k: int) -> int:
         if not 0 <= k <= self.dimension:
@@ -248,19 +257,10 @@ def _periodic_grid(kind: str, shape: Tuple[int, ...], lengths: Tuple[float, ...]
             f"cannot allocate a {' x '.join(map(str, shape))} {kind} grid: {exc}"
         ) from exc
 
-    mesh = MeshComplex(
-        kind=kind,
-        dimension=dim,
-        vertices=np.column_stack(coords) if dim > 1 else coords[0],
-        edges=edges,
-        faces=faces,
-        incidence=tuple(incidence),
-        primal_volumes=primal,
-        dual_volumes=dual,
-        lengths=tuple(lengths),
-        grid_shape=shape,
-        spacings=spacings,
-    )
+    mesh = MeshComplex(kind=kind, vertices=np.column_stack(coords) if dim > 1 else coords[0],
+                       edges=edges, faces=faces, incidence=tuple(incidence),
+                       primal_volumes=primal, dual_volumes=dual,
+                       lengths=tuple(lengths), grid_shape=shape)
     _check_chain_complex(mesh)
     return mesh
 
@@ -389,16 +389,9 @@ def build_triangulated_surface(vertices: Sequence, faces: Sequence) -> MeshCompl
             stacklevel=2,
         )
 
-    mesh = MeshComplex(
-        kind="surface",
-        dimension=2,
-        vertices=pts,
-        edges=edges,
-        faces=tri,
-        incidence=(d1, d2),
-        primal_volumes=(np.ones(n0), edge_len, face_area),
-        dual_volumes=(dual_area, dual_len, np.ones(n2)),
-    )
+    mesh = MeshComplex(kind="surface", vertices=pts, edges=edges, faces=tri, incidence=(d1, d2),
+                       primal_volumes=(np.ones(n0), edge_len, face_area),
+                       dual_volumes=(dual_area, dual_len, np.ones(n2)))
     _check_chain_complex(mesh)
     return mesh
 

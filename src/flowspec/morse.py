@@ -66,25 +66,31 @@ class CriticalPoint:
         Position in the fundamental domain, shape ``(dim,)``.
     jacobian : ndarray
         Centered-difference Jacobian of the flow at the zero.
-    eigenvalues : ndarray
-        Eigenvalues of ``jacobian``.
-    delta : int
-        Count of eigenvalues with negative real part.
-    sign : int
-        ``(-1) ** delta``.
     hyperbolic : bool
         False when some eigenvalue real part is below the resolution floor.
     mesh : MeshComplex
         The mesh the zero was located on (kept for downstream constructions).
+
+    ``eigenvalues`` (of ``jacobian``), ``delta`` (their count with negative
+    real part) and ``sign`` = (-1)^delta are read off ``jacobian``.
     """
 
     location: np.ndarray
     jacobian: np.ndarray
-    eigenvalues: np.ndarray
-    delta: int
-    sign: int
     hyperbolic: bool
     mesh: MeshComplex
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvals(self.jacobian)
+
+    @property
+    def delta(self) -> int:
+        return int(np.sum(self.eigenvalues.real < 0))
+
+    @property
+    def sign(self) -> int:
+        return (-1) ** self.delta
 
     @property
     def stable_count(self) -> int:
@@ -93,19 +99,10 @@ class CriticalPoint:
 
 
 def _classify(location, jac, mesh, flow_scale) -> CriticalPoint:
-    eigs = np.linalg.eigvals(np.atleast_2d(jac))
+    jac = np.atleast_2d(np.asarray(jac, dtype=float))
     floor = _HYPERBOLIC_REL * max(flow_scale, 1e-300)
-    hyperbolic = bool(np.all(np.abs(eigs.real) >= floor))
-    delta = int(np.sum(eigs.real < 0))
-    return CriticalPoint(
-        location=np.atleast_1d(np.asarray(location, dtype=float)),
-        jacobian=np.atleast_2d(np.asarray(jac, dtype=float)),
-        eigenvalues=eigs,
-        delta=delta,
-        sign=(-1) ** delta,
-        hyperbolic=hyperbolic,
-        mesh=mesh,
-    )
+    hyperbolic = bool(np.all(np.abs(np.linalg.eigvals(jac).real) >= floor))
+    return CriticalPoint(np.atleast_1d(np.asarray(location, dtype=float)), jac, hyperbolic, mesh)
 
 
 def find_critical_points(mesh: MeshComplex, flow: FlowField) -> List[CriticalPoint]:
@@ -281,9 +278,11 @@ def poincare_hopf_sum(points: Sequence[CriticalPoint]) -> int:
 
 @dataclass(frozen=True)
 class OneLoopState:
+    """The one-loop state of a zero: a cochain ``values`` of ``degree``, the
+    zero's count of stable directions, normalized in that degree's metric."""
+
     degree: int
     values: np.ndarray
-    point: CriticalPoint
 
 
 def _stable_directions(jac):
@@ -381,7 +380,7 @@ def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopStat
     norm = float(np.sqrt(np.sum(metric * values * values)))
     if norm == 0.0:
         raise IndeterminateIndexError("one-loop ansatz vanished on this mesh")
-    return OneLoopState(degree=degree, values=values / norm, point=point)
+    return OneLoopState(degree=degree, values=values / norm)
 
 
 # ----------------------------------------------------------------------
@@ -390,12 +389,30 @@ def one_loop_ground_state(point: CriticalPoint, noise: NoiseSpec) -> OneLoopStat
 
 @dataclass(frozen=True)
 class SplittingScan:
+    """Per noise level of ``epsilons`` (strictly descending), the tunneling
+    gap ``splittings`` and the first rate past the ``n_minima`` tunneling
+    rates, ``first_nontunneling``; the trend checks are read off the gaps."""
+
     epsilons: Tuple[float, ...]
     splittings: Tuple[float, ...]
     first_nontunneling: Tuple[float, ...]
     n_minima: int
-    strictly_decreasing: bool
-    convex_log_trend: bool
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        """Whether the gap shrinks at every step to a lower noise level."""
+        s = self.splittings
+        return all(b < a for a, b in zip(s[:-1], s[1:]))
+
+    @property
+    def convex_log_trend(self) -> bool:
+        """Whether log(gap) is convex in 1/eps, up to 1e-9 of the largest slope."""
+        x = 1.0 / np.array(self.epsilons)
+        y = np.log(self.splittings)
+        order = np.argsort(x)
+        x, y = x[order], y[order]
+        slopes = np.diff(y) / np.diff(x)
+        return bool(np.all(np.diff(slopes) >= -1e-9 * max(1.0, np.max(np.abs(slopes)))))
 
 
 def _count_minima(mesh, w):
@@ -460,18 +477,4 @@ def _splitting_scan(model, epsilons: Sequence[float],
         splittings.append(float(lam[1]))
         nontunneling.append(float(lam[n_min]))
 
-    dec = all(b < a for a, b in zip(splittings[:-1], splittings[1:]))
-    x = 1.0 / np.array(eps_list)
-    y = np.log(splittings)
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    slopes = np.diff(y) / np.diff(x)
-    convex = bool(np.all(np.diff(slopes) >= -1e-9 * max(1.0, np.max(np.abs(slopes)))))
-    return SplittingScan(
-        epsilons=tuple(eps_list),
-        splittings=tuple(splittings),
-        first_nontunneling=tuple(nontunneling),
-        n_minima=n_min,
-        strictly_decreasing=dec,
-        convex_log_trend=convex,
-    )
+    return SplittingScan(tuple(eps_list), tuple(splittings), tuple(nontunneling), n_min)

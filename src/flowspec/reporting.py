@@ -283,7 +283,7 @@ class RunConfig:
         morse_eps = None
         _check_keys(morse, ("splitting_epsilons",), "morse")
         split = morse.get("splitting_epsilons")
-        if split:
+        if split is not None:
             if not isinstance(split, list):
                 raise ValidationError("morse.splitting_epsilons must be a list")
             morse_eps = tuple(_as_float(e, "morse.splitting_epsilons") for e in split)
@@ -540,11 +540,8 @@ def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
         raise NumericalError("no top-degree entries in the spectrum")
     ground = int(np.argmin(np.abs(top_values)))
     op, plan = state.level(state.model.noise.epsilon)
+    # the dominant component is real and positive; scale to unit total mass
     vec = _null_vector(op, top, plan[top], top_values[ground], rep.spectral_radius).real
-    # fix sign so the dominant component is positive, then unit total mass
-    j = int(np.argmax(np.abs(vec)))
-    if vec[j] < 0:
-        vec = -vec
     mass = float(np.sum(vec * mesh.primal_volumes[top]))
     if mass <= 0:
         raise NumericalError("top-degree ground state has non-positive mass")

@@ -94,6 +94,7 @@ __all__ = [
 
 _CLUSTER_REL = 1e-7
 _DEFAULT_TOL_REL = 1e-8
+_PAIRING_TOL = 1e-8
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
 _FACTOR_TOL = 1e-12
@@ -115,7 +116,9 @@ class SpectrumReport:
     computed.  ``left[k]`` and
     ``right[k]`` hold the bi-orthonormalized eigenvectors of degree k as
     columns, in the order of ``eigenvalues(k)``; both are ``None`` for
-    vector-free and synthetic reports.
+    vector-free and synthetic reports.  ``spectral_radius`` is the largest
+    |eigenvalue|, kept because every verdict reads it; ``block_sizes``
+    counts the entries of each degree 0..``dimension``.
     """
 
     degree: np.ndarray
@@ -126,7 +129,10 @@ class SpectrumReport:
     right: Optional[Tuple[np.ndarray, ...]]
     spectral_radius: float
     dimension: int
-    block_sizes: Tuple[int, ...]
+
+    @property
+    def block_sizes(self) -> Tuple[int, ...]:
+        return tuple(np.bincount(self.degree, minlength=self.dimension + 1).tolist())
 
     def eigenvalues(self, degree: Optional[int] = None) -> np.ndarray:
         if degree is None:
@@ -493,8 +499,7 @@ def _spectrum_report(per_degree: Dict[int, np.ndarray],
     band[by_re] = np.cumsum(np.diff(centre.real[by_re], prepend=-np.inf) > thr)
     order = np.lexsort((eigenvalue.imag, eigenvalue.real, degree, label, centre.imag, band))
     report = SpectrumReport(degree[order], eigenvalue[order], np.zeros(n), centre[order],
-                            None, None, radius, dimension,
-                            tuple(len(w) for w in per_degree.values()))
+                            None, None, radius, dimension)
     return report, order
 
 
@@ -732,24 +737,31 @@ def _match_nearest(a, b, tol: float = np.inf) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PairingReport:
-    n_bonds: int
+    """Bonds (k, k + 1, count) per adjacent degree pair, the (degree,
+    eigenvalue) pairs left ``unpaired``, the widest bond, and on 1-dimensional
+    meshes whether the nonzero degree-0 and 1 spectra agree (else None)."""
+
     bonds_by_adjacency: Tuple[Tuple[int, int, int], ...]
     unpaired: Tuple[Tuple[int, complex], ...]
     max_mismatch: float
     multiset_equal: Optional[bool]
-    tol: float
+
+    @property
+    def n_bonds(self) -> int:
+        return sum(c for _, _, c in self.bonds_by_adjacency)
 
 
-def susy_pairing_check(report: SpectrumReport, tol: float = 1e-8) -> PairingReport:
+def susy_pairing_check(report: SpectrumReport) -> PairingReport:
     """Match every nonzero eigenvalue with a partner in an adjacent degree.
 
     Nonzero modes of adjacent blocks pair up through d and its adjoint; a
     middle-degree value may bond either down or up but not both, so matching
     proceeds degree pair by degree pair with consumption.  On 1-dimensional
     meshes the check additionally reports whether the nonzero degree-0 and
-    degree-1 spectra agree as multisets.
+    degree-1 spectra agree as multisets.  Partners bond within
+    ``_PAIRING_TOL`` of the spectral radius (of 1 when that is smaller).
     """
-    atol = tol * max(report.spectral_radius, 1.0)
+    atol = _PAIRING_TOL * max(report.spectral_radius, 1.0)
     nonzero = ~_zero_modes(report, None)
     by_degree = [report.eigenvalue[nonzero & (report.degree == k)]
                  for k in range(report.dimension + 1)]
@@ -775,14 +787,7 @@ def susy_pairing_check(report: SpectrumReport, tol: float = 1e-8) -> PairingRepo
     if report.dimension == 1:
         a, b = by_degree
         multiset_equal = len(a) == len(b) and bool(np.all(_match_nearest(a, b, atol)[0] >= 0))
-    return PairingReport(
-        n_bonds=sum(c for _, _, c in bonds),
-        bonds_by_adjacency=tuple(bonds),
-        unpaired=unpaired,
-        max_mismatch=max_mismatch,
-        multiset_equal=multiset_equal,
-        tol=tol,
-    )
+    return PairingReport(tuple(bonds), unpaired, max_mismatch, multiset_equal)
 
 
 # ----------------------------------------------------------------------

@@ -82,9 +82,7 @@ class TrajectoryEnsemble:
     store_every: int
     n_steps: int
     seed: int
-    epsilon: float
     periods: Tuple[float, ...]
-    model_name: str
 
     @property
     def n_paths(self) -> int:
@@ -207,17 +205,8 @@ def simulate_sde(
                 store(slot, x)
                 slot += 1
 
-    return TrajectoryEnsemble(
-        positions=positions.transpose(1, 0, 2),
-        windings=windings.transpose(1, 0, 2),
-        dt=float(dt),
-        store_every=int(store_every),
-        n_steps=int(steps),
-        seed=int(seed),
-        epsilon=float(eps),
-        periods=periods,
-        model_name=model.name,
-    )
+    return TrajectoryEnsemble(positions.transpose(1, 0, 2), windings.transpose(1, 0, 2),
+                              float(dt), int(store_every), int(steps), int(seed), periods)
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +215,24 @@ def simulate_sde(
 
 @dataclass(frozen=True)
 class HistogramResult:
+    """Occupation counts of ``n_samples`` samples in equal bins over [0, period].
+
+    A wrapped sample can land one rounding step outside the bins, so
+    ``counts.sum()`` can fall below ``n_samples``; ``density`` divides by it.
+    """
+
     bin_edges: np.ndarray
-    density: np.ndarray
     counts: np.ndarray
     n_samples: int
-    period: float
+
+    @property
+    def period(self) -> float:
+        return float(self.bin_edges[-1])
+
+    @property
+    def density(self) -> np.ndarray:
+        width = self.period / len(self.counts)
+        return self.counts / (self.n_samples * width)
 
 
 def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> HistogramResult:
@@ -250,11 +252,8 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
             f"{samples.size} samples after burn-in; at least "
             f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
         )
-    period = ensemble.periods[0]
-    counts, edges = np.histogram(samples, bins=bins, range=(0.0, period))
-    width = period / bins
-    density = counts / (samples.size * width)
-    return HistogramResult(edges, density, counts, int(samples.size), float(period))
+    counts, edges = np.histogram(samples, bins=bins, range=(0.0, ensemble.periods[0]))
+    return HistogramResult(edges, counts, int(samples.size))
 
 
 def tv_distance_to_density(hist: HistogramResult,
@@ -278,12 +277,14 @@ def tv_distance_to_density(hist: HistogramResult,
 
 @dataclass(frozen=True)
 class DecayFit:
+    """Decay ``rate`` and oscillation ``frequency`` fitted over ``n_lags``
+    lags spanning ``window`` (in time units); ``c0`` is |C(0)|."""
+
     rate: float
     frequency: float
     window: Tuple[float, float]
     n_lags: int
     c0: float
-    dt: float
 
 
 def _ensemble_autocovariance(positions: np.ndarray, observable):
@@ -382,11 +383,5 @@ def autocorrelation_decay(
     rate = -np.polyfit(lags, np.log(window_mag), 1)[0]
     phase = np.unwrap(np.angle(corr[i_lo:i_hi]))
     frequency = -np.polyfit(lags, phase, 1)[0]
-    return DecayFit(
-        rate=float(rate),
-        frequency=float(frequency),
-        window=(float(lags[0]), float(lags[-1])),
-        n_lags=int(i_hi - i_lo),
-        c0=c0,
-        dt=float(dt_s),
-    )
+    return DecayFit(float(rate), float(frequency), (float(lags[0]), float(lags[-1])),
+                    int(i_hi - i_lo), c0)

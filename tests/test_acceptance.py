@@ -1,5 +1,7 @@
 """End-to-end acceptance checks, one test per contract item."""
 
+import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -130,7 +132,7 @@ def test_acceptance_05_randomized_structural_invariants():
             vals = rep.eigenvalues(k)
             gaps = np.abs(vals[:, None] - np.conj(vals)[None, :])
             assert gaps.min(axis=1).max() < 1e-10
-        pairing = fs.susy_pairing_check(rep, tol=1e-8)
+        pairing = fs.susy_pairing_check(rep)
         assert pairing.unpaired == ()
         if dim == 1:
             assert pairing.multiset_equal is True
@@ -264,3 +266,30 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_the_audited_list():
     assert sorted(fs.__all__) == PUBLIC_NAMES
+
+
+# what each result type stores: only values that its other fields cannot give
+# and that something reads; derived values are properties
+STORED_FIELDS = {
+    "CriticalPoint": ["location", "jacobian", "hyperbolic", "mesh"],
+    "GradedOperator": ["blocks", "mesh", "noise", "backend"],
+    "OneLoopState": ["degree", "values"],
+    "SplittingScan": ["epsilons", "splittings", "first_nontunneling", "n_minima"],
+    "PairingReport": ["bonds_by_adjacency", "unpaired", "max_mismatch", "multiset_equal"],
+    "SpectrumReport": ["degree", "eigenvalue", "residual", "centroid", "left", "right",
+                       "spectral_radius", "dimension"],
+    "MeshComplex": ["kind", "vertices", "edges", "faces", "incidence", "primal_volumes",
+                    "dual_volumes", "lengths", "grid_shape"],
+    "TrajectoryEnsemble": ["positions", "windings", "dt", "store_every", "n_steps", "seed",
+                           "periods"],
+    "DecayFit": ["rate", "frequency", "window", "n_lags", "c0"],
+    "HistogramResult": ["bin_edges", "counts", "n_samples"],
+}
+
+
+def test_result_types_store_the_audited_fields():
+    got = {name: [f.name for f in dataclasses.fields(getattr(fs, name))]
+           for name in STORED_FIELDS}
+    assert got == STORED_FIELDS
+    assert sum(map(len, got.values())) == 50
+    assert "tol" not in inspect.signature(fs.susy_pairing_check).parameters

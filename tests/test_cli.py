@@ -279,6 +279,29 @@ def test_run_simulate_task(tmp_path):
     assert (tmp_path / "histogram.csv").exists()
 
 
+def test_cli_simulate_fits_the_autocorrelation_in_its_window(tmp_path):
+    lo, hi = 0.1, 2.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(double_well_dict(
+        ["simulate"], simulate={"dt": 0.004, "steps": 2000, "n_paths": 200, "seed": 5,
+                                "autocorrelation": True, "fit_window": [lo, hi]})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    fit = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "results"]["simulate"]["autocorrelation"]
+    assert fit["rate"] > 0
+    assert lo <= fit["window"][0] < fit["window"][1] <= hi
+    assert fit["n_lags"] >= 5
+
+
+@pytest.mark.parametrize("morse", [{"splitting_epsilons": None}, {}, None])
+def test_run_morse_without_levels_scans_nothing(tmp_path, morse):
+    extra = {} if morse is None else {"morse": morse}
+    cfg = fs.RunConfig.from_dict(double_well_dict(["morse"], **extra))
+    res = fs.run(cfg, out_dir=tmp_path).data["results"]["morse"]
+    assert res["n_critical_points"] == 4
+    assert "splitting_scan" not in res
+
+
 def sweep_of(tmp_path, name, system, eps, tasks=("sweep",), **extra):
     cfg = fs.RunConfig.from_dict({**system, "tasks": list(tasks),
                                   "sweep": {"epsilons": eps}, **extra})
@@ -692,6 +715,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     base_config(sweep=[]),
     base_config(simulate=0),
     base_config(morse=""),
+    # a falsy non-list is not an absent scan, and an empty list scans nothing
+    *(double_well_dict(["morse"], morse={"splitting_epsilons": levels})
+      for levels in (0, False, "", {}, [])),
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
@@ -707,7 +733,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         "inline-mesh-unknown-key", "torus-mesh-unknown-key", "inline-flow-two-kinds",
         "inline-flow-unknown-key", "duplicate-task", "tau-gamma-bool",
         "sweep-level-bool", "simulate-dt-string", "param-bool", "param-string",
-        "tolerances-false", "sweep-empty-list", "simulate-zero", "morse-empty-string"])
+        "tolerances-false", "sweep-empty-list", "simulate-zero", "morse-empty-string",
+        "splitting-epsilons-zero", "splitting-epsilons-false",
+        "splitting-epsilons-empty-string", "splitting-epsilons-empty-object",
+        "splitting-epsilons-empty-list"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -269,6 +269,21 @@ def test_density_generator_conserves_probability():
         fs.conventional_fp_operator(fs.icosphere(0), fs.zero_flow(fs.icosphere(0)), noise)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16}),
+    ("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": 32}),
+])
+def test_fourier_density_generator_conserves_probability(name, params):
+    # on fourier the top star is conjugated through the dense inner-product matrix
+    m = fs.build_model(name, params)
+    op = fs.conventional_fp_operator(m.mesh, m.flow, m.noise, backend="fourier")
+    scale = np.max(np.abs(op))
+    assert np.max(np.abs(np.sum(op, axis=0))) < 1e-14 * scale
+    # a similarity of the top block: the same eigenvalues
+    top = fs.assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fourier").block(1)
+    assert match_residual(np.linalg.eigvals(op), np.linalg.eigvals(top)) < 1e-13 * scale
+
+
 def test_hermitianization_on_circle_is_exact():
     # the eigensolver's symmetric route: every circle degree, any W
     n, noise = 64, fs.NoiseSpec(0.2)

@@ -61,6 +61,32 @@ def test_torus_gradient_zeros_and_signed_count():
     assert deltas == [0, 1, 1, 2]
 
 
+def test_spiral_zeros_on_the_torus():
+    # A = (sin x - 0.5 sin y, sin y + 0.5 sin x): spirals at (0, 0) and (pi, pi)
+    n = 32
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    a = np.column_stack([np.sin(x) - 0.5 * np.sin(y), np.sin(y) + 0.5 * np.sin(x)])
+    pts = fs.find_critical_points(mesh, fs.flow_from_vertex_samples(mesh, a))
+    assert len(pts) == 4
+    assert fs.poincare_hopf_sum(pts) == 0 == mesh.euler_characteristic()
+    origin = pts[int(np.argmin([np.linalg.norm(p.location) for p in pts]))]
+    np.testing.assert_array_equal(origin.location, [0.0, 0.0])
+    # centered differences scale the Jacobian by sin(h)/h
+    c = np.sin(2 * np.pi / n) / (2 * np.pi / n)
+    eigs = origin.eigenvalues[np.argsort(origin.eigenvalues.imag)]
+    np.testing.assert_allclose(eigs, [c * (1 - 0.5j), c * (1 + 0.5j)], rtol=1e-12)
+    assert (origin.delta, origin.sign, origin.stable_count) == (0, 1, 2)
+    # the complex pair spans both stable directions: a degree-2 state
+    noise = fs.NoiseSpec(0.2)
+    state = fs.one_loop_ground_state(origin, noise)
+    assert state.degree == 2
+    star = fs.hodge_star(mesh, 2, noise)
+    np.testing.assert_allclose(np.sum(star * state.values ** 2), 1.0, rtol=1e-12)
+    # the peak sits on the faces around the origin, face 0 among them
+    np.testing.assert_allclose(state.values[0], state.values.max(), rtol=1e-12)
+
+
 def test_non_hyperbolic_zero_is_flagged():
     # A = sin^2 has a double zero at 0: jacobian vanishes there
     n = 64
