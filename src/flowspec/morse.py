@@ -309,10 +309,11 @@ def _stable_directions(jac):
         else:
             j = int(np.argmin(np.abs(w - np.conj(lam)) + used * 1e30))
             used[i] = used[j] = True
-            basis[:, col] = v[:, i].real
-            basis[:, col + 1] = v[:, i].imag
-            wgt = abs(lam) if lam.real > 0 else 0.0
-            weights[col] = weights[col + 1] = wgt
+            # Re v and Im v of a unit v are shorter than 1 (1/sqrt(2) at a
+            # rotation); unit columns give the variance eps/(2|lambda|)
+            pair = np.column_stack([v[:, i].real, v[:, i].imag])
+            basis[:, col:col + 2] = pair / np.linalg.norm(pair, axis=0)
+            weights[col:col + 2] = abs(lam) if lam.real > 0 else 0.0
             col += 2
     return basis[:, :col], weights[:col]
 

@@ -3,21 +3,27 @@
 The integrator marches ``phi <- phi - A(phi) dt + sqrt(eps dt) xi`` with
 independent standard-normal increments per path and step.  Every path owns a
 counter-based generator spawned from one seed, so results are bit-identical
-for a fixed seed regardless of how many paths run.  Positions are stored
-wrapped into the fundamental domain together with integer winding numbers,
-from which unwrapped trajectories are reconstructed exactly.  The store is
-time-major, (n_stored, n_paths, dim), so each step writes one contiguous row
-(and the increments come from one reused, time-major noise buffer);
-``TrajectoryEnsemble`` exposes it through transposed views of shape
-(n_paths, n_stored, dim).
+for a fixed seed regardless of how many paths run.  The one store is the
+float64 unwrapped states, time-major, (n_stored, n_paths, dim), so each step
+copies one contiguous row (and the increments come from one reused,
+time-major noise buffer of at most ``_CHUNK_SCALARS`` doubles);
+``TrajectoryEnsemble`` exposes it through a transposed view of shape
+(n_paths, n_stored, dim).  Wrapped positions and winding counts are derived
+from it (``turns = floor(s / periods)``), by the estimators one block at a
+time.
 
-Estimators:
+Estimators, each holding at most its block budget beside the store:
 
-* ``stationary_histogram``   — occupation density after a 20% burn-in;
+* ``stationary_histogram``   — occupation density after a 20% burn-in; it
+  wraps and counts about ``_HISTOGRAM_BLOCK`` samples at a time, with at
+  most 64 bytes of temporaries per block sample (4.2 MB);
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
   of the evolution operator seen from sample paths); it streams over blocks
-  of whole paths, so its memory scales with one block, not the ensemble.
+  of whole paths, wrapped inside each block, so its memory scales with one
+  block, not the ensemble: at most 48 bytes per scalar of the
+  ``_FFT_BLOCK_SCALARS`` budget (24 MB) for the default observable, while
+  one path's FFT fits in half the budget.
   A fixed pool of two worker threads (``_WORKERS``, not a setting) computes
   the blocks, each on half the block budget, so the two in flight hold
   about what one full block would; the main thread adds their partial sums
@@ -26,7 +32,7 @@ Estimators:
   worker threads.
 
 Moments such as the mean squared displacement are array reductions of
-``TrajectoryEnsemble.unwrapped()``.
+``TrajectoryEnsemble.unwrapped()``, which is the store itself.
 """
 
 from __future__ import annotations
@@ -61,23 +67,32 @@ __all__ = [
 _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
 _QUAD_POINTS = 33  # trapezoid nodes per histogram bin in the TV reference mass
-_CHUNK_SCALARS = 4_000_000  # noise buffer budget (doubles)
-_FFT_BLOCK_SCALARS = 1_000_000  # autocovariance block budget (complex scalars)
+_CHUNK_SCALARS = 1_000_000  # noise buffer budget (doubles)
+_FFT_BLOCK_SCALARS = 500_000  # autocovariance block budget (complex scalars)
+_HISTOGRAM_BLOCK = 1 << 16  # samples the histogram wraps and counts at a time
 _WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release the GIL
+
+
+def _wrap(states: np.ndarray, periods: Tuple[float, ...]) -> np.ndarray:
+    """Positions in [0, period) of unwrapped states, ``s - floor(s / L) * L``."""
+    periods_arr = np.asarray(periods)
+    return states - np.floor(states / periods_arr) * periods_arr
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Stored sample paths: wrapped positions plus winding counts.
+    """Stored sample paths: the float64 unwrapped states, and nothing else.
 
-    ``positions`` has shape (n_paths, n_stored, dim) with every coordinate
-    in [0, period); ``windings`` holds the integer number of full turns, so
-    ``positions + windings * periods`` is the exact unwrapped trajectory.
-    Both are transposed views of time-major stores, not C-contiguous.
+    ``states`` has shape (n_paths, n_stored, dim); it is a transposed view
+    of the sampler's time-major store, not C-contiguous.  ``positions``
+    (every coordinate in [0, period)) and the int32 ``windings`` (full
+    turns) are derived from it with ``turns = floor(s / periods)``, so
+    ``positions + windings * periods`` is the trajectory up to rounding.
+    Each access of either builds a full array beside the store; no
+    estimator reads them.
     """
 
-    positions: np.ndarray
-    windings: np.ndarray
+    states: np.ndarray
     dt: float
     store_every: int
     n_steps: int
@@ -86,18 +101,27 @@ class TrajectoryEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.positions.shape[0]
+        return self.states.shape[0]
 
     @property
     def n_stored(self) -> int:
-        return self.positions.shape[1]
+        return self.states.shape[1]
 
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_stored) * (self.dt * self.store_every)
 
+    @property
+    def positions(self) -> np.ndarray:
+        return _wrap(self.states, self.periods)
+
+    @property
+    def windings(self) -> np.ndarray:
+        return np.floor(self.states / np.asarray(self.periods)).astype(np.int32)
+
     def unwrapped(self) -> np.ndarray:
-        return self.positions + self.windings * np.asarray(self.periods)
+        """The store itself (a view, not a copy)."""
+        return self.states
 
 
 def _default_initial(n_paths: int, periods: Tuple[float, ...]) -> np.ndarray:
@@ -172,21 +196,14 @@ def simulate_sde(
     chunk_steps = max(1, min(steps, _CHUNK_SCALARS // (n_paths * dim)))
     try:
         # time-major: every stored step and every noise row is one contiguous row
-        positions = np.empty((n_stored, n_paths, dim))
-        windings = np.empty((n_stored, n_paths, dim), dtype=np.int32)
+        states = np.empty((n_stored, n_paths, dim))
         noise = np.empty((chunk_steps, n_paths, dim))
     except (ValueError, MemoryError) as exc:
         raise CapacityError(
             f"cannot store {n_paths} paths x {n_stored} states x {dim} axes: {exc}"
         ) from exc
-    periods_arr = np.asarray(periods)
 
-    def store(slot, state):
-        turns = np.floor(state / periods_arr)
-        windings[slot] = turns
-        positions[slot] = state - turns * periods_arr
-
-    store(0, x)
+    states[0] = x
     gens = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(seed).spawn(n_paths)]
     amp = np.sqrt(eps * dt)
@@ -202,11 +219,11 @@ def simulate_sde(
             x = x - a.reshape(x.shape) * dt + amp * noise[t]
             done += 1
             if done % store_every == 0:
-                store(slot, x)
+                states[slot] = x
                 slot += 1
 
-    return TrajectoryEnsemble(positions.transpose(1, 0, 2), windings.transpose(1, 0, 2),
-                              float(dt), int(store_every), int(steps), int(seed), periods)
+    return TrajectoryEnsemble(states.transpose(1, 0, 2), float(dt), int(store_every),
+                              int(steps), int(seed), periods)
 
 
 # ----------------------------------------------------------------------
@@ -239,21 +256,29 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
     """Normalized occupation histogram after discarding the first 20%.
 
     Requires a 1-dimensional domain and at least 10^4 post-burn-in samples.
+    The stored rows are wrapped and counted about ``_HISTOGRAM_BLOCK``
+    samples at a time, and the integer counts summed.
     """
-    if ensemble.positions.shape[2] != 1:
+    if ensemble.states.shape[2] != 1:
         raise UnsupportedMeshError("occupation histograms are 1-dimensional")
     if bins < 2:
         raise ValidationError(f"need at least 2 bins, got {bins}")
     start = int(np.ceil(_BURN_IN_FRACTION * ensemble.n_stored))
-    # in memory order: a view of the time-major store, not a copy
-    samples = ensemble.positions[:, start:, 0].ravel(order="K")
-    if samples.size < _MIN_HISTOGRAM_SAMPLES:
+    # time-major rows: views of the store, in memory order
+    rows = ensemble.states[:, start:, 0].T
+    n_samples = rows.size
+    if n_samples < _MIN_HISTOGRAM_SAMPLES:
         raise InsufficientSamplesError(
-            f"{samples.size} samples after burn-in; at least "
+            f"{n_samples} samples after burn-in; at least "
             f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
         )
-    counts, edges = np.histogram(samples, bins=bins, range=(0.0, ensemble.periods[0]))
-    return HistogramResult(edges, counts, int(samples.size))
+    step = max(1, _HISTOGRAM_BLOCK // ensemble.n_paths)
+    counts = np.zeros(bins, dtype=np.intp)
+    for lo in range(0, len(rows), step):
+        part, edges = np.histogram(_wrap(rows[lo:lo + step], ensemble.periods),
+                                   bins=bins, range=(0.0, ensemble.periods[0]))
+        counts += part
+    return HistogramResult(edges, counts, int(n_samples))
 
 
 def tv_distance_to_density(hist: HistogramResult,
@@ -328,11 +353,12 @@ def autocorrelation_decay(
     """Fit rate and frequency of the observable's autocovariance decay.
 
     The observable is a state function applied to blocks of whole paths,
-    (paths, times, dim) -> (paths, times), so estimator memory scales with
-    the block, not the ensemble; two worker threads call it at once, so it
-    must be thread-safe.  It must have zero stationary mean
-    (default: the first harmonic ``exp(i phi)``); the ensemble should start
-    from the stationary distribution so no burn-in is discarded by default;
+    wrapped into [0, period), (paths, times, dim) -> (paths, times), so
+    estimator memory scales with the block, not the ensemble; two worker
+    threads call it at once, so it must be thread-safe.  It must have zero
+    stationary mean (default: the first harmonic ``exp(i phi)``); the
+    ensemble should start from the stationary distribution so no burn-in is
+    discarded by default;
     ``burn_in_fraction``, in [0, 1), drops that share of every path's start.
     ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
     units); without it the fit runs from the first lag until |C| drops to
@@ -340,7 +366,7 @@ def autocorrelation_decay(
     or the signal sits below the ensemble noise floor.
     """
     if observable is None:
-        if ensemble.positions.shape[2] != 1:
+        if ensemble.states.shape[2] != 1:
             raise ValidationError(
                 "the default observable is 1-dimensional; pass one explicitly"
             )
@@ -353,7 +379,10 @@ def autocorrelation_decay(
         raise ValidationError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
     # keep one sample, so that a burn-in near 1 fails as a too-short window
     start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
-    corr, means = _ensemble_autocovariance(ensemble.positions[:, start:, :], observable)
+    # each block of unwrapped states is wrapped just before the observable sees it
+    corr, means = _ensemble_autocovariance(
+        ensemble.states[:, start:, :],
+        lambda states: observable(_wrap(states, ensemble.periods)))
     dt_s = ensemble.dt * ensemble.store_every
     c0 = float(np.abs(corr[0]))
     if c0 == 0.0:

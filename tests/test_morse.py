@@ -87,6 +87,27 @@ def test_spiral_zeros_on_the_torus():
     np.testing.assert_allclose(state.values[0], state.values.max(), rtol=1e-12)
 
 
+def test_spiral_one_loop_state_has_the_stated_variance():
+    # at a spiral the stable plane is spanned by Re v and Im v; the Gaussian
+    # still has variance eps / (2 |lambda|) with the discrete |lambda|
+    n, eps = 64, 0.2
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    a = np.column_stack([np.sin(x) - 0.5 * np.sin(y), np.sin(y) + 0.5 * np.sin(x)])
+    pts = fs.find_critical_points(mesh, fs.flow_from_vertex_samples(mesh, a))
+    origin = pts[int(np.argmin([np.linalg.norm(p.location) for p in pts]))]
+    state = fs.one_loop_ground_state(origin, fs.NoiseSpec(eps))
+    assert state.degree == 2
+    h = 2 * np.pi / n
+    i, j = np.divmod(np.arange(n * n), n)  # face f = i * ny + j, centered
+    d2 = np.angle(np.exp(1j * (i + 0.5) * h)) ** 2 + np.angle(np.exp(1j * (j + 0.5) * h)) ** 2
+    mask = d2 < 0.5 ** 2
+    slope = np.polyfit(d2[mask], np.log(np.abs(state.values[mask])), 1)[0]
+    c = np.sin(h) / h  # centered differences scale the Jacobian by sin(h)/h
+    variance = eps / (2 * c * np.sqrt(1.25))  # 0.0896; half of it with unnormalized columns
+    np.testing.assert_allclose(-1 / (2 * slope), variance, rtol=0.02)
+
+
 def test_non_hyperbolic_zero_is_flagged():
     # A = sin^2 has a double zero at 0: jacobian vanishes there
     n = 64

@@ -238,6 +238,25 @@ def test_the_invariance_test_gives_one_verdict_on_csr_and_dense(name, params, k)
                 np.testing.assert_array_equal(v, reference)
 
 
+def test_the_probe_rows_read_duplicates_like_the_dense_block():
+    from flowspec.spectral import _PROBE_ROWS, _bloch_symbols, _dense_rows
+
+    model = fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8})
+    block = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise).blocks[1]
+    assert _PROBE_ROWS == 3
+    row = 16  # the first probe row of family 0: 64 cells, rows 16, 32, 48
+    stencil = next(c for c in block.indices[block.indptr[row]:block.indptr[row + 1]] if c != row)
+    half = block.copy()
+    half[row, stencil] = block[row, stencil] / 2
+    halves = with_stored_entry(half, row, stencil, block[row, stencil] / 2)
+    moved = with_stored_entry(block, row, stencil, 1e-3 * np.max(np.abs(block.data)))
+    rows = np.array([0, 64, row, 100])
+    for bad, invariant in ((halves, True), (moved, False)):
+        np.testing.assert_array_equal(_dense_rows(bad, rows), bad.toarray()[rows])
+        for m in (bad, bad.toarray()):
+            assert (_bloch_symbols(model.mesh, 1, m, exact=True) is not None) == invariant
+
+
 REGISTERED = {
     "constant_drive_circle": {"a": 1.0, "epsilon": 0.2, "n": 32},
     "langevin_double_well_circle": {"depth": 1.0, "epsilon": 0.2, "n": 48},

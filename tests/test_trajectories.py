@@ -37,6 +37,16 @@ def test_path_streams_are_independent_of_ensemble_size():
     np.testing.assert_array_equal(small.positions[0], big.positions[0])
 
 
+def test_unwrapped_is_the_store():
+    ens = fs.simulate_sde(torus_model(), dt=0.01, steps=300, n_paths=24, seed=7)
+    u = ens.unwrapped()
+    assert u is ens.states and u.dtype == np.float64
+    periods = np.asarray(ens.periods)
+    rebuilt = ens.positions + ens.windings * periods
+    # each of the three roundings is within half an ulp of |state| + period
+    assert np.all(np.abs(rebuilt - u) <= 4 * np.spacing(np.abs(u) + periods))
+
+
 def test_storage_layout_and_windings():
     model = drive_model()
     ens = fs.simulate_sde(model, dt=0.01, steps=1000, n_paths=8, seed=1,
@@ -121,7 +131,7 @@ def test_sampler_does_not_depend_on_the_noise_chunk(monkeypatch, store_every):
 def test_sampler_peak_is_the_store_and_one_noise_buffer(monkeypatch):
     n_paths, steps = 200, 3000
     monkeypatch.setattr(trajectories, "_CHUNK_SCALARS", n_paths * 1500)  # two chunks
-    store = (steps + 1) * n_paths * (8 + 4)  # float64 positions, int32 windings
+    store = (steps + 1) * n_paths * 8  # float64 unwrapped states, nothing else
     noise = 1500 * n_paths * 8
     model = drive_model()
     tracemalloc.start()
@@ -170,6 +180,21 @@ def test_histogram_needs_enough_samples():
     ens = fs.simulate_sde(model, dt=0.01, steps=50, n_paths=10, seed=2)
     with pytest.raises(fs.InsufficientSamplesError):
         fs.stationary_histogram(ens)
+
+
+def test_histogram_adds_at_most_its_block_budget():
+    model = drive_model()
+    ens = fs.simulate_sde(model, dt=0.01, steps=2000, n_paths=400, seed=2)
+    # 640k samples after burn-in: one wrapped copy of them all is 5.1 MB
+    budget = 64 * trajectories._HISTOGRAM_BLOCK
+    tracemalloc.start()
+    try:
+        hist = fs.stationary_histogram(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.n_samples * 8 > budget
+    assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
 
 
 def test_histogram_matches_gradient_flow_density():
@@ -304,6 +329,8 @@ def test_autocovariance_memory_scales_with_the_block():
         tracemalloc.stop()
     assert fit.rate > 0
     assert peak < full_array
+    budget = 48 * trajectories._FFT_BLOCK_SCALARS
+    assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
 
 
 def serial_autocovariance(positions, observable):
