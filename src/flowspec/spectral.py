@@ -102,7 +102,6 @@ _SYMMETRY_TOL = 1e-10
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
 _INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
-_PROBE_ROWS = 3  # rows per family the invariance test compares before any chunk
 
 
 @dataclass(frozen=True)
@@ -354,13 +353,9 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     ``_TRANSLATION_TOL`` of the largest stencil entry (fourier: its dense
     circulant products differ from translates at roundoff); a NaN fails it.
 
-    It first reads ``_PROBE_ROWS`` rows of each family, spread over the
-    grid, as dense rows: each must hold its stencil row's values within the
-    tolerance once both are sorted, as a translate does, so most blocks
-    that are not invariant fail before any chunk is sliced.  Then it reads the
-    block, CSR or dense, a chunk of rows at a time as CSR with duplicates
-    summed, each chunk about ``_INVARIANCE_CHUNK`` stored entries, and stops
-    at the first chunk that fails.  Every stored entry must lie
+    It reads the block, CSR or dense, a chunk of rows at a time as CSR with
+    duplicates summed, each chunk about ``_INVARIANCE_CHUNK`` stored entries,
+    and stops at the first chunk that fails.  Every stored entry must lie
     within the tolerance of its c_ab(y - x), and every row of family a must
     store each stencil entry of family a larger than the tolerance: an entry
     not stored is zero, which is within the tolerance of c exactly when
@@ -374,16 +369,9 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
         return None
     f, grid = shape[0], shape[1:]
     cells = math.prod(grid)
-    # per family a: the stencil row (a, 0), then the probe rows
-    probe = np.arange(_PROBE_ROWS + 1) * cells // (_PROBE_ROWS + 1)
-    rows = _dense_rows(block, (np.arange(f)[:, None] * cells + probe).ravel()).reshape(
-        f, _PROBE_ROWS + 1, -1)
-    stencil = rows[:, 0].reshape((f,) + shape)
+    stencil = _dense(block[np.arange(f) * cells]).reshape((f,) + shape)  # rows (a, 0)
     tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(stencil))
     c = stencil.reshape(f, f, cells)
-    rows = np.sort(rows, axis=2)
-    if not np.all(np.abs(rows[:, 1:] - rows[:, :1]) <= tol):  # NaN fails
-        return None
     # per family, the stencil entries every one of its rows must store
     need = np.count_nonzero(np.abs(c) > tol, axis=(1, 2))
     n = block.shape[0]
@@ -407,19 +395,6 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
             return None
     symbols = np.fft.fftn(stencil, axes=tuple(range(2, 2 + len(grid))))
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
-
-
-def _dense_rows(block, rows: np.ndarray) -> np.ndarray:
-    """The given rows of a dense or sparse block as dense rows; duplicate
-    entries are summed in stored order, as ``toarray`` sums them."""
-    if not scipy.sparse.issparse(block):
-        return block[rows]
-    csr = block.tocsr()
-    lo, hi = csr.indptr[rows], csr.indptr[rows + 1]
-    at = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-    out = np.zeros((len(rows), csr.shape[1]), dtype=csr.dtype)
-    np.add.at(out, (np.repeat(np.arange(len(rows)), hi - lo), csr.indices[at]), csr.data[at])
-    return out
 
 
 def _diagonal_similarity(block) -> Optional[Tuple[np.ndarray, scipy.sparse.csr_matrix]]:

@@ -718,6 +718,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a falsy non-list is not an absent scan, and an empty list scans nothing
     *(double_well_dict(["morse"], morse={"splitting_epsilons": levels})
       for levels in (0, False, "", {}, [])),
+    [base_config()],
+    {"inline": {"mesh": {"kind": "circle"}, "flow": {"constant": 1.0}, "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "torus", "nx": 4}, "flow": {"constant": [1.0, 0.5]},
+                "epsilon": 0.2},
+     "tasks": ["witten"]},
+    {"inline": {"mesh": {"kind": "circle", "n": 16}, "flow": [1.0], "epsilon": 0.2},
+     "tasks": ["witten"]},
 ], ids=["backend", "negative-length", "sample-shape", "tau0-type",
         "simulate-steps-type", "params-type", "inline-type", "simulate-type",
         "splitting-epsilons-type", "constant-empty", "sweep-type", "morse-type",
@@ -736,7 +744,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "tolerances-false", "sweep-empty-list", "simulate-zero", "morse-empty-string",
         "splitting-epsilons-zero", "splitting-epsilons-false",
         "splitting-epsilons-empty-string", "splitting-epsilons-empty-object",
-        "splitting-epsilons-empty-list"])
+        "splitting-epsilons-empty-list", "config-array", "circle-without-n",
+        "torus-without-ny", "inline-flow-type"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -866,6 +875,28 @@ def test_cli_bloch_levels_are_not_capped(tmp_path, no_dense_copy, cfg, zero_mode
     assert results["classify"]["verdict"] == "unbroken-Markovian"
     assert results["classify"]["n_surviving"] == sum(zero_modes)
     assert results["witten"]["zero_modes_per_degree"] == zero_modes
+
+
+def test_uncapped_torus_run_meets_the_oracle(tmp_path, no_dense_copy):
+    # the n=128 torus has 262144 unknowns, far past the cap of 8192, but
+    # every block takes the bloch route, so none is made dense
+    import tracemalloc
+
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model",
+                  "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 128}},
+        "backend": "fd",
+        "tasks": ["spectrum", "classify", "witten", "stationary"]})
+    tracemalloc.start()
+    try:
+        results = fs.run(cfg, out_dir=tmp_path).data["results"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["spectrum"]["oracle_satisfied"] is True
+    assert results["classify"]["verdict"] == "unbroken-Markovian"
+    assert results["witten"]["zero_modes_per_degree"] == [1, 2, 1]
+    assert peak <= 100e6, f"run peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("n", [9935, 100_000])

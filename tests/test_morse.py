@@ -61,6 +61,25 @@ def test_torus_gradient_zeros_and_signed_count():
     assert deltas == [0, 1, 1, 2]
 
 
+def test_torus_zeros_off_the_grid_solve_the_bilinear_quadratic():
+    # W = cos(x - 0.3) cos(y - 0.2): both drift components vary in both
+    # directions within a cell, so each cell's roots solve a quadratic
+    n = 32
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    noise = fs.NoiseSpec(0.5)
+    flow = fs.langevin_flow(mesh, np.cos(x - 0.3) * np.cos(y - 0.2), noise)
+    pts = fs.find_critical_points(mesh, flow)
+    assert len(pts) == 8
+    extrema = [(0.3 + j * np.pi, 0.2 + l * np.pi) for j in range(2) for l in range(2)]
+    saddles = [(u + np.pi / 2, v + np.pi / 2) for u, v in extrema]
+    for want, saddle in [(e, False) for e in extrema] + [(s, True) for s in saddles]:
+        [found] = [p for p in pts if np.linalg.norm(p.location - want) <= 1e-3]
+        assert (found.delta == 1) == saddle, (want, found.delta)
+    assert sum(p.delta == 1 for p in pts) == 4
+    assert fs.poincare_hopf_sum(pts) == 0
+
+
 def test_spiral_zeros_on_the_torus():
     # A = (sin x - 0.5 sin y, sin y + 0.5 sin x): spirals at (0, 0) and (pi, pi)
     n = 32

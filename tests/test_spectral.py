@@ -182,15 +182,34 @@ def with_stored_entry(block, row, col, value):
                                    shape=block.shape)
 
 
+def off_diagonal_entry(block, row):
+    """The column of the first nonzero entry of ``row`` off the diagonal."""
+    lo, hi = block.indptr[row], block.indptr[row + 1]
+    return next(c for c, v in zip(block.indices[lo:hi], block.data[lo:hi]) if c != row and v != 0)
+
+
+def duplicate_variants(block, row, where):
+    """(name, CSR block, invariant?) for a second stored entry in ``row``:
+    one that splits an entry into halves, and one that moves it."""
+    col = off_diagonal_entry(block, row)
+    half = block.copy()
+    half[row, col] = block[row, col] / 2
+    return [
+        (f"{where}-duplicate-halves", with_stored_entry(half, row, col, block[row, col] / 2), True),
+        (f"{where}-duplicate-moves-entry",
+         with_stored_entry(block, row, col, 1e-3 * np.max(np.abs(block.data))), False),
+    ]
+
+
 def csr_variants(block):
     """(name, CSR block, invariant?) for edits to the last row of ``block``,
-    a row far from the origin rows the stencil is read from."""
+    a row far from the origin rows the stencil is read from, and for
+    duplicates in row 0, the stencil row of family 0."""
     row = block.shape[0] - 1
     lo, hi = block.indptr[row], block.indptr[row + 1]
     cols = block.indices[lo:hi]
-    stencil = next(c for c, v in zip(cols, block.data[lo:hi]) if c != row and v != 0)
+    stencil = off_diagonal_entry(block, row)
     off = next(c for c in range(block.shape[1]) if c not in cols)
-    scale = np.max(np.abs(block.data))
 
     ulp = block.copy()
     ulp[row, row] = np.nextafter(ulp[row, row], np.inf)
@@ -200,15 +219,13 @@ def csr_variants(block):
     assert removed.nnz == block.nnz - 1
     nan = block.copy()
     nan.data[lo] = np.nan
-    half = block.copy()
-    half[row, stencil] = block[row, stencil] / 2
     return [
         ("one-ulp", ulp, False),
         ("stencil-entry-removed", removed, False),
         ("stored-zero-off-stencil", with_stored_entry(block, row, off, 0.0), True),
         ("nan", nan, False),
-        ("duplicate-halves", with_stored_entry(half, row, stencil, block[row, stencil] / 2), True),
-        ("duplicate-moves-entry", with_stored_entry(block, row, stencil, 1e-3 * scale), False),
+        *duplicate_variants(block, row, "last-row"),
+        *duplicate_variants(block, 0, "origin-row"),
     ]
 
 
@@ -236,25 +253,6 @@ def test_the_invariance_test_gives_one_verdict_on_csr_and_dense(name, params, k)
         if invariant:
             for v in verdicts:
                 np.testing.assert_array_equal(v, reference)
-
-
-def test_the_probe_rows_read_duplicates_like_the_dense_block():
-    from flowspec.spectral import _PROBE_ROWS, _bloch_symbols, _dense_rows
-
-    model = fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8})
-    block = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise).blocks[1]
-    assert _PROBE_ROWS == 3
-    row = 16  # the first probe row of family 0: 64 cells, rows 16, 32, 48
-    stencil = next(c for c in block.indices[block.indptr[row]:block.indptr[row + 1]] if c != row)
-    half = block.copy()
-    half[row, stencil] = block[row, stencil] / 2
-    halves = with_stored_entry(half, row, stencil, block[row, stencil] / 2)
-    moved = with_stored_entry(block, row, stencil, 1e-3 * np.max(np.abs(block.data)))
-    rows = np.array([0, 64, row, 100])
-    for bad, invariant in ((halves, True), (moved, False)):
-        np.testing.assert_array_equal(_dense_rows(bad, rows), bad.toarray()[rows])
-        for m in (bad, bad.toarray()):
-            assert (_bloch_symbols(model.mesh, 1, m, exact=True) is not None) == invariant
 
 
 REGISTERED = {
@@ -523,6 +521,26 @@ def test_zero_flow_icosphere_takes_the_symmetric_routes(routes):
     report = fs.eigenvalue_spectrum(op)
     assert routes == [("svdvals", 162), ("eigvalsh", 480), ("eigvalsh", 320)]
     assert fs.zero_mode_counts(report) == (1, 0, 1)
+
+
+def _double_well_384(backend):
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": 1.0, "epsilon": 0.2, "n": 384})
+    return fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+
+
+@pytest.mark.parametrize("operator, want", [
+    (lambda: _double_well_384("fd"), ["svdvals", "eigvalsh"]),
+    (lambda: _double_well_384("fourier"), ["eigvals", "eigvals"]),
+    (lambda: torus_potential_operator(24, 1.0, 0.2, wells=2), ["svdvals", "eigvals", "eigvalsh"]),
+], ids=["double-well-fd", "double-well-fourier", "four-well-torus"])
+def test_routes_are_measured_from_the_entries(operator, want):
+    # a diagonal similarity where one exists (a reversible chain), whatever
+    # the flow declares; fourier gradient blocks have none
+    from flowspec.spectral import _block_route
+
+    op = operator()
+    assert [_block_route(op, k)[0] for k in op.degrees()] == want
 
 
 @pytest.mark.parametrize("name", ["tilted_langevin_circle"])
@@ -910,6 +928,26 @@ def test_pairing_on_torus_splits_by_adjacency():
     # 36 modes at the end degrees (one zero each), 72 in the middle
     # (two zeros): 35 bonds on each adjacency
     assert pairing.bonds_by_adjacency == ((0, 1, 35), (1, 2, 35))
+
+
+def test_a_moved_value_and_its_partner_are_reported_unpaired():
+    from dataclasses import replace
+
+    model = fs.build_model("langevin_double_well_circle", REGISTERED["langevin_double_well_circle"])
+    report = fs.eigenvalue_spectrum(fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+    assert fs.susy_pairing_check(report).n_bonds == 47
+    # the largest degree-1 value moves by 1e-6 of itself, far past the
+    # pairing tolerance (1e-8 of the spectral radius)
+    i = int(np.argmax(np.where(report.degree == 1, np.abs(report.eigenvalue), -1.0)))
+    lower = np.flatnonzero(report.degree == 0)
+    partner = report.eigenvalue[lower[np.argmin(np.abs(report.eigenvalue[lower]
+                                                       - report.eigenvalue[i]))]]
+    moved = report.eigenvalue.copy()
+    moved[i] *= 1 + 1e-6
+    pairing = fs.susy_pairing_check(replace(report, eigenvalue=moved))
+    assert pairing.n_bonds == 46
+    assert pairing.unpaired == ((0, complex(partner)), (1, complex(moved[i])))
+    assert pairing.multiset_equal is False
 
 
 def test_conjugate_closure_of_real_operator():

@@ -161,6 +161,17 @@ def test_input_validation():
                         initial=np.zeros((3, 1)))
     with pytest.raises(fs.ValidationError, match="seed >= 0"):
         fs.simulate_sde(model, dt=0.01, steps=10, n_paths=2, seed=-1)
+    # a 1-D initial vector is the (n_paths, 1) column
+    column = np.linspace(0.0, 1.0, 3)[:, None]
+    np.testing.assert_array_equal(
+        fs.simulate_sde(model, dt=0.01, steps=10, n_paths=3, seed=0, initial=column[:, 0]).states,
+        fs.simulate_sde(model, dt=0.01, steps=10, n_paths=3, seed=0, initial=column).states)
+    ens = fs.simulate_sde(model, dt=0.01, steps=200, n_paths=64, seed=0)
+    with pytest.raises(fs.ValidationError, match="at least 2 bins"):
+        fs.stationary_histogram(ens, bins=1)
+    torus = fs.build_model("torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8})
+    with pytest.raises(fs.UnsupportedMeshError):
+        fs.stationary_histogram(fs.simulate_sde(torus, dt=0.01, steps=10, n_paths=2, seed=0))
 
 
 def test_unallocatable_path_store_is_a_capacity_error():
@@ -195,6 +206,30 @@ def test_histogram_adds_at_most_its_block_budget():
         tracemalloc.stop()
     assert hist.n_samples * 8 > budget
     assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
+
+
+def test_simulate_run_holds_one_float64_store(tmp_path):
+    # the run holds the float64 store of 400 x 2001 states and at most the
+    # stated budgets of the noise buffer, the histogram block and the
+    # autocovariance blocks
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 1.0, "epsilon": 0.2, "n": 64}},
+        "tasks": ["simulate"],
+        "simulate": {"dt": 0.005, "steps": 2000, "n_paths": 400, "seed": 1,
+                     "autocorrelation": True}})
+    tracemalloc.start()
+    try:
+        r = fs.run(cfg, out_dir=tmp_path).data["results"]["simulate"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = 400 * 2001 * 8
+    budgets = (8 * trajectories._CHUNK_SCALARS + 64 * trajectories._HISTOGRAM_BLOCK
+               + 48 * trajectories._FFT_BLOCK_SCALARS)
+    assert r["autocorrelation"]["rate"] > 0, r
+    assert r["histogram"]["n_samples"] == 400 * 1600, r
+    assert peak <= 1.1 * (store + budgets), f"peak {peak / 1e6:.1f} MB"
 
 
 def test_histogram_matches_gradient_flow_density():
