@@ -74,9 +74,10 @@ from .spectral import (
     zero_mode_counts,
 )
 from .trajectories import (
-    autocorrelation_decay,
+    _streamed_estimates,
+    autocorrelation_decay,  # not called by a run; flowbench/tracing.py patches this name
     simulate_sde,
-    stationary_histogram,
+    stationary_histogram,  # not called by a run; flowbench/tracing.py patches this name
     tv_distance_to_density,
 )
 
@@ -607,23 +608,11 @@ def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
     if model.drift is None:
         raise ValidationError("simulation needs a model with a closed-form drift")
     sim = state.config.sim
-    ens = simulate_sde(
-        model,
-        dt=sim["dt"],
-        steps=sim["steps"],
-        n_paths=sim["n_paths"],
-        seed=sim["seed"],
-        store_every=sim["store_every"],
-    )
-    result = {
-        "dt": ens.dt,
-        "steps": ens.n_steps,
-        "n_paths": ens.n_paths,
-        "seed": ens.seed,
-        "store_every": ens.store_every,
-    }
-    if model.mesh.dimension == 1:
-        hist = stationary_histogram(ens, bins=sim["bins"])
+    # sampled block by block through this module's simulate_sde, the name
+    # that flowbench/tracing.py patches
+    hist, fit = _streamed_estimates(simulate_sde, model, **sim)
+    result = {k: sim[k] for k in ("dt", "steps", "n_paths", "seed", "store_every")}
+    if hist is not None:
         result["histogram"] = {
             "bins": len(hist.counts),
             "n_samples": hist.n_samples,
@@ -635,8 +624,7 @@ def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
             )
         _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
                    [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
-    if sim.get("autocorrelation"):
-        fit = autocorrelation_decay(ens, fit_window=sim.get("fit_window"))
+    if fit is not None:
         result["autocorrelation"] = {
             "rate": fit.rate,
             "frequency": fit.frequency,

@@ -3,10 +3,10 @@
 The integrator marches ``phi <- phi - A(phi) dt + sqrt(eps dt) xi`` with
 independent standard-normal increments per path and step.  Every path owns a
 counter-based generator spawned from one seed, so results are bit-identical
-for a fixed seed regardless of how many paths run.  The one store is the
-float64 unwrapped states, time-major, (n_stored, n_paths, dim), so each step
-copies one contiguous row (and the increments come from one reused,
-time-major noise buffer of at most ``_CHUNK_SCALARS`` doubles);
+for a fixed seed regardless of how many paths run.  ``simulate_sde`` stores
+one array, the float64 unwrapped states, time-major, (n_stored, n_paths,
+dim), so each step copies one contiguous row (and the increments come from
+one reused, time-major noise buffer of at most ``_CHUNK_SCALARS`` doubles);
 ``TrajectoryEnsemble`` exposes it through a transposed view of shape
 (n_paths, n_stored, dim).  Wrapped positions and winding counts are derived
 from it (``turns = floor(s / periods)``), by the estimators one block at a
@@ -31,6 +31,18 @@ Estimators, each holding at most its block budget beside the store:
   host's core count.  A custom ``observable`` is therefore called from
   worker threads.
 
+Both run on per-block kernels (``_add_counts``, ``_add_power``) and one
+decay fit (``_fit_decay``).  ``simulate_sde`` still stores the whole
+ensemble; a run's ``simulate`` task does not.  It streams path blocks
+(``_streamed_estimates``): blocks of ``_path_block`` paths, a
+``_PATH_BLOCK_SCALARS`` budget of stored states in whole autocovariance
+blocks, each sampled by a ``simulate_sde`` call that spawns the next
+children of one shared ``SeedSequence``.  Each block is wrapped once, in
+place, its counts and power sums go into running totals, and it is dropped
+before the next; the totals are added in the order the whole ensemble would
+add them, so a run reports what the library calls give on the stored
+ensemble, bit for bit, and its memory does not grow with the path count.
+
 Moments such as the mean squared displacement are array reductions of
 ``TrajectoryEnsemble.unwrapped()``, which is the store itself.
 """
@@ -40,7 +52,7 @@ from __future__ import annotations
 import warnings
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,14 +81,16 @@ _MIN_HISTOGRAM_SAMPLES = 10_000
 _QUAD_POINTS = 33  # trapezoid nodes per histogram bin in the TV reference mass
 _CHUNK_SCALARS = 1_000_000  # noise buffer budget (doubles)
 _FFT_BLOCK_SCALARS = 500_000  # autocovariance block budget (complex scalars)
-_HISTOGRAM_BLOCK = 1 << 16  # samples the histogram wraps and counts at a time
+_HISTOGRAM_BLOCK = 1 << 16  # samples wrapped (and counted) at a time
 _WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release the GIL
+_PATH_BLOCK_SCALARS = 4_000_000  # stored states of one streamed path block (doubles)
 
 
-def _wrap(states: np.ndarray, periods: Tuple[float, ...]) -> np.ndarray:
+def _wrap(states: np.ndarray, periods: Tuple[float, ...],
+          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Positions in [0, period) of unwrapped states, ``s - floor(s / L) * L``."""
     periods_arr = np.asarray(periods)
-    return states - np.floor(states / periods_arr) * periods_arr
+    return np.subtract(states, np.floor(states / periods_arr) * periods_arr, out=out)
 
 
 @dataclass(frozen=True)
@@ -135,12 +149,31 @@ def _default_initial(n_paths: int, periods: Tuple[float, ...]) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _check_sampler(dt: float, steps: int, n_paths: int, seed, store_every: int) -> None:
+    if dt <= 0 or not np.isfinite(dt):
+        raise ValidationError(f"step size must be positive, got {dt}")
+    seeded = isinstance(seed, np.random.SeedSequence) or seed >= 0
+    if steps < 1 or n_paths < 1 or store_every < 1 or not seeded:
+        raise ValidationError(
+            f"steps, n_paths, store_every must be >= 1 and seed >= 0, got "
+            f"({steps}, {n_paths}, {store_every}, {seed})"
+        )
+
+
+def _path_block(n_stored: int, dim: int) -> int:
+    """Paths per streamed block: the ``_PATH_BLOCK_SCALARS`` budget of stored
+    states, in whole autocovariance blocks so that the power sums of a
+    streamed ensemble are added in the order of the whole one."""
+    fft_block = _fft_block(_fft_length(n_stored))
+    return max(1, _PATH_BLOCK_SCALARS // (n_stored * dim) // fft_block) * fft_block
+
+
 def simulate_sde(
     model: ModelSpec,
     dt: float,
     steps: int,
     n_paths: int,
-    seed: int,
+    seed: Union[int, np.random.SeedSequence],
     store_every: int = 1,
     initial: Optional[np.ndarray] = None,
 ) -> TrajectoryEnsemble:
@@ -150,9 +183,13 @@ def simulate_sde(
     ----------
     model : ModelSpec
         Supplies the continuum drift, the noise level, and the domain.
-    dt, steps, n_paths, seed : float, int, int, int
-        Step size, step count, ensemble size, and the single seed from which
-        every per-path stream is spawned.
+    dt, steps, n_paths : float, int, int
+        Step size, step count and ensemble size.
+    seed : int or numpy.random.SeedSequence
+        The seed from which every per-path stream is spawned.  A
+        ``SeedSequence`` spawns its next ``n_paths`` children, so calls that
+        share one sample consecutive paths of one ensemble; the ensemble
+        records its entropy as ``seed``.
     store_every : int
         Keep every this-many-th step (the initial state is always kept).
     initial : ndarray, optional
@@ -163,13 +200,9 @@ def simulate_sde(
     0.1 * eps / max|A|^2 for the drift-dominated regime.  A path store that
     numpy refuses to allocate raises the capacity error before any step.
     """
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValidationError(f"step size must be positive, got {dt}")
-    if steps < 1 or n_paths < 1 or store_every < 1 or seed < 0:
-        raise ValidationError(
-            f"steps, n_paths, store_every must be >= 1 and seed >= 0, got "
-            f"({steps}, {n_paths}, {store_every}, {seed})"
-        )
+    _check_sampler(dt, steps, n_paths, seed, store_every)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
     eps = model.noise.epsilon
     dim = model.mesh.dimension
     periods = tuple(float(L) for L in model.mesh.lengths)
@@ -204,8 +237,7 @@ def simulate_sde(
         ) from exc
 
     states[0] = x
-    gens = [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(n_paths)]
+    gens = [np.random.Generator(np.random.Philox(child)) for child in seed.spawn(n_paths)]
     amp = np.sqrt(eps * dt)
 
     done = 0
@@ -223,7 +255,7 @@ def simulate_sde(
                 slot += 1
 
     return TrajectoryEnsemble(states.transpose(1, 0, 2), float(dt), int(store_every),
-                              int(steps), int(seed), periods)
+                              int(steps), int(seed.entropy), periods)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +284,25 @@ class HistogramResult:
         return self.counts / (self.n_samples * width)
 
 
+def _check_histogram(dim: int, bins: int, n_samples: int) -> None:
+    if dim != 1:
+        raise UnsupportedMeshError("occupation histograms are 1-dimensional")
+    if bins < 2:
+        raise ValidationError(f"need at least 2 bins, got {bins}")
+    if n_samples < _MIN_HISTOGRAM_SAMPLES:
+        raise InsufficientSamplesError(
+            f"{n_samples} samples after burn-in; at least "
+            f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
+        )
+
+
+def _add_counts(counts: np.ndarray, wrapped: np.ndarray, period: float) -> np.ndarray:
+    """Add the occupation counts of wrapped samples to ``counts``; returns the bin edges."""
+    part, edges = np.histogram(wrapped, bins=len(counts), range=(0.0, period))
+    counts += part
+    return edges
+
+
 def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> HistogramResult:
     """Normalized occupation histogram after discarding the first 20%.
 
@@ -259,26 +310,17 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
     The stored rows are wrapped and counted about ``_HISTOGRAM_BLOCK``
     samples at a time, and the integer counts summed.
     """
-    if ensemble.states.shape[2] != 1:
-        raise UnsupportedMeshError("occupation histograms are 1-dimensional")
-    if bins < 2:
-        raise ValidationError(f"need at least 2 bins, got {bins}")
     start = int(np.ceil(_BURN_IN_FRACTION * ensemble.n_stored))
+    _check_histogram(ensemble.states.shape[2], bins,
+                     ensemble.n_paths * (ensemble.n_stored - start))
     # time-major rows: views of the store, in memory order
     rows = ensemble.states[:, start:, 0].T
-    n_samples = rows.size
-    if n_samples < _MIN_HISTOGRAM_SAMPLES:
-        raise InsufficientSamplesError(
-            f"{n_samples} samples after burn-in; at least "
-            f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
-        )
     step = max(1, _HISTOGRAM_BLOCK // ensemble.n_paths)
     counts = np.zeros(bins, dtype=np.intp)
     for lo in range(0, len(rows), step):
-        part, edges = np.histogram(_wrap(rows[lo:lo + step], ensemble.periods),
-                                   bins=bins, range=(0.0, ensemble.periods[0]))
-        counts += part
-    return HistogramResult(edges, counts, int(n_samples))
+        edges = _add_counts(counts, _wrap(rows[lo:lo + step], ensemble.periods),
+                            ensemble.periods[0])
+    return HistogramResult(edges, counts, int(rows.size))
 
 
 def tv_distance_to_density(hist: HistogramResult,
@@ -312,18 +354,40 @@ class DecayFit:
     c0: float
 
 
-def _ensemble_autocovariance(positions: np.ndarray, observable):
-    """Path-averaged C(tau), tau < T, and per-path means for (paths, T, dim) positions.
+def _fft_length(t_len: int) -> int:
+    """Zero-padded FFT length of a T-sample series: no circular wrap of the lags."""
+    return 1 << (2 * t_len - 1).bit_length()
 
-    Wiener-Khinchin: |FFT|^2 is summed over blocks of whole paths, then inverted once.
-    The blocks run on a fixed pool of ``_WORKERS`` threads; the main thread adds
-    their partial sums in block order, so the result does not depend on timing.
+
+def _fft_block(nfft: int) -> int:
+    """Paths per autocovariance block; the budget is shared by the blocks in flight."""
+    return max(1, _FFT_BLOCK_SCALARS // nfft // _WORKERS)
+
+
+def _first_harmonic(periods: Tuple[float, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The default observable ``exp(2 pi i phi / L)`` of a 1-dimensional domain."""
+    if len(periods) != 1:
+        raise ValidationError("the default observable is 1-dimensional; pass one explicitly")
+    period = periods[0]
+
+    def observable(pos):
+        return np.exp(2j * np.pi * pos[..., 0] / period)
+
+    return observable
+
+
+def _add_power(power: np.ndarray, positions: np.ndarray, observable) -> np.ndarray:
+    """Add sum_paths |FFT O|^2 of (paths, T, dim) positions to ``power``; returns
+    the per-path means of O.
+
+    Wiener-Khinchin: the FFTs, of length ``len(power)``, run over blocks of
+    ``_fft_block`` whole paths on a fixed pool of ``_WORKERS`` threads; the main
+    thread adds their partial sums in block order, so the result does not
+    depend on timing.
     """
-    n_paths, t_len = positions.shape[:2]
-    nfft = 1 << int(np.ceil(np.log2(2 * t_len)))
-    # the budget is shared by the blocks in flight
-    block = max(1, _FFT_BLOCK_SCALARS // nfft // _WORKERS)
-    starts = range(0, n_paths, block)
+    nfft = len(power)
+    block = _fft_block(nfft)
+    starts = range(0, len(positions), block)
 
     def block_sums(a):
         paths = positions[a:a + block]
@@ -335,55 +399,33 @@ def _ensemble_autocovariance(positions: np.ndarray, observable):
         f = np.fft.fft(series, n=nfft, axis=1)
         return (f.real**2 + f.imag**2).sum(axis=0), series.mean(axis=1)
 
-    power, means = np.zeros(nfft), np.empty(n_paths, dtype=complex)
+    means = np.empty(len(positions), dtype=complex)
     with futures.ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for a, (part, block_means) in zip(starts, pool.map(block_sums, starts)):
             power += part
             means[a:a + block] = block_means
+    return means
+
+
+def _autocovariance(power: np.ndarray, n_paths: int, t_len: int) -> np.ndarray:
+    """Path-averaged C(tau), tau < T, from the summed power spectra of ``n_paths`` paths."""
     # path mean of sum_t O(t+tau) O*(t), normalized by the overlap count
-    return np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len)), means
+    return np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
 
 
-def autocorrelation_decay(
-    ensemble: TrajectoryEnsemble,
-    observable: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    fit_window: Optional[Tuple[float, float]] = None,
-    burn_in_fraction: float = 0.0,
-) -> DecayFit:
-    """Fit rate and frequency of the observable's autocovariance decay.
+def _ensemble_autocovariance(positions: np.ndarray, observable):
+    """Path-averaged C(tau), tau < T, and per-path means for (paths, T, dim) positions."""
+    n_paths, t_len = positions.shape[:2]
+    power = np.zeros(_fft_length(t_len))
+    means = _add_power(power, positions, observable)
+    return _autocovariance(power, n_paths, t_len), means
 
-    The observable is a state function applied to blocks of whole paths,
-    wrapped into [0, period), (paths, times, dim) -> (paths, times), so
-    estimator memory scales with the block, not the ensemble; two worker
-    threads call it at once, so it must be thread-safe.  It must have zero
-    stationary mean (default: the first harmonic ``exp(i phi)``); the
-    ensemble should start from the stationary distribution so no burn-in is
-    discarded by default;
-    ``burn_in_fraction``, in [0, 1), drops that share of every path's start.
-    ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
-    units); without it the fit runs from the first lag until |C| drops to
-    a tenth of |C(0)|.  Raises when the window leaves fewer than five lags
-    or the signal sits below the ensemble noise floor.
-    """
-    if observable is None:
-        if ensemble.states.shape[2] != 1:
-            raise ValidationError(
-                "the default observable is 1-dimensional; pass one explicitly"
-            )
-        period = ensemble.periods[0]
 
-        def observable(pos):
-            return np.exp(2j * np.pi * pos[..., 0] / period)
-
-    if not 0 <= burn_in_fraction < 1:
-        raise ValidationError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    # keep one sample, so that a burn-in near 1 fails as a too-short window
-    start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
-    # each block of unwrapped states is wrapped just before the observable sees it
-    corr, means = _ensemble_autocovariance(
-        ensemble.states[:, start:, :],
-        lambda states: observable(_wrap(states, ensemble.periods)))
-    dt_s = ensemble.dt * ensemble.store_every
+def _fit_decay(corr: np.ndarray, means: np.ndarray, dt_s: float,
+               fit_window: Optional[Tuple[float, float]]) -> DecayFit:
+    """Fit rate and frequency to C(tau) at lag spacing ``dt_s`` (see
+    ``autocorrelation_decay``); ``means`` are the per-path means of the
+    observable, whose spread sets the noise floor."""
     c0 = float(np.abs(corr[0]))
     if c0 == 0.0:
         raise UnfittableDecayError("the observable vanishes on every sample")
@@ -414,3 +456,97 @@ def autocorrelation_decay(
     frequency = -np.polyfit(lags, phase, 1)[0]
     return DecayFit(float(rate), float(frequency), (float(lags[0]), float(lags[-1])),
                     int(i_hi - i_lo), c0)
+
+
+def autocorrelation_decay(
+    ensemble: TrajectoryEnsemble,
+    observable: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    fit_window: Optional[Tuple[float, float]] = None,
+    burn_in_fraction: float = 0.0,
+) -> DecayFit:
+    """Fit rate and frequency of the observable's autocovariance decay.
+
+    The observable is a state function applied to blocks of whole paths,
+    wrapped into [0, period), (paths, times, dim) -> (paths, times), so
+    estimator memory scales with the block, not the ensemble; two worker
+    threads call it at once, so it must be thread-safe.  It must have zero
+    stationary mean (default: the first harmonic ``exp(i phi)``); the
+    ensemble should start from the stationary distribution so no burn-in is
+    discarded by default;
+    ``burn_in_fraction``, in [0, 1), drops that share of every path's start.
+    ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
+    units); without it the fit runs from the first lag until |C| drops to
+    a tenth of |C(0)|.  Raises when the window leaves fewer than five lags
+    or the signal sits below the ensemble noise floor.
+    """
+    if observable is None:
+        observable = _first_harmonic(ensemble.periods)
+    if not 0 <= burn_in_fraction < 1:
+        raise ValidationError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
+    # keep one sample, so that a burn-in near 1 fails as a too-short window
+    start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
+    # each block of unwrapped states is wrapped just before the observable sees it
+    corr, means = _ensemble_autocovariance(
+        ensemble.states[:, start:, :],
+        lambda states: observable(_wrap(states, ensemble.periods)))
+    return _fit_decay(corr, means, ensemble.dt * ensemble.store_every, fit_window)
+
+
+# ----------------------------------------------------------------------
+# a run's estimates, streamed over path blocks
+# ----------------------------------------------------------------------
+
+def _streamed_estimates(sample, model: ModelSpec, dt: float, steps: int, n_paths: int,
+                        seed: int, store_every: int, bins: int, autocorrelation: bool,
+                        fit_window: Optional[Tuple[float, float]] = None
+                        ) -> Tuple[Optional[HistogramResult], Optional[DecayFit]]:
+    """``stationary_histogram(ens, bins)``, on a 1-dimensional domain, and with
+    ``autocorrelation`` ``autocorrelation_decay(ens, fit_window=fit_window)``
+    of the ensemble ``ens`` that ``simulate_sde`` would store, bit for bit,
+    without holding it; ``None`` for an estimate not made.
+
+    ``sample`` is ``simulate_sde``, called once per block of ``_path_block``
+    paths with the block's start positions and one shared ``SeedSequence``;
+    only the first call may warn.  Each block is wrapped once, in place, its
+    counts and power sums are added to running totals, and it is dropped
+    before the next is sampled.  Every input the estimators would refuse is
+    refused before the first step.
+    """
+    _check_sampler(dt, steps, n_paths, seed, store_every)
+    periods = tuple(float(L) for L in model.mesh.lengths)
+    dim, n_stored = len(periods), steps // store_every + 1
+    start = int(np.ceil(_BURN_IN_FRACTION * n_stored))
+    if dim == 1:
+        _check_histogram(dim, bins, n_paths * (n_stored - start))
+        counts = np.zeros(bins, dtype=np.intp)
+    observable = _first_harmonic(periods) if autocorrelation else None
+    power = means = None
+
+    initial = _default_initial(n_paths, periods)
+    seeds = np.random.SeedSequence(seed)  # each call spawns the next paths' streams
+    block = _path_block(n_stored, dim)
+    for lo in range(0, n_paths, block):
+        with warnings.catch_warnings():
+            if lo:  # the first block has warned for the ensemble
+                warnings.simplefilter("ignore", StabilityWarning)
+            # the block's time-major store, (n_stored, paths, dim)
+            states = sample(model, dt=dt, steps=steps, n_paths=min(block, n_paths - lo),
+                            seed=seeds, store_every=store_every,
+                            initial=initial[lo:lo + block]).states.transpose(1, 0, 2)
+        if dim == 1:  # the estimators read 1-dimensional ensembles only
+            step = max(1, _HISTOGRAM_BLOCK // states.shape[1])
+            for t in range(0, n_stored, step):
+                _wrap(states[t:t + step], periods, out=states[t:t + step])
+            edges = _add_counts(counts, states[start:, :, 0], periods[0])
+            if observable is not None:
+                if power is None:  # after the first store: a store too large is refused first
+                    power = np.zeros(_fft_length(n_stored))
+                    means = np.empty(n_paths, dtype=complex)
+                means[lo:lo + block] = _add_power(power, states.transpose(1, 0, 2), observable)
+        del states  # the next block's store is allocated after this one is freed
+
+    hist = HistogramResult(edges, counts, n_paths * (n_stored - start)) if dim == 1 else None
+    if observable is None:
+        return hist, None
+    corr = _autocovariance(power, n_paths, n_stored)
+    return hist, _fit_decay(corr, means, dt * store_every, fit_window)

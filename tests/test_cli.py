@@ -596,6 +596,16 @@ def test_cli_unallocatable_path_store_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: cannot store")
 
 
+def test_cli_path_block_past_int64_exits_3(tmp_path, capsys):
+    # 10^21 steps with the autocovariance: the FFT length and the path block
+    # are sized in Python integers, and the one-path store is refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(double_well_dict(
+        ["simulate"], simulate={"steps": 10**21, "n_paths": 10**6, "autocorrelation": True})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: cannot store 1 paths")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,13 +1,15 @@
 """Path sampling and its moment / histogram / autocovariance diagnostics."""
 
 import hashlib
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import flowspec as fs
-from flowspec import trajectories
+from flowspec import reporting, trajectories
 
 
 def drive_model(a=1.0, eps=0.2, n=64):
@@ -35,6 +37,19 @@ def test_path_streams_are_independent_of_ensemble_size():
     big = fs.simulate_sde(model, dt=0.01, steps=200, n_paths=32, seed=9,
                           initial=init)
     np.testing.assert_array_equal(small.positions[0], big.positions[0])
+
+
+def test_a_shared_seed_sequence_samples_consecutive_paths():
+    # calls sharing one SeedSequence spawn its next children: two blocks are
+    # the whole ensemble of the integer seed, bit for bit
+    model = drive_model()
+    init = trajectories._default_initial(30, (2 * np.pi,))
+    whole = fs.simulate_sde(model, dt=0.01, steps=200, n_paths=30, seed=9, initial=init)
+    seeds = np.random.SeedSequence(9)
+    parts = [fs.simulate_sde(model, dt=0.01, steps=200, n_paths=hi - lo, seed=seeds,
+                             initial=init[lo:hi]) for lo, hi in ((0, 12), (12, 30))]
+    np.testing.assert_array_equal(np.concatenate([p.states for p in parts]), whole.states)
+    assert [p.seed for p in parts] == [9, 9]
 
 
 def test_unwrapped_is_the_store():
@@ -208,28 +223,123 @@ def test_histogram_adds_at_most_its_block_budget():
     assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
 
 
-def test_simulate_run_holds_one_float64_store(tmp_path):
-    # the run holds the float64 store of 400 x 2001 states and at most the
-    # stated budgets of the noise buffer, the histogram block and the
-    # autocovariance blocks
+DOUBLE_WELL = {"name": "langevin_double_well_circle",
+               "params": {"depth": 1.0, "epsilon": 0.2, "n": 64}}
+TORUS = {"name": "torus_shear_model", "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}}
+
+
+def test_simulate_run_holds_one_float64_store(tmp_path, monkeypatch):
+    # 200-path blocks (25 autocovariance blocks of 8 paths) of 1001 states:
+    # the run holds the float64 store of one block and, one at a time, the
+    # block's noise buffer, the wrap block and the autocovariance blocks,
+    # whatever the ensemble size
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 8 * 2048)
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 200 * 1001)
+    assert trajectories._path_block(1001, 1) == 200
+    block = 200 * 1001 * 8
+    budgets = (1000 * 200 * 8, 64 * trajectories._HISTOGRAM_BLOCK,
+               48 * trajectories._FFT_BLOCK_SCALARS)
+    peaks = {}
+    for n_paths in (400, 1600):
+        cfg = fs.RunConfig.from_dict({
+            "model": DOUBLE_WELL, "tasks": ["simulate"],
+            "simulate": {"dt": 0.005, "steps": 1000, "n_paths": n_paths, "seed": 1,
+                         "autocorrelation": True}})
+        tracemalloc.start()
+        try:
+            r = fs.run(cfg, out_dir=tmp_path).data["results"]["simulate"]
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r["autocorrelation"]["rate"] > 0, r
+        assert r["histogram"]["n_samples"] == n_paths * 800, r
+        assert peaks[n_paths] <= 1.1 * (block + max(budgets)), peaks
+    # the whole store of 1600 paths would be 11.2 MB more than one block
+    assert peaks[1600] <= 1.1 * peaks[400], peaks
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_streamed_run_reports_what_the_stored_ensemble_gives(tmp_path, monkeypatch,
+                                                             store_every):
+    # 4-path autocovariance blocks, 12-path sampler blocks: 70 paths are five
+    # whole blocks and a short one of 10
+    steps, n_paths = 700, 70
+    n_stored = steps // store_every + 1
+    nfft = trajectories._fft_length(n_stored)
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 4 * nfft)
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 12 * n_stored)
+    sampled, stores = [], []
+
+    def recording(*args, **kwargs):
+        # each block's store is freed before the next block is sampled
+        assert all(store() is None for store in stores)
+        sampled.append(kwargs["n_paths"])
+        ens = fs.simulate_sde(*args, **kwargs)
+        stores.append(weakref.ref(ens.states.base))
+        return ens
+
+    monkeypatch.setattr(reporting, "simulate_sde", recording)
+    sim = {"dt": 0.01, "steps": steps, "n_paths": n_paths, "seed": 4,
+           "store_every": store_every, "bins": 24, "autocorrelation": True}
+    model = drive_model()
+    cfg = fs.RunConfig.from_dict({"model": {"name": model.name, "params": model.params},
+                                  "tasks": ["simulate"], "simulate": sim})
+    fs.run(cfg, out_dir=tmp_path / "run")
+    assert sampled == [12] * 5 + [10]
+
+    ens = fs.simulate_sde(model, dt=0.01, steps=steps, n_paths=n_paths, seed=4,
+                          store_every=store_every)
+    hist = fs.stationary_histogram(ens, bins=24)
+    fit = fs.autocorrelation_decay(ens)
+    expected = {
+        "dt": 0.01, "steps": steps, "n_paths": n_paths, "seed": 4, "store_every": store_every,
+        "histogram": {"bins": 24, "n_samples": hist.n_samples, "csv": "histogram.csv",
+                      "tv_distance_to_oracle": fs.tv_distance_to_density(hist, model.density)},
+        "autocorrelation": {"rate": fit.rate, "frequency": fit.frequency,
+                            "window": list(fit.window), "n_lags": fit.n_lags},
+    }
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["results"]["simulate"] == json.loads(fs.canonical_json(expected))
+    reporting._write_csv(tmp_path / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
+                         [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
+    assert ((tmp_path / "run" / "histogram.csv").read_bytes()
+            == (tmp_path / "histogram.csv").read_bytes())
+
+
+def test_a_streamed_run_warns_once(tmp_path, monkeypatch):
+    # 16-path blocks of a coarse-step ensemble: four calls of the sampler
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 512)
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 16 * 201)
     cfg = fs.RunConfig.from_dict({
-        "model": {"name": "langevin_double_well_circle",
-                  "params": {"depth": 1.0, "epsilon": 0.2, "n": 64}},
+        "model": {"name": "constant_drive_circle",
+                  "params": {"a": 4.0, "epsilon": 0.05, "n": 16}},
         "tasks": ["simulate"],
-        "simulate": {"dt": 0.005, "steps": 2000, "n_paths": 400, "seed": 1,
-                     "autocorrelation": True}})
-    tracemalloc.start()
-    try:
-        r = fs.run(cfg, out_dir=tmp_path).data["results"]["simulate"]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    store = 400 * 2001 * 8
-    budgets = (8 * trajectories._CHUNK_SCALARS + 64 * trajectories._HISTOGRAM_BLOCK
-               + 48 * trajectories._FFT_BLOCK_SCALARS)
-    assert r["autocorrelation"]["rate"] > 0, r
-    assert r["histogram"]["n_samples"] == 400 * 1600, r
-    assert peak <= 1.1 * (store + budgets), f"peak {peak / 1e6:.1f} MB"
+        "simulate": {"dt": 0.05, "steps": 200, "n_paths": 64, "seed": 0}})
+    fs.run(cfg, out_dir=tmp_path)
+    warned = json.loads((tmp_path / "report.json").read_text())["warnings"]
+    assert [w.split(":")[0] for w in warned] == ["StabilityWarning"], warned
+
+
+@pytest.mark.parametrize("spec, simulate, error, match", [
+    (DOUBLE_WELL, {"bins": 1}, fs.ValidationError, "at least 2 bins"),
+    (DOUBLE_WELL, {"steps": 50, "n_paths": 10}, fs.InsufficientSamplesError, "samples"),
+    (TORUS, {"autocorrelation": True}, fs.ValidationError, "default observable"),
+], ids=["one-bin", "few-samples", "torus-default-observable"])
+def test_a_run_refuses_what_the_estimators_refuse_before_any_step(
+        tmp_path, monkeypatch, spec, simulate, error, match):
+    from dataclasses import replace
+
+    def no_drift(x):
+        raise AssertionError("integrated a path")
+
+    resolve = reporting._resolve_model
+    monkeypatch.setattr(reporting, "_resolve_model",
+                        lambda config: replace(resolve(config), drift=no_drift))
+    cfg = fs.RunConfig.from_dict({
+        "model": spec, "tasks": ["simulate"],
+        "simulate": {"dt": 0.005, "steps": 2000, "n_paths": 400, "seed": 1, **simulate}})
+    with pytest.raises(error, match=match):
+        fs.run(cfg, out_dir=tmp_path)
 
 
 def test_histogram_matches_gradient_flow_density():
