@@ -12,36 +12,31 @@ one reused, time-major noise buffer of at most ``_CHUNK_SCALARS`` doubles);
 from it (``turns = floor(s / periods)``), by the estimators one block at a
 time.
 
-Estimators, each holding at most its block budget beside the store:
+One block loop (``_estimates``) makes every estimate, each holding at most
+its block budget beside the store.  It reads blocks of ``_path_block`` paths
+of a time-major unwrapped store, whole autocovariance blocks each, and adds
+their totals in block order, so the block size changes no bit:
 
-* ``stationary_histogram``   — occupation density after a 20% burn-in; it
-  wraps and counts about ``_HISTOGRAM_BLOCK`` samples at a time, with at
-  most 64 bytes of temporaries per block sample (4.2 MB);
+* ``stationary_histogram``   — occupation density after a 20% burn-in,
+  counted about ``_HISTOGRAM_BLOCK`` samples at a time, each slab wrapped
+  into a temporary (at most 64 bytes per slab sample, 4.2 MB);
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
-  of the evolution operator seen from sample paths); it streams over blocks
-  of whole paths, wrapped inside each block, so its memory scales with one
-  block, not the ensemble: at most 48 bytes per scalar of the
-  ``_FFT_BLOCK_SCALARS`` budget (24 MB) for the default observable, while
-  one path's FFT fits in half the budget.
-  A fixed pool of two worker threads (``_WORKERS``, not a setting) computes
-  the blocks, each on half the block budget, so the two in flight hold
-  about what one full block would; the main thread adds their partial sums
-  in block order, so the result does not depend on thread timing or the
-  host's core count.  A custom ``observable`` is therefore called from
-  worker threads.
+  of the evolution operator seen from sample paths); its FFTs run over
+  wrapped copies of ``_fft_block`` whole paths: at most 48 bytes per scalar
+  of the ``_FFT_BLOCK_SCALARS`` budget (24 MB) for the default observable,
+  while one path's FFT fits in half the budget.  A fixed pool of two worker
+  threads (``_WORKERS``, not a setting) computes them, each on half the
+  budget; the main thread adds their partial sums in block order, so the
+  result does not depend on thread timing or the host's core count.  A
+  custom ``observable`` is therefore called from worker threads.
 
-Both run on per-block kernels (``_add_counts``, ``_add_power``) and one
-decay fit (``_fit_decay``).  ``simulate_sde`` still stores the whole
-ensemble; a run's ``simulate`` task does not.  It streams path blocks
-(``_streamed_estimates``): blocks of ``_path_block`` paths, a
-``_PATH_BLOCK_SCALARS`` budget of stored states in whole autocovariance
-blocks, each sampled by a ``simulate_sde`` call that spawns the next
-children of one shared ``SeedSequence``.  Each block is wrapped once, in
-place, its counts and power sums go into running totals, and it is dropped
-before the next; the totals are added in the order the whole ensemble would
-add them, so a run reports what the library calls give on the stored
-ensemble, bit for bit, and its memory does not grow with the path count.
+Both hand the loop views of the stored ensemble, which it never writes.  A
+run's ``simulate`` task (``_streamed_estimates``) hands it a sampler
+instead: each block is one ``simulate_sde`` call that spawns the next
+children of one shared ``SeedSequence``, freed before the next is read.  So
+a run reports what the library calls give on the stored ensemble, bit for
+bit, and its memory does not grow with the path count.
 
 Moments such as the mean squared displacement are array reductions of
 ``TrajectoryEnsemble.unwrapped()``, which is the store itself.
@@ -86,11 +81,10 @@ _WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release t
 _PATH_BLOCK_SCALARS = 4_000_000  # stored states of one streamed path block (doubles)
 
 
-def _wrap(states: np.ndarray, periods: Tuple[float, ...],
-          out: Optional[np.ndarray] = None) -> np.ndarray:
+def _wrap(states: np.ndarray, periods: Tuple[float, ...]) -> np.ndarray:
     """Positions in [0, period) of unwrapped states, ``s - floor(s / L) * L``."""
     periods_arr = np.asarray(periods)
-    return np.subtract(states, np.floor(states / periods_arr) * periods_arr, out=out)
+    return states - np.floor(states / periods_arr) * periods_arr
 
 
 @dataclass(frozen=True)
@@ -140,12 +134,15 @@ class TrajectoryEnsemble:
 
 def _default_initial(n_paths: int, periods: Tuple[float, ...]) -> np.ndarray:
     """Deterministic uniform spread (golden-ratio stagger on extra axes)."""
-    dim = len(periods)
-    u = (np.arange(n_paths) + 0.5) / n_paths
+    try:
+        index = np.arange(n_paths)
+    except (ValueError, MemoryError) as exc:
+        raise CapacityError(f"cannot store {n_paths} start positions: {exc}") from exc
+    u = (index + 0.5) / n_paths
     cols = [u * periods[0]]
     golden = 0.6180339887498949
-    for axis in range(1, dim):
-        cols.append(((u + axis * golden * np.arange(n_paths)) % 1.0) * periods[axis])
+    for axis in range(1, len(periods)):
+        cols.append(((u + axis * golden * index) % 1.0) * periods[axis])
     return np.column_stack(cols)
 
 
@@ -160,12 +157,12 @@ def _check_sampler(dt: float, steps: int, n_paths: int, seed, store_every: int) 
         )
 
 
-def _path_block(n_stored: int, dim: int) -> int:
-    """Paths per streamed block: the ``_PATH_BLOCK_SCALARS`` budget of stored
-    states, in whole autocovariance blocks so that the power sums of a
-    streamed ensemble are added in the order of the whole one."""
-    fft_block = _fft_block(_fft_length(n_stored))
-    return max(1, _PATH_BLOCK_SCALARS // (n_stored * dim) // fft_block) * fft_block
+def _path_block(t_len: int, dim: int) -> int:
+    """Paths per block of the estimator loop: the ``_PATH_BLOCK_SCALARS``
+    budget of states, in whole autocovariance blocks of ``t_len``-state
+    series, so that any block size adds the power sums in one order."""
+    fft_block = _fft_block(_fft_length(t_len))
+    return max(1, _PATH_BLOCK_SCALARS // (t_len * dim) // fft_block) * fft_block
 
 
 def simulate_sde(
@@ -197,8 +194,9 @@ def simulate_sde(
         uniform spread over the domain.
 
     A stability warning is emitted when dt exceeds the heuristic threshold
-    0.1 * eps / max|A|^2 for the drift-dominated regime.  A path store that
-    numpy refuses to allocate raises the capacity error before any step.
+    0.1 * eps / max|A|^2 for the drift-dominated regime.  A path store or
+    default start positions that numpy refuses to allocate raise the
+    capacity error before any step.
     """
     _check_sampler(dt, steps, n_paths, seed, store_every)
     if not isinstance(seed, np.random.SeedSequence):
@@ -284,25 +282,6 @@ class HistogramResult:
         return self.counts / (self.n_samples * width)
 
 
-def _check_histogram(dim: int, bins: int, n_samples: int) -> None:
-    if dim != 1:
-        raise UnsupportedMeshError("occupation histograms are 1-dimensional")
-    if bins < 2:
-        raise ValidationError(f"need at least 2 bins, got {bins}")
-    if n_samples < _MIN_HISTOGRAM_SAMPLES:
-        raise InsufficientSamplesError(
-            f"{n_samples} samples after burn-in; at least "
-            f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
-        )
-
-
-def _add_counts(counts: np.ndarray, wrapped: np.ndarray, period: float) -> np.ndarray:
-    """Add the occupation counts of wrapped samples to ``counts``; returns the bin edges."""
-    part, edges = np.histogram(wrapped, bins=len(counts), range=(0.0, period))
-    counts += part
-    return edges
-
-
 def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> HistogramResult:
     """Normalized occupation histogram after discarding the first 20%.
 
@@ -310,17 +289,9 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
     The stored rows are wrapped and counted about ``_HISTOGRAM_BLOCK``
     samples at a time, and the integer counts summed.
     """
-    start = int(np.ceil(_BURN_IN_FRACTION * ensemble.n_stored))
-    _check_histogram(ensemble.states.shape[2], bins,
-                     ensemble.n_paths * (ensemble.n_stored - start))
-    # time-major rows: views of the store, in memory order
-    rows = ensemble.states[:, start:, 0].T
-    step = max(1, _HISTOGRAM_BLOCK // ensemble.n_paths)
-    counts = np.zeros(bins, dtype=np.intp)
-    for lo in range(0, len(rows), step):
-        edges = _add_counts(counts, _wrap(rows[lo:lo + step], ensemble.periods),
-                            ensemble.periods[0])
-    return HistogramResult(edges, counts, int(rows.size))
+    hist, _ = _estimates(_stored_blocks(ensemble), ensemble.n_paths, ensemble.n_stored,
+                         ensemble.periods, bins=bins)
+    return hist
 
 
 def tv_distance_to_density(hist: HistogramResult,
@@ -407,20 +378,6 @@ def _add_power(power: np.ndarray, positions: np.ndarray, observable) -> np.ndarr
     return means
 
 
-def _autocovariance(power: np.ndarray, n_paths: int, t_len: int) -> np.ndarray:
-    """Path-averaged C(tau), tau < T, from the summed power spectra of ``n_paths`` paths."""
-    # path mean of sum_t O(t+tau) O*(t), normalized by the overlap count
-    return np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
-
-
-def _ensemble_autocovariance(positions: np.ndarray, observable):
-    """Path-averaged C(tau), tau < T, and per-path means for (paths, T, dim) positions."""
-    n_paths, t_len = positions.shape[:2]
-    power = np.zeros(_fft_length(t_len))
-    means = _add_power(power, positions, observable)
-    return _autocovariance(power, n_paths, t_len), means
-
-
 def _fit_decay(corr: np.ndarray, means: np.ndarray, dt_s: float,
                fit_window: Optional[Tuple[float, float]]) -> DecayFit:
     """Fit rate and frequency to C(tau) at lag spacing ``dt_s`` (see
@@ -485,16 +442,74 @@ def autocorrelation_decay(
         raise ValidationError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
     # keep one sample, so that a burn-in near 1 fails as a too-short window
     start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
-    # each block of unwrapped states is wrapped just before the observable sees it
-    corr, means = _ensemble_autocovariance(
-        ensemble.states[:, start:, :],
-        lambda states: observable(_wrap(states, ensemble.periods)))
-    return _fit_decay(corr, means, ensemble.dt * ensemble.store_every, fit_window)
+    _, fit = _estimates(_stored_blocks(ensemble), ensemble.n_paths, ensemble.n_stored,
+                        ensemble.periods, observable=observable, acf_start=start,
+                        dt_s=ensemble.dt * ensemble.store_every, fit_window=fit_window)
+    return fit
 
 
-# ----------------------------------------------------------------------
-# a run's estimates, streamed over path blocks
-# ----------------------------------------------------------------------
+def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored: int,
+               periods: Tuple[float, ...], bins: Optional[int] = None,
+               observable: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+               acf_start: int = 0, dt_s: float = 0.0,
+               fit_window: Optional[Tuple[float, float]] = None
+               ) -> Tuple[Optional[HistogramResult], Optional[DecayFit]]:
+    """The histogram of ``bins`` bins after the burn-in and the decay fit of
+    ``observable`` from state ``acf_start`` on, of ``n_paths`` paths of
+    ``n_stored`` states; ``None`` for an estimate not asked for.
+
+    ``blocks(lo, m)`` gives the time-major unwrapped store (n_stored, m, dim)
+    of paths ``lo..lo+m``; each block is read once, never written, and freed
+    before the next.  Every refusal comes before the first block is read.
+    """
+    dim, t_len = len(periods), n_stored - acf_start
+    start = int(np.ceil(_BURN_IN_FRACTION * n_stored))
+    n_samples = n_paths * (n_stored - start)
+    if bins is not None:
+        if dim != 1:
+            raise UnsupportedMeshError("occupation histograms are 1-dimensional")
+        if bins < 2:
+            raise ValidationError(f"need at least 2 bins, got {bins}")
+        if n_samples < _MIN_HISTOGRAM_SAMPLES:
+            raise InsufficientSamplesError(
+                f"{n_samples} samples after burn-in; at least "
+                f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
+            )
+        counts = np.zeros(bins, dtype=np.intp)
+    power = means = None
+
+    block = _path_block(t_len, dim)
+    for lo in range(0, n_paths, block):
+        states = blocks(lo, min(block, n_paths - lo))
+        if bins is not None:
+            step = max(1, _HISTOGRAM_BLOCK // states.shape[1])
+            for t in range(start, n_stored, step):
+                part, edges = np.histogram(_wrap(states[t:t + step, :, 0], periods),
+                                           bins=bins, range=(0.0, periods[0]))
+                counts += part
+        if observable is not None:
+            if power is None:  # after the first store: a store too large is refused first
+                power = np.zeros(_fft_length(t_len))
+                means = np.empty(n_paths, dtype=complex)
+            # the observable sees wrapped copies of whole paths
+            means[lo:lo + block] = _add_power(
+                power, states[acf_start:].transpose(1, 0, 2),
+                lambda paths: observable(_wrap(paths, periods)))
+        del states  # a sampled block is freed before the next is read
+
+    hist = HistogramResult(edges, counts, n_samples) if bins is not None else None
+    if observable is None:
+        return hist, None
+    # path mean of sum_t O(t+tau) O*(t), tau < T, normalized by the overlap count
+    corr = np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
+    return hist, _fit_decay(corr, means, dt_s, fit_window)
+
+
+def _stored_blocks(ensemble: TrajectoryEnsemble) -> Callable[[int, int], np.ndarray]:
+    """Path blocks of a stored ensemble: views of its time-major store."""
+    store = ensemble.states.transpose(1, 0, 2)
+    return lambda lo, m: store[:, lo:lo + m]
+
 
 def _streamed_estimates(sample, model: ModelSpec, dt: float, steps: int, n_paths: int,
                         seed: int, store_every: int, bins: int, autocorrelation: bool,
@@ -505,48 +520,25 @@ def _streamed_estimates(sample, model: ModelSpec, dt: float, steps: int, n_paths
     of the ensemble ``ens`` that ``simulate_sde`` would store, bit for bit,
     without holding it; ``None`` for an estimate not made.
 
-    ``sample`` is ``simulate_sde``, called once per block of ``_path_block``
-    paths with the block's start positions and one shared ``SeedSequence``;
-    only the first call may warn.  Each block is wrapped once, in place, its
-    counts and power sums are added to running totals, and it is dropped
-    before the next is sampled.  Every input the estimators would refuse is
-    refused before the first step.
+    ``sample`` is ``simulate_sde``, called once per block of the estimator
+    loop with the block's start positions and one shared ``SeedSequence``;
+    only the first call may warn.  Every refusal comes before the first step.
     """
     _check_sampler(dt, steps, n_paths, seed, store_every)
     periods = tuple(float(L) for L in model.mesh.lengths)
-    dim, n_stored = len(periods), steps // store_every + 1
-    start = int(np.ceil(_BURN_IN_FRACTION * n_stored))
-    if dim == 1:
-        _check_histogram(dim, bins, n_paths * (n_stored - start))
-        counts = np.zeros(bins, dtype=np.intp)
     observable = _first_harmonic(periods) if autocorrelation else None
-    power = means = None
-
     initial = _default_initial(n_paths, periods)
     seeds = np.random.SeedSequence(seed)  # each call spawns the next paths' streams
-    block = _path_block(n_stored, dim)
-    for lo in range(0, n_paths, block):
+
+    def blocks(lo, m):
         with warnings.catch_warnings():
             if lo:  # the first block has warned for the ensemble
                 warnings.simplefilter("ignore", StabilityWarning)
-            # the block's time-major store, (n_stored, paths, dim)
-            states = sample(model, dt=dt, steps=steps, n_paths=min(block, n_paths - lo),
-                            seed=seeds, store_every=store_every,
-                            initial=initial[lo:lo + block]).states.transpose(1, 0, 2)
-        if dim == 1:  # the estimators read 1-dimensional ensembles only
-            step = max(1, _HISTOGRAM_BLOCK // states.shape[1])
-            for t in range(0, n_stored, step):
-                _wrap(states[t:t + step], periods, out=states[t:t + step])
-            edges = _add_counts(counts, states[start:, :, 0], periods[0])
-            if observable is not None:
-                if power is None:  # after the first store: a store too large is refused first
-                    power = np.zeros(_fft_length(n_stored))
-                    means = np.empty(n_paths, dtype=complex)
-                means[lo:lo + block] = _add_power(power, states.transpose(1, 0, 2), observable)
-        del states  # the next block's store is allocated after this one is freed
+            return sample(model, dt=dt, steps=steps, n_paths=m, seed=seeds,
+                          store_every=store_every,
+                          initial=initial[lo:lo + m]).states.transpose(1, 0, 2)
 
-    hist = HistogramResult(edges, counts, n_paths * (n_stored - start)) if dim == 1 else None
-    if observable is None:
-        return hist, None
-    corr = _autocovariance(power, n_paths, n_stored)
-    return hist, _fit_decay(corr, means, dt * store_every, fit_window)
+    # the estimators read 1-dimensional ensembles only
+    return _estimates(blocks, n_paths, steps // store_every + 1, periods,
+                      bins=bins if len(periods) == 1 else None, observable=observable,
+                      dt_s=dt * store_every, fit_window=fit_window)

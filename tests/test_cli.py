@@ -596,6 +596,14 @@ def test_cli_unallocatable_path_store_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: cannot store")
 
 
+def test_cli_unallocatable_start_positions_exit_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(double_well_dict(["simulate"], simulate={"n_paths": 10**20})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: cannot store 10")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_path_block_past_int64_exits_3(tmp_path, capsys):
     # 10^21 steps with the autocovariance: the FFT length and the path block
     # are sized in Python integers, and the one-path store is refused

@@ -201,6 +201,16 @@ def test_unallocatable_path_store_is_a_capacity_error():
         fs.simulate_sde(model, dt=0.01, steps=10**15, n_paths=10**6, seed=0)
 
 
+def test_unallocatable_start_positions_are_a_capacity_error():
+    # numpy refuses to index 1e20 paths; no stream may be spawned
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("spawned the path streams")
+
+    with pytest.raises(fs.CapacityError, match="start positions"):
+        fs.simulate_sde(drive_model(), dt=0.01, steps=10, n_paths=10**20, seed=NoSpawn(0))
+
+
 def test_histogram_needs_enough_samples():
     model = drive_model()
     ens = fs.simulate_sde(model, dt=0.01, steps=50, n_paths=10, seed=2)
@@ -304,6 +314,33 @@ def test_streamed_run_reports_what_the_stored_ensemble_gives(tmp_path, monkeypat
                          [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
     assert ((tmp_path / "run" / "histogram.csv").read_bytes()
             == (tmp_path / "histogram.csv").read_bytes())
+
+
+def test_library_estimators_read_the_store_and_ignore_the_block_size(monkeypatch):
+    # 4-path autocovariance blocks of the 490 states after a 30% burn-in; a
+    # 14-path budget, rounded down to 12-path blocks of the loop, splits 70
+    # paths into five and a short one of 10, and the histogram's 8-path
+    # blocks into eight and a short one of 6
+    model = drive_model()
+    ens = fs.simulate_sde(model, dt=0.01, steps=700, n_paths=70, seed=4)
+    before = ens.states.tobytes()
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 4 * fft_length(490))
+
+    def estimates():
+        return (fs.stationary_histogram(ens, bins=24),
+                fs.autocorrelation_decay(ens, burn_in_fraction=0.3))
+
+    assert trajectories._path_block(490, 1) >= 70
+    hist, fit = estimates()
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 14 * 490)
+    assert trajectories._path_block(490, 1) == 12
+    assert trajectories._path_block(701, 1) == 8
+    split_hist, split_fit = estimates()
+    assert ens.states.tobytes() == before
+    np.testing.assert_array_equal(split_hist.counts, hist.counts)
+    np.testing.assert_array_equal(split_hist.bin_edges, hist.bin_edges)
+    assert split_hist.n_samples == hist.n_samples
+    assert split_fit == fit
 
 
 def test_a_streamed_run_warns_once(tmp_path, monkeypatch):
@@ -420,33 +457,49 @@ def fft_length(t_len):
     return 1 << int(np.ceil(np.log2(2 * t_len)))
 
 
-def assert_matches_whole_ensemble(positions, observable):
-    corr, means = trajectories._ensemble_autocovariance(positions, observable)
+def decay_inputs(monkeypatch, ens, **kwargs):
+    """The autocovariance and the per-path means that ``autocorrelation_decay``
+    hands its fit, and the fit."""
+    seen, fit_decay = [], trajectories._fit_decay
+
+    def spy(corr, means, *args):
+        seen.append((corr, means))
+        return fit_decay(corr, means, *args)
+
+    monkeypatch.setattr(trajectories, "_fit_decay", spy)
+    fit = fs.autocorrelation_decay(ens, **kwargs)
+    (corr, means), = seen
+    return corr, means, fit
+
+
+def assert_matches_whole_ensemble(monkeypatch, ens, observable, burn_in_fraction=0.0):
+    corr, means, fit = decay_inputs(monkeypatch, ens, observable=observable,
+                                    burn_in_fraction=burn_in_fraction)
+    start = int(np.ceil(burn_in_fraction * ens.n_stored))
     # the estimator hands the observable path-major copies; numpy's vector
     # loops for contiguous and strided arrays may differ in the last bit
-    series = observable(np.ascontiguousarray(positions))
+    series = observable(np.ascontiguousarray(ens.positions[:, start:, :]))
     oracle = whole_ensemble_autocovariance(series)
     np.testing.assert_allclose(corr, oracle, rtol=1e-12,
                                atol=1e-12 * abs(oracle[0]))
     np.testing.assert_array_equal(means, series.mean(axis=1))
-    return oracle
+    return oracle, fit
 
 
-def test_streamed_autocovariance_matches_whole_ensemble():
+def test_streamed_autocovariance_matches_whole_ensemble(monkeypatch):
     model = drive_model(a=1.0, eps=0.2)
     ens = fs.simulate_sde(model, dt=0.01, steps=3000, n_paths=301, seed=17)
     start = int(np.ceil(0.2 * ens.n_stored))
-    positions = ens.positions[:, start:, :]
     # the default budget, shared by the blocks in flight, splits 301 paths
     # into unequal blocks
-    block = trajectories._FFT_BLOCK_SCALARS // fft_length(positions.shape[1]) // 2
+    block = trajectories._FFT_BLOCK_SCALARS // fft_length(ens.n_stored - start) // 2
     assert 1 < block < 301 and 301 % block != 0
 
     def first_harmonic(p):
         return np.exp(2j * np.pi * p[..., 0] / ens.periods[0])
 
-    oracle = assert_matches_whole_ensemble(positions, first_harmonic)
-    fit = fs.autocorrelation_decay(ens, burn_in_fraction=0.2)
+    oracle, fit = assert_matches_whole_ensemble(monkeypatch, ens, first_harmonic, 0.2)
+    assert fit == fs.autocorrelation_decay(ens, burn_in_fraction=0.2)
     assert fit.c0 == pytest.approx(abs(oracle[0]), rel=1e-12)
 
 
@@ -455,10 +508,13 @@ def test_streamed_autocovariance_on_the_torus(monkeypatch):
         "torus_shear_model", {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}
     )
     ens = fs.simulate_sde(model, dt=0.01, steps=400, n_paths=301, seed=8)
-    # a small budget: 64-path blocks, the last one of 45 paths
+    # a small budget: 64-path blocks of the loop, the last one of 45 paths,
+    # each two autocovariance blocks of 32 paths
     monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 64 * fft_length(401))
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 64 * 401 * 2)
+    assert trajectories._path_block(401, 2) == 64
     assert_matches_whole_ensemble(
-        ens.positions, lambda p: np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
+        monkeypatch, ens, lambda p: np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
     )
 
 
@@ -504,7 +560,7 @@ def test_pooled_autocovariance_equals_the_serial_block_sum(monkeypatch):
     def observable(p):
         return np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
 
-    corr, means = trajectories._ensemble_autocovariance(ens.positions, observable)
+    corr, means, _ = decay_inputs(monkeypatch, ens, observable=observable)
     ref_corr, ref_means = serial_autocovariance(ens.positions, observable)
     np.testing.assert_array_equal(corr, ref_corr)
     np.testing.assert_array_equal(means, ref_means)
