@@ -376,6 +376,12 @@ def _resolve_model(config: RunConfig) -> ModelSpec:
         model.rebuild_at(0.0)
     if "morse" in config.tasks and config.morse_epsilons:
         _scan_minima(model)  # a model the splitting scan refuses is refused before any file
+    if "simulate" in config.tasks:
+        if model.drift is None:
+            raise ValidationError("simulation needs a model with a closed-form drift")
+        if model.mesh.dimension != 1:  # the histogram and the default observable are 1-D
+            raise ValidationError("simulate reads the default observable of a 1-dimensional "
+                                  f"domain; this one is {model.mesh.dimension}-dimensional")
     return model
 
 
@@ -605,25 +611,22 @@ def _task_morse(state: _Levels, out_dir: Path) -> Dict:
 
 def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
     model = state.model
-    if model.drift is None:
-        raise ValidationError("simulation needs a model with a closed-form drift")
     sim = state.config.sim
     # sampled block by block through this module's simulate_sde, the name
     # that flowbench/tracing.py patches
     hist, fit = _streamed_estimates(simulate_sde, model, **sim)
     result = {k: sim[k] for k in ("dt", "steps", "n_paths", "seed", "store_every")}
-    if hist is not None:
-        result["histogram"] = {
-            "bins": len(hist.counts),
-            "n_samples": hist.n_samples,
-            "csv": "histogram.csv",
-        }
-        if model.density is not None:
-            result["histogram"]["tv_distance_to_oracle"] = tv_distance_to_density(
-                hist, model.density
-            )
-        _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
-                   [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
+    result["histogram"] = {
+        "bins": len(hist.counts),
+        "n_samples": hist.n_samples,
+        "csv": "histogram.csv",
+    }
+    if model.density is not None:
+        result["histogram"]["tv_distance_to_oracle"] = tv_distance_to_density(
+            hist, model.density
+        )
+    _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
+               [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
     if fit is not None:
         result["autocorrelation"] = {
             "rate": fit.rate,
@@ -721,6 +724,8 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
 
     Writes ``report.json`` (byte-stable) plus per-task CSVs into the output
     directory, and wall-clock timings into the ``timings.json`` sidecar.
+    The report lists each distinct warning once.  A model that a task cannot
+    run (``simulate`` needs a drift and a 1-dimensional domain) leaves no file.
     """
     model = _resolve_model(config)  # a refused model leaves no output directory
     out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
@@ -749,9 +754,7 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
         "config": config.raw,
         "model": {"name": model.name, "params": model.params},
         "results": results,
-        "warnings": sorted(
-            f"{w.category.__name__}: {w.message}" for w in caught
-        ),
+        "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
         "versions": {
             "package": __version__,
             "numpy": np.__version__,

@@ -784,9 +784,8 @@ def susy_pairing_check(report: SpectrumReport) -> PairingReport:
         for lam in vals[~used[k]]
     )
     multiset_equal: Optional[bool] = None
-    if report.dimension == 1:
-        a, b = by_degree
-        multiset_equal = len(a) == len(b) and bool(np.all(_match_nearest(a, b, atol)[0] >= 0))
+    if report.dimension == 1:  # the one degree pair's match bonded every value
+        multiset_equal = len(by_degree[0]) == len(by_degree[1]) == bonds[0][2]
     return PairingReport(tuple(bonds), unpaired, max_mismatch, multiset_equal)
 
 

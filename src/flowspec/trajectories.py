@@ -32,11 +32,11 @@ their totals in block order, so the block size changes no bit:
   custom ``observable`` is therefore called from worker threads.
 
 Both hand the loop views of the stored ensemble, which it never writes.  A
-run's ``simulate`` task (``_streamed_estimates``) hands it a sampler
-instead: each block is one ``simulate_sde`` call that spawns the next
-children of one shared ``SeedSequence``, freed before the next is read.  So
-a run reports what the library calls give on the stored ensemble, bit for
-bit, and its memory does not grow with the path count.
+1-dimensional run's ``simulate`` task (``_streamed_estimates``) hands it a
+sampler instead: each block is one ``simulate_sde`` call, which may warn,
+spawning the next children of one shared ``SeedSequence``, freed before the
+next is read.  So a run reports what the library calls give on the stored
+ensemble, bit for bit, and its memory does not grow with the path count.
 
 Moments such as the mean squared displacement are array reductions of
 ``TrajectoryEnsemble.unwrapped()``, which is the store itself.
@@ -378,6 +378,26 @@ def _add_power(power: np.ndarray, positions: np.ndarray, observable) -> np.ndarr
     return means
 
 
+def _lag_window(t_len: int, dt_s: float, fit_window: Optional[Tuple[float, float]],
+                mag: Optional[np.ndarray] = None) -> Tuple[int, int]:
+    """Lags [i_lo, i_hi) of the decay fit on a ``t_len``-lag series at lag
+    spacing ``dt_s``: ``fit_window`` (in time units), or from the first lag
+    until ``mag`` = |C| drops to a tenth of |C(0)|.  Refuses fewer than five."""
+    if fit_window is None:
+        below = np.nonzero(mag < 0.1 * mag[0])[0]
+        i_lo, i_hi = 1, int(below[0]) if len(below) else t_len // 2
+    else:
+        t_lo, t_hi = fit_window
+        # clamped to the series before int: a window past its end has no lag
+        i_lo = int(np.clip(np.ceil(t_lo / dt_s), 1, t_len))
+        i_hi = int(np.clip(np.floor(t_hi / dt_s), 0, t_len - 1))
+    if i_hi - i_lo < 5:
+        raise UnfittableDecayError(
+            f"fit window [{i_lo}, {i_hi}] leaves fewer than five lags"
+        )
+    return i_lo, i_hi
+
+
 def _fit_decay(corr: np.ndarray, means: np.ndarray, dt_s: float,
                fit_window: Optional[Tuple[float, float]]) -> DecayFit:
     """Fit rate and frequency to C(tau) at lag spacing ``dt_s`` (see
@@ -390,17 +410,7 @@ def _fit_decay(corr: np.ndarray, means: np.ndarray, dt_s: float,
     floor = float(np.abs(means).std() / np.sqrt(len(means)))
 
     mag = np.abs(corr)
-    if fit_window is None:
-        below = np.nonzero(mag < 0.1 * c0)[0]
-        i_lo, i_hi = 1, int(below[0]) if len(below) else len(corr) // 2
-    else:
-        t_lo, t_hi = fit_window
-        i_lo = max(1, int(np.ceil(t_lo / dt_s)))
-        i_hi = min(len(corr) - 1, int(np.floor(t_hi / dt_s)))
-    if i_hi - i_lo < 5:
-        raise UnfittableDecayError(
-            f"fit window [{i_lo}, {i_hi}] leaves fewer than five lags"
-        )
+    i_lo, i_hi = _lag_window(len(corr), dt_s, fit_window, mag)
     window_mag = mag[i_lo:i_hi]
     if np.median(window_mag) <= 3.0 * floor:
         raise UnfittableDecayError(
@@ -408,9 +418,11 @@ def _fit_decay(corr: np.ndarray, means: np.ndarray, dt_s: float,
             f"the ensemble noise floor {floor:.3g}"
         )
     lags = np.arange(i_lo, i_hi) * dt_s
-    rate = -np.polyfit(lags, np.log(window_mag), 1)[0]
-    phase = np.unwrap(np.angle(corr[i_lo:i_hi]))
-    frequency = -np.polyfit(lags, phase, 1)[0]
+    try:
+        rate = -np.polyfit(lags, np.log(window_mag), 1)[0]
+        frequency = -np.polyfit(lags, np.unwrap(np.angle(corr[i_lo:i_hi])), 1)[0]
+    except np.linalg.LinAlgError as exc:  # lags whose squares underflow to 0
+        raise UnfittableDecayError(f"cannot fit lags spaced {dt_s:.3g}: {exc}") from exc
     return DecayFit(float(rate), float(frequency), (float(lags[0]), float(lags[-1])),
                     int(i_hi - i_lo), c0)
 
@@ -444,26 +456,29 @@ def autocorrelation_decay(
     start = min(int(np.ceil(burn_in_fraction * ensemble.n_stored)), ensemble.n_stored - 1)
     _, fit = _estimates(_stored_blocks(ensemble), ensemble.n_paths, ensemble.n_stored,
                         ensemble.periods, observable=observable, acf_start=start,
-                        dt_s=ensemble.dt * ensemble.store_every, fit_window=fit_window)
+                        dt=ensemble.dt, store_every=ensemble.store_every,
+                        fit_window=fit_window)
     return fit
 
 
 def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored: int,
                periods: Tuple[float, ...], bins: Optional[int] = None,
                observable: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               acf_start: int = 0, dt_s: float = 0.0,
+               acf_start: int = 0, dt: float = 0.0, store_every: int = 1,
                fit_window: Optional[Tuple[float, float]] = None
                ) -> Tuple[Optional[HistogramResult], Optional[DecayFit]]:
     """The histogram of ``bins`` bins after the burn-in and the decay fit of
     ``observable`` from state ``acf_start`` on, of ``n_paths`` paths of
-    ``n_stored`` states; ``None`` for an estimate not asked for.
+    ``n_stored`` states stored every ``store_every`` steps of ``dt``; ``None``
+    for an estimate not asked for.
 
     ``blocks(lo, m)`` gives the time-major unwrapped store (n_stored, m, dim)
     of paths ``lo..lo+m``; each block is read once, never written, and freed
-    before the next.  Every refusal comes before the first block is read.
+    before the next.  Every refusal comes before the first block is read, and
+    counts stay integers until then.
     """
     dim, t_len = len(periods), n_stored - acf_start
-    start = int(np.ceil(_BURN_IN_FRACTION * n_stored))
+    start = -(-n_stored // round(1 / _BURN_IN_FRACTION))  # ceil(fraction * n_stored)
     n_samples = n_paths * (n_stored - start)
     if bins is not None:
         if dim != 1:
@@ -475,7 +490,12 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
                 f"{n_samples} samples after burn-in; at least "
                 f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
             )
-        counts = np.zeros(bins, dtype=np.intp)
+        try:
+            counts = np.zeros(bins, dtype=np.intp)
+        except (ValueError, MemoryError) as exc:
+            raise CapacityError(f"cannot store {bins} histogram bins: {exc}") from exc
+    if observable is not None and fit_window is not None:
+        _lag_window(t_len, dt * store_every, fit_window)
     power = means = None
 
     block = _path_block(t_len, dim)
@@ -502,7 +522,7 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
         return hist, None
     # path mean of sum_t O(t+tau) O*(t), tau < T, normalized by the overlap count
     corr = np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
-    return hist, _fit_decay(corr, means, dt_s, fit_window)
+    return hist, _fit_decay(corr, means, dt * store_every, fit_window)
 
 
 def _stored_blocks(ensemble: TrajectoryEnsemble) -> Callable[[int, int], np.ndarray]:
@@ -514,15 +534,15 @@ def _stored_blocks(ensemble: TrajectoryEnsemble) -> Callable[[int, int], np.ndar
 def _streamed_estimates(sample, model: ModelSpec, dt: float, steps: int, n_paths: int,
                         seed: int, store_every: int, bins: int, autocorrelation: bool,
                         fit_window: Optional[Tuple[float, float]] = None
-                        ) -> Tuple[Optional[HistogramResult], Optional[DecayFit]]:
-    """``stationary_histogram(ens, bins)``, on a 1-dimensional domain, and with
-    ``autocorrelation`` ``autocorrelation_decay(ens, fit_window=fit_window)``
-    of the ensemble ``ens`` that ``simulate_sde`` would store, bit for bit,
-    without holding it; ``None`` for an estimate not made.
+                        ) -> Tuple[HistogramResult, Optional[DecayFit]]:
+    """``stationary_histogram(ens, bins)`` and, with ``autocorrelation``,
+    ``autocorrelation_decay(ens, fit_window=fit_window)`` of the ensemble
+    ``ens`` that ``simulate_sde`` would store on the model's 1-dimensional
+    domain, bit for bit, without holding it; ``None`` for a fit not asked for.
 
     ``sample`` is ``simulate_sde``, called once per block of the estimator
-    loop with the block's start positions and one shared ``SeedSequence``;
-    only the first call may warn.  Every refusal comes before the first step.
+    loop with the block's start positions and one shared ``SeedSequence``.
+    Every refusal comes before the first step.
     """
     _check_sampler(dt, steps, n_paths, seed, store_every)
     periods = tuple(float(L) for L in model.mesh.lengths)
@@ -531,14 +551,9 @@ def _streamed_estimates(sample, model: ModelSpec, dt: float, steps: int, n_paths
     seeds = np.random.SeedSequence(seed)  # each call spawns the next paths' streams
 
     def blocks(lo, m):
-        with warnings.catch_warnings():
-            if lo:  # the first block has warned for the ensemble
-                warnings.simplefilter("ignore", StabilityWarning)
-            return sample(model, dt=dt, steps=steps, n_paths=m, seed=seeds,
-                          store_every=store_every,
-                          initial=initial[lo:lo + m]).states.transpose(1, 0, 2)
+        return sample(model, dt=dt, steps=steps, n_paths=m, seed=seeds, store_every=store_every,
+                      initial=initial[lo:lo + m]).states.transpose(1, 0, 2)
 
-    # the estimators read 1-dimensional ensembles only
-    return _estimates(blocks, n_paths, steps // store_every + 1, periods,
-                      bins=bins if len(periods) == 1 else None, observable=observable,
-                      dt_s=dt * store_every, fit_window=fit_window)
+    return _estimates(blocks, n_paths, steps // store_every + 1, periods, bins=bins,
+                      observable=observable, dt=dt, store_every=store_every,
+                      fit_window=fit_window)

@@ -614,6 +614,85 @@ def test_cli_path_block_past_int64_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: cannot store 1 paths")
 
 
+def _simulate_double_well(**simulate):
+    """A simulate run on the 32-cell double well: 40 paths x 2,000 steps."""
+    return {"model": {"name": "langevin_double_well_circle",
+                      "params": {"depth": 1.0, "epsilon": 0.2, "n": 32}},
+            "tasks": ["simulate"],
+            "simulate": {"dt": 0.005, "steps": 2000, "n_paths": 40, **simulate}}
+
+
+@pytest.fixture
+def no_step(monkeypatch):
+    """Makes every model that a run builds integrate no step: its drift raises."""
+    from dataclasses import replace
+
+    from flowspec import reporting
+
+    def no_drift(x):
+        raise AssertionError("integrated a path")
+
+    build = reporting.build_model
+    monkeypatch.setattr(reporting, "build_model",
+                        lambda name, params: replace(build(name, params), drift=no_drift))
+
+
+@pytest.mark.parametrize("simulate, code, message", [
+    ({"bins": 10**20}, 3, "numerical failure: cannot store 100000000000000000000 histogram bins"),
+    ({"steps": 10**400}, 3, "numerical failure: cannot store 1 paths"),
+    ({"store_every": 10**400}, 2, "error: 0 samples after burn-in"),
+    ({"autocorrelation": True, "fit_window": [1e307, 1e308]}, 3,
+     "numerical failure: fit window [2001, 2000] leaves fewer than five lags"),
+], ids=["bins", "steps", "store-every", "fit-window"])
+def test_cli_simulate_counts_past_the_float_range_exit_before_any_step(
+        tmp_path, capsys, no_step, simulate, code, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_simulate_double_well(**simulate)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_fit_window_is_clamped_to_the_series(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_simulate_double_well(autocorrelation=True, fit_window=[0, 1e308])))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["simulate"]
+    # every lag of the 2,001-state series but lag 0
+    assert result["autocorrelation"]["n_lags"] == 1999
+
+
+@pytest.mark.parametrize("autocorrelation", [False, True], ids=["plain", "autocorrelation"])
+def test_cli_simulate_on_a_torus_exits_2_before_any_file(tmp_path, capsys, no_step,
+                                                         autocorrelation):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"name": "torus_shear_model",
+                  "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}},
+        "tasks": ["simulate"],
+        "simulate": {"steps": 2000, "n_paths": 2000, "autocorrelation": autocorrelation}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "default observable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", [float("nan"), -0.1], ids=["nan", "negative"])
+def test_cli_sweep_level_that_is_not_a_noise_level_exits_2(tmp_path, capsys, level):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(tasks=["sweep"], sweep={"epsilons": [0.4, level]})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fs.canonical_json({"x": object()}),
+    lambda: fs.sweep_epsilon(fs.build_model("constant_drive_circle",
+                                            {"a": 1.0, "epsilon": 0.2, "n": 16}), []),
+], ids=["unserializable", "no-sweep-level"])
+def test_reporting_refuses_what_it_cannot_write(call):
+    with pytest.raises(fs.ValidationError):
+        call()
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -7,13 +7,25 @@ Python or numpy exception (exit 1 and a traceback).
 Grid sizes are drawn either small enough to build at once or too large for
 any user address space (more than 2**47 cells of 8 bytes), so no example
 can allocate a real amount of memory.
+
+The ``simulate`` phase runs through ``flowspec.cli.main``, which must exit
+0, 2 or 3.  Its sizes follow the same rule, counted in what a run stores: a
+path count, a bin count or a step count past 2**52 (a store past 2**47
+states at any drawn ``store_every``), or small enough that a whole run takes
+milliseconds.  ``store_every`` is small or 10**400, so that no drawn pair of
+huge counts leaves a short store of a long run.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from flowspec.cli import main  # noqa: E402
 from flowspec.exceptions import FlowspecError  # noqa: E402
 from flowspec.reporting import RunConfig, _resolve_model  # noqa: E402
 
@@ -99,3 +111,34 @@ def test_config_boundary_raises_only_flowspec_errors(config):
         _resolve_model(RunConfig.from_dict(config))
     except FlowspecError:
         pass
+
+
+def size(small):
+    """A count drawn small in half the draws, else past 2**52."""
+    return st.one_of(small, small, st.integers(2**52, 10**30), HUGE_INTS)
+
+
+SIMULATE = st.fixed_dictionaries(
+    {"steps": size(st.integers(-3, 2000)), "n_paths": size(st.integers(-3, 40))},
+    optional={
+        "dt": st.one_of(st.floats(1e-4, 0.05), REALS),
+        "seed": st.one_of(st.integers(-3, 10**6), HUGE_INTS),
+        "store_every": st.one_of(st.integers(-3, 24), HUGE_INTS),
+        "bins": size(st.integers(-3, 100)),
+        "autocorrelation": st.booleans(),
+        "fit_window": st.one_of(st.tuples(st.floats(0, 10), st.floats(10, 1e308)).map(list),
+                                st.lists(REALS, max_size=3)),
+    },
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(SIMULATE)
+def test_simulate_phase_exits_0_2_or_3(simulate):
+    config = {"model": {"name": "langevin_double_well_circle",
+                        "params": {"depth": 1.0, "epsilon": 0.2, "n": 32}},
+              "tasks": ["simulate"], "simulate": simulate}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)

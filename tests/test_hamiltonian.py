@@ -315,3 +315,10 @@ def test_hermitianization_rejects_torus_degree_one():
     h = fs.assemble_hamiltonian(mesh, fs.langevin_flow(mesh, w, noise), noise)
     assert [_diagonal_similarity(b) is not None for b in h.blocks] == [True, False, True]
     assert h.blocks[1].multiply(h.blocks[1].T).min() < 0
+
+
+
+def test_the_density_generator_refuses_the_deterministic_limit():
+    mesh = fs.build_circle_grid(16, 2 * np.pi)
+    with pytest.raises(fs.DeterministicLimitError):
+        fs.conventional_fp_operator(mesh, fs.zero_flow(mesh), fs.NoiseSpec(0.0))

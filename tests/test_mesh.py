@@ -1,6 +1,7 @@
 """Mesh complexes: counts, chain-complex exactness, duals, metric scaling."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -322,3 +323,36 @@ def test_circle_star_pair_is_inverse():
     s0 = fs.hodge_star(mesh, 0, noise)
     s1 = fs.hodge_star(mesh, 1, noise)
     np.testing.assert_allclose(s0 * s1, 1.0, rtol=1e-14)
+
+
+
+def _icosahedron(extra_face=None, squash=1.0):
+    verts, faces = fs.icosahedron()
+    if extra_face is not None:
+        faces = np.vstack([faces, [extra_face]])
+    return fs.build_triangulated_surface(verts * [1.0, 1.0, squash], faces)
+
+
+def _off_without_header(tmp_path):
+    path = tmp_path / "no-header.off"
+    path.write_text("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    return fs.load_off(path)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda tmp: fs.build_triangulated_surface(np.zeros((3, 2)), [[0, 1, 2]]),
+     fs.TopologyError),
+    (lambda tmp: fs.build_triangulated_surface(np.eye(3), [[0, 1]]), fs.TopologyError),
+    (lambda tmp: _icosahedron(extra_face=[0, 1, 12]), fs.TopologyError),
+    (lambda tmp: _icosahedron(extra_face=[0, 0, 1]), fs.TopologyError),
+    (lambda tmp: _icosahedron(squash=0.1), fs.GeometryWarning),
+    (lambda tmp: fs.icosphere(-1), ValueError),
+    (_off_without_header, fs.TopologyError),
+], ids=["vertices-not-3d", "faces-not-triples", "face-index-out-of-range",
+        "repeated-vertex", "not-well-centered", "negative-level", "off-without-header"])
+def test_malformed_surfaces_are_refused(tmp_path, build, error):
+    # a surface that is not well-centered only warns; the warning is raised here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fs.GeometryWarning)
+        with pytest.raises(error):
+            build(tmp_path)

@@ -339,3 +339,16 @@ def test_splitting_scan_needs_two_wells():
     )
     with pytest.raises(fs.NoInstantonError):
         fs.instanton_splitting_scan(single, [0.4, 0.2])
+
+
+@pytest.mark.parametrize("point, eps, error", [
+    (fs.CriticalPoint(np.zeros(1), np.zeros((1, 1)), False, fs.build_circle_grid(16, 2 * np.pi)),
+     0.2, fs.IndeterminateIndexError),
+    (fs.CriticalPoint(np.zeros(1), np.eye(1), True, fs.build_circle_grid(16, 2 * np.pi)),
+     0.0, fs.DeterministicLimitError),
+    (fs.CriticalPoint(np.zeros(3), -np.eye(3), True, fs.icosphere(0)),
+     0.2, fs.UnsupportedMeshError),
+], ids=["non-hyperbolic", "deterministic", "off-the-grid"])
+def test_one_loop_states_refuse_what_they_cannot_localize(point, eps, error):
+    with pytest.raises(error):
+        fs.one_loop_ground_state(point, fs.NoiseSpec(eps))

@@ -219,3 +219,38 @@ def test_tilt_clears_the_gradient_declaration():
     np.testing.assert_allclose(
         tilted.vertex_values - flow.vertex_values, 0.4, rtol=1e-14
     )
+
+
+def _sphere_flow():
+    mesh = fs.icosphere(0)
+    return mesh, fs.flow_from_vertex_samples(mesh, np.zeros((12, 3)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: fs.zero_flow(circle(8)).transverse_edge_values(circle(8)),
+     fs.UnsupportedMeshError),
+    (lambda: _sphere_flow()[1].tangential_edge_values(_sphere_flow()[0]),
+     fs.UnsupportedMeshError),
+    (lambda: fs.zero_flow(circle(8)).tangential_edge_values(circle(16)), ValueError),
+    (lambda: fs.langevin_flow(circle(8), np.zeros(7), fs.NoiseSpec(0.2)), ValueError),
+    (lambda: fs.langevin_flow(fs.icosphere(0), np.zeros(12), fs.NoiseSpec(0.2)),
+     fs.UnsupportedMeshError),
+    (lambda: fs.with_tilt(_sphere_flow()[1], [0.1, 0.0, 0.0]), fs.UnsupportedMeshError),
+    (lambda: fs.with_tilt(fs.zero_flow(circle(8)), [0.1, 0.2]), ValueError),
+], ids=["transverse-off-the-torus", "no-edge-samples", "other-mesh",
+        "potential-shape", "potential-off-the-grid", "tilt-off-the-grid", "tilt-shape"])
+def test_flow_fields_refuse_what_they_cannot_sample(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fs.inner_product_matrix(circle(8), 2, fs.NoiseSpec(0.2)),
+    lambda: fs.codifferential(circle(8), 0, fs.NoiseSpec(0.2)),
+    lambda: fs.codifferential(circle(8), 2, fs.NoiseSpec(0.2)),
+    lambda: fs.lie_derivative(circle(8), fs.zero_flow(circle(8)), -1),
+], ids=["inner-product", "codifferential-below-0", "codifferential-above-top",
+        "lie-derivative"])
+def test_operators_refuse_degrees_out_of_range(call):
+    with pytest.raises(fs.DegreeError):
+        call()

@@ -211,6 +211,51 @@ def test_unallocatable_start_positions_are_a_capacity_error():
         fs.simulate_sde(drive_model(), dt=0.01, steps=10, n_paths=10**20, seed=NoSpawn(0))
 
 
+def _double_well_32():
+    return fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": 32})
+
+
+@pytest.mark.parametrize("estimate, error, match", [
+    (lambda ens: fs.stationary_histogram(ens, bins=10**20), fs.CapacityError,
+     "cannot store 100000000000000000000 histogram bins"),
+    (lambda ens: fs.simulate_sde(_double_well_32(), dt=0.005, steps=10**400, n_paths=1, seed=0),
+     fs.CapacityError, "cannot store 1 paths"),
+    (lambda ens: fs.stationary_histogram(fs.simulate_sde(
+        _double_well_32(), dt=0.005, steps=10, n_paths=2, seed=0, store_every=10**400)),
+     fs.InsufficientSamplesError, "0 samples after burn-in"),
+    (lambda ens: fs.autocorrelation_decay(ens, fit_window=(1e307, 1e308)),
+     fs.UnfittableDecayError, "fewer than five lags"),
+], ids=["bins", "steps", "store-every", "fit-window"])
+def test_counts_past_the_float_range_are_refused(estimate, error, match):
+    ens = fs.simulate_sde(_double_well_32(), dt=0.005, steps=400, n_paths=40, seed=0)
+    with pytest.raises(error, match=match):
+        estimate(ens)
+
+
+def test_a_fit_window_past_the_series_is_clamped_to_it():
+    ens = fs.simulate_sde(_double_well_32(), dt=0.005, steps=2000, n_paths=40, seed=1)
+    whole = fs.autocorrelation_decay(ens, fit_window=(0.0, 2000 * 0.005))
+    assert fs.autocorrelation_decay(ens, fit_window=(0.0, 1e308)) == whole
+    assert whole.n_lags == 1999
+
+
+def test_a_window_below_the_noise_floor_is_unfittable():
+    # |C| has decayed to e^{-5} by t = 5, below three times the noise floor
+    model = drive_model(eps=2.0, n=16)
+    ens = fs.simulate_sde(model, dt=0.01, steps=2000, n_paths=50, seed=1, store_every=10)
+    with pytest.raises(fs.UnfittableDecayError, match="noise floor"):
+        fs.autocorrelation_decay(ens, fit_window=(5.0, 15.0))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_lags_too_fine_for_the_fit_are_unfittable():
+    # lags of 1e-300 time units: their squares underflow to 0, polyfit divides
+    # its lag column by that scale, and the least-squares solve then fails
+    ens = fs.simulate_sde(drive_model(), dt=1e-300, steps=200, n_paths=10, seed=0)
+    with pytest.raises(fs.UnfittableDecayError, match="cannot fit lags"):
+        fs.autocorrelation_decay(ens)
+
+
 def test_histogram_needs_enough_samples():
     model = drive_model()
     ens = fs.simulate_sde(model, dt=0.01, steps=50, n_paths=10, seed=2)
