@@ -50,7 +50,8 @@ _ORACLE_REL_TOL = 1e-10  # worst relative deviation a spectrum may show from its
 @dataclass(frozen=True)
 class ModelSpec:
     """A named system: mesh + flow + noise + continuum drift + oracle, if any;
-    ``oracle(backend, degree)`` is the expected eigenvalues of one block or ``None``."""
+    ``drift(x)`` returns the flow A at x (``simulate_sde`` steps along -A), and
+    ``oracle(backend, degree)`` the expected eigenvalues of one block or ``None``."""
 
     name: str
     params: Dict[str, float]

@@ -102,6 +102,7 @@ _SYMMETRY_TOL = 1e-10
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
 _INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
+_GRAM_CAP = 3000  # largest block whose residual reads the whole Gram matrix
 
 
 @dataclass(frozen=True)
@@ -596,7 +597,7 @@ def _biorthonormalize(w, vl, vr, radius):
         vr[:, i] = r / s
         vl[:, i] = vl[:, i] * np.conj(s)
 
-    if n <= 3000:
+    if n <= _GRAM_CAP:
         gram = vl.conj().T @ vr
         residuals = np.max(np.abs(gram - np.eye(n)), axis=1)
     else:  # cluster-local residual for very large blocks

@@ -1,35 +1,32 @@
 """Euler-Maruyama sampling of the underlying stochastic flow.
 
-The integrator marches ``phi <- phi - A(phi) dt + sqrt(eps dt) xi`` with
-independent standard-normal increments per path and step.  Every path owns a
+The integrator marches ``phi <- phi - A(phi) dt + sqrt(eps dt) xi``: it
+steps along -A for the flow ``A = model.drift``, with independent
+standard-normal increments per path and step.  Every path owns a
 counter-based generator spawned from one seed, so results are bit-identical
 for a fixed seed regardless of how many paths run.  ``simulate_sde`` stores
 one array, the float64 unwrapped states, time-major, (n_stored, n_paths,
-dim), so each step copies one contiguous row (and the increments come from
-one reused, time-major noise buffer of at most ``_CHUNK_SCALARS`` doubles);
-``TrajectoryEnsemble`` exposes it through a transposed view of shape
-(n_paths, n_stored, dim).  Wrapped positions and winding counts are derived
-from it (``turns = floor(s / periods)``), by the estimators one block at a
-time.
+dim), so each step copies one contiguous row; each path draws its increments
+into its own row of one reused, path-major noise buffer (n_paths, chunk,
+dim) of at most ``_CHUNK_SCALARS`` doubles.  ``TrajectoryEnsemble`` exposes
+the store through a transposed view of shape (n_paths, n_stored, dim).
 
-One block loop (``_estimates``) makes every estimate, each holding at most
-its block budget beside the store.  It reads blocks of ``_path_block`` paths
-of a time-major unwrapped store, whole autocovariance blocks each, and adds
-their totals in block order, so the block size changes no bit:
+One block loop (``_estimates``) makes every estimate in one pass.  It reads
+blocks of ``_path_block`` paths of a time-major unwrapped store, and a fixed
+pool of two worker threads (``_WORKERS``, not a setting) reads each block in
+sub-blocks of ``_fft_block`` whole paths, each copied path-major and wrapped
+once (``turns = floor(s / periods)``), then read by both estimates:
 
-* ``stationary_histogram``   — occupation density after a 20% burn-in,
-  counted about ``_HISTOGRAM_BLOCK`` samples at a time, each slab wrapped
-  into a temporary (at most 64 bytes per slab sample, 4.2 MB);
+* ``stationary_histogram``   — occupation density after a 20% burn-in;
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
-  of the evolution operator seen from sample paths); its FFTs run over
-  wrapped copies of ``_fft_block`` whole paths: at most 48 bytes per scalar
-  of the ``_FFT_BLOCK_SCALARS`` budget (24 MB) for the default observable,
-  while one path's FFT fits in half the budget.  A fixed pool of two worker
-  threads (``_WORKERS``, not a setting) computes them, each on half the
-  budget; the main thread adds their partial sums in block order, so the
-  result does not depend on thread timing or the host's core count.  A
-  custom ``observable`` is therefore called from worker threads.
+  of the evolution operator seen from sample paths), from FFT power sums.
+
+Sub-blocks of at least one path share the ``_FFT_BLOCK_SCALARS`` budget (8
+paths each at 4,001 states), at most 48 bytes per scalar (6.3 MB) for the
+default observable.  At most ``2 * _WORKERS`` are in flight; the main thread
+adds their integer counts, power sums and per-path means in sub-block order,
+so no bit depends on the block size, thread timing or the host's core count.
 
 Both hand the loop views of the stored ensemble, which it never writes.  A
 1-dimensional run's ``simulate`` task (``_streamed_estimates``) hands it a
@@ -45,8 +42,10 @@ Moments such as the mean squared displacement are array reductions of
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -75,16 +74,15 @@ _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
 _QUAD_POINTS = 33  # trapezoid nodes per histogram bin in the TV reference mass
 _CHUNK_SCALARS = 1_000_000  # noise buffer budget (doubles)
-_FFT_BLOCK_SCALARS = 500_000  # autocovariance block budget (complex scalars)
-_HISTOGRAM_BLOCK = 1 << 16  # samples wrapped (and counted) at a time
-_WORKERS = 2  # autocovariance blocks in flight; numpy ufuncs and FFTs release the GIL
+_FFT_BLOCK_SCALARS = 1 << 17  # FFT scalars (complex) of the sub-blocks in work
+_WORKERS = 2  # sub-blocks in work; numpy ufuncs and FFTs release the GIL
 _PATH_BLOCK_SCALARS = 4_000_000  # stored states of one streamed path block (doubles)
 
 
-def _wrap(states: np.ndarray, periods: Tuple[float, ...]) -> np.ndarray:
+def _wrap(states: np.ndarray, periods: Tuple[float, ...], out=None) -> np.ndarray:
     """Positions in [0, period) of unwrapped states, ``s - floor(s / L) * L``."""
     periods_arr = np.asarray(periods)
-    return states - np.floor(states / periods_arr) * periods_arr
+    return np.subtract(states, np.floor(states / periods_arr) * periods_arr, out=out)
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,10 @@ class TrajectoryEnsemble:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.n_stored) * (self.dt * self.store_every)
+        try:
+            return np.arange(self.n_stored) * (self.dt * self.store_every)
+        except OverflowError as exc:  # int too large to convert to float
+            raise ValidationError("store_every is past the float range") from exc
 
     @property
     def positions(self) -> np.ndarray:
@@ -159,8 +160,8 @@ def _check_sampler(dt: float, steps: int, n_paths: int, seed, store_every: int) 
 
 def _path_block(t_len: int, dim: int) -> int:
     """Paths per block of the estimator loop: the ``_PATH_BLOCK_SCALARS``
-    budget of states, in whole autocovariance blocks of ``t_len``-state
-    series, so that any block size adds the power sums in one order."""
+    budget of states, in whole sub-blocks of ``t_len``-state series, so that
+    any block size adds the power sums in one order."""
     fft_block = _fft_block(_fft_length(t_len))
     return max(1, _PATH_BLOCK_SCALARS // (t_len * dim) // fft_block) * fft_block
 
@@ -226,27 +227,28 @@ def simulate_sde(
     n_stored = steps // store_every + 1
     chunk_steps = max(1, min(steps, _CHUNK_SCALARS // (n_paths * dim)))
     try:
-        # time-major: every stored step and every noise row is one contiguous row
+        # every stored step is one contiguous row, and every path's draws one noise row
         states = np.empty((n_stored, n_paths, dim))
-        noise = np.empty((chunk_steps, n_paths, dim))
+        noise = np.empty((n_paths, chunk_steps, dim))
     except (ValueError, MemoryError) as exc:
         raise CapacityError(
             f"cannot store {n_paths} paths x {n_stored} states x {dim} axes: {exc}"
         ) from exc
 
     states[0] = x
-    gens = [np.random.Generator(np.random.Philox(child)) for child in seed.spawn(n_paths)]
+    # a Generator keeps no state beside its bit generator: one is made per fill
+    bits = [np.random.Philox(child) for child in seed.spawn(n_paths)]
     amp = np.sqrt(eps * dt)
 
     done = 0
     slot = 1
     while done < steps:
         m = min(chunk_steps, steps - done)
-        for p, g in enumerate(gens):
-            noise[:m, p, :] = g.standard_normal((m, dim))
+        for p, b in enumerate(bits):
+            np.random.Generator(b).standard_normal(out=noise[p, :m])
         for t in range(m):
             a = np.asarray(model.drift(x[:, 0] if dim == 1 else x), dtype=float)
-            x = x - a.reshape(x.shape) * dt + amp * noise[t]
+            x = x - a.reshape(x.shape) * dt + amp * noise[:, t]
             done += 1
             if done % store_every == 0:
                 states[slot] = x
@@ -286,8 +288,7 @@ def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> Histog
     """Normalized occupation histogram after discarding the first 20%.
 
     Requires a 1-dimensional domain and at least 10^4 post-burn-in samples.
-    The stored rows are wrapped and counted about ``_HISTOGRAM_BLOCK``
-    samples at a time, and the integer counts summed.
+    Counted a wrapped sub-block of paths at a time, the integer counts summed.
     """
     hist, _ = _estimates(_stored_blocks(ensemble), ensemble.n_paths, ensemble.n_stored,
                          ensemble.periods, bins=bins)
@@ -331,7 +332,7 @@ def _fft_length(t_len: int) -> int:
 
 
 def _fft_block(nfft: int) -> int:
-    """Paths per autocovariance block; the budget is shared by the blocks in flight."""
+    """Paths per sub-block; the budget is shared by the sub-blocks in work."""
     return max(1, _FFT_BLOCK_SCALARS // nfft // _WORKERS)
 
 
@@ -347,35 +348,15 @@ def _first_harmonic(periods: Tuple[float, ...]) -> Callable[[np.ndarray], np.nda
     return observable
 
 
-def _add_power(power: np.ndarray, positions: np.ndarray, observable) -> np.ndarray:
-    """Add sum_paths |FFT O|^2 of (paths, T, dim) positions to ``power``; returns
-    the per-path means of O.
-
-    Wiener-Khinchin: the FFTs, of length ``len(power)``, run over blocks of
-    ``_fft_block`` whole paths on a fixed pool of ``_WORKERS`` threads; the main
-    thread adds their partial sums in block order, so the result does not
-    depend on timing.
-    """
-    nfft = len(power)
-    block = _fft_block(nfft)
-    starts = range(0, len(positions), block)
-
-    def block_sums(a):
-        paths = positions[a:a + block]
-        # the observable gets a path-major copy, freed before the FFT: both
-        # then run along contiguous rows
-        series = np.asarray(observable(np.ascontiguousarray(paths)), dtype=complex)
-        if series.shape != paths.shape[:2]:
-            raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
-        f = np.fft.fft(series, n=nfft, axis=1)
-        return (f.real**2 + f.imag**2).sum(axis=0), series.mean(axis=1)
-
-    means = np.empty(len(positions), dtype=complex)
-    with futures.ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        for a, (part, block_means) in zip(starts, pool.map(block_sums, starts)):
-            power += part
-            means[a:a + block] = block_means
-    return means
+def _in_order(pool: futures.Executor, fn: Callable, items: range):
+    """``fn`` of each item on ``pool``, in order, at most ``2 * _WORKERS`` calls in flight."""
+    pending = deque()
+    for item in items:
+        if len(pending) == 2 * _WORKERS:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _lag_window(t_len: int, dt_s: float, fit_window: Optional[Tuple[float, float]],
@@ -435,14 +416,14 @@ def autocorrelation_decay(
 ) -> DecayFit:
     """Fit rate and frequency of the observable's autocovariance decay.
 
-    The observable is a state function applied to blocks of whole paths,
+    The observable is a state function applied to sub-blocks of whole paths,
     wrapped into [0, period), (paths, times, dim) -> (paths, times), so
-    estimator memory scales with the block, not the ensemble; two worker
+    estimator memory scales with the sub-block, not the ensemble; two worker
     threads call it at once, so it must be thread-safe.  It must have zero
     stationary mean (default: the first harmonic ``exp(i phi)``); the
     ensemble should start from the stationary distribution so no burn-in is
-    discarded by default;
-    ``burn_in_fraction``, in [0, 1), drops that share of every path's start.
+    discarded by default; ``burn_in_fraction``, in [0, 1), drops that share
+    of every path's start.
     ``fit_window`` restricts the fit to lags within [t_lo, t_hi] (in time
     units); without it the fit runs from the first lag until |C| drops to
     a tenth of |C(0)|.  Raises when the window leaves fewer than five lags
@@ -473,9 +454,9 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
     for an estimate not asked for.
 
     ``blocks(lo, m)`` gives the time-major unwrapped store (n_stored, m, dim)
-    of paths ``lo..lo+m``; each block is read once, never written, and freed
-    before the next.  Every refusal comes before the first block is read, and
-    counts stay integers until then.
+    of paths ``lo..lo+m``; each block is read once, by sub-blocks, never
+    written, and freed before the next.  Every refusal comes before the first
+    block is read, and counts stay integers until then.
     """
     dim, t_len = len(periods), n_stored - acf_start
     start = -(-n_stored // round(1 / _BURN_IN_FRACTION))  # ceil(fraction * n_stored)
@@ -494,35 +475,52 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
             counts = np.zeros(bins, dtype=np.intp)
         except (ValueError, MemoryError) as exc:
             raise CapacityError(f"cannot store {bins} histogram bins: {exc}") from exc
-    if observable is not None and fit_window is not None:
-        _lag_window(t_len, dt * store_every, fit_window)
-    power = means = None
+    if observable is not None:
+        if t_len < 7:  # lags [1, t_len - 1) hold fewer than five, whatever the window
+            raise UnfittableDecayError(f"{t_len} stored states leave fewer than five lags")
+        if fit_window is not None:
+            _lag_window(t_len, dt * store_every, fit_window)
+    # the wrapped copy starts at the first state that an estimate reads
+    first = acf_start if bins is None else start if observable is None else min(start, acf_start)
+    nfft = _fft_length(t_len)
+    sub = _fft_block(nfft)
+    power, means = 0.0, []  # 0.0 + the first sums allocates them, after the first store
+
+    def sub_block(states, a):
+        paths = np.ascontiguousarray(states[first:, a:a + sub].transpose(1, 0, 2))
+        _wrap(paths, periods, out=paths)
+        part = None if bins is None else np.histogram(
+            paths[:, start - first:, 0], bins=bins, range=(0.0, periods[0]))[0]
+        if observable is None:
+            return part, None, None
+        paths = paths[:, acf_start - first:]
+        series = np.asarray(observable(paths), dtype=complex)
+        if series.shape != paths.shape[:2]:
+            raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
+        f = np.fft.fft(series, n=nfft, axis=1)  # Wiener-Khinchin
+        return part, (f.real**2 + f.imag**2).sum(axis=0), series.mean(axis=1)
 
     block = _path_block(t_len, dim)
-    for lo in range(0, n_paths, block):
-        states = blocks(lo, min(block, n_paths - lo))
-        if bins is not None:
-            step = max(1, _HISTOGRAM_BLOCK // states.shape[1])
-            for t in range(start, n_stored, step):
-                part, edges = np.histogram(_wrap(states[t:t + step, :, 0], periods),
-                                           bins=bins, range=(0.0, periods[0]))
-                counts += part
-        if observable is not None:
-            if power is None:  # after the first store: a store too large is refused first
-                power = np.zeros(_fft_length(t_len))
-                means = np.empty(n_paths, dtype=complex)
-            # the observable sees wrapped copies of whole paths
-            means[lo:lo + block] = _add_power(
-                power, states[acf_start:].transpose(1, 0, 2),
-                lambda paths: observable(_wrap(paths, periods)))
-        del states  # a sampled block is freed before the next is read
+    with futures.ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        for lo in range(0, n_paths, block):
+            states = blocks(lo, min(block, n_paths - lo))
+            for part, power_part, path_means in _in_order(
+                    pool, partial(sub_block, states), range(0, states.shape[1], sub)):
+                if bins is not None:
+                    counts += part
+                if observable is not None:
+                    power += power_part
+                    means.append(path_means)
+            # a sampled block and its last sums are freed before the next is read
+            del states, part, power_part, path_means
 
-    hist = HistogramResult(edges, counts, n_samples) if bins is not None else None
+    hist = None if bins is None else HistogramResult(
+        np.linspace(0.0, periods[0], bins + 1), counts, n_samples)
     if observable is None:
         return hist, None
     # path mean of sum_t O(t+tau) O*(t), tau < T, normalized by the overlap count
     corr = np.fft.ifft(power)[:t_len] / n_paths / (t_len - np.arange(t_len))
-    return hist, _fit_decay(corr, means, dt * store_every, fit_window)
+    return hist, _fit_decay(corr, np.concatenate(means), dt * store_every, fit_window)
 
 
 def _stored_blocks(ensemble: TrajectoryEnsemble) -> Callable[[int, int], np.ndarray]:

@@ -100,6 +100,22 @@ def test_biorthonormality_on_torus_with_interleaved_conjugates(ax, ay):
     assert fs.full_spectrum(op).max_residual() <= 1e-10
 
 
+def test_cluster_local_residuals_are_at_most_the_dense_gram_ones(monkeypatch):
+    # the cap is read at call time: at 0 every block takes the cluster-local
+    # residual, which reads a sub-matrix of the Gram matrix that the dense
+    # residual reads whole; BLAS rounds the sub-product's entries apart from
+    # the whole product's, by a few ulp
+    model = fs.build_model("torus_shear_model", {"ax": 1.2, "ay": 0.4, "epsilon": 0.3, "n": 8})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    dense = fs.full_spectrum(op)
+    monkeypatch.setattr(fs.spectral, "_GRAM_CAP", 0)
+    local = fs.full_spectrum(op)
+    np.testing.assert_array_equal(local.eigenvalue, dense.eigenvalue)
+    assert np.all(local.residual <= dense.residual + 8 * np.finfo(float).eps)
+    assert np.any(local.residual < dense.residual)
+    assert max(local.max_residual(), dense.max_residual()) <= 1e-10
+
+
 def test_capacity_cap(monkeypatch):
     import flowspec.hamiltonian
 

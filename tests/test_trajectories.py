@@ -266,8 +266,9 @@ def test_histogram_needs_enough_samples():
 def test_histogram_adds_at_most_its_block_budget():
     model = drive_model()
     ens = fs.simulate_sde(model, dt=0.01, steps=2000, n_paths=400, seed=2)
-    # 640k samples after burn-in: one wrapped copy of them all is 5.1 MB
-    budget = 64 * trajectories._HISTOGRAM_BLOCK
+    # 640k samples after burn-in: one wrapped copy of them all is 5.1 MB; the
+    # sub-blocks in work hold at most 32 bytes per scalar of their budget
+    budget = 32 * trajectories._FFT_BLOCK_SCALARS
     tracemalloc.start()
     try:
         hist = fs.stationary_histogram(ens)
@@ -284,16 +285,14 @@ TORUS = {"name": "torus_shear_model", "params": {"ax": 1.0, "ay": 0.5, "epsilon"
 
 
 def test_simulate_run_holds_one_float64_store(tmp_path, monkeypatch):
-    # 200-path blocks (25 autocovariance blocks of 8 paths) of 1001 states:
-    # the run holds the float64 store of one block and, one at a time, the
-    # block's noise buffer, the wrap block and the autocovariance blocks,
-    # whatever the ensemble size
+    # 200-path blocks (25 sub-blocks of 8 paths) of 1001 states: the run
+    # holds the float64 store of one block and, one at a time, the block's
+    # noise buffer and its sub-blocks in work, whatever the ensemble size
     monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 8 * 2048)
     monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 200 * 1001)
     assert trajectories._path_block(1001, 1) == 200
     block = 200 * 1001 * 8
-    budgets = (1000 * 200 * 8, 64 * trajectories._HISTOGRAM_BLOCK,
-               48 * trajectories._FFT_BLOCK_SCALARS)
+    budgets = (1000 * 200 * 8, 48 * trajectories._FFT_BLOCK_SCALARS)
     peaks = {}
     for n_paths in (400, 1600):
         cfg = fs.RunConfig.from_dict({
@@ -386,6 +385,50 @@ def test_library_estimators_read_the_store_and_ignore_the_block_size(monkeypatch
     np.testing.assert_array_equal(split_hist.bin_edges, hist.bin_edges)
     assert split_hist.n_samples == hist.n_samples
     assert split_fit == fit
+
+
+def test_one_pass_ignores_the_sub_block_and_path_block_budgets(monkeypatch):
+    # one pass makes both estimates, as a run does: 4- or 8-path sub-blocks,
+    # each path block one or three of them; 70 paths end in a short one
+    ens = fs.simulate_sde(drive_model(), dt=0.01, steps=700, n_paths=70, seed=4)
+    observable = trajectories._first_harmonic(ens.periods)
+    nfft = fft_length(701)
+    results = {}
+    for sub in (4, 8):
+        monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * sub * nfft)
+        for subs in (1, 3):
+            monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", subs * sub * 701)
+            assert trajectories._path_block(701, 1) == subs * sub
+            hist, fit = trajectories._estimates(
+                trajectories._stored_blocks(ens), 70, 701, ens.periods, bins=24,
+                observable=observable, dt=ens.dt, store_every=ens.store_every)
+            assert fit == fs.autocorrelation_decay(ens)
+            np.testing.assert_array_equal(hist.counts, fs.stationary_histogram(ens, 24).counts)
+            results[sub, subs] = hist, fit
+        # whole sub-blocks: either path block adds the power sums in one order
+        assert results[sub, 1][1] == results[sub, 3][1]
+    # another sub-block size groups the power sums otherwise, so the fit
+    # moves by rounding only; the counts are integers
+    (hist, fit), *others = results.values()
+    for other_hist, other_fit in others:
+        np.testing.assert_array_equal(other_hist.counts, hist.counts)
+        np.testing.assert_array_equal(other_hist.bin_edges, hist.bin_edges)
+        assert (other_fit.window, other_fit.n_lags) == (fit.window, fit.n_lags)
+        assert ([other_fit.rate, other_fit.frequency, other_fit.c0]
+                == pytest.approx([fit.rate, fit.frequency, fit.c0], rel=1e-9))
+
+
+def test_a_store_spacing_past_the_float_range_is_refused():
+    # one stored state: the fit has no lags, refused before the spacing
+    # dt * store_every is formed, and the times are refused
+    ens = fs.simulate_sde(drive_model(), dt=0.01, steps=10, n_paths=4, seed=1,
+                          store_every=10**400)
+    assert ens.n_stored == 1
+    for window in (None, (0.0, 1.0)):
+        with pytest.raises(fs.UnfittableDecayError, match="fewer than five lags"):
+            fs.autocorrelation_decay(ens, fit_window=window)
+    with pytest.raises(fs.ValidationError, match="float range"):
+        ens.times
 
 
 def test_a_streamed_run_warns_once(tmp_path, monkeypatch):
