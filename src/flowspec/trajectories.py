@@ -15,9 +15,10 @@ One block loop (``_estimates``) makes every estimate in one pass.  It reads
 blocks of ``_path_block`` paths of a time-major unwrapped store, and a fixed
 pool of two worker threads (``_WORKERS``, not a setting) reads each block in
 sub-blocks of ``_fft_block`` whole paths, each copied path-major and wrapped
-once (``turns = floor(s / periods)``), then read by both estimates:
+once in the copy (``turns = floor(s / periods)``), read by both estimates:
 
-* ``stationary_histogram``   — occupation density after a 20% burn-in;
+* ``stationary_histogram``   — occupation density after a 20% burn-in, each
+  sub-block's counts handed back as its non-empty bins (``_bin_counts``);
 * ``autocorrelation_decay``  — complex autocovariance of an observable,
   fitted for a decay rate and an oscillation frequency (the slow eigenvalue
   of the evolution operator seen from sample paths), from FFT power sums.
@@ -236,16 +237,15 @@ def simulate_sde(
         ) from exc
 
     states[0] = x
-    # a Generator keeps no state beside its bit generator: one is made per fill
-    bits = [np.random.Philox(child) for child in seed.spawn(n_paths)]
+    gens = [np.random.Generator(np.random.Philox(child)) for child in seed.spawn(n_paths)]
     amp = np.sqrt(eps * dt)
 
     done = 0
     slot = 1
     while done < steps:
         m = min(chunk_steps, steps - done)
-        for p, b in enumerate(bits):
-            np.random.Generator(b).standard_normal(out=noise[p, :m])
+        for p, g in enumerate(gens):
+            g.standard_normal(out=noise[p, :m])
         for t in range(m):
             a = np.asarray(model.drift(x[:, 0] if dim == 1 else x), dtype=float)
             x = x - a.reshape(x.shape) * dt + amp * noise[:, t]
@@ -284,11 +284,22 @@ class HistogramResult:
         return self.counts / (self.n_samples * width)
 
 
+def _bin_counts(x: np.ndarray, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The bins of equal ``edges`` from 0 that hold samples of ``x``, and their counts:
+    ``np.histogram``'s, bit for bit, in memory that grows with ``x``, not the bins."""
+    bins, period = len(edges) - 1, edges[-1]
+    x = x[(x >= 0.0) & (x <= period)]
+    i = (x / period * bins).astype(np.intp)
+    i[i == bins] -= 1
+    i[x < edges[i]] -= 1  # the scaled index can miss an edge by one rounding step
+    i[(x >= edges[i + 1]) & (i != bins - 1)] += 1
+    return np.unique(i, return_counts=True)
+
+
 def stationary_histogram(ensemble: TrajectoryEnsemble, bins: int = 64) -> HistogramResult:
     """Normalized occupation histogram after discarding the first 20%.
 
     Requires a 1-dimensional domain and at least 10^4 post-burn-in samples.
-    Counted a wrapped sub-block of paths at a time, the integer counts summed.
     """
     hist, _ = _estimates(_stored_blocks(ensemble), ensemble.n_paths, ensemble.n_stored,
                          ensemble.periods, bins=bins)
@@ -472,7 +483,7 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
                 f"{_MIN_HISTOGRAM_SAMPLES} are needed for a stable histogram"
             )
         try:
-            counts = np.zeros(bins, dtype=np.intp)
+            counts, edges = np.zeros(bins, dtype=np.intp), np.linspace(0.0, periods[0], bins + 1)
         except (ValueError, MemoryError) as exc:
             raise CapacityError(f"cannot store {bins} histogram bins: {exc}") from exc
     if observable is not None:
@@ -487,10 +498,9 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
     power, means = 0.0, []  # 0.0 + the first sums allocates them, after the first store
 
     def sub_block(states, a):
-        paths = np.ascontiguousarray(states[first:, a:a + sub].transpose(1, 0, 2))
+        paths = np.array(states[first:, a:a + sub].transpose(1, 0, 2), order="C")  # never a view
         _wrap(paths, periods, out=paths)
-        part = None if bins is None else np.histogram(
-            paths[:, start - first:, 0], bins=bins, range=(0.0, periods[0]))[0]
+        part = None if bins is None else _bin_counts(paths[:, start - first:, 0], edges)
         if observable is None:
             return part, None, None
         paths = paths[:, acf_start - first:]
@@ -507,15 +517,14 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
             for part, power_part, path_means in _in_order(
                     pool, partial(sub_block, states), range(0, states.shape[1], sub)):
                 if bins is not None:
-                    counts += part
+                    counts[part[0]] += part[1]
                 if observable is not None:
                     power += power_part
                     means.append(path_means)
             # a sampled block and its last sums are freed before the next is read
             del states, part, power_part, path_means
 
-    hist = None if bins is None else HistogramResult(
-        np.linspace(0.0, periods[0], bins + 1), counts, n_samples)
+    hist = None if bins is None else HistogramResult(edges, counts, n_samples)
     if observable is None:
         return hist, None
     # path mean of sum_t O(t+tau) O*(t), tau < T, normalized by the overlap count

@@ -279,6 +279,38 @@ def test_histogram_adds_at_most_its_block_budget():
     assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
 
 
+def test_many_bins_add_no_more_than_their_counts():
+    # a million bins: each sub-block hands back only its non-empty bins, at
+    # most 16 bytes a sample, so the loop adds the counts and edges (16 MB)
+    # to the sub-blocks in work and their bins, 48 bytes a scalar of budget
+    ens = fs.simulate_sde(drive_model(), dt=0.01, steps=2000, n_paths=400, seed=2)
+    bins = 10**6
+    budget = 16 * bins + 48 * trajectories._FFT_BLOCK_SCALARS
+    tracemalloc.start()
+    try:
+        hist = fs.stationary_histogram(ens, bins=bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.counts.sum() == hist.n_samples
+    assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
+
+
+def test_bin_counts_are_the_numpy_histogram():
+    # samples on and one rounding step beside the edges, past both ends and NaN
+    period = 2 * np.pi
+    for bins in (24, 10**6):
+        edges = np.linspace(0.0, period, bins + 1)
+        x = np.concatenate([
+            np.random.default_rng(bins).uniform(0.0, period, 5000), edges[::max(1, bins // 50)],
+            np.nextafter(edges, -1.0)[::max(1, bins // 50)], [period, -1e-300, 7.0, np.nan]])
+        found, counts = trajectories._bin_counts(x.reshape(2, -1), edges)
+        dense = np.zeros(bins, dtype=np.intp)
+        dense[found] += counts
+        np.testing.assert_array_equal(dense, np.histogram(x, bins=bins, range=(0.0, period))[0])
+        assert len(found) <= len(x)
+
+
 DOUBLE_WELL = {"name": "langevin_double_well_circle",
                "params": {"depth": 1.0, "epsilon": 0.2, "n": 64}}
 TORUS = {"name": "torus_shear_model", "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 8}}
@@ -385,6 +417,16 @@ def test_library_estimators_read_the_store_and_ignore_the_block_size(monkeypatch
     np.testing.assert_array_equal(split_hist.bin_edges, hist.bin_edges)
     assert split_hist.n_samples == hist.n_samples
     assert split_fit == fit
+
+
+def test_estimators_leave_a_one_path_store_unwritten():
+    # a one-path sub-block is C-contiguous as a view of the store, and is
+    # wrapped all the same
+    ens = fs.simulate_sde(drive_model(), dt=0.01, steps=12500, n_paths=1, seed=4)
+    before = ens.states.tobytes()
+    fs.stationary_histogram(ens)
+    fs.autocorrelation_decay(ens, fit_window=(0.05, 0.5))
+    assert ens.states.tobytes() == before
 
 
 def test_one_pass_ignores_the_sub_block_and_path_block_budgets(monkeypatch):
