@@ -7,8 +7,8 @@ run takes its one eigenvector, the stationary density, from the block's
 Bloch symbols or by inverse iteration (``_null_vector``).  Blocks arrive in
 their stored form (CSR on fd, dense on fourier) and are read in it; a dense
 solver makes a dense copy of what it solves, when it solves it, so a run
-whose blocks all take the bloch route builds no dense block.  Left and right
-eigenvectors are paired per eigenvalue
+whose blocks all take the bloch or a banded route builds no dense block.
+Left and right eigenvectors are paired per eigenvalue
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
 pairing is ill-posed, but the cluster-local Gram matrix is invertible and one
@@ -18,10 +18,18 @@ that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
 Eigenvalue-only solves are planned, then solved: ``_plan`` routes every
-block by its entries (``_block_route``: bloch, a measured symmetric form, or
-``eigvals``), makes nothing dense, and caps the blocks of every route but
-bloch before ``_solve`` makes their dense copies; a bloch level is refused
-instead on a grid finer than the zero-mode threshold resolves.
+block by its entries (``_block_route``), makes nothing dense, and caps the
+blocks of every route but bloch before ``_solve`` makes their dense copies; a
+bloch level is refused instead on a grid finer than the zero-mode threshold
+resolves.  The routes, first that applies:
+
+* ``bloch``: a translation-invariant block, by its f x f symbols;
+* a symmetric form under a measured diagonal similarity, whose degree-0
+  pair factor is solved by its singular values, and any other form by a
+  symmetric eigensolve: banded on a 1-D periodic grid (``band_svdvals``,
+  LAPACK dgbbrd then dqds; ``eigvals_banded``), dense elsewhere (``svdvals``,
+  ``eigvalsh``);
+* ``eigvals``: LAPACK geev without vectors, on a dense copy.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
@@ -39,9 +47,12 @@ One BLAS per run: numpy and scipy wheels each bundle their own OpenBLAS,
 each with its own thread pool, and a numpy BLAS call next to a scipy LAPACK
 solve makes the two pools contend (it about doubles the solve on two cores).
 So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
-``scipy.sparse``) does all matrix-sized work: the pair factor is checked by a
-sparse product, and ``_null_vector`` takes its residual from a sparse
-product (two ``dgemv`` calls on a dense block) and its norms from ``dznrm2``.
+``scipy.sparse``) does all matrix-sized work, the banded routes included:
+``eigvals_banded``, and dgbbrd and dlasq1 through the pointers that
+``scipy.linalg.cython_lapack`` exports, are scipy's LAPACK.  The pair factor
+is checked by a sparse product, and ``_null_vector`` takes its residual from
+a sparse product (two ``dgemv`` calls on a dense block) and its norms from
+``dznrm2``.
 numpy does elementwise work, FFTs and the tiny batched solves (the f x f
 Bloch symbols here, the 1 x 1 and 2 x 2 matrices of ``morse``).
 
@@ -61,6 +72,8 @@ matches the mesh Euler characteristic and is independent of the flow.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -69,6 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.cython_lapack
 import scipy.sparse
 
 from .exceptions import (
@@ -103,6 +117,7 @@ _SYMMETRY_TOL = 1e-10
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
 _INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
 _GRAM_CAP = 3000  # largest block whose residual reads the whole Gram matrix
+_BAND_MAX = 2  # widest half-bandwidth a symmetric route solves banded
 
 
 @dataclass(frozen=True)
@@ -292,10 +307,20 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
     ``bloch``, the n0 symbol matrices of size f x f of a translation-invariant
     block on a periodic grid (``_bloch_symbols``, solved batched); the form of
     a block made symmetric by a diagonal similarity (``_diagonal_similarity``),
-    by ``svdvals`` of its CSR pair factor at degree 0 (``_gradient_factor``)
-    and ``eigvalsh`` otherwise; LAPACK geev without vectors (``eigvals``) for
-    every other block.  The tests read the block as stored (CSR on fd) and
-    make nothing dense.
+    by the singular values of its CSR pair factor at degree 0
+    (``_gradient_factor``) and by a symmetric eigensolve otherwise; LAPACK
+    geev without vectors (``eigvals``) for every other block.
+
+    A symmetric route is banded where the band is narrow: on a 1-D periodic
+    grid the cells are folded (``_fold``) and both half-bandwidths of the
+    folded matrix are measured from its entries (``_folded_band``); when
+    each is at most ``_BAND_MAX``, which a 1-D periodic stencil gives, the
+    factor goes to ``band_svdvals`` (``_band_svdvals``) and the form to
+    ``eigvals_banded``, else to the dense ``svdvals`` and ``eigvalsh``.  On
+    2-D blocks the band is wide and banded loses: the 512 x 256 pair factor
+    of a torus potential at n=16, its rows in cell order (half-bandwidths 257
+    and 237), took 398 ms banded against 22 ms dense (2 vCPU).  The tests
+    read the block as stored (CSR on fd) and make nothing dense.
     """
     block = _finite_block(op, k)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
@@ -305,15 +330,27 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
     if similar is None:
         return ("eigvals", block)
     s, sym = similar
+    fold = _fold(op.mesh, k)
     factor = _gradient_factor(s, sym) if k == 0 else None
-    return ("eigvalsh", sym) if factor is None else ("svdvals", factor)
+    if factor is not None:
+        band = None if fold is None else _folded_band(factor, _row_fold(factor, fold), fold)
+        if band is None:
+            return ("svdvals", factor)
+        return ("band_svdvals", (factor.shape[0],) + band)  # (m, band, kl)
+    band = None if fold is None else _folded_band(sym, fold, fold)
+    if band is None:
+        return ("eigvalsh", sym)
+    ab, kl = band  # symmetric, so ku = kl: rows 0..kl are LAPACK's upper band storage
+    return ("eigvals_banded", ab[:kl + 1])
 
 
 def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, object]]:
     """The route of each of ``degrees`` (``_block_route``), refused by the
     capacity error when the blocks of the dense routes, every route but
     bloch, exceed the cap, and by a numerical error when a grid axis is finer
-    than the relative zero-mode threshold resolves.
+    than the relative zero-mode threshold resolves.  The cap still counts a
+    banded block by its size, though a banded solve makes no dense copy:
+    counting it by its band storage would change which runs are refused.
 
     An axis of n cells relaxes its slowest diffusive mode at sin^2(pi/n) of
     its fastest, and the default thresholds are ``_DEFAULT_TOL_REL`` of the
@@ -335,12 +372,105 @@ def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, ob
 
 def _solve(k: int, route: Tuple[str, object]) -> np.ndarray:
     """Eigenvalues of the degree-``k`` block by its planned ``route``: the
-    batched symbol solve, or one LAPACK call on a dense copy of its matrix."""
+    batched symbol solve, a banded solve of its band (the pair factor's
+    squared singular values, or ``eigvals_banded`` of the symmetric form),
+    or one LAPACK call on a dense copy of its matrix.  A factor's squared
+    singular values are the block's eigenvalues."""
     name, matrix = route
     if name == "bloch":
         return _lapack(k, np.linalg.eigvals, matrix).ravel()
+    if name == "band_svdvals":
+        return _band_svdvals(k, *matrix) ** 2
     values = _lapack(k, getattr(scipy.linalg, name), _dense(matrix), check_finite=False)
     return values ** 2 if name == "svdvals" else values
+
+
+def _fold(mesh, k: int) -> Optional[np.ndarray]:
+    """Folded position of each degree-``k`` cell of a 1-D periodic grid, or
+    ``None`` on any other mesh: cells in the order 0, n-1, 1, n-2, ..., so
+    that cells adjacent on the cycle lie at most 2 apart."""
+    shape = mesh.cochain_shape(k)
+    if shape is None or len(shape) != 2:
+        return None
+    cell = np.arange(shape[1])
+    return np.minimum(2 * cell, 2 * (shape[1] - 1 - cell) + 1)
+
+
+def _row_fold(factor, fold: np.ndarray) -> np.ndarray:
+    """Position of each row of a pair factor (two entries a row) ordered by
+    its folded columns, least first: the rows then follow the diagonal."""
+    cols = fold[factor.indices].reshape(-1, 2)
+    order = np.lexsort((cols.max(axis=1), cols.min(axis=1)))
+    position = np.empty(len(order), dtype=int)
+    position[order] = np.arange(len(order))
+    return position
+
+
+def _folded_band(matrix, rows: np.ndarray,
+                 cols: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """LAPACK band storage of the sparse ``matrix`` with entry (i, j) moved to
+    (``rows[i]``, ``cols[j]``), and its lower half-bandwidth kl; ``None`` when
+    either half-bandwidth exceeds ``_BAND_MAX``.  The band holds
+    ab[ku + r - c, c] = A[r, c], ku the upper half-bandwidth; every entry is
+    stored once, as in the factor and the symmetric form."""
+    h = scipy.sparse.coo_matrix(matrix)
+    r, c = rows[h.row], cols[h.col]
+    kl, ku = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
+    if max(kl, ku) > _BAND_MAX:
+        return None
+    band = np.zeros((kl + ku + 1, h.shape[1]))
+    band[ku + r - c, c] = h.data
+    return band, kl
+
+
+def _band_svdvals(k: int, m: int, band: np.ndarray, kl: int) -> np.ndarray:
+    """Singular values of the degree-``k`` pair factor, ``m`` rows held as the
+    ``band`` of ``_folded_band`` with ``kl`` sub-diagonals, largest first.
+
+    LAPACK dgbbrd reduces the band to bidiagonal form by Givens rotations,
+    and dlasq1 (dqds) gives the bidiagonal's singular values to high relative
+    accuracy (Demmel and Kahan 1990; Fernando and Parlett 1994), so the
+    tunnelling gaps keep the accuracy of the dense ``svdvals``.  scipy wraps
+    neither, so both are called through ``_cython_lapack``; a nonzero LAPACK
+    status is the eigensolver error.
+    """
+    def i(value):
+        return np.array(value, dtype=np.intc)
+
+    n = band.shape[1]
+    p = min(m, n)
+    d, e, unused, info = np.empty(p), np.zeros(p), np.zeros(1), i(0)
+    calls = (("dgbbrd", (np.array(b"N"), i(m), i(n), i(0), i(kl), i(len(band) - kl - 1),
+                         np.array(band, order="F"), i(len(band)), d, e,
+                         unused, i(1), unused, i(1), unused, i(1), np.empty(2 * max(m, n)))),
+             ("dlasq1", (i(p), d, e, np.empty(4 * p))))  # d and e as dgbbrd leaves them
+    for name, args in calls:
+        _cython_lapack(name)(*args, info)
+        if info:
+            raise EigensolverError(f"eigensolver failed to converge on the degree-{k} "
+                                   f"block (LAPACK {name} info {int(info)})")
+    return d
+
+
+@functools.lru_cache(maxsize=None)
+def _cython_lapack(name: str):
+    """scipy's LAPACK routine ``name``, called with one numpy array for each
+    of its pointer arguments (a 0-d array for a scalar).
+
+    The function pointer comes from the capsule that
+    ``scipy.linalg.cython_lapack`` exports for it, which is how numba reaches
+    LAPACK: no compiled code and no dependency beyond scipy, and the routine
+    is the LAPACK of scipy's own BLAS.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    signature = get_name(capsule)  # "void (char *, int *, ...)": every argument a pointer
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(
+        get_pointer(capsule, signature))
+    return lambda *arrays: routine(*(a.ctypes for a in arrays))
 
 
 def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:

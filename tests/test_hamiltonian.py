@@ -204,6 +204,32 @@ def test_fd_run_builds_no_dense_block(tmp_path):
     assert peak <= 8e6, f"run peak {peak / 1e6:.2f} MB"
 
 
+def test_circle_run_builds_no_dense_block(tmp_path):
+    # a verdict-only double-well run solves every circle block banded, so it
+    # holds less than one dense 384 x 384 block at any time
+    import tracemalloc
+
+    n = 384
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 1.0, "epsilon": 0.2, "n": n}},
+        "backend": "fd",
+        "tasks": ["classify", "witten", "morse", "sweep"],
+        "sweep": {"epsilons": [0.4, 0.2, 0.1, 0.05]},
+        "morse": {"splitting_epsilons": [0.4, 0.2, 0.1, 0.05]},
+    })
+    tracemalloc.start()
+    try:
+        results = fs.run(cfg, out_dir=tmp_path).data["results"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["classify"]["verdict"] == "unbroken-Markovian"
+    assert results["witten"]["zero_modes_per_degree"] == [1, 1]
+    dense = 8 * n * n
+    assert peak < dense, f"run peak {peak / 1e6:.2f} MB, one dense block {dense / 1e6:.2f} MB"
+
+
 def test_circle_blocks_are_isospectral():
     mesh, flow, noise = circle_setup(24)
     h = fs.assemble_hamiltonian(mesh, flow, noise)

@@ -305,13 +305,22 @@ def test_eigenvalue_spectrum_agrees_with_full_spectrum(name):
 @pytest.fixture
 def routes(monkeypatch):
     """Records the route that solves each block, by the block's size: the
-    LAPACK solver, or ``bloch`` for a batched solve of n0 symbols of size f."""
+    LAPACK solver (``eigvals_banded`` for a banded symmetric form),
+    ``band_svdvals`` for a banded pair factor, or ``bloch`` for a batched
+    solve of n0 symbols of size f."""
+    import flowspec.spectral
+
     calls = []
-    for solver in ("eigvals", "eigvalsh", "svdvals"):
+    for solver in ("eigvals", "eigvalsh", "svdvals", "eigvals_banded"):
         def recorded(a, *args, _name=solver, _solve=getattr(scipy.linalg, solver), **kwargs):
             calls.append((_name, a.shape[1]))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(scipy.linalg, solver, recorded)
+
+    def banded(k, m, band, kl, _solve=flowspec.spectral._band_svdvals):
+        calls.append(("band_svdvals", band.shape[1]))
+        return _solve(k, m, band, kl)
+    monkeypatch.setattr(flowspec.spectral, "_band_svdvals", banded)
 
     def batched(a, _solve=np.linalg.eigvals):
         calls.append(("bloch", a.shape[0] * a.shape[-1]))
@@ -330,12 +339,13 @@ def torus_potential_operator(n, depth, eps, wells=1):
 
 
 def test_gradient_blocks_take_the_symmetric_route(routes):
-    # circle double well: degree 0 factored, degree 1 symmetric; no geev
+    # circle double well: degree 0 factored, degree 1 symmetric, both banded
+    # on the folded cycle; no geev and no dense solve
     model = fs.build_model("langevin_double_well_circle",
                            REGISTERED["langevin_double_well_circle"])
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     values = fs.eigenvalue_spectrum(op)
-    assert routes == [("svdvals", 48), ("eigvalsh", 48)]
+    assert routes == [("band_svdvals", 48), ("eigvals_banded", 48)]
     # the same blocks through geev agree within roundoff of the radius
     tol = 1e-12 * values.spectral_radius
     for k in op.degrees():
@@ -346,7 +356,8 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
     routes.clear()
 
     # torus potential: degrees 0 and 2 are symmetric under a measured diagonal
-    # similarity; degree 1 couples some pairs with opposite signs
+    # similarity; degree 1 couples some pairs with opposite signs; a 2-D
+    # block is not banded, so the solves stay dense
     fs.eigenvalue_spectrum(torus_potential_operator(6, 0.5, 0.3))
     assert routes == [("svdvals", 36), ("eigvals", 72), ("eigvalsh", 36)]
 
@@ -546,7 +557,7 @@ def _double_well_384(backend):
 
 
 @pytest.mark.parametrize("operator, want", [
-    (lambda: _double_well_384("fd"), ["svdvals", "eigvalsh"]),
+    (lambda: _double_well_384("fd"), ["band_svdvals", "eigvals_banded"]),
     (lambda: _double_well_384("fourier"), ["eigvals", "eigvals"]),
     (lambda: torus_potential_operator(24, 1.0, 0.2, wells=2), ["svdvals", "eigvals", "eigvalsh"]),
 ], ids=["double-well-fd", "double-well-fourier", "four-well-torus"])
@@ -793,10 +804,93 @@ def test_tunnelling_gap_against_mpmath(depth, n, gap):
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     zero, ref = mpmath_smallest_pair(op.block(0))
     assert abs(zero) <= 1e-45 and abs(ref.imag) <= 1e-45
-    lam = np.sort(np.abs(_solve(0, _block_route(op, 0))))
+    route = _block_route(op, 0)
+    assert route[0] == "band_svdvals"  # dgbbrd and dqds on the folded cycle
+    lam = np.sort(np.abs(_solve(0, route)))
     assert lam[0] <= 1e-30 * lam[-1]  # the zero mode is exact by construction
     assert abs(ref.real - gap) <= 1e-8 * gap
     assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
+
+
+@pytest.mark.parametrize("n", [256, 384, 1024])
+def test_banded_solves_agree_with_the_dense_ones(n):
+    # the pair factor by dgbbrd and dqds keeps the relative accuracy of the
+    # dense svdvals, and eigvals_banded the roundoff of the radius that
+    # eigvalsh has
+    from flowspec.spectral import (_block_route, _diagonal_similarity, _gradient_factor,
+                                   _solve)
+
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": 1.0, "epsilon": 0.2, "n": n})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    route = _block_route(op, 0)
+    assert route[0] == "band_svdvals"
+    banded = np.sort(_solve(0, route))
+    s, sym = _diagonal_similarity(op.blocks[0])
+    dense = np.sort(scipy.linalg.svdvals(_gradient_factor(s, sym).toarray()) ** 2)
+    radius = dense[-1]
+    resolved = dense >= 1e-6 * radius
+    np.testing.assert_allclose(banded[resolved], dense[resolved], rtol=1e-12, atol=0)
+    assert 0 <= banded[0] <= 1e-30 * radius
+    route = _block_route(op, 1)
+    assert route[0] == "eigvals_banded"
+    s, sym = _diagonal_similarity(op.blocks[1])
+    np.testing.assert_allclose(np.sort(_solve(1, route)), scipy.linalg.eigvalsh(sym.toarray()),
+                               rtol=0, atol=1e-12 * radius)
+
+
+def test_the_band_routines_solve_a_cyclic_factor():
+    # the two LAPACK routines scipy does not wrap resolve from the capsules of
+    # scipy.linalg.cython_lapack on every scipy the tests run on, and the
+    # banded singular values of a 6 x 6 cyclic pair factor are the dense ones
+    from flowspec.spectral import _band_svdvals, _cython_lapack, _fold, _folded_band, _row_fold
+
+    assert callable(_cython_lapack("dgbbrd")) and callable(_cython_lapack("dlasq1"))
+    n = 6
+    i = np.arange(n)
+    pairs = np.sort(np.column_stack([i, (i + 1) % n]), axis=1)
+    values = np.random.default_rng(7).standard_normal(2 * n)
+    factor = scipy.sparse.csr_array((values, pairs.ravel(), np.arange(0, 2 * n + 1, 2)),
+                                    shape=(n, n))
+    fold = _fold(fs.build_circle_grid(n, 2 * np.pi), 0)
+    band, kl = _folded_band(factor, _row_fold(factor, fold), fold)
+    assert band.shape == (3, n) and kl == 1
+    dense = scipy.linalg.svdvals(factor.toarray())
+    assert np.max(np.abs(_band_svdvals(0, n, band, kl) - dense)) <= 1e-14 * dense[0]
+
+
+@pytest.mark.parametrize("failing", ["dgbbrd", "dlasq1"])
+def test_a_band_lapack_status_is_the_eigensolver_error(monkeypatch, tmp_path, capsys, failing):
+    import json
+
+    import flowspec.spectral
+    from flowspec.cli import main
+    from flowspec.spectral import _block_route, _solve
+
+    lapack = flowspec.spectral._cython_lapack
+
+    def failing_status(name):
+        routine = lapack(name)
+
+        def call(*arrays):  # the last array is the routine's status
+            routine(*arrays)
+            if name == failing:
+                arrays[-1][...] = 1
+        return call
+
+    monkeypatch.setattr(flowspec.spectral, "_cython_lapack", failing_status)
+    params = {"depth": 1.0, "epsilon": 0.2, "n": 64}
+    model = fs.build_model("langevin_double_well_circle", params)
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    message = f"eigensolver failed to converge on the degree-0 block (LAPACK {failing} info 1)"
+    with pytest.raises(fs.EigensolverError, match=re.escape(message)):
+        _solve(0, _block_route(op, 0))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"name": "langevin_double_well_circle",
+                                          "params": params},
+                                "tasks": ["classify"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def ground_state(name, backend):
