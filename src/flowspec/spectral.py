@@ -26,9 +26,10 @@ resolves.  The routes, first that applies:
 * ``bloch``: a translation-invariant block, by its f x f symbols;
 * a symmetric form under a measured diagonal similarity, whose degree-0
   pair factor is solved by its singular values, and any other form by a
-  symmetric eigensolve: banded on a 1-D periodic grid (``band_svdvals``,
-  LAPACK dgbbrd then dqds; ``eigvals_banded``), dense elsewhere (``svdvals``,
-  ``eigvalsh``);
+  symmetric eigensolve: banded where the band measured from the entries is
+  narrow (``band_svdvals``, LAPACK dgbbrd then dqds; ``eigvals_banded``),
+  dense where it is wide (``svdvals``, ``eigvalsh``).  A 1-D periodic grid's
+  form is folded once first, which makes its band narrow;
 * ``eigvals``: LAPACK geev without vectors, on a dense copy.
 
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
@@ -311,15 +312,17 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
     (``_gradient_factor``) and by a symmetric eigensolve otherwise; LAPACK
     geev without vectors (``eigvals``) for every other block.
 
-    A symmetric route is banded where the band is narrow: on a 1-D periodic
-    grid the cells are folded (``_fold``) and both half-bandwidths of the
-    folded matrix are measured from its entries (``_folded_band``); when
-    each is at most ``_BAND_MAX``, which a 1-D periodic stencil gives, the
-    factor goes to ``band_svdvals`` (``_band_svdvals``) and the form to
-    ``eigvals_banded``, else to the dense ``svdvals`` and ``eigvalsh``.  On
-    2-D blocks the band is wide and banded loses: the 512 x 256 pair factor
-    of a torus potential at n=16, its rows in cell order (half-bandwidths 257
-    and 237), took 398 ms banded against 22 ms dense (2 vCPU).  The tests
+    A symmetric route is banded where the band measured from its entries is
+    narrow.  On a 1-D periodic grid the weights and the form are folded once
+    (``_fold``), which puts every coupled pair within two places of the
+    diagonal; the factor of the folded form lists its rows in the order of
+    their pairs, so it follows the diagonal too.  ``_band`` reads both
+    half-bandwidths of the factor or the form; when each is at most
+    ``_BAND_MAX`` the factor goes to ``band_svdvals`` (``_band_svdvals``)
+    and the form to ``eigvals_banded``, else to the dense ``svdvals`` and
+    ``eigvalsh``.  Every 2-D and surface block is wider, where banded loses:
+    the 512 x 256 pair factor of a torus potential at n=16 (half-bandwidths
+    257 and 237) took 398 ms banded against 22 ms dense (2 vCPU).  The tests
     read the block as stored (CSR on fd) and make nothing dense.
     """
     block = _finite_block(op, k)
@@ -329,15 +332,16 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
     similar = _diagonal_similarity(block)
     if similar is None:
         return ("eigvals", block)
-    s, sym = similar
-    fold = _fold(op.mesh, k)
+    order = _fold(op.mesh, k)
+    # columns sorted, so that the factor lists its rows in the order of their pairs
+    s, sym = similar[0][order], similar[1][order][:, order].sorted_indices()
     factor = _gradient_factor(s, sym) if k == 0 else None
     if factor is not None:
-        band = None if fold is None else _folded_band(factor, _row_fold(factor, fold), fold)
+        band = _band(factor)
         if band is None:
             return ("svdvals", factor)
         return ("band_svdvals", (factor.shape[0],) + band)  # (m, band, kl)
-    band = None if fold is None else _folded_band(sym, fold, fold)
+    band = _band(sym)
     if band is None:
         return ("eigvalsh", sym)
     ab, kl = band  # symmetric, so ku = kl: rows 0..kl are LAPACK's upper band storage
@@ -348,7 +352,9 @@ def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, ob
     """The route of each of ``degrees`` (``_block_route``), refused by the
     capacity error when the blocks of the dense routes, every route but
     bloch, exceed the cap, and by a numerical error when a grid axis is finer
-    than the relative zero-mode threshold resolves.  The cap still counts a
+    than the relative zero-mode threshold resolves.  A symmetric block is
+    solved banded or dense by the band measured from its entries, a 1-D
+    periodic grid's form folded once first.  The cap still counts a
     banded block by its size, though a banded solve makes no dense copy:
     counting it by its band storage would change which runs are refused.
 
@@ -385,47 +391,34 @@ def _solve(k: int, route: Tuple[str, object]) -> np.ndarray:
     return values ** 2 if name == "svdvals" else values
 
 
-def _fold(mesh, k: int) -> Optional[np.ndarray]:
-    """Folded position of each degree-``k`` cell of a 1-D periodic grid, or
-    ``None`` on any other mesh: cells in the order 0, n-1, 1, n-2, ..., so
-    that cells adjacent on the cycle lie at most 2 apart."""
-    shape = mesh.cochain_shape(k)
-    if shape is None or len(shape) != 2:
-        return None
-    cell = np.arange(shape[1])
-    return np.minimum(2 * cell, 2 * (shape[1] - 1 - cell) + 1)
+def _fold(mesh, k: int) -> np.ndarray:
+    """The degree-``k`` cells in the order 0, n-1, 1, n-2, ... on a 1-D
+    periodic grid, so that cells adjacent on the cycle lie at most 2 apart,
+    and in their own order on any other mesh."""
+    cell = np.arange(mesh.cell_counts[k])
+    if len(mesh.cochain_shape(k) or ()) != 2:
+        return cell
+    return np.column_stack([cell, cell[::-1]]).ravel()[:len(cell)]
 
 
-def _row_fold(factor, fold: np.ndarray) -> np.ndarray:
-    """Position of each row of a pair factor (two entries a row) ordered by
-    its folded columns, least first: the rows then follow the diagonal."""
-    cols = fold[factor.indices].reshape(-1, 2)
-    order = np.lexsort((cols.max(axis=1), cols.min(axis=1)))
-    position = np.empty(len(order), dtype=int)
-    position[order] = np.arange(len(order))
-    return position
-
-
-def _folded_band(matrix, rows: np.ndarray,
-                 cols: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
-    """LAPACK band storage of the sparse ``matrix`` with entry (i, j) moved to
-    (``rows[i]``, ``cols[j]``), and its lower half-bandwidth kl; ``None`` when
-    either half-bandwidth exceeds ``_BAND_MAX``.  The band holds
-    ab[ku + r - c, c] = A[r, c], ku the upper half-bandwidth; every entry is
+def _band(matrix) -> Optional[Tuple[np.ndarray, int]]:
+    """LAPACK band storage of the sparse ``matrix`` and its lower
+    half-bandwidth kl, both half-bandwidths measured from the stored entries;
+    ``None`` when either exceeds ``_BAND_MAX``.  The band holds
+    ab[ku + i - j, j] = A[i, j], ku the upper half-bandwidth; every entry is
     stored once, as in the factor and the symmetric form."""
     h = scipy.sparse.coo_matrix(matrix)
-    r, c = rows[h.row], cols[h.col]
-    kl, ku = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
+    kl, ku = int(np.max(h.row - h.col, initial=0)), int(np.max(h.col - h.row, initial=0))
     if max(kl, ku) > _BAND_MAX:
         return None
     band = np.zeros((kl + ku + 1, h.shape[1]))
-    band[ku + r - c, c] = h.data
+    band[ku + h.row - h.col, h.col] = h.data
     return band, kl
 
 
 def _band_svdvals(k: int, m: int, band: np.ndarray, kl: int) -> np.ndarray:
     """Singular values of the degree-``k`` pair factor, ``m`` rows held as the
-    ``band`` of ``_folded_band`` with ``kl`` sub-diagonals, largest first.
+    ``band`` of ``_band`` with ``kl`` sub-diagonals, largest first.
 
     LAPACK dgbbrd reduces the band to bidiagonal form by Givens rotations,
     and dlasq1 (dqds) gives the bidiagonal's singular values to high relative

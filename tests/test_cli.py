@@ -676,6 +676,18 @@ def test_cli_simulate_on_a_torus_exits_2_before_any_file(tmp_path, capsys, no_st
     assert not (tmp_path / "out").exists()
 
 
+def test_simulating_a_model_without_a_drift_is_refused_before_any_file(tmp_path):
+    # from_dict refuses an inline system with simulate first; a config built
+    # directly reaches the run's own check, which keeps the sampler from
+    # calling a missing drift
+    config = fs.RunConfig(tasks=("simulate",), inline={
+        "mesh": {"kind": "circle", "n": 16}, "flow": {"constant": [1.0]}, "epsilon": 0.2})
+    with pytest.raises(fs.ValidationError,
+                       match="simulation needs a model with a closed-form drift"):
+        fs.run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("level", [float("nan"), -0.1], ids=["nan", "negative"])
 def test_cli_sweep_level_that_is_not_a_noise_level_exits_2(tmp_path, capsys, level):
     path = tmp_path / "cfg.json"

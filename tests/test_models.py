@@ -213,3 +213,26 @@ def test_oracle_residual_none_without_spectrum_oracle():
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     report = fs.full_spectrum(op)
     assert fs.oracle_spectrum_residual(model, report, "fd") is None
+
+
+def test_oracle_residual_refuses_a_report_of_another_size():
+    small, model = (fs.build_model("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": n})
+                    for n in (8, 16))
+    report = fs.eigenvalue_spectrum(fs.assemble_hamiltonian(small.mesh, small.flow, small.noise))
+    with pytest.raises(ValueError, match="degree 0: 8 computed vs 16 expected"):
+        fs.oracle_spectrum_residual(model, report, "fd")
+
+
+def test_oracle_residual_skips_a_degree_the_oracle_leaves_out():
+    # with no oracle values at degree 1, the residual is degree 0's alone:
+    # moving every degree-1 eigenvalue leaves it as it was
+    from dataclasses import replace
+
+    model = fs.build_model("constant_drive_circle", {"a": 1.0, "epsilon": 0.2, "n": 16})
+    report = fs.eigenvalue_spectrum(fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+    moved = replace(report, eigenvalue=report.eigenvalue + (report.degree == 1))
+    partial = replace(model, oracle=lambda backend, deg: (None if deg
+                                                         else model.oracle(backend, deg)))
+    residual = fs.oracle_spectrum_residual(partial, report, "fd")
+    assert fs.oracle_spectrum_residual(partial, moved, "fd") == residual < 1e-12
+    assert fs.oracle_spectrum_residual(model, moved, "fd") > 1e-3

@@ -812,7 +812,7 @@ def test_tunnelling_gap_against_mpmath(depth, n, gap):
     assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
 
 
-@pytest.mark.parametrize("n", [256, 384, 1024])
+@pytest.mark.parametrize("n", [9, 256, 384, 385, 1024])
 def test_banded_solves_agree_with_the_dense_ones(n):
     # the pair factor by dgbbrd and dqds keeps the relative accuracy of the
     # dense svdvals, and eigvals_banded the roundoff of the radius that
@@ -841,22 +841,32 @@ def test_banded_solves_agree_with_the_dense_ones(n):
 
 def test_the_band_routines_solve_a_cyclic_factor():
     # the two LAPACK routines scipy does not wrap resolve from the capsules of
-    # scipy.linalg.cython_lapack on every scipy the tests run on, and the
-    # banded singular values of a 6 x 6 cyclic pair factor are the dense ones
-    from flowspec.spectral import _band_svdvals, _cython_lapack, _fold, _folded_band, _row_fold
+    # scipy.linalg.cython_lapack on every scipy the tests run on.  The measured
+    # band decides: a 6-cycle's form is refused in cell order (its corner entry
+    # lies 5 below the diagonal) and kept folded, where the banded singular
+    # values of its pair factor are the dense ones; the factor of a torus
+    # potential is refused
+    from flowspec.spectral import (_band, _band_svdvals, _block_route, _cython_lapack, _fold,
+                                   _gradient_factor)
 
     assert callable(_cython_lapack("dgbbrd")) and callable(_cython_lapack("dlasq1"))
     n = 6
-    i = np.arange(n)
-    pairs = np.sort(np.column_stack([i, (i + 1) % n]), axis=1)
-    values = np.random.default_rng(7).standard_normal(2 * n)
-    factor = scipy.sparse.csr_array((values, pairs.ravel(), np.arange(0, 2 * n + 1, 2)),
-                                    shape=(n, n))
-    fold = _fold(fs.build_circle_grid(n, 2 * np.pi), 0)
-    band, kl = _folded_band(factor, _row_fold(factor, fold), fold)
+    i, j = np.arange(n), (np.arange(n) + 1) % n
+    w = np.random.default_rng(7).uniform(0.5, 2.0, n)  # a weighted cycle Laplacian
+    form = scipy.sparse.csr_matrix((np.r_[-w, -w, np.bincount(np.r_[i, j], np.r_[w, w])],
+                                    (np.r_[i, j, i], np.r_[j, i, i])), shape=(n, n))
+    assert _band(form) is None
+    order = _fold(fs.build_circle_grid(n, 2 * np.pi), 0)
+    assert order.tolist() == [0, 5, 1, 4, 2, 3]
+    folded = form[order][:, order].sorted_indices()
+    assert _band(folded)[1] == 2
+    factor = _gradient_factor(np.ones(n), folded)
+    band, kl = _band(factor)
     assert band.shape == (3, n) and kl == 1
     dense = scipy.linalg.svdvals(factor.toarray())
     assert np.max(np.abs(_band_svdvals(0, n, band, kl) - dense)) <= 1e-14 * dense[0]
+    route = _block_route(torus_potential_operator(6, 0.5, 0.3), 0)
+    assert route[0] == "svdvals" and _band(route[1]) is None
 
 
 @pytest.mark.parametrize("failing", ["dgbbrd", "dlasq1"])
