@@ -8,11 +8,12 @@ it is validated, so ``report.json``'s ``config`` records what ran.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure (indeterminate index; LAPACK breakdown; the dense-solver cap, which
-counts only blocks that a dense solve makes dense; a grid axis of more than
-9934 cells, finer than the zero-mode threshold resolves; memory that cannot be
-allocated for a grid, an assembly, a solve, the SDE path store or its
-histogram).  A defective eigenproblem can only surface in ``stationary``, the
-one task that reads an eigenvector: the others need eigenvalues only.
+counts the blocks of every route but bloch, a banded block by its size though
+no solve makes it dense; a grid axis of more than 9934 cells, finer than the
+zero-mode threshold resolves; memory that cannot be allocated for a grid, an
+assembly, a solve, the SDE path store or its histogram).  A defective
+eigenproblem can only surface in ``stationary``, the one task that reads an
+eigenvector: the others need eigenvalues only.
 """
 
 from __future__ import annotations

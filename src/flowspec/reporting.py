@@ -548,7 +548,7 @@ def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
     ground = int(np.argmin(np.abs(top_values)))
     op, plan = state.level(state.model.noise.epsilon)
     # the dominant component is real and positive; scale to unit total mass
-    vec = _null_vector(op, top, plan[top], top_values[ground], rep.spectral_radius).real
+    vec = _null_vector(op, plan[top][0], top_values[ground], rep.spectral_radius).real
     mass = float(np.sum(vec * mesh.primal_volumes[top]))
     if mass <= 0:
         raise NumericalError("top-degree ground state has non-positive mass")

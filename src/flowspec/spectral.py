@@ -3,11 +3,13 @@
 Each degree block is decomposed with eigenvalues only
 (``eigenvalue_spectrum``, the run path) or densely with two-sided
 eigenvectors (``full_spectrum``, the library path and the test oracle); a
-run takes its one eigenvector, the stationary density, from the block's
-Bloch symbols or by inverse iteration (``_null_vector``).  Blocks arrive in
-their stored form (CSR on fd, dense on fourier) and are read in it; a dense
-solver makes a dense copy of what it solves, when it solves it, so a run
-whose blocks all take the bloch or a banded route builds no dense block.
+run takes its one eigenvector, the stationary density, off the top block's
+route (``_null_vector``): the constant vector for a bloch block, 1/s^2 from
+a symmetric route's weights, inverse iteration on an ``eigvals`` block.
+Blocks arrive in their stored form (CSR on fd, dense on fourier) and are
+read in it; a dense solver makes a dense copy of what it solves, when it
+solves it, so a run whose blocks all take the bloch or a banded route builds
+no dense block.
 Left and right eigenvectors are paired per eigenvalue
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
@@ -242,25 +244,30 @@ def _lapack(k: int, solver, a: np.ndarray, **kwargs):
         ) from exc
 
 
-def _null_vector(op: GradedOperator, k: int, route: Tuple[str, object],
-                 eigenvalue: complex, radius: float) -> np.ndarray:
-    """Right eigenvector of the degree-``k`` block for a known ``eigenvalue``.
+def _null_vector(op: GradedOperator, name: str, eigenvalue: complex,
+                 radius: float) -> np.ndarray:
+    """Right eigenvector of the top-degree block for its ground ``eigenvalue``,
+    read off the block's planned route ``name``.
 
-    A block whose planned ``route`` is bloch gives it from the route's
-    symbols: the wavevector q and symbol eigenpair (mu, u) with mu nearest
-    the eigenvalue make the Bloch mode v(a, x) = u_a e^{i theta_q . x}.  Any
-    other block goes by inverse iteration: one LU of its dense ``H - sigma
-    I``, sigma just past the eigenvalue (``_SHIFT_REL`` of the spectral
-    radius, so that no pivot is exactly zero), then ``_INVERSE_STEPS`` solves
-    from the constant vector.  Scaled as ``full_spectrum`` scales right
-    vectors (unit norm, dominant component real positive); refused unless
-    ``||Hv - lambda v|| <= 1e-8 radius``, with Hv taken from the stored block.
+    On a closed complex the top block's columns sum to zero, 1^T H = 0, and
+    two routes know its kernel from that alone.  A bloch block is
+    translation-invariant, so its rows sum as its columns do: the constant
+    vector.  A symmetric route's S = diag(s) H diag(1/s) is symmetric, so
+    (1/s)^T S = 1^T H diag(1/s) = 0 makes S (1/s) = 0 and H (1/s^2) = 0: the
+    weights of ``_diagonal_similarity``.  An ``eigvals`` block goes by
+    inverse iteration: one LU of its dense ``H - sigma I``, sigma just past
+    the eigenvalue (``_SHIFT_REL`` of the spectral radius, so that no pivot
+    is exactly zero), then ``_INVERSE_STEPS`` solves from the constant
+    vector.  Scaled as ``full_spectrum`` scales right vectors (unit norm,
+    dominant component real positive); refused unless ``||Hv - lambda v|| <=
+    1e-8 radius``, with Hv taken from the stored block.
     """
+    k = op.mesh.dimension
     block = op.blocks[k]
     scale = radius or 1.0  # a zero block still gets a nonzero shift
-    if route[0] == "bloch":
-        v = _bloch_mode(op.mesh.cochain_shape(k), route[1], eigenvalue)
-    else:
+    if name == "bloch":
+        v = np.ones(block.shape[0], dtype=complex)
+    elif name == "eigvals":
         shifted = _dense(block).astype(complex)
         shifted.flat[::len(shifted) + 1] -= complex(eigenvalue) + _SHIFT_REL * scale
         lu = scipy.linalg.lu_factor(shifted, check_finite=False)
@@ -268,6 +275,8 @@ def _null_vector(op: GradedOperator, k: int, route: Tuple[str, object],
         for _ in range(_INVERSE_STEPS):
             v = scipy.linalg.lu_solve(lu, v, check_finite=False)
             v /= np.max(np.abs(v))
+    else:  # eigvalsh, eigvals_banded
+        v = (_diagonal_similarity(block)[0] ** -2).astype(complex)
     j = int(np.argmax(np.abs(v)))
     v /= v[j] / abs(v[j]) * scipy.linalg.blas.dznrm2(v)
     if scipy.sparse.issparse(block):
@@ -282,25 +291,6 @@ def _null_vector(op: GradedOperator, k: int, route: Tuple[str, object],
             f"{complex(eigenvalue)!r} (residual {residual:.3e})"
         )
     return v
-
-
-def _bloch_mode(shape, symbols: np.ndarray, eigenvalue: complex) -> np.ndarray:
-    """The Bloch mode v(a, x) = u_a e^{i theta_q . x} of the symbol eigenpair
-    (mu, u) nearest ``eigenvalue``, over the cells laid out as ``shape`` =
-    (f, *grid_shape).
-
-    ``symbols[q]`` = sum_z c(z) e^{-2 pi i q.z / n} (``_bloch_symbols``) is
-    the block on e^{-2 pi i q.x / n}, so theta_q = -2 pi q / n on each axis;
-    the phase is reduced modulo n exactly, so q = 0 gives a constant mode.
-    """
-    # the wavevector by eigenvalues alone, then one symbol's eigenvectors
-    q = int(np.argmin(np.min(np.abs(np.linalg.eigvals(symbols) - eigenvalue), axis=1)))
-    mu, u = np.linalg.eig(symbols[q])
-    v = u[:, np.argmin(np.abs(mu - eigenvalue))]
-    for n, qa in zip(shape[1:], np.unravel_index(q, shape[1:])):
-        phase = np.exp(-2j * np.pi * (qa * np.arange(n) % n) / n)
-        v = np.multiply.outer(v, phase)
-    return v.ravel()
 
 
 def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:

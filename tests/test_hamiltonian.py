@@ -205,8 +205,9 @@ def test_fd_run_builds_no_dense_block(tmp_path):
 
 
 def test_circle_run_builds_no_dense_block(tmp_path):
-    # a verdict-only double-well run solves every circle block banded, so it
-    # holds less than one dense 384 x 384 block at any time
+    # a double-well run solves every circle block banded and reads its
+    # stationary density off the top block's weights, so it holds less than
+    # one dense 384 x 384 block at any time
     import tracemalloc
 
     n = 384
@@ -214,7 +215,7 @@ def test_circle_run_builds_no_dense_block(tmp_path):
         "model": {"name": "langevin_double_well_circle",
                   "params": {"depth": 1.0, "epsilon": 0.2, "n": n}},
         "backend": "fd",
-        "tasks": ["classify", "witten", "morse", "sweep"],
+        "tasks": ["classify", "witten", "morse", "sweep", "stationary"],
         "sweep": {"epsilons": [0.4, 0.2, 0.1, 0.05]},
         "morse": {"splitting_epsilons": [0.4, 0.2, 0.1, 0.05]},
     })

@@ -918,55 +918,76 @@ def test_null_vector_agrees_with_full_spectrum(name, backend):
     from flowspec.spectral import _block_route, _null_vector
 
     op, values, top, ground = ground_state(name, backend)
-    v = _null_vector(op, top, _block_route(op, top), values.eigenvalues(top)[ground],
+    v = _null_vector(op, _block_route(op, top)[0], values.eigenvalues(top)[ground],
                      values.spectral_radius)
     full = fs.full_spectrum(op)
     r = full.right[top][:, np.argmin(np.abs(full.eigenvalues(top)))]
     assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_null_vector_of_an_invariant_block_is_a_bloch_mode(monkeypatch, k):
+@pytest.mark.parametrize("name, backend", [("torus_shear_model", "fd"),
+                                           ("constant_drive_circle", "fourier")],
+                         ids=["torus-fd", "circle-fourier"])
+def test_null_vector_of_an_invariant_block_is_constant(monkeypatch, name, backend):
+    # a translation-invariant top block's rows sum as its columns do, to zero
     from flowspec.spectral import _block_route, _null_vector
 
-    model = fs.build_model("torus_shear_model", REGISTERED["torus_shear_model"])
-    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    values = fs.eigenvalue_spectrum(op)
-    radius, block = values.spectral_radius, op.block(k)
-    lam = values.eigenvalues(k)
-    # three oscillating eigenvalues, each with its conjugate, and the largest real one
-    upper = lam[lam.imag > 1e-8 * radius]
-    picks = [upper[0], upper[len(upper) // 2], upper[-1]]
-    picks += [lam[np.argmin(np.abs(lam - np.conj(z)))] for z in picks]
-    picks.append(lam[np.argmax(np.abs(lam) * (np.abs(lam.imag) <= 1e-8 * radius))])
-    assert len(set(picks)) == 7
-    route = _block_route(op, k)
-    assert route[0] == "bloch"
-    monkeypatch.setattr(scipy.linalg, "lu_factor", None)  # the symbols need no LU
-    for z in picks:
-        v = _null_vector(op, k, route, z, radius)
-        assert np.linalg.norm(block @ v - z * v) <= 1e-12 * radius, z
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14, z
-        # a Bloch mode's components tie in modulus up to roundoff: one of the
-        # largest is the one scaled real positive
-        top = v[np.abs(v) >= (1.0 - 1e-13) * np.max(np.abs(v))]
-        assert np.any((top.real > 0) & (np.abs(top.imag) <= 1e-15 * top.real)), z
-
-
-@pytest.mark.parametrize("bad", [lambda lu, b, **kw: np.arange(1.0, len(b) + 1),
-                                 lambda lu, b, **kw: np.full(len(b), np.nan)],
-                         ids=["wrong-vector", "nan"])
-def test_null_vector_residual_guard(monkeypatch, bad):
-    from flowspec.spectral import _block_route, _null_vector
-
-    op, values, top, ground = ground_state("langevin_double_well_circle", "fd")
+    op, values, top, ground = ground_state(name, backend)
     route = _block_route(op, top)
-    monkeypatch.setattr(scipy.linalg, "lu_solve", bad)
+    assert route[0] == "bloch"
+    monkeypatch.setattr(scipy.linalg, "lu_factor", None)  # the constant vector needs no LU
+    v = _null_vector(op, route[0], values.eigenvalues(top)[ground], values.spectral_radius)
+    assert not np.any(v.imag)
+    assert np.all(v.real == v.real[0]) and v.real[0] > 0
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+
+
+def test_null_vector_of_a_symmetric_torus_block_takes_no_lu(monkeypatch):
+    # the four-well torus's top block is reversible: its density is 1/s^2
+    from flowspec.spectral import _block_route, _null_vector
+
+    op = torus_potential_operator(6, 1.0, 0.2, wells=2)
+    values = fs.eigenvalue_spectrum(op)
+    route = _block_route(op, 2)
+    assert route[0] == "eigvalsh"
+    full = fs.full_spectrum(op)
+    r = full.right[2][:, np.argmin(np.abs(full.eigenvalues(2)))]
+    monkeypatch.setattr(scipy.linalg, "lu_factor", None)
+    lam = values.eigenvalues(2)
+    v = _null_vector(op, route[0], lam[np.argmin(np.abs(lam))], values.spectral_radius)
+    assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("fault, name, route", [
+    ("wrong-vector", "tilted_langevin_circle", "eigvals"),
+    ("nan", "tilted_langevin_circle", "eigvals"),
+    ("reciprocal-weights", "langevin_double_well_circle", "eigvals_banded"),
+    ("wrong-eigenvalue", "torus_shear_model", "bloch"),
+], ids=["wrong-vector", "nan", "reciprocal-weights", "wrong-eigenvalue"])
+def test_null_vector_residual_guard(monkeypatch, fault, name, route):
+    # each branch reaches the guard: a wrong vector, a NaN one, s^2 for 1/s^2
+    # (the double well is even under reflection, so reversed weights would
+    # still be right), or the right vector asked for the wrong eigenvalue
+    import flowspec.spectral
+    from flowspec.spectral import _block_route, _null_vector
+
+    op, values, top, ground = ground_state(name, "fd")
+    assert _block_route(op, top)[0] == route
+    eigenvalue = values.eigenvalues(top)[ground]
+    if fault == "wrong-vector":
+        monkeypatch.setattr(scipy.linalg, "lu_solve", lambda lu, b, **kw: np.arange(1.0, len(b) + 1))
+    elif fault == "nan":
+        monkeypatch.setattr(scipy.linalg, "lu_solve", lambda lu, b, **kw: np.full(len(b), np.nan))
+    elif fault == "reciprocal-weights":
+        similarity = flowspec.spectral._diagonal_similarity
+        monkeypatch.setattr(flowspec.spectral, "_diagonal_similarity",
+                            lambda block: (1.0 / similarity(block)[0], None))
+    else:
+        eigenvalue = 0.5 * values.spectral_radius
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(fs.NumericalError, match="degree-1 block"):
-            _null_vector(op, top, route, values.eigenvalues(top)[ground],
-                         values.spectral_radius)
+        with pytest.raises(fs.NumericalError, match=f"degree-{top} block"):
+            _null_vector(op, route, eigenvalue, values.spectral_radius)
 
 
 def test_verdicts_on_synthetic_multisets():
