@@ -13,7 +13,9 @@ no solve makes it dense; a grid axis of more than 9934 cells, finer than the
 zero-mode threshold resolves; memory that cannot be allocated for a grid, an
 assembly, a solve, the SDE path store or its histogram).  A defective
 eigenproblem can only surface in ``stationary``, the one task that reads an
-eigenvector: the others need eigenvalues only.
+eigenvector: the others need eigenvalues only.  Every task runs before the
+output directory is made, so a run that raises writes no file and leaves an
+existing output directory as it was.
 """
 
 from __future__ import annotations

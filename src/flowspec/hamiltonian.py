@@ -47,13 +47,11 @@ from .operators import (
     _codifferential,
     _dense,
     _exterior_derivative,
+    _interior_product,
     _stored,
     inner_product_matrix,
     normalize_backend,
 )
-# the contraction builder, in its backend's storage; operators.interior_product
-# is the same builder made dense
-from .operators import _interior_product as interior_product
 
 __all__ = [
     "GradedOperator",
@@ -108,7 +106,7 @@ def _graded_pieces(mesh, flow, noise, backend):
         ddag = [_stored(sp.csr_matrix(dk.T.shape), backend) for dk in d]
     else:
         ddag = [_codifferential(mesh, d[k], k + 1, noise, backend) for k in range(dim)]
-    iota = [interior_product(mesh, flow, k, backend) for k in range(1, dim + 1)]
+    iota = [_interior_product(mesh, flow, k, backend) for k in range(1, dim + 1)]
     return d, ddag, iota
 
 

@@ -167,8 +167,9 @@ def _bilinear_cell_roots(fx, fy):
     else:
         disc = qb * qb - 4.0 * qa * qc
         if disc >= 0.0:
-            r = np.sqrt(disc)
-            ts = [(-qb + r) / (2 * qa), (-qb - r) / (2 * qa)]
+            # the stable form: (-qb ± r)/(2 qa) cancels when qa is roundoff-sized
+            q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+            ts = [q / qa, qc / q] if q else [0.0]
     out = []
     for t in ts:
         if not (-1e-9 <= t <= 1.0 + 1e-9):

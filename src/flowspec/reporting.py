@@ -54,7 +54,6 @@ from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
 from .models import _ORACLE_REL_TOL, ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
     _scan_levels,
-    _scan_minima,
     _splitting_scan,
     find_critical_points,
     instanton_splitting_scan,  # not called by a run; flowbench/tracing.py patches this name
@@ -370,13 +369,7 @@ def _resolve_model(config: RunConfig) -> ModelSpec:
         model = build_model(config.model_name, config.model_params)
     else:
         model = _build_inline(config.inline)
-    if config.sweep_epsilons and config.sweep_epsilons[-1] == 0.0:
-        # levels decrease, so only the last can be 0: a model that refuses it
-        # (a gradient flow) is refused here, before any task writes a file
-        model.rebuild_at(0.0)
-    if "morse" in config.tasks and config.morse_epsilons:
-        _scan_minima(model)  # a model the splitting scan refuses is refused before any file
-    if "simulate" in config.tasks:
+    if "simulate" in config.tasks:  # refused before any step, not only before any file
         if model.drift is None:
             raise ValidationError("simulation needs a model with a closed-form drift")
         if model.mesh.dimension != 1:  # the histogram and the default observable are 1-D
@@ -499,9 +492,10 @@ class _Levels:
         return sum((-1) ** k * c for k, c in enumerate(zero_mode_counts(self.spectrum(eps), tau0)))
 
 
-def _task_spectrum(state: _Levels, out_dir: Path) -> Dict:
+def _task_spectrum(state: _Levels, files: Dict) -> Dict:
     rep = state.spectrum()
-    export_spectrum_csv(rep, out_dir / "spectrum.csv", state.config.tau_gamma)
+    # this module's name, looked up when the file is written (flowbench traces it)
+    files["spectrum.csv"] = lambda path: export_spectrum_csv(rep, path, state.config.tau_gamma)
     degrees, counts = np.unique(rep.degree, return_counts=True)
     result = {
         "spectral_radius": rep.spectral_radius,
@@ -515,7 +509,7 @@ def _task_spectrum(state: _Levels, out_dir: Path) -> Dict:
     return result
 
 
-def _task_classify(state: _Levels, out_dir: Path) -> Dict:
+def _task_classify(state: _Levels, files: Dict) -> Dict:
     cls = classify_phase(state.spectrum(), state.config.tau_gamma, state.config.tau_e)
     return {
         "verdict": cls.verdict,
@@ -526,7 +520,7 @@ def _task_classify(state: _Levels, out_dir: Path) -> Dict:
     }
 
 
-def _task_witten(state: _Levels, out_dir: Path) -> Dict:
+def _task_witten(state: _Levels, files: Dict) -> Dict:
     idx = witten_index(state.spectrum(), state.config.tau0)
     counts = zero_mode_counts(state.spectrum(), state.config.tau0)
     chi = state.model.mesh.euler_characteristic()
@@ -538,7 +532,7 @@ def _task_witten(state: _Levels, out_dir: Path) -> Dict:
     }
 
 
-def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
+def _task_stationary(state: _Levels, files: Dict) -> Dict:
     rep = state.spectrum()
     mesh = state.model.mesh
     top = mesh.dimension
@@ -568,11 +562,12 @@ def _task_stationary(state: _Levels, out_dir: Path) -> Dict:
         result["oracle_max_rel_deviation"] = float(
             np.max(np.abs(vec - oracle_cells)) / np.max(np.abs(oracle_cells))
         )
-    _write_csv(out_dir / "stationary.csv", ["cell", "density"], [np.arange(len(vec)), vec])
+    files["stationary.csv"] = lambda path: _write_csv(path, ["cell", "density"],
+                                                      [np.arange(len(vec)), vec])
     return result
 
 
-def _task_morse(state: _Levels, out_dir: Path) -> Dict:
+def _task_morse(state: _Levels, files: Dict) -> Dict:
     model = state.model
     points = find_critical_points(model.mesh, model.flow)
     ph = poincare_hopf_sum(points)
@@ -609,7 +604,7 @@ def _task_morse(state: _Levels, out_dir: Path) -> Dict:
     return result
 
 
-def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
+def _task_simulate(state: _Levels, files: Dict) -> Dict:
     model = state.model
     sim = state.config.sim
     # sampled block by block through this module's simulate_sde, the name
@@ -625,8 +620,9 @@ def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
         result["histogram"]["tv_distance_to_oracle"] = tv_distance_to_density(
             hist, model.density
         )
-    _write_csv(out_dir / "histogram.csv", ["bin_lo", "bin_hi", "count", "density"],
-               [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
+    files["histogram.csv"] = lambda path: _write_csv(
+        path, ["bin_lo", "bin_hi", "count", "density"],
+        [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.density])
     if fit is not None:
         result["autocorrelation"] = {
             "rate": fit.rate,
@@ -637,7 +633,7 @@ def _task_simulate(state: _Levels, out_dir: Path) -> Dict:
     return result
 
 
-def _task_sweep(state: _Levels, out_dir: Path) -> Dict:
+def _task_sweep(state: _Levels, files: Dict) -> Dict:
     return _sweep(state, state.config.sweep_epsilons,
                   state.config.tau_gamma, state.config.tau_e)
 
@@ -709,27 +705,22 @@ TASKS = tuple(_TASK_FNS)
 class ReportDocument:
     data: Dict
     out_dir: Path
-    timings: Dict
 
     @property
     def path(self) -> Path:
         return self.out_dir / "report.json"
 
-    def to_json(self) -> str:
-        return canonical_json(self.data)
-
 
 def run(config: RunConfig, out_dir=None) -> ReportDocument:
-    """Execute the configured tasks in declared order and write the report.
+    """Execute the configured tasks in declared order, then write their files.
 
-    Writes ``report.json`` (byte-stable) plus per-task CSVs into the output
-    directory, and wall-clock timings into the ``timings.json`` sidecar.
-    The report lists each distinct warning once.  A model that a task cannot
-    run (``simulate`` needs a drift and a 1-dimensional domain) leaves no file.
+    Every task runs and ``report.json`` (byte-stable) is formatted before the
+    output directory is made, so a run that raises writes no file and leaves
+    an existing output directory as it was.  Then the CSVs, the report and the
+    wall-clock ``timings.json`` sidecar are written.  The report lists each
+    distinct warning once.
     """
-    model = _resolve_model(config)  # a refused model leaves no output directory
-    out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
+    model = _resolve_model(config)
     # the splitting scan's levels that no other task reads
     whole = set(config.sweep_epsilons or ()) if "sweep" in config.tasks else set()
     if {"spectrum", "classify", "witten", "stationary"} & set(config.tasks):
@@ -737,6 +728,7 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
     state = _Levels(model, config.backend, config, frozenset(config.morse_epsilons or ()) - whole)
 
     results: Dict[str, Dict] = {}
+    files: Dict = {}  # file name -> writer taking the file's path
     timings: Dict[str, float] = {}
     t_all = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -744,7 +736,7 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
         for task in config.tasks:
             t0 = time.perf_counter()
             try:
-                results[task] = _TASK_FNS[task](state, out)
+                results[task] = _TASK_FNS[task](state, files)
             except MemoryError as exc:  # an assembly or a solve too large for this machine
                 raise CapacityError(f"cannot allocate the arrays of task {task!r}: {exc}") from exc
             timings[task] = time.perf_counter() - t0
@@ -755,17 +747,21 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
         "model": {"name": model.name, "params": model.params},
         "results": results,
         "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
-        "versions": {
-            "package": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"package": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
-    doc = ReportDocument(data=data, out_dir=out, timings=timings)
-    with open(doc.path, "w", encoding="utf-8") as fh:
-        fh.write(doc.to_json())
-    with open(out / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump({k: round(v, 6) for k, v in timings.items()}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
+    text = canonical_json(data)
+    files["report.json"] = lambda path: path.write_text(text, encoding="utf-8")
+
+    out = Path(out_dir if out_dir is not None else (config.out_dir or "."))
+    t0 = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        try:
+            write(out / name)
+        except MemoryError as exc:  # a CSV too large to format on this machine
+            raise CapacityError(f"cannot allocate the rows of {name!r}: {exc}") from exc
+    timings["write"] = time.perf_counter() - t0
+    (out / "timings.json").write_text(json.dumps(
+        {k: round(v, 6) for k, v in timings.items()}, indent=2, sort_keys=True) + "\n")
+    return ReportDocument(data, out)

@@ -196,10 +196,12 @@ def simulate_sde(
         uniform spread over the domain.
 
     A stability warning is emitted when dt exceeds the heuristic threshold
-    0.1 * eps / max|A|^2 for the drift-dominated regime.  A path store or
-    default start positions that numpy refuses to allocate raise the
-    capacity error before any step.
+    0.1 * eps / max|A|^2 for the drift-dominated regime.  A model without a
+    drift is refused first; a path store or default start positions that
+    numpy refuses to allocate raise the capacity error before any step.
     """
+    if model.drift is None:
+        raise ValidationError("simulation needs a model with a closed-form drift")
     _check_sampler(dt, steps, n_paths, seed, store_every)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)

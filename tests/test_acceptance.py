@@ -283,6 +283,7 @@ STORED_FIELDS = {
     "TrajectoryEnsemble": ["states", "dt", "store_every", "n_steps", "seed", "periods"],
     "DecayFit": ["rate", "frequency", "window", "n_lags", "c0"],
     "HistogramResult": ["bin_edges", "counts", "n_samples"],
+    "ReportDocument": ["data", "out_dir"],
 }
 
 
@@ -290,5 +291,5 @@ def test_result_types_store_the_audited_fields():
     got = {name: [f.name for f in dataclasses.fields(getattr(fs, name))]
            for name in STORED_FIELDS}
     assert got == STORED_FIELDS
-    assert sum(map(len, got.values())) == 49
+    assert sum(map(len, got.values())) == 51
     assert "tol" not in inspect.signature(fs.susy_pairing_check).parameters

@@ -730,6 +730,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _double_zero_after_spectrum(tmp_path):
+    # spectrum succeeds, then morse meets the double zeros of sin^2 and raises
+    phis = 2 * np.pi * np.arange(32) / 32
+    path = tmp_path / "double-zero.json"
+    path.write_text(json.dumps({
+        "inline": {"mesh": {"kind": "circle", "n": 32},
+                   "flow": {"vertex_samples": list(np.sin(phis) ** 2)}, "epsilon": 0.2},
+        "tasks": ["spectrum", "morse"]}))
+    return path
+
+
+def test_cli_run_failing_after_a_task_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(_double_zero_after_spectrum(tmp_path)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure")
+    assert not out.exists()
+
+
+def test_cli_failing_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(base_config(tasks=["spectrum", "stationary", "witten"])))
+    assert main(["run", str(good), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["report.json", "spectrum.csv", "stationary.csv", "timings.json"]
+    assert main(["run", str(_double_zero_after_spectrum(tmp_path)), "--out", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("cfg", [
     base_config(backend="spectral"),
     {"inline": {"mesh": {"kind": "circle", "n": 16, "length": -1},
@@ -863,8 +892,8 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, cfg):
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    # refused before any task wrote a file
-    assert not out.exists() or not any(out.iterdir())
+    # refused before any file: not even the output directory is made
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1082,7 +1111,7 @@ def test_cli_bloch_symbols_once_per_block(tmp_path, monkeypatch):
     assert calls == [0, 1, 2]
 
 
-@pytest.mark.parametrize("name", ["assemble_hamiltonian", "_solve"])
+@pytest.mark.parametrize("name", ["assemble_hamiltonian", "_solve", "export_spectrum_csv"])
 def test_cli_memory_error_exits_3(tmp_path, capsys, monkeypatch, name):
     import flowspec.reporting
 

@@ -59,7 +59,7 @@ def test_assembly_builds_each_piece_once_per_degree(monkeypatch):
     model = fs.build_model("torus_shear_model",
                            {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 6})
     calls = {"boundary": 0, "iota": 0}
-    boundary, iota = fs.MeshComplex.boundary_matrix, flowspec.operators.interior_product
+    boundary, iota = fs.MeshComplex.boundary_matrix, flowspec.operators._interior_product
 
     def counted_boundary(self, k):
         calls["boundary"] += 1
@@ -71,7 +71,7 @@ def test_assembly_builds_each_piece_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(fs.MeshComplex, "boundary_matrix", counted_boundary)
     for module in (flowspec.operators, flowspec.hamiltonian):
-        monkeypatch.setattr(module, "interior_product", counted_iota)
+        monkeypatch.setattr(module, "_interior_product", counted_iota)
     fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
     assert calls == {"boundary": 2, "iota": 2}  # one d_k and one iota per degree
 

@@ -80,6 +80,21 @@ def test_torus_zeros_off_the_grid_solve_the_bilinear_quadratic():
     assert fs.poincare_hopf_sum(pts) == 0
 
 
+@pytest.mark.parametrize("n, wells_x, count", [
+    (127, 2, 16), (128, 2, 16), (200, 2, 16), (256, 2, 16), (128, 1, 8),
+])
+def test_torus_zeros_where_the_cell_quadratic_degenerates(n, wells_x, count):
+    # W = cos(wells_x x) + cos 2y: around a zero on a grid vertex some cells'
+    # quadratic has a roundoff-sized leading coefficient, where (-qb ± r)/(2 qa)
+    # cancels and moved a corner root inside the cell, adding a spurious zero
+    mesh = fs.build_torus_grid(n, n, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    flow = fs.langevin_flow(mesh, np.cos(wells_x * x) + np.cos(2 * y), fs.NoiseSpec(0.2))
+    pts = fs.find_critical_points(mesh, flow)
+    assert len(pts) == count
+    assert fs.poincare_hopf_sum(pts) == 0
+
+
 def test_spiral_zeros_on_the_torus():
     # A = (sin x - 0.5 sin y, sin y + 0.5 sin x): spirals at (0, 0) and (pi, pi)
     n = 32

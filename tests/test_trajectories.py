@@ -201,6 +201,17 @@ def test_unallocatable_path_store_is_a_capacity_error():
         fs.simulate_sde(model, dt=0.01, steps=10**15, n_paths=10**6, seed=0)
 
 
+def test_model_without_a_drift_is_refused_before_allocating():
+    # a store of 10^21 slots would be refused as a capacity error: the
+    # missing drift is refused first
+    from dataclasses import replace
+
+    model = replace(drive_model(), drift=None)
+    with pytest.raises(fs.ValidationError,
+                       match="simulation needs a model with a closed-form drift"):
+        fs.simulate_sde(model, dt=0.01, steps=10**15, n_paths=10**6, seed=0)
+
+
 def test_unallocatable_start_positions_are_a_capacity_error():
     # numpy refuses to index 1e20 paths; no stream may be spawned
     class NoSpawn(np.random.SeedSequence):
