@@ -183,6 +183,10 @@ def export_spectrum_csv(report: SpectrumReport, path,
 # configuration
 # ----------------------------------------------------------------------
 
+_SIM_DEFAULTS = {"dt": 0.005, "steps": 20_000, "n_paths": 200, "seed": 2024,
+                 "store_every": 1, "bins": 64, "autocorrelation": False}  # what a config leaves out
+
+
 @dataclass(frozen=True)
 class RunConfig:
     tasks: Tuple[str, ...]
@@ -259,11 +263,10 @@ class RunConfig:
         _check_keys(sim, ("dt", "steps", "n_paths", "seed", "store_every", "bins",
                           "autocorrelation", "fit_window"), "simulate")
         if "simulate" in tasks:
-            sim["dt"] = _as_float(sim.get("dt", 0.005), "simulate.dt")
-            for key, default in (("steps", 20_000), ("n_paths", 200), ("seed", 2024),
-                                 ("store_every", 1), ("bins", 64)):
-                sim[key] = _as_int(sim.get(key, default), f"simulate.{key}")
-            sim.setdefault("autocorrelation", False)
+            sim = {**_SIM_DEFAULTS, **sim}
+            sim["dt"] = _as_float(sim["dt"], "simulate.dt")
+            for key in ("steps", "n_paths", "seed", "store_every", "bins"):
+                sim[key] = _as_int(sim[key], f"simulate.{key}")
             if not isinstance(sim["autocorrelation"], bool):
                 raise ValidationError("simulate.autocorrelation must be true or false, "
                                       f"got {sim['autocorrelation']!r}")
@@ -537,12 +540,10 @@ def _task_stationary(state: _Levels, files: Dict) -> Dict:
     mesh = state.model.mesh
     top = mesh.dimension
     top_values = rep.eigenvalues(top)
-    if not len(top_values):
-        raise NumericalError("no top-degree entries in the spectrum")
     ground = int(np.argmin(np.abs(top_values)))
     op, plan = state.level(state.model.noise.epsilon)
     # the dominant component is real and positive; scale to unit total mass
-    vec = _null_vector(op, plan[top][0], top_values[ground], rep.spectral_radius).real
+    vec = _null_vector(op, plan[top], top_values[ground], rep.spectral_radius).real
     mass = float(np.sum(vec * mesh.primal_volumes[top]))
     if mass <= 0:
         raise NumericalError("top-degree ground state has non-positive mass")
@@ -606,7 +607,7 @@ def _task_morse(state: _Levels, files: Dict) -> Dict:
 
 def _task_simulate(state: _Levels, files: Dict) -> Dict:
     model = state.model
-    sim = state.config.sim
+    sim = {**_SIM_DEFAULTS, **state.config.sim}
     # sampled block by block through this module's simulate_sde, the name
     # that flowbench/tracing.py patches
     hist, fit = _streamed_estimates(simulate_sde, model, **sim)

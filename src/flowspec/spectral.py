@@ -5,11 +5,11 @@ Each degree block is decomposed with eigenvalues only
 eigenvectors (``full_spectrum``, the library path and the test oracle); a
 run takes its one eigenvector, the stationary density, off the top block's
 route (``_null_vector``): the constant vector for a bloch block, 1/s^2 from
-a symmetric route's weights, inverse iteration on an ``eigvals`` block.
-Blocks arrive in their stored form (CSR on fd, dense on fourier) and are
-read in it; a dense solver makes a dense copy of what it solves, when it
-solves it, so a run whose blocks all take the bloch or a banded route builds
-no dense block.
+the weights s that the plan keeps for a symmetric route, inverse iteration
+on an ``eigvals`` block.  Blocks arrive in their stored form (CSR on fd,
+dense on fourier) and are read in it; a dense solver makes a dense copy of
+what it solves, when it solves it, so a run whose blocks all take the bloch
+or a banded route builds no dense block.
 Left and right eigenvectors are paired per eigenvalue
 *cluster* (eigenvalues linked by steps closer than 1e-7 of the spectral
 radius are handled jointly: under degeneracy the individual left/right
@@ -20,10 +20,10 @@ that eigenvalues equal to roundoff keep one order whichever routine solved
 them.
 
 Eigenvalue-only solves are planned, then solved: ``_plan`` routes every
-block by its entries (``_block_route``), makes nothing dense, and caps the
-blocks of every route but bloch before ``_solve`` makes their dense copies; a
-bloch level is refused instead on a grid finer than the zero-mode threshold
-resolves.  The routes, first that applies:
+block by its entries into one ``_Route`` record (``_block_route``), makes
+nothing dense, and caps the blocks of every route but bloch before ``_solve``
+makes their dense copies; a bloch level is refused instead on a grid finer
+than the zero-mode threshold resolves.  The routes, first that applies:
 
 * ``bloch``: a translation-invariant block, by its f x f symbols;
 * a symmetric form under a measured diagonal similarity, whose degree-0
@@ -80,7 +80,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -244,30 +244,38 @@ def _lapack(k: int, solver, a: np.ndarray, **kwargs):
         ) from exc
 
 
-def _null_vector(op: GradedOperator, name: str, eigenvalue: complex,
+class _Route(NamedTuple):
+    """A block's planned route: its name, what ``_solve`` solves, and what it measured."""
+
+    name: str
+    matrix: object
+    weights: Optional[np.ndarray]  # a symmetric route's s, in cell order; else None
+
+
+def _null_vector(op: GradedOperator, route: _Route, eigenvalue: complex,
                  radius: float) -> np.ndarray:
     """Right eigenvector of the top-degree block for its ground ``eigenvalue``,
-    read off the block's planned route ``name``.
+    read off the block's planned ``route``.
 
-    On a closed complex the top block's columns sum to zero, 1^T H = 0, and
-    two routes know its kernel from that alone.  A bloch block is
-    translation-invariant, so its rows sum as its columns do: the constant
-    vector.  A symmetric route's S = diag(s) H diag(1/s) is symmetric, so
-    (1/s)^T S = 1^T H diag(1/s) = 0 makes S (1/s) = 0 and H (1/s^2) = 0: the
-    weights of ``_diagonal_similarity``.  An ``eigvals`` block goes by
-    inverse iteration: one LU of its dense ``H - sigma I``, sigma just past
-    the eigenvalue (``_SHIFT_REL`` of the spectral radius, so that no pivot
-    is exactly zero), then ``_INVERSE_STEPS`` solves from the constant
-    vector.  Scaled as ``full_spectrum`` scales right vectors (unit norm,
-    dominant component real positive); refused unless ``||Hv - lambda v|| <=
-    1e-8 radius``, with Hv taken from the stored block.
+    On a closed complex the top block's columns sum to zero, 1^T H = 0, and two
+    routes know its kernel from that alone.  A bloch block is translation-
+    invariant, so its rows sum as its columns do: the constant vector.  A
+    symmetric route's S = diag(s) H diag(1/s) is symmetric, so (1/s)^T S =
+    1^T H diag(1/s) = 0 makes S (1/s) = 0 and H (1/s^2) = 0, with s the
+    route's weights, measured as the block was planned.  An ``eigvals`` block
+    goes by inverse iteration: one LU of its dense ``H - sigma I``, sigma
+    just past the eigenvalue (``_SHIFT_REL`` of the spectral radius, so that
+    no pivot is exactly zero), then ``_INVERSE_STEPS`` solves from the
+    constant vector.  Scaled as ``full_spectrum`` scales right vectors (unit
+    norm, dominant component real positive); refused unless ``||Hv - lambda
+    v|| <= 1e-8 radius``, with Hv taken from the stored block.
     """
     k = op.mesh.dimension
     block = op.blocks[k]
     scale = radius or 1.0  # a zero block still gets a nonzero shift
-    if name == "bloch":
+    if route.name == "bloch":
         v = np.ones(block.shape[0], dtype=complex)
-    elif name == "eigvals":
+    elif route.name == "eigvals":
         shifted = _dense(block).astype(complex)
         shifted.flat[::len(shifted) + 1] -= complex(eigenvalue) + _SHIFT_REL * scale
         lu = scipy.linalg.lu_factor(shifted, check_finite=False)
@@ -276,7 +284,7 @@ def _null_vector(op: GradedOperator, name: str, eigenvalue: complex,
             v = scipy.linalg.lu_solve(lu, v, check_finite=False)
             v /= np.max(np.abs(v))
     else:  # eigvalsh, eigvals_banded
-        v = (_diagonal_similarity(block)[0] ** -2).astype(complex)
+        v = (route.weights ** -2).astype(complex)
     j = int(np.argmax(np.abs(v)))
     v /= v[j] / abs(v[j]) * scipy.linalg.blas.dznrm2(v)
     if scipy.sparse.issparse(block):
@@ -293,7 +301,7 @@ def _null_vector(op: GradedOperator, name: str, eigenvalue: complex,
     return v
 
 
-def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
+def _block_route(op: GradedOperator, k: int) -> _Route:
     """The first route the degree-``k`` block's entries allow, and the matrix it solves:
     ``bloch``, the n0 symbol matrices of size f x f of a translation-invariant
     block on a periodic grid (``_bloch_symbols``, solved batched); the form of
@@ -318,27 +326,28 @@ def _block_route(op: GradedOperator, k: int) -> Tuple[str, object]:
     block = _finite_block(op, k)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
     if symbols is not None:
-        return ("bloch", symbols)
+        return _Route("bloch", symbols, None)
     similar = _diagonal_similarity(block)
     if similar is None:
-        return ("eigvals", block)
+        return _Route("eigvals", block, None)
+    weights, form = similar
     order = _fold(op.mesh, k)
     # columns sorted, so that the factor lists its rows in the order of their pairs
-    s, sym = similar[0][order], similar[1][order][:, order].sorted_indices()
+    s, sym = weights[order], form[order][:, order].sorted_indices()
     factor = _gradient_factor(s, sym) if k == 0 else None
     if factor is not None:
         band = _band(factor)
         if band is None:
-            return ("svdvals", factor)
-        return ("band_svdvals", (factor.shape[0],) + band)  # (m, band, kl)
+            return _Route("svdvals", factor, weights)
+        return _Route("band_svdvals", (factor.shape[0],) + band, weights)  # (m, band, kl)
     band = _band(sym)
     if band is None:
-        return ("eigvalsh", sym)
+        return _Route("eigvalsh", sym, weights)
     ab, kl = band  # symmetric, so ku = kl: rows 0..kl are LAPACK's upper band storage
-    return ("eigvals_banded", ab[:kl + 1])
+    return _Route("eigvals_banded", ab[:kl + 1], weights)
 
 
-def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, object]]:
+def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, _Route]:
     """The route of each of ``degrees`` (``_block_route``), refused by the
     capacity error when the blocks of the dense routes, every route but
     bloch, exceed the cap, and by a numerical error when a grid axis is finer
@@ -356,8 +365,8 @@ def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, ob
     a bloch route reaches it.
     """
     plan = {k: _block_route(op, k) for k in degrees}
-    _check_capacity(tuple(op.mesh.cell_counts[k] for k, (name, _) in plan.items()
-                          if name != "bloch"))
+    _check_capacity(tuple(op.mesh.cell_counts[k] for k, route in plan.items()
+                          if route.name != "bloch"))
     finest = int(math.pi / math.asin(math.sqrt(10 * _DEFAULT_TOL_REL)))
     if max(op.mesh.grid_shape or (0,)) > finest:
         raise NumericalError(
@@ -366,13 +375,13 @@ def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, Tuple[str, ob
     return plan
 
 
-def _solve(k: int, route: Tuple[str, object]) -> np.ndarray:
+def _solve(k: int, route: _Route) -> np.ndarray:
     """Eigenvalues of the degree-``k`` block by its planned ``route``: the
     batched symbol solve, a banded solve of its band (the pair factor's
     squared singular values, or ``eigvals_banded`` of the symmetric form),
     or one LAPACK call on a dense copy of its matrix.  A factor's squared
     singular values are the block's eigenvalues."""
-    name, matrix = route
+    name, matrix = route.name, route.matrix
     if name == "bloch":
         return _lapack(k, np.linalg.eigvals, matrix).ravel()
     if name == "band_svdvals":
@@ -684,8 +693,6 @@ def _biorthonormalize(w, vl, vr, radius):
     roundoff (cluster-local solve handles degeneracies).
     """
     n = len(w)
-    if n == 0:
-        return vl, vr, np.zeros(0)
     clusters = _clusters(w, _CLUSTER_REL * max(radius, 1e-300))
 
     vl = vl.astype(complex).copy()

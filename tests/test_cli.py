@@ -286,11 +286,18 @@ def test_cli_simulate_fits_the_autocorrelation_in_its_window(tmp_path):
         ["simulate"], simulate={"dt": 0.004, "steps": 2000, "n_paths": 200, "seed": 5,
                                 "autocorrelation": True, "fit_window": [lo, hi]})))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    fit = json.loads((tmp_path / "out" / "report.json").read_text())[
-        "results"]["simulate"]["autocorrelation"]
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["simulate"]
+    fit = result["autocorrelation"]
     assert fit["rate"] > 0
     assert lo <= fit["window"][0] < fit["window"][1] <= hi
     assert fit["n_lags"] >= 5
+    # 2001 stored states less a 401-state burn-in: 1600 samples a path
+    histogram = result["histogram"]
+    assert histogram["n_samples"] == 200 * 1600
+    with open(tmp_path / "out" / "histogram.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["bin_lo", "bin_hi", "count", "density"]
+    assert len(rows) == histogram["bins"] == 64
 
 
 @pytest.mark.parametrize("morse", [{"splitting_epsilons": None}, {}, None])
@@ -328,13 +335,24 @@ def test_inline_potential_sweep_equals_the_registered_model(tmp_path):
     inline = {"inline": {"mesh": {"kind": "circle", "n": 48},
                          "flow": {"potential": np.cos(2.0 * phis).tolist()},
                          "epsilon": 0.2}}
-    tasks = ("witten", "morse", "sweep")
+    tasks = ("witten", "morse", "sweep", "stationary")
     morse = {"splitting_epsilons": eps}
     want = sweep_of(tmp_path, "registered", registered, eps, tasks, morse=morse)
     got = sweep_of(tmp_path, "inline", inline, eps, tasks, morse=morse)
     assert got["sweep"] == want["sweep"]
     assert got["morse"]["splitting_scan"] == want["morse"]["splitting_scan"]
     assert got["witten"] == want["witten"]
+    # the banded routes give one zero mode a degree, the index and the Morse count
+    assert len(got["sweep"]["rows"]) == 3
+    assert got["morse"]["splitting_scan"]["strictly_decreasing"] is True
+    assert got["witten"]["zero_modes_per_degree"] == [1, 1]
+    assert got["witten"]["matches_euler_characteristic"] is True
+    assert got["morse"]["matches_witten_index"] is True
+    # the top block's weights give the density: positive cells of unit mass
+    density = stationary_density(tmp_path / "inline")
+    np.testing.assert_array_equal(density, stationary_density(tmp_path / "registered"))
+    assert len(density) == 48 and np.min(density) > 0
+    assert abs(np.sum(density) * 2 * np.pi / 48 - 1) <= 1e-9
 
 
 def test_fourier_run_scans_the_fd_levels(tmp_path):
@@ -460,12 +478,20 @@ def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
 
 
 @pytest.mark.parametrize("tasks", [["spectrum", "classify"], ["witten", "stationary"]])
-def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, tasks):
+def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, monkeypatch, tasks):
+    import flowspec.spectral
+
+    measured = []
+    similarity = flowspec.spectral._diagonal_similarity
+    monkeypatch.setattr(flowspec.spectral, "_diagonal_similarity",
+                        lambda block: measured.append(block) or similarity(block))
     doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
     assert work["eig"] == 0
     [op] = work["ops"]
     # one solve per block of the base level, none solved twice
     assert sorted(solved_blocks(work)) == [(0, k) for k in range(len(op.blocks))]
+    # each block's weights are measured once, as it is planned; stationary reads the plan's
+    assert len(measured) == len(op.blocks) == 2
     res = doc.data["results"]
     if "spectrum" in res:
         sizes = {str(k): b.shape[0] for k, b in enumerate(op.blocks)}
@@ -522,6 +548,19 @@ def test_stationary_density_of_a_degenerate_kernel(tmp_path, a, backend):
     })
     res = fs.run(cfg, out_dir=tmp_path).data["results"]["stationary"]
     assert res["oracle_max_rel_deviation"] <= 1e-6
+
+
+def test_stationary_density_of_a_constant_torus_flow_is_uniform(tmp_path):
+    # the top block takes bloch: 1/(4 pi^2) on every one of the 144 faces
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model",
+                  "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 12}},
+        "tasks": ["stationary", "witten"]})
+    res = fs.run(cfg, out_dir=tmp_path).data["results"]["stationary"]
+    assert res["ground_eigenvalue"].real == 0.0
+    density, uniform = stationary_density(tmp_path), 1 / (4 * np.pi ** 2)
+    assert len(density) == 144
+    assert np.max(np.abs(density - uniform)) <= 1e-9 * uniform
 
 
 def test_each_level_is_packed_into_one_report(tmp_path, monkeypatch):
@@ -688,6 +727,16 @@ def test_simulating_a_model_without_a_drift_is_refused_before_any_file(tmp_path)
                        match="simulation needs a model with a closed-form drift"):
         fs.run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_directly_built_simulate_config_takes_the_parsed_defaults(tmp_path):
+    model = {"name": "constant_drive_circle", "params": {"a": 1.0, "epsilon": 0.2, "n": 16}}
+    direct = fs.RunConfig(tasks=("simulate",), model_name=model["name"],
+                          model_params=model["params"])
+    parsed = fs.RunConfig.from_dict({"model": model, "tasks": ["simulate"]})
+    got, want = (fs.run(cfg, tmp_path / name).data["results"]["simulate"]
+                 for name, cfg in (("direct", direct), ("parsed", parsed)))
+    assert got == want
 
 
 @pytest.mark.parametrize("level", [float("nan"), -0.1], ids=["nan", "negative"])
@@ -1107,7 +1156,7 @@ def test_cli_bloch_symbols_once_per_block(tmp_path, monkeypatch):
                   "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 24}},
         "backend": "fd", "tasks": ["spectrum", "classify", "witten", "stationary"]})
     fs.run(cfg, out_dir=tmp_path)
-    # planned once as the level is assembled; stationary reads the route's name
+    # planned once as the level is assembled; stationary reads the route record
     assert calls == [0, 1, 2]
 
 

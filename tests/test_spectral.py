@@ -918,7 +918,7 @@ def test_null_vector_agrees_with_full_spectrum(name, backend):
     from flowspec.spectral import _block_route, _null_vector
 
     op, values, top, ground = ground_state(name, backend)
-    v = _null_vector(op, _block_route(op, top)[0], values.eigenvalues(top)[ground],
+    v = _null_vector(op, _block_route(op, top), values.eigenvalues(top)[ground],
                      values.spectral_radius)
     full = fs.full_spectrum(op)
     r = full.right[top][:, np.argmin(np.abs(full.eigenvalues(top)))]
@@ -934,9 +934,9 @@ def test_null_vector_of_an_invariant_block_is_constant(monkeypatch, name, backen
 
     op, values, top, ground = ground_state(name, backend)
     route = _block_route(op, top)
-    assert route[0] == "bloch"
+    assert route.name == "bloch"
     monkeypatch.setattr(scipy.linalg, "lu_factor", None)  # the constant vector needs no LU
-    v = _null_vector(op, route[0], values.eigenvalues(top)[ground], values.spectral_radius)
+    v = _null_vector(op, route, values.eigenvalues(top)[ground], values.spectral_radius)
     assert not np.any(v.imag)
     assert np.all(v.real == v.real[0]) and v.real[0] > 0
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
@@ -949,12 +949,12 @@ def test_null_vector_of_a_symmetric_torus_block_takes_no_lu(monkeypatch):
     op = torus_potential_operator(6, 1.0, 0.2, wells=2)
     values = fs.eigenvalue_spectrum(op)
     route = _block_route(op, 2)
-    assert route[0] == "eigvalsh"
+    assert route.name == "eigvalsh"
     full = fs.full_spectrum(op)
     r = full.right[2][:, np.argmin(np.abs(full.eigenvalues(2)))]
     monkeypatch.setattr(scipy.linalg, "lu_factor", None)
     lam = values.eigenvalues(2)
-    v = _null_vector(op, route[0], lam[np.argmin(np.abs(lam))], values.spectral_radius)
+    v = _null_vector(op, route, lam[np.argmin(np.abs(lam))], values.spectral_radius)
     assert np.max(np.abs(v - r)) <= 1e-9 * np.max(np.abs(r))
 
 
@@ -968,26 +968,24 @@ def test_null_vector_residual_guard(monkeypatch, fault, name, route):
     # each branch reaches the guard: a wrong vector, a NaN one, s^2 for 1/s^2
     # (the double well is even under reflection, so reversed weights would
     # still be right), or the right vector asked for the wrong eigenvalue
-    import flowspec.spectral
     from flowspec.spectral import _block_route, _null_vector
 
     op, values, top, ground = ground_state(name, "fd")
-    assert _block_route(op, top)[0] == route
+    planned = _block_route(op, top)
+    assert planned.name == route
     eigenvalue = values.eigenvalues(top)[ground]
     if fault == "wrong-vector":
         monkeypatch.setattr(scipy.linalg, "lu_solve", lambda lu, b, **kw: np.arange(1.0, len(b) + 1))
     elif fault == "nan":
         monkeypatch.setattr(scipy.linalg, "lu_solve", lambda lu, b, **kw: np.full(len(b), np.nan))
     elif fault == "reciprocal-weights":
-        similarity = flowspec.spectral._diagonal_similarity
-        monkeypatch.setattr(flowspec.spectral, "_diagonal_similarity",
-                            lambda block: (1.0 / similarity(block)[0], None))
+        planned = planned._replace(weights=1.0 / planned.weights)
     else:
         eigenvalue = 0.5 * values.spectral_radius
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(fs.NumericalError, match=f"degree-{top} block"):
-            _null_vector(op, route, eigenvalue, values.spectral_radius)
+            _null_vector(op, planned, eigenvalue, values.spectral_radius)
 
 
 def test_verdicts_on_synthetic_multisets():
@@ -1123,7 +1121,9 @@ def test_spectrum_csv_layout(tmp_path):
     assert sum(int(r[5]) for r in body) == 2
 
     # torus: degenerate eigenvalues interleave with their conjugates; each
-    # pair id still joins one conjugate pair within one degree
+    # pair id still joins one conjugate pair within one degree, in a CSV of
+    # a two-sided report and in a fourier run's, whose blocks take bloch
+    tori = []
     for ax, ay in ((1.2, 0.4), (0.7, 0.6)):
         model = fs.build_model("torus_shear_model",
                                {"ax": ax, "ay": ay, "epsilon": 0.3, "n": 8})
@@ -1131,17 +1131,29 @@ def test_spectrum_csv_layout(tmp_path):
             fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
         path = tmp_path / f"torus-{ax}-{ay}.csv"
         fs.export_spectrum_csv(report, path)
+        tori.append((path, report.spectral_radius, 64))
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "torus_shear_model",
+                  "params": {"ax": 1.0, "ay": 0.5, "epsilon": 0.3, "n": 12}},
+        "backend": "fourier", "tasks": ["spectrum", "witten"]})
+    res = fs.run(cfg, out_dir=tmp_path / "run").data["results"]
+    assert res["spectrum"]["oracle_satisfied"] is True
+    assert res["witten"]["zero_modes_per_degree"] == [1, 2, 1]
+    tori.append((tmp_path / "run" / "spectrum.csv", res["spectrum"]["spectral_radius"], 144))
+    for path, radius, cells in tori:
         with open(path, newline="") as fh:
-            body = list(csv.reader(fh))[1:]
-        tol = 1e-9 * report.spectral_radius
+            header, *body = list(csv.reader(fh))
+        assert header == rows[0]
+        assert np.bincount([int(r[0]) for r in body]).tolist() == [cells, 2 * cells, cells]
+        tol = 1e-9 * radius
         by_id = {}
         for r in body:
             if int(r[4]) >= 0:
                 by_id.setdefault(int(r[4]), []).append((int(r[0]), float(r[2]), float(r[3])))
         assert by_id
-        for rows in by_id.values():
-            assert len(rows) == 2
-            (k0, g0, e0), (k1, g1, e1) = rows
+        for members in by_id.values():
+            assert len(members) == 2
+            (k0, g0, e0), (k1, g1, e1) = members
             assert k0 == k1
             assert e0 * e1 < 0 and abs(e0 + e1) <= tol
             assert abs(g0 - g1) <= tol
