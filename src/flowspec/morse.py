@@ -444,10 +444,12 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
     least two local minima; each level is the fd generator of
     ``model.rebuild_at(eps)``.
     """
+    patterns = []  # the levels share their pattern records (_plan)
+
     def degree0_eigenvalues(eps):
         m = model.rebuild_at(eps)
         op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd")
-        return _solve(0, _plan(op, (0,))[0])
+        return _solve(0, _plan(op, (0,), patterns)[0])
 
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 

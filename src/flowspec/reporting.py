@@ -464,6 +464,7 @@ class _Levels:
         self._levels: Dict[float, Tuple[GradedOperator, Dict]] = {}
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
         self._reports: Dict[float, SpectrumReport] = {}
+        self._patterns: list = []  # every level's pattern records (_plan), kept for the run
 
     def level(self, eps: float) -> Tuple[GradedOperator, Dict]:
         """A level's operator and its ``_plan``, which the dense-solver cap may refuse."""
@@ -471,7 +472,8 @@ class _Levels:
         if eps not in self._levels:
             m = self.model.rebuild_at(eps)
             op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
-            self._levels[eps] = op, _plan(op, (0,) if eps in self.scan_only else op.degrees())
+            self._levels[eps] = op, _plan(op, (0,) if eps in self.scan_only else op.degrees(),
+                                          self._patterns)
         return self._levels[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:

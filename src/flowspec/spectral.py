@@ -23,7 +23,10 @@ Eigenvalue-only solves are planned, then solved: ``_plan`` routes every
 block by its entries into one ``_Route`` record (``_block_route``), makes
 nothing dense, and caps the blocks of every route but bloch before ``_solve``
 makes their dense copies; a bloch level is refused instead on a grid finer
-than the zero-mode threshold resolves.  The routes, first that applies:
+than the zero-mode threshold resolves.  What a route reads off the block's
+pattern alone is a ``pattern._Pattern`` record, which a run builds once per
+pattern and refills at every noise level; every test reads the level's own
+entries.  The routes, first that applies:
 
 * ``bloch``: a translation-invariant block, by its f x f symbols;
 * a symmetric form under a measured diagonal similarity, whose degree-0
@@ -52,12 +55,12 @@ solve makes the two pools contend (it about doubles the solve on two cores).
 So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
 ``scipy.sparse``) does all matrix-sized work, the banded routes included:
 ``eigvals_banded``, and dgbbrd and dlasq1 through the pointers that
-``scipy.linalg.cython_lapack`` exports, are scipy's LAPACK.  The pair factor
-is checked by a sparse product, and ``_null_vector`` takes its residual from
-a sparse product (two ``dgemv`` calls on a dense block) and its norms from
-``dznrm2``.
-numpy does elementwise work, FFTs and the tiny batched solves (the f x f
-Bloch symbols here, the 1 x 1 and 2 x 2 matrices of ``morse``).
+``scipy.linalg.cython_lapack`` exports, are scipy's LAPACK.
+``_null_vector`` takes its residual from a sparse product (two ``dgemv``
+calls on a dense block) and its norms from ``dznrm2``.
+numpy does elementwise work (the route tests, the pair factor's B^T B
+summed entry by entry), FFTs and the tiny batched solves (the f x f Bloch
+symbols here, the 1 x 1 and 2 x 2 matrices of ``morse``).
 
 Naming: for an eigenvalue lambda = Gamma + i E, Gamma is the attenuation
 rate (decay rate of the mode) and E the oscillation frequency.  States with
@@ -80,7 +83,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -95,6 +98,7 @@ from .exceptions import (
 )
 from .hamiltonian import GradedOperator, _check_capacity
 from .operators import _dense
+from .pattern import _Pattern, _Route, _stored
 
 __all__ = [
     "SpectrumReport",
@@ -114,13 +118,10 @@ _DEFAULT_TOL_REL = 1e-8
 _PAIRING_TOL = 1e-8
 _SHIFT_REL = 1e-8
 _INVERSE_STEPS = 3
-_FACTOR_TOL = 1e-12
-_SYMMETRY_TOL = 1e-10
 # a fourier block's deviation from its translates is about 2 ulp of max|A|
 _TRANSLATION_TOL = 64 * np.finfo(float).eps
 _INVARIANCE_CHUNK = 1 << 14  # stored block entries the invariance test reads at a time
 _GRAM_CAP = 3000  # largest block whose residual reads the whole Gram matrix
-_BAND_MAX = 2  # widest half-bandwidth a symmetric route solves banded
 
 
 @dataclass(frozen=True)
@@ -244,14 +245,6 @@ def _lapack(k: int, solver, a: np.ndarray, **kwargs):
         ) from exc
 
 
-class _Route(NamedTuple):
-    """A block's planned route: its name, what ``_solve`` solves, and what it measured."""
-
-    name: str
-    matrix: object
-    weights: Optional[np.ndarray]  # a symmetric route's s, in cell order; else None
-
-
 def _null_vector(op: GradedOperator, route: _Route, eigenvalue: complex,
                  radius: float) -> np.ndarray:
     """Right eigenvector of the top-degree block for its ground ``eigenvalue``,
@@ -301,61 +294,63 @@ def _null_vector(op: GradedOperator, route: _Route, eigenvalue: complex,
     return v
 
 
-def _block_route(op: GradedOperator, k: int) -> _Route:
+def _block_route(op: GradedOperator, k: int, patterns: Optional[list] = None) -> _Route:
     """The first route the degree-``k`` block's entries allow, and the matrix it solves:
     ``bloch``, the n0 symbol matrices of size f x f of a translation-invariant
     block on a periodic grid (``_bloch_symbols``, solved batched); the form of
-    a block made symmetric by a diagonal similarity (``_diagonal_similarity``),
-    by the singular values of its CSR pair factor at degree 0
-    (``_gradient_factor``) and by a symmetric eigensolve otherwise; LAPACK
-    geev without vectors (``eigvals``) for every other block.
+    a block made symmetric by a diagonal similarity, by the singular values
+    of its pair factor at degree 0 and by a symmetric eigensolve otherwise
+    (``_Pattern.route``); LAPACK geev without vectors (``eigvals``) for every
+    other block.
 
-    A symmetric route is banded where the band measured from its entries is
+    A symmetric route is banded where the band measured from its pattern is
     narrow.  On a 1-D periodic grid the weights and the form are folded once
     (``_fold``), which puts every coupled pair within two places of the
     diagonal; the factor of the folded form lists its rows in the order of
-    their pairs, so it follows the diagonal too.  ``_band`` reads both
-    half-bandwidths of the factor or the form; when each is at most
-    ``_BAND_MAX`` the factor goes to ``band_svdvals`` (``_band_svdvals``)
-    and the form to ``eigvals_banded``, else to the dense ``svdvals`` and
-    ``eigvalsh``.  Every 2-D and surface block is wider, where banded loses:
-    the 512 x 256 pair factor of a torus potential at n=16 (half-bandwidths
-    257 and 237) took 398 ms banded against 22 ms dense (2 vCPU).  The tests
-    read the block as stored (CSR on fd) and make nothing dense.
+    their pairs, so it follows the diagonal too.  When both half-bandwidths
+    of the factor or the form are at most ``pattern._BAND_MAX`` the factor
+    goes to ``band_svdvals`` (``_band_svdvals``) and the form to
+    ``eigvals_banded``, else to the dense ``svdvals`` and ``eigvalsh``.
+    Every 2-D and surface block is wider, where banded loses: the 512 x 256
+    pair factor of a torus potential at n=16 (half-bandwidths 257 and 237)
+    took 398 ms banded against 22 ms dense (2 vCPU).
+
+    What the block's pattern alone decides is a ``_Pattern`` record, taken
+    from ``patterns`` when one there has the same pattern and fold, else
+    built and added to it.  The tests read the block's own entries as stored
+    (CSR on fd) and make nothing dense.
     """
     block = _finite_block(op, k)
     symbols = _bloch_symbols(op.mesh, k, block, exact=op.backend == "fd")
     if symbols is not None:
         return _Route("bloch", symbols, None)
-    similar = _diagonal_similarity(block)
-    if similar is None:
-        return _Route("eigvals", block, None)
-    weights, form = similar
+    h = _stored(block)
     order = _fold(op.mesh, k)
-    # columns sorted, so that the factor lists its rows in the order of their pairs
-    s, sym = weights[order], form[order][:, order].sorted_indices()
-    factor = _gradient_factor(s, sym) if k == 0 else None
-    if factor is not None:
-        band = _band(factor)
-        if band is None:
-            return _Route("svdvals", factor, weights)
-        return _Route("band_svdvals", (factor.shape[0],) + band, weights)  # (m, band, kl)
-    band = _band(sym)
-    if band is None:
-        return _Route("eigvalsh", sym, weights)
-    ab, kl = band  # symmetric, so ku = kl: rows 0..kl are LAPACK's upper band storage
-    return _Route("eigvals_banded", ab[:kl + 1], weights)
+    patterns = [] if patterns is None else patterns
+    pattern = next((p for p in patterns if p.matches(h, order)), None)
+    if pattern is None:
+        pattern = _Pattern(h, order)
+        patterns.append(pattern)
+    return pattern.route(k, h.data) or _Route("eigvals", block, None)
 
 
-def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, _Route]:
+def _plan(op: GradedOperator, degrees: Sequence[int],
+          patterns: Optional[list] = None) -> Dict[int, _Route]:
     """The route of each of ``degrees`` (``_block_route``), refused by the
     capacity error when the blocks of the dense routes, every route but
     bloch, exceed the cap, and by a numerical error when a grid axis is finer
     than the relative zero-mode threshold resolves.  A symmetric block is
-    solved banded or dense by the band measured from its entries, a 1-D
+    solved banded or dense by the band measured from its pattern, a 1-D
     periodic grid's form folded once first.  The cap still counts a
     banded block by its size, though a banded solve makes no dense copy:
     counting it by its band storage would change which runs are refused.
+
+    The levels of a noise scan store their blocks in one pattern per
+    degree, so a run passes one ``patterns`` list to every level it plans:
+    the first level builds the records, and each later one refills them
+    with its own entries.  Every check reads each level's own entries: the
+    finite, sign, Kolmogorov, factor and Bloch tests, the cap and the grid
+    limit.
 
     An axis of n cells relaxes its slowest diffusive mode at sin^2(pi/n) of
     its fastest, and the default thresholds are ``_DEFAULT_TOL_REL`` of the
@@ -364,7 +359,7 @@ def _plan(op: GradedOperator, degrees: Sequence[int]) -> Dict[int, _Route]:
     9934 cells.  The cap, checked first, keeps dense routes below that; only
     a bloch route reaches it.
     """
-    plan = {k: _block_route(op, k) for k in degrees}
+    plan = {k: _block_route(op, k, patterns) for k in degrees}
     _check_capacity(tuple(op.mesh.cell_counts[k] for k, route in plan.items()
                           if route.name != "bloch"))
     finest = int(math.pi / math.asin(math.sqrt(10 * _DEFAULT_TOL_REL)))
@@ -400,24 +395,9 @@ def _fold(mesh, k: int) -> np.ndarray:
     return np.column_stack([cell, cell[::-1]]).ravel()[:len(cell)]
 
 
-def _band(matrix) -> Optional[Tuple[np.ndarray, int]]:
-    """LAPACK band storage of the sparse ``matrix`` and its lower
-    half-bandwidth kl, both half-bandwidths measured from the stored entries;
-    ``None`` when either exceeds ``_BAND_MAX``.  The band holds
-    ab[ku + i - j, j] = A[i, j], ku the upper half-bandwidth; every entry is
-    stored once, as in the factor and the symmetric form."""
-    h = scipy.sparse.coo_matrix(matrix)
-    kl, ku = int(np.max(h.row - h.col, initial=0)), int(np.max(h.col - h.row, initial=0))
-    if max(kl, ku) > _BAND_MAX:
-        return None
-    band = np.zeros((kl + ku + 1, h.shape[1]))
-    band[ku + h.row - h.col, h.col] = h.data
-    return band, kl
-
-
 def _band_svdvals(k: int, m: int, band: np.ndarray, kl: int) -> np.ndarray:
     """Singular values of the degree-``k`` pair factor, ``m`` rows held as the
-    ``band`` of ``_band`` with ``kl`` sub-diagonals, largest first.
+    ``band`` of ``pattern._band`` with ``kl`` sub-diagonals, largest first.
 
     LAPACK dgbbrd reduces the band to bidiagonal form by Givens rotations,
     and dlasq1 (dqds) gives the bidiagonal's singular values to high relative
@@ -476,14 +456,17 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     ``_TRANSLATION_TOL`` of the largest stencil entry (fourier: its dense
     circulant products differ from translates at roundoff); a NaN fails it.
 
-    It reads the block, CSR or dense, a chunk of rows at a time as CSR with
-    duplicates summed, each chunk about ``_INVARIANCE_CHUNK`` stored entries,
-    and stops at the first chunk that fails.  Every stored entry must lie
-    within the tolerance of its c_ab(y - x), and every row of family a must
-    store each stencil entry of family a larger than the tolerance: an entry
-    not stored is zero, which is within the tolerance of c exactly when
-    |c| is.  That is the entrywise test, in time and memory of the stored
-    entries.  The symbols are the FFT of c over the grid axes, as an
+    First, before the stencil is read, a condition the test implies: every
+    row of family a holds c_aa(0) on its diagonal (a diagonal not stored
+    reads zero), which refuses a block whose diagonal varies, as a well's
+    does.  Then the test reads the block, CSR or dense, a chunk of rows at a
+    time as CSR with duplicates summed, each chunk about
+    ``_INVARIANCE_CHUNK`` stored entries, and stops at the first chunk that
+    fails.  Every stored entry must lie within the tolerance of its
+    c_ab(y - x), and every row of family a must store each stencil entry of
+    family a larger than the tolerance: an entry not stored is zero, which
+    is within the tolerance of c exactly when |c| is.  That is the
+    entrywise test, in time and memory of the stored entries.  The symbols are the FFT of c over the grid axes, as an
     (n0, f, f) stack: their eigenvalues over all n0 wavevectors are the
     block's (the transform's sign only permutes them).
     """
@@ -492,6 +475,12 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
         return None
     f, grid = shape[0], shape[1:]
     cells = math.prod(grid)
+    # necessary: every row of family a holds c_aa(0), row (a, 0)'s, on its
+    # diagonal, within a tolerance no tighter than the test's: max|c| <= max|A|
+    diagonal = block.diagonal().reshape(f, cells)
+    loose = 0.0 if exact else _TRANSLATION_TOL * max(block.max(), -block.min())
+    if not np.all(np.abs(diagonal - diagonal[:, :1]) <= loose):
+        return None
     stencil = _dense(block[np.arange(f) * cells]).reshape((f,) + shape)  # rows (a, 0)
     tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(stencil))
     c = stencil.reshape(f, f, cells)
@@ -518,84 +507,6 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
             return None
     symbols = np.fft.fftn(stencil, axes=tuple(range(2, 2 + len(grid))))
     return np.moveaxis(symbols.reshape(f, f, -1), 2, 0)
-
-
-def _diagonal_similarity(block) -> Optional[Tuple[np.ndarray, scipy.sparse.csr_matrix]]:
-    """Weights s and the symmetric form (CSR) of S = diag(s) H diag(1/s), or ``None``.
-
-    S is symmetric when s_i^2 / s_j^2 = H_ji / H_ij on every coupled pair, so
-    the pattern (stored zeros aside) must be symmetric with H_ij H_ji > 0,
-    tested on the block as stored: a dense block that fails is not copied.
-    Log-weights summed along a spanning forest (``_forest_sums``) give s, and
-    S is kept when |S - S^T| <= ``_SYMMETRY_TOL`` max|S|, which tests the
-    pairs off the forest (Kolmogorov's criterion); overflowing weights fail it.
-    """
-    product = block.multiply(block.T) if scipy.sparse.issparse(block) else block * block.T
-    if (product > 0).sum() != (block != 0).sum():
-        return None
-    h = scipy.sparse.coo_matrix(block)
-    i, j, data = (x[h.data != 0] for x in (h.row, h.col, h.data))
-    # the entry k-th by (i, j) has its transpose k-th by (j, i): data[t] = H_ji
-    t = np.lexsort((i, j))[np.argsort(np.lexsort((j, i)))]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = np.exp(_forest_sums(h.shape[0], i, j, 0.5 * np.log(data[t] / data)))
-        scaled = s[i] * data / s[j]
-        scale = np.max(np.abs(scaled), initial=0.0)
-        if not np.all(np.abs(scaled - scaled[t]) <= _SYMMETRY_TOL * scale):  # NaN fails
-            return None
-    return s, scipy.sparse.csr_matrix((0.5 * (scaled + scaled[t]), (i, j)), shape=h.shape)
-
-
-def _forest_sums(n: int, i, j, g) -> np.ndarray:
-    """x over n vertices with x_i - x_j = g on the pairs (i, j) (both ways
-    listed) of a spanning forest, zero at each tree's root: each round every
-    root hooks under the lowest root coupled to it, if lower, and pointer
-    jumping sums the offsets."""
-    root, x = np.arange(n), np.zeros(n)  # x_v - x_root(v)
-    while True:
-        a, b = root[i], root[j]
-        cross = np.flatnonzero(b < a)
-        if not len(cross):
-            return x
-        cross = cross[np.lexsort((b[cross], a[cross]))]
-        first = cross[np.diff(a[cross], prepend=-1) != 0]  # per root a, its lowest b
-        parent, step = np.arange(n), np.zeros(n)  # step[r] = x_r - x_parent(r)
-        parent[a[first]] = b[first]
-        step[a[first]] = g[first] - x[i[first]] + x[j[first]]
-        while not np.array_equal(parent[parent], parent):
-            step, parent = step + step[parent], parent[parent]
-        x += step[root]
-        root = parent[root]
-
-
-def _gradient_factor(s: np.ndarray, sym) -> Optional[scipy.sparse.csr_array]:
-    """Pair factor B (CSR) with B^T B = ``sym``, or ``None`` when there is none.
-
-    With v = s normalized, a symmetric block that kills v is sum_p c_p b_p b_p^T
-    over the pairs i < j of its upper triangle, with c_p = -S_ij / (v_i v_j)
-    and b_p = v_j e_i - v_i e_j.  B stacks the rows sqrt(c_p) b_p; it
-    annihilates v exactly, so the zero mode is exact, and its singular values
-    carry the tunnelling gaps with high relative accuracy.  Refused unless
-    every c_p > 0, B has a row per vertex at least, and ||B^T B - S|| <=
-    ``_FACTOR_TOL`` ||S|| (max norm).
-    """
-    v = s / np.linalg.norm(s)
-    upper = scipy.sparse.triu(sym, k=1, format="coo")
-    i, j = upper.row, upper.col
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = -upper.data / (v[i] * v[j])
-    if len(c) < len(v) or not np.all(c > 0):
-        return None
-    root = np.sqrt(c)
-    # row p holds sqrt(c_p) v_j at column i and -sqrt(c_p) v_i at column j
-    factor = scipy.sparse.csr_array(
-        (np.column_stack([root * v[j], -root * v[i]]).ravel(),
-         np.column_stack([i, j]).ravel(), np.arange(0, 2 * len(c) + 1, 2)),
-        shape=(len(c), len(v)))
-    error = abs(factor.T @ factor - sym).max()  # every entry, on the pattern or off it
-    if not error <= _FACTOR_TOL * abs(sym).max():  # also refuses NaN
-        return None
-    return factor
 
 
 def _spectrum_report(per_degree: Dict[int, np.ndarray],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import flowspec as fs
-from flowspec.spectral import _diagonal_similarity
+from flowspec.pattern import _diagonal_similarity
 
 
 def test_acceptance_01_fourier_reproduces_constant_drive_symbols():

@@ -404,8 +404,8 @@ def work(monkeypatch):
         calls["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counted_plan(op, degrees=None):
-        calls["plans"].append((op, plan(op, degrees)))
+    def counted_plan(op, degrees=None, patterns=None):
+        calls["plans"].append((op, plan(op, degrees, patterns)))
         return calls["plans"][-1][1]
 
     def counted_solve(k, route):
@@ -477,14 +477,57 @@ def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
     assert sorted(solved_blocks(work)) == [(0, 0), (1, 0), (2, 0)]
 
 
+def _torus_potential_sweep():
+    """W = cos 2x + cos 2y on a 12 x 12 torus, swept: its degrees store
+    their entries in more than one pattern."""
+    mesh = fs.build_torus_grid(12, 12, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(mesh.vertices).T
+    return fs.RunConfig.from_dict({
+        "inline": {"mesh": {"kind": "torus", "nx": 12, "ny": 12},
+                   "flow": {"potential": (np.cos(2 * x) + np.cos(2 * y)).tolist()},
+                   "epsilon": 0.2},
+        "tasks": ["classify", "sweep"], "sweep": {"epsilons": [0.4, 0.2, 0.1]}})
+
+
+@pytest.mark.parametrize("config, blocks, records", [
+    (lambda: double_well_config(["classify", "witten", "morse", "sweep"],
+                                sweep={"epsilons": [0.4, 0.2, 0.1]},
+                                morse={"splitting_epsilons": [0.4, 0.2, 0.1, 0.05]}), 7, 1),
+    (_torus_potential_sweep, 9, 2),
+], ids=["double-well", "torus"])
+def test_a_run_builds_each_pattern_record_once(tmp_path, work, monkeypatch, config, blocks,
+                                               records):
+    # the levels of a noise scan store their entries in one pattern per
+    # degree; the double well's two degrees share theirs (the cyclic
+    # three-point stencil), the torus's top degree that of degree 0.  So a
+    # run builds one record per distinct pattern and fold, and the next run
+    # builds its own
+    import flowspec.spectral
+    from flowspec.spectral import _fold
+
+    built = []
+    record = flowspec.spectral._Pattern
+    monkeypatch.setattr(flowspec.spectral, "_Pattern",
+                        lambda h, order: built.append(h) or record(h, order))
+    cfg = config()
+    fs.run(cfg, out_dir=tmp_path / "a")
+    planned = [(op, k) for op, routes in work["plans"] for k in routes]
+    assert len(planned) == blocks
+    distinct = {(op.blocks[k].indptr.tobytes(), op.blocks[k].indices.tobytes(),
+                 _fold(op.mesh, k).tobytes()) for op, k in planned}
+    assert len(built) == len(distinct) == records
+    fs.run(cfg, out_dir=tmp_path / "b")
+    assert len(built) == 2 * records
+
+
 @pytest.mark.parametrize("tasks", [["spectrum", "classify"], ["witten", "stationary"]])
 def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, monkeypatch, tasks):
     import flowspec.spectral
 
     measured = []
-    similarity = flowspec.spectral._diagonal_similarity
-    monkeypatch.setattr(flowspec.spectral, "_diagonal_similarity",
-                        lambda block: measured.append(block) or similarity(block))
+    similarity = flowspec.spectral._Pattern.similarity
+    monkeypatch.setattr(flowspec.spectral._Pattern, "similarity",
+                        lambda pattern, data: measured.append(data) or similarity(pattern, data))
     doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
     assert work["eig"] == 0
     [op] = work["ops"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowspec as fs
-from flowspec.spectral import _diagonal_similarity
+from flowspec.pattern import _diagonal_similarity
 
 
 def circle_setup(n=32, eps=0.3, seed=5):

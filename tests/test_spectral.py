@@ -364,7 +364,7 @@ def test_gradient_blocks_take_the_symmetric_route(routes):
 
 @pytest.mark.parametrize("shape", ["circle", "torus"])
 def test_symmetric_form_of_a_csr_block_is_the_dense_form(shape):
-    from flowspec.spectral import _diagonal_similarity, _gradient_factor
+    from flowspec.pattern import _diagonal_similarity
 
     if shape == "circle":
         name = "langevin_double_well_circle"
@@ -381,12 +381,12 @@ def test_symmetric_form_of_a_csr_block_is_the_dense_form(shape):
         assert scipy.sparse.issparse(stored[1]) and scipy.sparse.issparse(dense[1])
         np.testing.assert_array_equal(stored[1].toarray(), dense[1].toarray())
     s, sym = _diagonal_similarity(op.blocks[0])
-    np.testing.assert_array_equal(_gradient_factor(s, sym).toarray(),
-                                  _gradient_factor(s, sym.toarray()).toarray())
+    np.testing.assert_array_equal(gradient_factor(s, sym).toarray(),
+                                  gradient_factor(s, sym.toarray()).toarray())
 
 
 def test_overflowing_weights_leave_the_symmetric_route(routes):
-    from flowspec.spectral import _diagonal_similarity
+    from flowspec.pattern import _diagonal_similarity
 
     def chain(m):
         # a path whose rates are 1e-150 one way and 1 the other: reversible,
@@ -409,9 +409,21 @@ def test_overflowing_weights_leave_the_symmetric_route(routes):
     assert routes == [("eigvals", 16), ("eigvals", 16)]
 
 
+def gradient_factor(s, sym):
+    """The pair factor (CSR) of the symmetric form ``sym``, dense or CSR, for
+    the weights ``s``, or None: ``_Pattern.factor`` on a record of the form's
+    own pattern."""
+    from flowspec.pattern import _Pattern, _stored
+
+    h = _stored(sym)
+    pattern = _Pattern(h, np.arange(h.shape[0]))
+    b = pattern.factor(s, h.data[pattern.folded[0]])
+    return None if b is None else pattern.factor_matrix(b)
+
+
 def double_well_symmetric_block(n=64):
     """Model, operator, measured weights and symmetric degree-0 form of the double well."""
-    from flowspec.spectral import _diagonal_similarity
+    from flowspec.pattern import _diagonal_similarity
 
     model = fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.2, "n": n})
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
@@ -420,8 +432,6 @@ def double_well_symmetric_block(n=64):
 
 
 def test_gradient_factor_is_the_dense_edge_factor():
-    from flowspec.spectral import _gradient_factor
-
     model, op, s, sym = double_well_symmetric_block()
     # the oracle: s = e^{W}, whose square e^{2W} is the left null vector of H_0
     v = np.exp(model.flow.w)
@@ -436,7 +446,7 @@ def test_gradient_factor_is_the_dense_edge_factor():
     reference = np.zeros((len(i), len(v)))
     reference[rows, i] = root * v[j]
     reference[rows, j] = -root * v[i]
-    factor = _gradient_factor(s, sym)
+    factor = gradient_factor(s, sym)
     assert scipy.sparse.issparse(factor)
     np.testing.assert_allclose(factor.toarray(), reference, rtol=1e-12, atol=0)
 
@@ -458,18 +468,22 @@ def nan_diagonal(s, mesh):
     s[3, 3] = np.nan
 
 
-@pytest.mark.parametrize("perturb", [flip_coupling, move_diagonal, off_stencil_pair, nan_diagonal],
-                         ids=["non-positive-coupling", "diagonal", "off-stencil", "nan"])
-def test_gradient_factor_refusals(perturb):
-    from flowspec.spectral import _gradient_factor
+def unstored_diagonal(s, mesh):
+    s[7, 7] = 0.0  # B^T B is nonzero there, off the form's pattern
 
+
+@pytest.mark.parametrize("perturb", [flip_coupling, move_diagonal, off_stencil_pair, nan_diagonal,
+                                     unstored_diagonal],
+                         ids=["non-positive-coupling", "diagonal", "off-stencil", "nan",
+                              "unstored-diagonal"])
+def test_gradient_factor_refusals(perturb):
     model, _, s, sym = double_well_symmetric_block()
     perturb(sym, model.mesh)
-    assert _gradient_factor(s, sym) is None
+    assert gradient_factor(s, sym) is None
 
 
 def test_measured_weights_survive_permutation_and_components():
-    from flowspec.spectral import _diagonal_similarity
+    from flowspec.pattern import _diagonal_similarity
 
     model, op, s, sym = double_well_symmetric_block()
     w = model.flow.w
@@ -497,7 +511,7 @@ def test_measured_weights_survive_permutation_and_components():
 
 
 def test_circulation_and_stored_zeros_by_rule():
-    from flowspec.spectral import _diagonal_similarity
+    from flowspec.pattern import _diagonal_similarity
 
     # the tilted circle's drive circulates: its pattern is symmetric and its
     # rates one-signed, but the loop leaves an asymmetry no weight removes
@@ -702,6 +716,110 @@ def test_the_invariance_test_holds_no_block_sized_temporary(name, params, k):
     assert peak < block.nbytes / 8, f"peak {peak / block.nbytes:.2f}x the block"
 
 
+@pytest.mark.parametrize("backend, k", [("fd", 0), ("fourier", 1)])
+def test_the_diagonal_condition_refuses_a_well_before_the_stencil(monkeypatch, backend, k):
+    # the O(n) diagonal condition refuses no invariant block: the constant
+    # drive and the shear torus still take bloch at every degree.  A double
+    # well block whose diagonal varies (degree 0 on fd, 1 on fourier; the
+    # other degree's is constant) is refused before the stencil is read, and
+    # so before the chunked entrywise test
+    import flowspec.spectral
+    from flowspec.spectral import _bloch_symbols, _block_route
+
+    for name in ("constant_drive_circle", "torus_shear_model"):
+        model = fs.build_model(name, REGISTERED[name])
+        op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+        assert [_block_route(op, k).name for k in op.degrees()] == ["bloch"] * len(op.blocks)
+    name = "langevin_double_well_circle"
+    model = fs.build_model(name, REGISTERED[name])
+    block = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend).blocks[k]
+
+    def unread(matrix):
+        raise AssertionError("the stencil was read")
+
+    monkeypatch.setattr(flowspec.spectral, "_dense", unread)
+    assert _bloch_symbols(model.mesh, k, block, exact=backend == "fd") is None
+
+
+def assert_same_route(cached, fresh):
+    """Two route records with the same name, and bitwise the same weights and matrix."""
+    assert cached.name == fresh.name
+    if fresh.weights is None:
+        assert cached.weights is None
+    else:
+        assert cached.weights.tobytes() == fresh.weights.tobytes()
+    pair = [cached.matrix, fresh.matrix]
+    if fresh.name == "band_svdvals":  # (rows, band, kl)
+        assert cached.matrix[::2] == fresh.matrix[::2]
+        pair = [m[1] for m in pair]
+    a, b = (m.toarray() if scipy.sparse.issparse(m) else m for m in pair)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_cached_pattern_record_plans_as_a_fresh_one():
+    # every level of a sweep, planned through the records of the levels
+    # before it, routes as a plan with no record does, bit for bit: on a
+    # double well (banded factor and form), a tilted circle (eigvals), a
+    # 12 x 12 torus potential (dense factor, eigvals, eigvalsh) and the
+    # constant drive (bloch)
+    from flowspec.spectral import _plan
+
+    epsilons = (0.4, 0.2, 0.1, 0.05)
+    models = {
+        "double well": fs.build_model("langevin_double_well_circle",
+                                      {"depth": 1.0, "epsilon": 0.2, "n": 64}).rebuild_at,
+        "tilted": fs.build_model("tilted_langevin_circle",
+                                 {"depth": 1.0, "tilt": 0.3, "epsilon": 0.2, "n": 64}).rebuild_at,
+        "torus": lambda eps: torus_potential_operator(12, 1.0, eps, wells=2),
+        "drive": fs.build_model("constant_drive_circle",
+                                {"a": 1.0, "epsilon": 0.2, "n": 32}).rebuild_at,
+    }
+    names = {}
+    for label, level in models.items():
+        patterns, sizes = [], []
+        for eps in epsilons:
+            op = level(eps)
+            if not isinstance(op, fs.GradedOperator):
+                op = fs.assemble_hamiltonian(op.mesh, op.flow, op.noise)
+            cached, fresh = _plan(op, op.degrees(), patterns), _plan(op, op.degrees())
+            for k in op.degrees():
+                assert_same_route(cached[k], fresh[k])
+            names[label] = [route.name for route in fresh.values()]
+            sizes.append(len(patterns))
+        assert sizes == sizes[:1] * len(epsilons), label  # built at the first level only
+    assert names == {"double well": ["band_svdvals", "eigvals_banded"],
+                     "tilted": ["eigvals", "eigvals"],
+                     "torus": ["svdvals", "eigvals", "eigvalsh"],
+                     "drive": ["bloch", "bloch"]}
+
+
+def test_a_cached_pattern_record_skips_no_check():
+    # the tilted circle stores its entries where the double well does, so it
+    # is planned through the double well's record, and still circulates; a
+    # finer circle's pattern misses the record and gets its own
+    from flowspec.spectral import _plan
+
+    def operator(name, n, **params):
+        model = fs.build_model(name, {"depth": 1.0, "epsilon": 0.2, "n": n, **params})
+        return fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+
+    well, tilted = operator("langevin_double_well_circle", 64), operator(
+        "tilted_langevin_circle", 64, tilt=0.3)
+    for a, b in zip(well.blocks, tilted.blocks):
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    patterns = []
+    _plan(well, well.degrees(), patterns)
+    built = len(patterns)
+    assert [route.name for route in _plan(tilted, tilted.degrees(), patterns).values()] == [
+        "eigvals", "eigvals"]
+    assert len(patterns) == built
+    finer = operator("langevin_double_well_circle", 96)
+    cached = _plan(finer, finer.degrees(), patterns)
+    assert len(patterns) > built
+    for k, route in _plan(finer, finer.degrees()).items():
+        assert_same_route(cached[k], route)
+
+
 def test_csv_pair_ids_do_not_depend_on_the_solver(routes, monkeypatch):
     import flowspec.spectral
     from flowspec.spectral import _csv_flags
@@ -817,8 +935,8 @@ def test_banded_solves_agree_with_the_dense_ones(n):
     # the pair factor by dgbbrd and dqds keeps the relative accuracy of the
     # dense svdvals, and eigvals_banded the roundoff of the radius that
     # eigvalsh has
-    from flowspec.spectral import (_block_route, _diagonal_similarity, _gradient_factor,
-                                   _solve)
+    from flowspec.pattern import _diagonal_similarity
+    from flowspec.spectral import _block_route, _solve
 
     model = fs.build_model("langevin_double_well_circle",
                            {"depth": 1.0, "epsilon": 0.2, "n": n})
@@ -827,7 +945,7 @@ def test_banded_solves_agree_with_the_dense_ones(n):
     assert route[0] == "band_svdvals"
     banded = np.sort(_solve(0, route))
     s, sym = _diagonal_similarity(op.blocks[0])
-    dense = np.sort(scipy.linalg.svdvals(_gradient_factor(s, sym).toarray()) ** 2)
+    dense = np.sort(scipy.linalg.svdvals(gradient_factor(s, sym).toarray()) ** 2)
     radius = dense[-1]
     resolved = dense >= 1e-6 * radius
     np.testing.assert_allclose(banded[resolved], dense[resolved], rtol=1e-12, atol=0)
@@ -846,8 +964,12 @@ def test_the_band_routines_solve_a_cyclic_factor():
     # lies 5 below the diagonal) and kept folded, where the banded singular
     # values of its pair factor are the dense ones; the factor of a torus
     # potential is refused
-    from flowspec.spectral import (_band, _band_svdvals, _block_route, _cython_lapack, _fold,
-                                   _gradient_factor)
+    from flowspec.pattern import _band_layout, _Pattern
+    from flowspec.spectral import _band_svdvals, _block_route, _cython_lapack, _fold
+
+    def layout(matrix):
+        h = scipy.sparse.coo_matrix(matrix)
+        return _band_layout(h.row, h.col, h.shape[1])
 
     assert callable(_cython_lapack("dgbbrd")) and callable(_cython_lapack("dlasq1"))
     n = 6
@@ -855,18 +977,24 @@ def test_the_band_routines_solve_a_cyclic_factor():
     w = np.random.default_rng(7).uniform(0.5, 2.0, n)  # a weighted cycle Laplacian
     form = scipy.sparse.csr_matrix((np.r_[-w, -w, np.bincount(np.r_[i, j], np.r_[w, w])],
                                     (np.r_[i, j, i], np.r_[j, i, i])), shape=(n, n))
-    assert _band(form) is None
+    assert layout(form) is None
     order = _fold(fs.build_circle_grid(n, 2 * np.pi), 0)
     assert order.tolist() == [0, 5, 1, 4, 2, 3]
     folded = form[order][:, order].sorted_indices()
-    assert _band(folded)[1] == 2
-    factor = _gradient_factor(np.ones(n), folded)
-    band, kl = _band(factor)
-    assert band.shape == (3, n) and kl == 1
+    assert layout(folded)[2] == 2
+    # the form is its own symmetric form (weights 1): in cell order its factor
+    # is wide, folded it is banded
+    assert _Pattern(form, np.arange(n)).route(0, form.data).name == "svdvals"
+    route = _Pattern(form, order).route(0, form.data)
+    assert route.name == "band_svdvals"
+    m, band, kl = route.matrix
+    assert m == n and band.shape == (3, n) and kl == 1
+    factor = gradient_factor(np.ones(n), folded)
+    assert layout(factor)[1:] == (band.shape, kl)
     dense = scipy.linalg.svdvals(factor.toarray())
-    assert np.max(np.abs(_band_svdvals(0, n, band, kl) - dense)) <= 1e-14 * dense[0]
+    assert np.max(np.abs(_band_svdvals(0, m, band, kl) - dense)) <= 1e-14 * dense[0]
     route = _block_route(torus_potential_operator(6, 0.5, 0.3), 0)
-    assert route[0] == "svdvals" and _band(route[1]) is None
+    assert route.name == "svdvals" and layout(route.matrix) is None
 
 
 @pytest.mark.parametrize("failing", ["dgbbrd", "dlasq1"])
