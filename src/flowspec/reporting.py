@@ -100,13 +100,18 @@ def format_float(x: float) -> str:
     return _float_tokens([float(x)])[0]
 
 
-def _float_tokens(values) -> List[str]:
-    """:func:`format_float` of every value, all refused if one is not finite."""
+def _finite_floats(values) -> np.ndarray:
+    """``values`` as float64 with -0.0 made 0.0, all refused if one is not finite."""
     x = np.asarray(values, dtype=float) + 0.0  # collapses -0.0
     if not np.isfinite(x).all():
         bad = float(x[~np.isfinite(x)][0])
         raise NumericalError(f"non-finite value {bad!r} cannot enter a report")
-    return list(map("%.11e".__mod__, x.tolist()))
+    return x
+
+
+def _float_tokens(values) -> List[str]:
+    """:func:`format_float` of every value, all refused if one is not finite."""
+    return list(map("%.11e".__mod__, _finite_floats(values).tolist()))
 
 
 def _canon(obj, indent: int, path: str) -> str:
@@ -156,13 +161,18 @@ def canonical_json(obj) -> str:
 
 def _write_csv(path, header, columns) -> None:
     """Write one CSV file from its columns, float ones as :func:`_float_tokens`
-    and others as integers, with :mod:`csv`'s ``\\r\\n`` line ends.  Every
-    cell is formatted before the file opens: a non-finite value leaves none."""
-    cells = [_float_tokens(c) if np.asarray(c).dtype.kind == "f"
-             else list(map(str, np.asarray(c, dtype=int).tolist())) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
+    and others as integers, with :mod:`csv`'s ``\\r\\n`` line ends, each row
+    by one format string.  Every row is formatted before the file opens: a
+    non-finite value leaves none."""
+    formats, cells = [], []
+    for column in map(np.asarray, columns):
+        real = column.dtype.kind == "f"
+        formats.append("%.11e" if real else "%d")
+        cells.append((_finite_floats(column) if real else column.astype(int)).tolist())
+    row = ",".join(formats) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(row % values for values in zip(*cells))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(text)
 
 
 def export_spectrum_csv(report: SpectrumReport, path,

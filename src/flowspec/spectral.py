@@ -456,39 +456,43 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     ``_TRANSLATION_TOL`` of the largest stencil entry (fourier: its dense
     circulant products differ from translates at roundoff); a NaN fails it.
 
-    First, before the stencil is read, a condition the test implies: every
-    row of family a holds c_aa(0) on its diagonal (a diagonal not stored
-    reads zero), which refuses a block whose diagonal varies, as a well's
-    does.  Then the test reads the block, CSR or dense, a chunk of rows at a
-    time as CSR with duplicates summed, each chunk about
-    ``_INVARIANCE_CHUNK`` stored entries, and stops at the first chunk that
-    fails.  Every stored entry must lie within the tolerance of its
-    c_ab(y - x), and every row of family a must store each stencil entry of
-    family a larger than the tolerance: an entry not stored is zero, which
-    is within the tolerance of c exactly when |c| is.  That is the
-    entrywise test, in time and memory of the stored entries.  The symbols are the FFT of c over the grid axes, as an
-    (n0, f, f) stack: their eigenvalues over all n0 wavevectors are the
-    block's (the transform's sign only permutes them).
+    First, two O(nnz) conditions the test implies refuse a well's blocks
+    before the stencil is read: every row of family a holds c_aa(0) on its
+    diagonal (a diagonal not stored reads zero) and sums to row (a, 0)'s sum
+    within 2 m^2 eps v, the roundoff of two sums of m or fewer stored entries
+    of size <= v (plus n tolerances off fd).  Then the test reads the block,
+    CSR or dense, a chunk of rows at a time as CSR with duplicates summed,
+    each chunk about ``_INVARIANCE_CHUNK`` stored entries, and stops at the
+    first chunk that fails.  Every stored entry must lie within the
+    tolerance of its c_ab(y - x), and every row of family a must store each
+    stencil entry of family a larger than the tolerance: an entry not stored
+    is zero, which is within the tolerance of c exactly when |c| is.  The
+    symbols are the FFT of c over the grid axes, as an (n0, f, f) stack:
+    their eigenvalues over all n0 wavevectors are the block's (the
+    transform's sign only permutes them).
     """
     shape = mesh.cochain_shape(k)
     if shape is None:
         return None
     f, grid = shape[0], shape[1:]
     cells = math.prod(grid)
-    # necessary: every row of family a holds c_aa(0), row (a, 0)'s, on its
-    # diagonal, within a tolerance no tighter than the test's: max|c| <= max|A|
-    diagonal = block.diagonal().reshape(f, cells)
+    # the two necessary conditions, no tighter than the test: max|c| <= max|A|
+    n, sparse = block.shape[0], scipy.sparse.issparse(block)
     loose = 0.0 if exact else _TRANSLATION_TOL * max(block.max(), -block.min())
+    diagonal = block.diagonal().reshape(f, cells)
     if not np.all(np.abs(diagonal - diagonal[:, :1]) <= loose):
+        return None
+    stored, m = (block.data, np.diff(block.indptr).max()) if sparse else (block, n)
+    v = max(stored.max(initial=0.0), -stored.min(initial=0.0))
+    sums = (block @ np.ones(n) if sparse else block.sum(axis=1)).reshape(f, cells)
+    if not np.all(np.abs(sums - sums[:, :1]) <= 2 * m * m * np.finfo(float).eps * v + n * loose):
         return None
     stencil = _dense(block[np.arange(f) * cells]).reshape((f,) + shape)  # rows (a, 0)
     tol = 0.0 if exact else _TRANSLATION_TOL * np.max(np.abs(stencil))
     c = stencil.reshape(f, f, cells)
     # per family, the stencil entries every one of its rows must store
     need = np.count_nonzero(np.abs(c) > tol, axis=(1, 2))
-    n = block.shape[0]
-    stored = block.nnz if scipy.sparse.issparse(block) else block.size
-    step = max(1, _INVARIANCE_CHUNK * n // max(stored, 1))
+    step = max(1, _INVARIANCE_CHUNK * n // max(stored.size, 1))
     for lo in range(0, n, step):
         chunk = scipy.sparse.csr_matrix(block[lo:lo + step])  # new arrays: summing leaves the block
         chunk.sum_duplicates()

@@ -8,14 +8,19 @@ for a fixed seed regardless of how many paths run.  ``simulate_sde`` stores
 one array, the float64 unwrapped states, time-major, (n_stored, n_paths,
 dim), so each step copies one contiguous row; each path draws its increments
 into its own row of one reused, path-major noise buffer (n_paths, chunk,
-dim) of at most ``_CHUNK_SCALARS`` doubles.  ``TrajectoryEnsemble`` exposes
-the store through a transposed view of shape (n_paths, n_stored, dim).
+dim) of at most ``_CHUNK_SCALARS`` doubles (4.2 MB: 780 steps of 672
+paths), so that the store, not the noise, sets a run's peak.
+``TrajectoryEnsemble`` exposes the store through a transposed view of shape
+(n_paths, n_stored, dim).
 
 One block loop (``_estimates``) makes every estimate in one pass.  It reads
-blocks of ``_path_block`` paths of a time-major unwrapped store, and a fixed
-pool of two worker threads (``_WORKERS``, not a setting) reads each block in
-sub-blocks of ``_fft_block`` whole paths, each copied path-major and wrapped
-once in the copy (``turns = floor(s / periods)``), read by both estimates:
+a time-major unwrapped store in as few path blocks as the
+``_PATH_BLOCK_SCALARS`` budget allows, each of the same whole sub-blocks
+(``_path_block``: 2,000 paths of 4,001 states are 672 + 672 + 656), and a
+fixed pool of two worker threads (``_WORKERS``, not a setting) reads each
+block in sub-blocks of ``_fft_block`` whole paths, each copied path-major and
+wrapped once in the copy (``turns = floor(s / periods)``), read by both
+estimates:
 
 * ``stationary_histogram``   — occupation density after a 20% burn-in, each
   sub-block's counts handed back as its non-empty bins (``_bin_counts``);
@@ -24,10 +29,11 @@ once in the copy (``turns = floor(s / periods)``), read by both estimates:
   of the evolution operator seen from sample paths), from FFT power sums.
 
 Sub-blocks of at least one path share the ``_FFT_BLOCK_SCALARS`` budget (8
-paths each at 4,001 states), at most 48 bytes per scalar (6.3 MB) for the
-default observable.  At most ``2 * _WORKERS`` are in flight; the main thread
-adds their integer counts, power sums and per-path means in sub-block order,
-so no bit depends on the block size, thread timing or the host's core count.
+paths each at 4,001 states), about 28 bytes per scalar (3.6 MB) for the
+default observable, which is built in place, as are the power sums.  At
+most ``2 * _WORKERS`` are in flight; the main thread adds their integer
+counts, power sums and per-path means in sub-block order, so no bit depends
+on the block size, thread timing or the host's core count.
 
 Both hand the loop views of the stored ensemble, which it never writes.  A
 1-dimensional run's ``simulate`` task (``_streamed_estimates``) hands it a
@@ -74,7 +80,7 @@ __all__ = [
 _BURN_IN_FRACTION = 0.2
 _MIN_HISTOGRAM_SAMPLES = 10_000
 _QUAD_POINTS = 33  # trapezoid nodes per histogram bin in the TV reference mass
-_CHUNK_SCALARS = 1_000_000  # noise buffer budget (doubles)
+_CHUNK_SCALARS = 1 << 19  # noise buffer budget (doubles)
 _FFT_BLOCK_SCALARS = 1 << 17  # FFT scalars (complex) of the sub-blocks in work
 _WORKERS = 2  # sub-blocks in work; numpy ufuncs and FFTs release the GIL
 _PATH_BLOCK_SCALARS = 4_000_000  # stored states of one streamed path block (doubles)
@@ -159,12 +165,16 @@ def _check_sampler(dt: float, steps: int, n_paths: int, seed, store_every: int) 
         )
 
 
-def _path_block(t_len: int, dim: int) -> int:
-    """Paths per block of the estimator loop: the ``_PATH_BLOCK_SCALARS``
-    budget of states, in whole sub-blocks of ``t_len``-state series, so that
-    any block size adds the power sums in one order."""
+def _path_block(t_len: int, dim: int, n_paths: int) -> int:
+    """Paths per block of the estimator loop over ``n_paths`` paths: the
+    fewest blocks that the ``_PATH_BLOCK_SCALARS`` budget of states allows,
+    of equal whole sub-blocks of ``t_len``-state series (the last block may
+    be shorter), so that any block size adds the power sums in one order."""
     fft_block = _fft_block(_fft_length(t_len))
-    return max(1, _PATH_BLOCK_SCALARS // (t_len * dim) // fft_block) * fft_block
+    most = max(1, _PATH_BLOCK_SCALARS // (t_len * dim) // fft_block)  # sub-blocks a block
+    subs = -(-n_paths // fft_block)  # ceiling divisions, in Python integers
+    blocks = -(-subs // most)
+    return -(-subs // blocks) * fft_block
 
 
 def simulate_sde(
@@ -356,7 +366,9 @@ def _first_harmonic(periods: Tuple[float, ...]) -> Callable[[np.ndarray], np.nda
     period = periods[0]
 
     def observable(pos):
-        return np.exp(2j * np.pi * pos[..., 0] / period)
+        phase = np.multiply(2j * np.pi, pos[..., 0])  # one complex array, built in place
+        np.divide(phase, period, out=phase)
+        return np.exp(phase, out=phase)
 
     return observable
 
@@ -510,9 +522,12 @@ def _estimates(blocks: Callable[[int, int], np.ndarray], n_paths: int, n_stored:
         if series.shape != paths.shape[:2]:
             raise ValidationError("observable must map (paths, times, dim) to (paths, times)")
         f = np.fft.fft(series, n=nfft, axis=1)  # Wiener-Khinchin
-        return part, (f.real**2 + f.imag**2).sum(axis=0), series.mean(axis=1)
+        re, im = f.real, f.imag  # |f|^2 in f's own memory
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        return part, re.sum(axis=0), series.mean(axis=1)
 
-    block = _path_block(t_len, dim)
+    block = _path_block(t_len, dim, n_paths)
     with futures.ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for lo in range(0, n_paths, block):
             states = blocks(lo, min(block, n_paths - lo))

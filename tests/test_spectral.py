@@ -741,6 +741,33 @@ def test_the_diagonal_condition_refuses_a_well_before_the_stencil(monkeypatch, b
     assert _bloch_symbols(model.mesh, k, block, exact=backend == "fd") is None
 
 
+@pytest.mark.parametrize("name", ["langevin_double_well_circle", "tilted_langevin_circle"])
+def test_the_row_sum_condition_refuses_a_degree_one_well_before_the_stencil(monkeypatch, name):
+    # a well's degree-1 fd block has a constant diagonal, which the diagonal
+    # condition passes, but its row sums spread by about 1.6, far past their
+    # roundoff bound: it is refused with no stencil read.  The constant drive
+    # and the shear torus still take bloch on either backend, reading each
+    # block's stencil once
+    import flowspec.spectral
+    from flowspec.spectral import _bloch_symbols, _block_route
+
+    reads = []
+    dense = flowspec.spectral._dense
+    monkeypatch.setattr(flowspec.spectral, "_dense", lambda m: reads.append(m) or dense(m))
+    model = fs.build_model(name, REGISTERED[name])
+    block = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise).blocks[1]
+    assert np.all(block.diagonal() == block.diagonal()[0])
+    assert _bloch_symbols(model.mesh, 1, block, exact=True) is None
+    assert reads == []
+    for invariant in ("constant_drive_circle", "torus_shear_model"):
+        model = fs.build_model(invariant, REGISTERED[invariant])
+        for backend in ("fd", "fourier"):
+            op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise, backend)
+            reads.clear()
+            assert [_block_route(op, k).name for k in op.degrees()] == ["bloch"] * len(op.blocks)
+            assert len(reads) == len(op.blocks)
+
+
 def assert_same_route(cached, fresh):
     """Two route records with the same name, and bitwise the same weights and matrix."""
     assert cached.name == fresh.name

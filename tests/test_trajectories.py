@@ -333,7 +333,7 @@ def test_simulate_run_holds_one_float64_store(tmp_path, monkeypatch):
     # noise buffer and its sub-blocks in work, whatever the ensemble size
     monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 8 * 2048)
     monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 200 * 1001)
-    assert trajectories._path_block(1001, 1) == 200
+    assert trajectories._path_block(1001, 1, 1600) == 200
     block = 200 * 1001 * 8
     budgets = (1000 * 200 * 8, 48 * trajectories._FFT_BLOCK_SCALARS)
     peaks = {}
@@ -353,6 +353,44 @@ def test_simulate_run_holds_one_float64_store(tmp_path, monkeypatch):
         assert peaks[n_paths] <= 1.1 * (block + max(budgets)), peaks
     # the whole store of 1600 paths would be 11.2 MB more than one block
     assert peaks[1600] <= 1.1 * peaks[400], peaks
+
+
+def test_path_blocks_are_balanced():
+    # 250 sub-blocks of 8 paths at 4,001 states, at most 124 a block: three
+    # blocks of 84, 84 and 82 sub-blocks; 248 sub-blocks fill two
+    assert trajectories._path_block(4001, 1, 2000) == 672
+    assert trajectories._path_block(4001, 1, 1984) == 992
+
+
+def test_streamed_run_samples_balanced_blocks(tmp_path, monkeypatch):
+    # 2-path sub-blocks of 4,001 states and a 200-path budget: 208 paths are
+    # sampled as two blocks of 104, not 200 and 8, and the run holds the
+    # store of one balanced block beside its noise buffer or sub-blocks in work
+    steps, n_paths = 4000, 208
+    monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * 2 * fft_length(steps + 1))
+    monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 200 * (steps + 1))
+    monkeypatch.setattr(trajectories, "_CHUNK_SCALARS", 104 * 500)
+    sampled = []
+
+    def recording(*args, **kwargs):
+        sampled.append(kwargs["n_paths"])
+        return fs.simulate_sde(*args, **kwargs)
+
+    monkeypatch.setattr(reporting, "simulate_sde", recording)
+    cfg = fs.RunConfig.from_dict({
+        "model": DOUBLE_WELL, "tasks": ["simulate"],
+        "simulate": {"dt": 0.005, "steps": steps, "n_paths": n_paths, "seed": 1,
+                     "autocorrelation": True}})
+    tracemalloc.start()
+    try:
+        fs.run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampled == [104, 104]
+    block = 104 * (steps + 1) * 8
+    budgets = (8 * trajectories._CHUNK_SCALARS, 48 * trajectories._FFT_BLOCK_SCALARS)
+    assert peak <= 1.1 * (block + max(budgets)), f"peak {peak / (block + max(budgets)):.2f}x"
 
 
 @pytest.mark.parametrize("store_every", [1, 3])
@@ -417,11 +455,11 @@ def test_library_estimators_read_the_store_and_ignore_the_block_size(monkeypatch
         return (fs.stationary_histogram(ens, bins=24),
                 fs.autocorrelation_decay(ens, burn_in_fraction=0.3))
 
-    assert trajectories._path_block(490, 1) >= 70
+    assert trajectories._path_block(490, 1, 70) >= 70
     hist, fit = estimates()
     monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 14 * 490)
-    assert trajectories._path_block(490, 1) == 12
-    assert trajectories._path_block(701, 1) == 8
+    assert trajectories._path_block(490, 1, 70) == 12
+    assert trajectories._path_block(701, 1, 70) == 8
     split_hist, split_fit = estimates()
     assert ens.states.tobytes() == before
     np.testing.assert_array_equal(split_hist.counts, hist.counts)
@@ -451,7 +489,7 @@ def test_one_pass_ignores_the_sub_block_and_path_block_budgets(monkeypatch):
         monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 2 * sub * nfft)
         for subs in (1, 3):
             monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", subs * sub * 701)
-            assert trajectories._path_block(701, 1) == subs * sub
+            assert trajectories._path_block(701, 1, 70) == subs * sub
             hist, fit = trajectories._estimates(
                 trajectories._stored_blocks(ens), 70, 701, ens.periods, bins=24,
                 observable=observable, dt=ens.dt, store_every=ens.store_every)
@@ -653,7 +691,7 @@ def test_streamed_autocovariance_on_the_torus(monkeypatch):
     # each two autocovariance blocks of 32 paths
     monkeypatch.setattr(trajectories, "_FFT_BLOCK_SCALARS", 64 * fft_length(401))
     monkeypatch.setattr(trajectories, "_PATH_BLOCK_SCALARS", 64 * 401 * 2)
-    assert trajectories._path_block(401, 2) == 64
+    assert trajectories._path_block(401, 2, 301) == 64
     assert_matches_whole_ensemble(
         monkeypatch, ens, lambda p: np.exp(1j * (p[..., 0] - 2 * p[..., 1]))
     )
@@ -671,7 +709,9 @@ def test_autocovariance_memory_scales_with_the_block():
         tracemalloc.stop()
     assert fit.rate > 0
     assert peak < full_array
-    budget = 48 * trajectories._FFT_BLOCK_SCALARS
+    # the observable and the power sums are built in place: at most 36 bytes
+    # per scalar of the budget in work (27 with numpy 2.4; 42 when they were not)
+    budget = 36 * trajectories._FFT_BLOCK_SCALARS
     assert peak <= budget, f"peak {peak / budget:.2f}x the budget"
 
 
