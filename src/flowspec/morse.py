@@ -442,14 +442,16 @@ def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
 
     ``model`` must be a potential-flow ``ModelSpec`` whose ``flow.w`` has at
     least two local minima; each level is the fd generator of
-    ``model.rebuild_at(eps)``.
+    ``model.rebuild_at(eps)``, solved for the rates the scan reads
+    (``_scan_count``; ``spectral._solve``'s slow end on a banded route).
     """
     patterns = []  # the levels share their pattern records (_plan)
+    count = _scan_count(model)
 
     def degree0_eigenvalues(eps):
         m = model.rebuild_at(eps)
         op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd")
-        return _solve(0, _plan(op, (0,), patterns)[0])
+        return _solve(0, _plan(op, (0,), patterns)[0], slow_end=True).select(None, count)
 
     return _splitting_scan(model, epsilons, degree0_eigenvalues)
 
@@ -468,9 +470,20 @@ def _scan_minima(model) -> int:
     return n_min
 
 
+def _scan_count(model) -> int:
+    """How many of the smallest degree-0 rates a scan of ``model`` reads: the
+    n_minima + 1 up to the first past the tunnelling ones, none for a model
+    the scan refuses."""
+    try:
+        return _scan_minima(model) + 1
+    except (NotPotentialError, NoInstantonError):
+        return 0
+
+
 def _splitting_scan(model, epsilons: Sequence[float],
                     degree0_eigenvalues: Callable[[float], np.ndarray]) -> SplittingScan:
-    """The scan, given the degree-0 eigenvalues of the fd generator per level."""
+    """The scan, given per level the degree-0 eigenvalues of the fd generator,
+    at least its ``_scan_count`` smallest."""
     eps_list = _scan_levels(epsilons)
     n_min = _scan_minima(model)
 

@@ -35,7 +35,7 @@ import json
 import operator
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -53,6 +53,7 @@ from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
 from .models import _ORACLE_REL_TOL, ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
+    _scan_count,
     _scan_levels,
     _splitting_scan,
     find_critical_points,
@@ -65,6 +66,7 @@ from .spectral import (
     _csv_flags,
     _null_vector,
     _plan,
+    _slow_end_bound,
     _solve,
     _spectrum_report,
     classify_phase,
@@ -461,16 +463,27 @@ def _build_inline(spec: Dict) -> ModelSpec:
 class _Levels:
     """The run's one state: operators and their route plans, per-degree eigenvalues
     and spectrum reports by noise level, each made once from ``model.rebuild_at(eps)``.
-    A level in ``scan_only``, which the splitting scan alone reads, is planned and
-    solved at degree 0 alone; any other is planned whole, so that the dense-solver
-    cap refuses it before any of its blocks is made dense."""
 
-    def __init__(self, model: ModelSpec, backend: str, config: Optional[RunConfig] = None,
-                 scan_only: frozenset = frozenset()):
-        self.model = model
-        self.backend = backend
-        self.config = config
-        self.scan_only = scan_only
+    The own level is solved whole when ``spectrum`` or ``stationary`` reads it, any
+    other for its slow end (``spectral._solve``): the radius from its blocks' largest
+    eigenvalues, then on a banded route (real eigenvalues) those up to
+    ``_slow_end_bound`` of the run's thresholds and, at degree 0 of a scan level, the
+    ``_scan_count`` smallest.  The two solves agree on every value above roundoff
+    of the radius, so a threshold below that roundoff (a tau0 of 1e-15 radius) may
+    count a zero mode that the other solve does not: the count is that of the own
+    level's solve, which the task set decides.  A level the scan alone reads is
+    planned at degree 0 alone; any other whole, so that the dense-solver cap refuses
+    it before any of its blocks is made dense."""
+
+    def __init__(self, model: ModelSpec, backend: str, config: RunConfig):
+        self.model, self.backend, self.config = model, backend, config
+        tasks, own = set(config.tasks), {model.noise.epsilon}
+        self.whole = own if tasks & {"spectrum", "stationary"} else set()
+        read = own if tasks & {"spectrum", "classify", "witten", "stationary"} else set()
+        read |= set(config.sweep_epsilons or ()) if "sweep" in tasks else set()
+        self.scanned = set(config.morse_epsilons or ()) if "morse" in tasks else set()
+        self.scan_only = self.scanned - read
+        self.scan_count = _scan_count(model) if self.scanned else 0
         self._levels: Dict[float, Tuple[GradedOperator, Dict]] = {}
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
         self._reports: Dict[float, SpectrumReport] = {}
@@ -487,10 +500,19 @@ class _Levels:
         return self._levels[eps]
 
     def eigenvalues(self, eps: float, k: int) -> np.ndarray:
-        key = (float(eps), k)
-        if key not in self._values:
-            self._values[key] = _solve(k, self.level(eps)[1][k])
-        return self._values[key]
+        eps = float(eps)
+        if (eps, k) not in self._values:
+            plan, c = self.level(eps)[1], self.config
+            if eps in self.whole:
+                self._values[eps, k] = _solve(k, plan[k])
+                return self._values[eps, k]
+            solved = {j: _solve(j, route, slow_end=True) for j, route in plan.items()}
+            bound = None if eps in self.scan_only else _slow_end_bound(
+                max(s.top for s in solved.values()), c.tau0, c.tau_gamma, c.tau_e)
+            for j, s in solved.items():
+                count = self.scan_count if j == 0 and eps in self.scanned else 0
+                self._values[eps, j] = s.select(bound, count)
+        return self._values[eps, k]
 
     def spectrum(self, eps: Optional[float] = None) -> SpectrumReport:
         """Vector-free spectrum report of one level (by default the model's own)."""
@@ -503,8 +525,8 @@ class _Levels:
 
     def index(self, eps: Optional[float] = None) -> int:
         """Every index a run reports: the alternating ``zero_mode_counts`` at its tau0."""
-        tau0 = self.config.tau0 if self.config else None
-        return sum((-1) ** k * c for k, c in enumerate(zero_mode_counts(self.spectrum(eps), tau0)))
+        return sum((-1) ** k * c
+                   for k, c in enumerate(zero_mode_counts(self.spectrum(eps), self.config.tau0)))
 
 
 def _task_spectrum(state: _Levels, files: Dict) -> Dict:
@@ -603,8 +625,10 @@ def _task_morse(state: _Levels, files: Dict) -> Dict:
         result["matches_witten_index"] = bool(ph == state.index())
     levels = state.config.morse_epsilons
     if levels:
-        # the scan is defined on fd levels: the run's own on fd, a fresh memo on fourier
-        fd = state if state.backend == "fd" else _Levels(model, "fd", scan_only=frozenset(levels))
+        # the scan is defined on fd levels: the run's own on fd, on fourier those
+        # of a run of the scan alone
+        fd = state if state.backend == "fd" else _Levels(model, "fd",
+                                                         replace(state.config, tasks=("morse",)))
         scan = _splitting_scan(model, levels, lambda e: fd.eigenvalues(e, 0))
         result["splitting_scan"] = {
             "epsilons": list(scan.epsilons),
@@ -647,8 +671,7 @@ def _task_simulate(state: _Levels, files: Dict) -> Dict:
 
 
 def _task_sweep(state: _Levels, files: Dict) -> Dict:
-    return _sweep(state, state.config.sweep_epsilons,
-                  state.config.tau_gamma, state.config.tau_e)
+    return _sweep(state, state.config.sweep_epsilons)
 
 
 def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
@@ -662,15 +685,15 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
     condensing onto the imaginary axis; a sweep whose rows never oscillate
     reports no condensation.
     """
-    return _sweep(_Levels(model, backend), epsilons, tau_gamma, tau_e)
+    config = RunConfig(("sweep",), backend, tau_gamma=tau_gamma, tau_e=tau_e)
+    return _sweep(_Levels(model, backend, config), epsilons)
 
 
-def _sweep(levels: _Levels, epsilons, tau_gamma: Optional[float],
-           tau_e: Optional[float]) -> Dict:
+def _sweep(levels: _Levels, epsilons) -> Dict:
     rows: List[Dict] = []
     for eps in _sweep_levels(epsilons):
         rep = levels.spectrum(eps)
-        cls = classify_phase(rep, tau_gamma, tau_e)
+        cls = classify_phase(rep, levels.config.tau_gamma, levels.config.tau_e)
         oscillating = rep.eigenvalue[np.abs(rep.eigenvalue.imag) > cls.tau_e]
         row = {
             "epsilon": eps,
@@ -734,11 +757,7 @@ def run(config: RunConfig, out_dir=None) -> ReportDocument:
     distinct warning once.
     """
     model = _resolve_model(config)
-    # the splitting scan's levels that no other task reads
-    whole = set(config.sweep_epsilons or ()) if "sweep" in config.tasks else set()
-    if {"spectrum", "classify", "witten", "stationary"} & set(config.tasks):
-        whole.add(model.noise.epsilon)
-    state = _Levels(model, config.backend, config, frozenset(config.morse_epsilons or ()) - whole)
+    state = _Levels(model, config.backend, config)
 
     results: Dict[str, Dict] = {}
     files: Dict = {}  # file name -> writer taking the file's path

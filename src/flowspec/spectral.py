@@ -37,6 +37,19 @@ entries.  The routes, first that applies:
   form is folded once first, which makes its band narrow;
 * ``eigvals``: LAPACK geev without vectors, on a dense copy.
 
+The verdicts live at the slow end: the survivors |Re lambda| <= tau_gamma,
+the zero modes |lambda| <= tau0, the tunnelling gaps; the fast end only sets
+the spectral radius that scales the default thresholds.  So a level that no
+task reads whole (``spectrum``, ``stationary``) is solved for its slow end
+(``_solve`` with ``slow_end``, ``banded._SlowEnd``): a banded block is
+reduced to a symmetric tridiagonal and bisected (LAPACK dstebz at ABSTOL at
+most u^2 s_max, which keeps the factor's relative accuracy) for its largest
+eigenvalue, every eigenvalue up to 10 x the largest threshold
+(``_slow_end_bound``), and the smallest that a splitting scan reads.  A
+banded block's eigenvalues are real, so the strip that ``classify_phase``
+reads is an interval.  Every other route, and every level read whole, is
+solved whole.
+
 A ``SpectrumReport`` holds the spectrum as parallel arrays in report order:
 ``degree``, ``eigenvalue``, ``residual`` (the bi-orthonormality residual,
 zero without vectors) and ``centroid`` (the mean of each entry's cluster,
@@ -53,9 +66,10 @@ One BLAS per run: numpy and scipy wheels each bundle their own OpenBLAS,
 each with its own thread pool, and a numpy BLAS call next to a scipy LAPACK
 solve makes the two pools contend (it about doubles the solve on two cores).
 So on the run path scipy (``scipy.linalg``, ``scipy.linalg.blas``,
-``scipy.sparse``) does all matrix-sized work, the banded routes included:
-``eigvals_banded``, and dgbbrd and dlasq1 through the pointers that
-``scipy.linalg.cython_lapack`` exports, are scipy's LAPACK.
+``scipy.sparse``) does all matrix-sized work, the banded routes and their
+slow ends included: ``eigvals_banded``, and the routines that ``banded``
+calls through the pointers ``scipy.linalg.cython_lapack`` exports, are
+scipy's LAPACK.
 ``_null_vector`` takes its residual from a sparse product (two ``dgemv``
 calls on a dense block) and its norms from ``dznrm2``.
 numpy does elementwise work (the route tests, the pair factor's B^T B
@@ -78,17 +92,14 @@ matches the mesh Euler characteristic and is independent of the flow.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-import scipy.linalg.cython_lapack
 import scipy.sparse
 
 from .exceptions import (
@@ -96,6 +107,7 @@ from .exceptions import (
     GapAmbiguityWarning,
     NumericalError,
 )
+from .banded import _band_svdvals, _SlowEnd, _tridiagonal
 from .hamiltonian import GradedOperator, _check_capacity
 from .operators import _dense
 from .pattern import _Pattern, _Route, _stored
@@ -171,12 +183,13 @@ class PhaseClassification:
     evidence: np.ndarray  # indices of the surviving entries in the report
 
 
-def _default_tau(report: SpectrumReport, given: Optional[float]) -> float:
+def _default_tau(radius: float, given: Optional[float]) -> float:
+    """A threshold: ``given``, or ``_DEFAULT_TOL_REL`` of the spectral ``radius``."""
     if given is not None:
         if given <= 0:
             raise ValueError("tolerances must be positive")
         return float(given)
-    return _DEFAULT_TOL_REL * report.spectral_radius
+    return _DEFAULT_TOL_REL * radius
 
 
 # ----------------------------------------------------------------------
@@ -370,19 +383,40 @@ def _plan(op: GradedOperator, degrees: Sequence[int],
     return plan
 
 
-def _solve(k: int, route: _Route) -> np.ndarray:
+def _solve(k: int, route: _Route, slow_end: bool = False) -> Union[np.ndarray, _SlowEnd]:
     """Eigenvalues of the degree-``k`` block by its planned ``route``: the
     batched symbol solve, a banded solve of its band (the pair factor's
     squared singular values, or ``eigvals_banded`` of the symmetric form),
     or one LAPACK call on a dense copy of its matrix.  A factor's squared
-    singular values are the block's eigenvalues."""
+    singular values are the block's eigenvalues.
+
+    With ``slow_end``, the block is solved for what a verdict or a scan
+    reads, as a ``banded._SlowEnd``: a banded route is reduced to a
+    symmetric tridiagonal (dgbbrd's bidiagonal in Golub-Kahan form, or
+    dsbtrd of the form) and bisected by dstebz, at ABSTOL = u^2 max|T_ij|
+    <= u^2 s_max, for its largest eigenvalue; ``select`` then bisects the
+    eigenvalues up to a bound and a number of the smallest.  Every other
+    route is solved whole, as without ``slow_end``.
+    """
     name, matrix = route.name, route.matrix
+    if slow_end and name in ("band_svdvals", "eigvals_banded"):
+        return _SlowEnd(k, tridiagonal=_tridiagonal(k, route))
     if name == "bloch":
-        return _lapack(k, np.linalg.eigvals, matrix).ravel()
-    if name == "band_svdvals":
-        return _band_svdvals(k, *matrix) ** 2
-    values = _lapack(k, getattr(scipy.linalg, name), _dense(matrix), check_finite=False)
-    return values ** 2 if name == "svdvals" else values
+        values = _lapack(k, np.linalg.eigvals, matrix).ravel()
+    elif name == "band_svdvals":
+        values = _band_svdvals(k, *matrix) ** 2
+    else:
+        values = _lapack(k, getattr(scipy.linalg, name), _dense(matrix), check_finite=False)
+        values = values ** 2 if name == "svdvals" else values
+    return _SlowEnd(k, values) if slow_end else values
+
+
+def _slow_end_bound(radius: float, *taus: Optional[float]) -> float:
+    """10 x the largest of the thresholds ``taus`` at this spectral
+    ``radius`` (``_default_tau``, as the verdicts read them): every verdict
+    reads only the entries with |lambda| below it, witten's ambiguity band
+    (tau0, 10 tau0] included."""
+    return 10.0 * max(_default_tau(radius, t) for t in taus)
 
 
 def _fold(mesh, k: int) -> np.ndarray:
@@ -393,56 +427,6 @@ def _fold(mesh, k: int) -> np.ndarray:
     if len(mesh.cochain_shape(k) or ()) != 2:
         return cell
     return np.column_stack([cell, cell[::-1]]).ravel()[:len(cell)]
-
-
-def _band_svdvals(k: int, m: int, band: np.ndarray, kl: int) -> np.ndarray:
-    """Singular values of the degree-``k`` pair factor, ``m`` rows held as the
-    ``band`` of ``pattern._band`` with ``kl`` sub-diagonals, largest first.
-
-    LAPACK dgbbrd reduces the band to bidiagonal form by Givens rotations,
-    and dlasq1 (dqds) gives the bidiagonal's singular values to high relative
-    accuracy (Demmel and Kahan 1990; Fernando and Parlett 1994), so the
-    tunnelling gaps keep the accuracy of the dense ``svdvals``.  scipy wraps
-    neither, so both are called through ``_cython_lapack``; a nonzero LAPACK
-    status is the eigensolver error.
-    """
-    def i(value):
-        return np.array(value, dtype=np.intc)
-
-    n = band.shape[1]
-    p = min(m, n)
-    d, e, unused, info = np.empty(p), np.zeros(p), np.zeros(1), i(0)
-    calls = (("dgbbrd", (np.array(b"N"), i(m), i(n), i(0), i(kl), i(len(band) - kl - 1),
-                         np.array(band, order="F"), i(len(band)), d, e,
-                         unused, i(1), unused, i(1), unused, i(1), np.empty(2 * max(m, n)))),
-             ("dlasq1", (i(p), d, e, np.empty(4 * p))))  # d and e as dgbbrd leaves them
-    for name, args in calls:
-        _cython_lapack(name)(*args, info)
-        if info:
-            raise EigensolverError(f"eigensolver failed to converge on the degree-{k} "
-                                   f"block (LAPACK {name} info {int(info)})")
-    return d
-
-
-@functools.lru_cache(maxsize=None)
-def _cython_lapack(name: str):
-    """scipy's LAPACK routine ``name``, called with one numpy array for each
-    of its pointer arguments (a 0-d array for a scalar).
-
-    The function pointer comes from the capsule that
-    ``scipy.linalg.cython_lapack`` exports for it, which is how numba reaches
-    LAPACK: no compiled code and no dependency beyond scipy, and the routine
-    is the LAPACK of scipy's own BLAS.
-    """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    signature = get_name(capsule)  # "void (char *, int *, ...)": every argument a pointer
-    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(
-        get_pointer(capsule, signature))
-    return lambda *arrays: routine(*(a.ctypes for a in arrays))
 
 
 def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
@@ -460,10 +444,11 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     before the stencil is read: every row of family a holds c_aa(0) on its
     diagonal (a diagonal not stored reads zero) and sums to row (a, 0)'s sum
     within 2 m^2 eps v, the roundoff of two sums of m or fewer stored entries
-    of size <= v (plus n tolerances off fd).  Then the test reads the block,
-    CSR or dense, a chunk of rows at a time as CSR with duplicates summed,
-    each chunk about ``_INVARIANCE_CHUNK`` stored entries, and stops at the
-    first chunk that fails.  Every stored entry must lie within the
+    of size <= v (plus n tolerances off fd).  Then the test reads the block a
+    chunk of rows at a time, each about ``_INVARIANCE_CHUNK`` stored entries,
+    and stops at the first chunk that fails: a CSR chunk's stored entries,
+    duplicates summed, or a dense chunk's entries in place, where a zero is
+    not stored.  Every stored entry must lie within the
     tolerance of its c_ab(y - x), and every row of family a must store each
     stencil entry of family a larger than the tolerance: an entry not stored
     is zero, which is within the tolerance of c exactly when |c| is.  The
@@ -494,19 +479,26 @@ def _bloch_symbols(mesh, k: int, block, exact: bool) -> Optional[np.ndarray]:
     need = np.count_nonzero(np.abs(c) > tol, axis=(1, 2))
     step = max(1, _INVARIANCE_CHUNK * n // max(stored.size, 1))
     for lo in range(0, n, step):
-        chunk = scipy.sparse.csr_matrix(block[lo:lo + step])  # new arrays: summing leaves the block
-        chunk.sum_duplicates()
-        span = np.arange(lo, lo + chunk.shape[0])
-        row = np.repeat(span, np.diff(chunk.indptr))
+        span = np.arange(lo, min(lo + step, n))
+        if sparse:  # the chunk's stored entries, as new arrays: summing leaves the block
+            chunk = scipy.sparse.csr_matrix(block[lo:lo + step])
+            chunk.sum_duplicates()
+            row, col, value = np.repeat(span, np.diff(chunk.indptr)), chunk.indices, chunk.data
+            kept = np.True_
+        else:  # every entry of the dense rows, read in place: a zero is not stored
+            row, col, value = span[:, None], np.arange(n), block[lo:lo + step]
+            kept = value != 0
         a, x = np.divmod(row, cells)
-        b, y = np.divmod(chunk.indices, cells)
+        b, y = np.divmod(col, cells)
         offset = np.ravel_multi_index(
-            tuple(np.subtract(np.unravel_index(y, grid), np.unravel_index(x, grid))),
+            tuple(q - p for p, q in zip(np.unravel_index(x, grid), np.unravel_index(y, grid))),
             grid, mode="wrap")
         expected = c[a, b, offset]  # c_ab(y - x)
-        if not np.all(np.abs(chunk.data - expected) <= tol):
+        if not np.all((np.abs(value - expected) <= tol) | ~kept):
             return None
-        held = np.bincount(row - lo, np.abs(expected) > tol, minlength=len(span))
+        held = kept & (np.abs(expected) > tol)
+        held = np.bincount(np.broadcast_to(row, held.shape).ravel() - lo, held.ravel(),
+                           minlength=len(span))
         if not np.array_equal(held, need[span // cells]):
             return None
     symbols = np.fft.fftn(stencil, axes=tuple(range(2, 2 + len(grid))))
@@ -666,8 +658,8 @@ def classify_phase(report: SpectrumReport,
     survivor set yields "indeterminate" rather than an error, so sweeps over
     marginal operators always complete.
     """
-    tg = _default_tau(report, tau_gamma)
-    te = _default_tau(report, tau_e)
+    tg = _default_tau(report.spectral_radius, tau_gamma)
+    te = _default_tau(report.spectral_radius, tau_e)
     surviving = np.flatnonzero(np.abs(report.eigenvalue.real) <= tg)
     if np.any(np.abs(report.eigenvalue.imag[surviving]) > te):
         verdict = "Q-broken"
@@ -680,7 +672,7 @@ def classify_phase(report: SpectrumReport,
 
 def _zero_modes(report: SpectrumReport, tau0: Optional[float]) -> np.ndarray:
     """The one zero-mode rule, as a mask over the report's entries: |lambda| <= tau0."""
-    return np.abs(report.eigenvalue) <= _default_tau(report, tau0)
+    return np.abs(report.eigenvalue) <= _default_tau(report.spectral_radius, tau0)
 
 
 def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
@@ -690,7 +682,7 @@ def witten_index(report: SpectrumReport, tau0: Optional[float] = None) -> int:
     a gap-ambiguity warning is issued: the zero/nonzero split is then
     sensitive to the threshold.
     """
-    tau = _default_tau(report, tau0)
+    tau = _default_tau(report.spectral_radius, tau0)
     ambiguous = np.flatnonzero(~_zero_modes(report, tau0)
                                & (np.abs(report.eigenvalue) <= 10.0 * tau))
     if len(ambiguous):
@@ -840,7 +832,7 @@ def _csv_flags(report: SpectrumReport,
     degenerate to roundoff tie exactly and pair in report order, whichever
     solver produced their last bits.
     """
-    tau = _default_tau(report, tau_gamma)
+    tau = _default_tau(report.spectral_radius, tau_gamma)
     scale = max(report.spectral_radius, 1.0)
     ev, centre = report.eigenvalue, report.centroid
     pair_ids = np.full(len(ev), -1)

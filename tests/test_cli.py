@@ -395,7 +395,7 @@ def work(monkeypatch):
     import flowspec.reporting
     import flowspec.spectral
 
-    calls = {"eig": 0, "solved": [], "ops": [], "plans": []}
+    calls = {"eig": 0, "solved": [], "slow_end": [], "ops": [], "plans": []}
     eig = scipy.linalg.eig
     plan, solve = flowspec.spectral._plan, flowspec.spectral._solve
     assemble = flowspec.reporting.assemble_hamiltonian
@@ -408,10 +408,11 @@ def work(monkeypatch):
         calls["plans"].append((op, plan(op, degrees, patterns)))
         return calls["plans"][-1][1]
 
-    def counted_solve(k, route):
+    def counted_solve(k, route, slow_end=False):
         [op] = [op for op, routes in calls["plans"] if routes.get(k) is route]
         calls["solved"].append((op, k))
-        return solve(k, route)
+        calls["slow_end"].append(slow_end)
+        return solve(k, route, slow_end)
 
     def counted_assemble(*args, **kwargs):
         calls["ops"].append(assemble(*args, **kwargs))
@@ -446,6 +447,26 @@ def test_verdict_tasks_solve_each_level_once_without_vectors(tmp_path, work):
     assert len(set(solved)) == len(solved)  # no block solved twice
     # both degrees at the three swept levels, degree 0 only at the scan's 0.05
     assert len(solved) == 7
+    assert all(work["slow_end"])  # no task reads more than the verdicts and the scan
+
+
+@pytest.mark.parametrize("tau_gamma", [0.05, 1.0, 1e9])
+def test_the_slow_end_admits_what_tau_gamma_admits(tmp_path, tau_gamma):
+    # a verdict-only level bisects the eigenvalues up to 10 tau_gamma (three
+    # at 0.05, more at 1.0), and at a tau_gamma past the spectral radius
+    # every entry survives
+    cfg = {"model": {"name": "langevin_double_well_circle",
+                     "params": {"depth": 1.0, "epsilon": 0.2, "n": 384}},
+           "tasks": ["classify", "witten"], "tolerances": {"tau_gamma": tau_gamma}}
+    res = fs.run(fs.RunConfig.from_dict(cfg), out_dir=tmp_path).data["results"]
+    model = fs.build_model(cfg["model"]["name"], cfg["model"]["params"])
+    whole = fs.eigenvalue_spectrum(fs.assemble_hamiltonian(model.mesh, model.flow, model.noise))
+    cls = fs.classify_phase(whole, tau_gamma)
+    assert res["classify"]["n_surviving"] == len(cls.evidence)
+    assert res["classify"]["verdict"] == cls.verdict == "unbroken-Markovian"
+    assert res["witten"]["zero_modes_per_degree"] == list(fs.zero_mode_counts(whole)) == [1, 1]
+    if tau_gamma > whole.spectral_radius:
+        assert res["classify"]["n_surviving"] == 2 * 384
 
 
 def test_every_reported_index_is_one_count_at_tau0(tmp_path):
@@ -466,6 +487,31 @@ def test_every_reported_index_is_one_count_at_tau0(tmp_path):
     assert base["witten_index"] == index
     morse = res["morse"]
     assert morse["matches_witten_index"] == (morse["poincare_hopf_sum"] == index)
+
+
+@pytest.mark.parametrize("depth, n, rel", [(12.0, 64, 1e-13), (8.0, 128, 1e-15)])
+def test_a_tau0_below_roundoff_counts_the_levels_own_solve(tmp_path, depth, n, rel):
+    # at a tau0 below roundoff of the radius the degree-1 zero modes are
+    # roundoff of the reduction, so the count is that of the solve the run's
+    # own level takes: the slow end on a verdict-only run, the whole solve
+    # when spectrum reads the level (at depth 8 these read (2, 2) and (2, 1))
+    from flowspec.spectral import _plan, _slow_end_bound, _solve, _spectrum_report
+
+    params = {"depth": depth, "epsilon": 0.05, "n": n}
+    model = fs.build_model("langevin_double_well_circle", params)
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    whole = fs.eigenvalue_spectrum(op)
+    tau0 = rel * whole.spectral_radius
+    solved = {k: _solve(k, route, slow_end=True) for k, route in _plan(op, op.degrees()).items()}
+    bound = _slow_end_bound(max(s.top for s in solved.values()), tau0, None, None)
+    slow = _spectrum_report({k: s.select(bound, 0) for k, s in solved.items()}, 1)[0]
+    for tasks, report in ((["classify", "witten"], slow),
+                          (["classify", "witten", "spectrum"], whole)):
+        cfg = fs.RunConfig.from_dict({"model": {"name": "langevin_double_well_circle",
+                                                "params": params},
+                                      "tasks": tasks, "tolerances": {"tau0": tau0}})
+        res = fs.run(cfg, out_dir=tmp_path).data["results"]
+        assert res["witten"]["zero_modes_per_degree"] == list(fs.zero_mode_counts(report, tau0))
 
 
 def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
@@ -531,8 +577,10 @@ def test_vector_tasks_solve_eigenvalues_only(tmp_path, work, monkeypatch, tasks)
     doc = fs.run(double_well_config(tasks), out_dir=tmp_path)
     assert work["eig"] == 0
     [op] = work["ops"]
-    # one solve per block of the base level, none solved twice
+    # one solve per block of the base level, none solved twice, each whole:
+    # spectrum and stationary read every eigenvalue
     assert sorted(solved_blocks(work)) == [(0, k) for k in range(len(op.blocks))]
+    assert not any(work["slow_end"])
     # each block's weights are measured once, as it is planned; stationary reads the plan's
     assert len(measured) == len(op.blocks) == 2
     res = doc.data["results"]

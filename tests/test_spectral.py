@@ -951,10 +951,99 @@ def test_tunnelling_gap_against_mpmath(depth, n, gap):
     assert abs(zero) <= 1e-45 and abs(ref.imag) <= 1e-45
     route = _block_route(op, 0)
     assert route[0] == "band_svdvals"  # dgbbrd and dqds on the folded cycle
-    lam = np.sort(np.abs(_solve(0, route)))
-    assert lam[0] <= 1e-30 * lam[-1]  # the zero mode is exact by construction
     assert abs(ref.real - gap) <= 1e-8 * gap
-    assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
+    # the whole solve, and the slow end that a verdict or a scan reads:
+    # bisection of the Golub-Kahan form keeps the relative accuracy
+    for values in (_solve(0, route), _solve(0, route, slow_end=True).select(None, 3)):
+        lam = np.sort(np.abs(values))
+        assert lam[0] <= 1e-30 * lam[-1]  # the zero mode is exact by construction
+        assert abs(lam[1] - ref.real) <= 1e-6 * ref.real
+
+
+@pytest.mark.parametrize("depth, eps, n", [(1.0, 0.2, 384), (8.0, 0.05, 128),
+                                           (12.0, 0.05, 64)])
+def test_the_slow_end_reads_what_the_whole_solve_does(depth, eps, n):
+    # each banded block's largest eigenvalue, those up to the verdicts'
+    # bound and the scan's n_min + 1 smallest give the whole solve's
+    # radius, counts, verdicts and indices at every threshold, and its
+    # splittings within a few ulps
+    from flowspec.spectral import _plan, _slow_end_bound, _solve, _spectrum_report
+
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": depth, "epsilon": eps, "n": n})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    plan = _plan(op, op.degrees())
+    assert [route.name for route in plan.values()] == ["band_svdvals", "eigvals_banded"]
+    whole = {k: _solve(k, route) for k, route in plan.items()}
+    solved = {k: _solve(k, route, slow_end=True) for k, route in plan.items()}
+    radius = max(s.top for s in solved.values())
+    assert radius == pytest.approx(max(np.max(np.abs(w)) for w in whole.values()), rel=1e-15)
+    ulp = np.finfo(float).eps
+    for tau in (None, 1e-14 * radius, 1e-6 * radius, 1e-3 * radius):
+        bound = _slow_end_bound(radius, tau, None, None)
+        slow = {k: s.select(bound, 3 if k == 0 else 0) for k, s in solved.items()}
+        assert sum(map(len, slow.values())) < n // 4  # far fewer than the 2n
+        reports = [_spectrum_report(values, 1)[0] for values in (whole, slow)]
+        assert reports[1].spectral_radius == radius
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            indices = [fs.witten_index(rep, tau) for rep in reports]
+        assert indices[0] == indices[1] and len(caught) in (0, 2)
+        counts = [fs.zero_mode_counts(rep, tau) for rep in reports]
+        assert counts[0] == counts[1]
+        verdicts = [fs.classify_phase(rep, tau) for rep in reports]
+        assert verdicts[0].verdict == verdicts[1].verdict
+        assert len(verdicts[0].evidence) == len(verdicts[1].evidence)
+        lam = [np.sort(np.abs(values[0])) for values in (whole, slow)]
+        np.testing.assert_allclose(lam[1][1:3], lam[0][1:3], rtol=8 * ulp, atol=0)
+
+
+def test_the_slow_end_makes_no_numpy_linalg_call_and_no_dense_copy(monkeypatch):
+    # one BLAS per run (the spectral docstring): a slow end, narrow or wide,
+    # is scipy's LAPACK alone
+    import flowspec.operators
+    import flowspec.spectral
+    from flowspec.spectral import _plan, _solve
+
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": 1.0, "epsilon": 0.2, "n": 128})
+    op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
+    plan = _plan(op, op.degrees())
+    whole = {k: np.sort(_solve(k, route)) for k, route in plan.items()}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a numpy.linalg call or a dense copy on the slow end")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refused)
+    for module in (flowspec.spectral, flowspec.operators):
+        monkeypatch.setattr(module, "_dense", refused)
+    for k, route in plan.items():
+        solved = _solve(k, route, slow_end=True)
+        for bound in (1.0, 100.0, solved.top):  # 3 values bisected, more, or all
+            values = np.sort(solved.select(bound, 2))
+            assert len(values) == min(np.sum(whole[k] <= bound) + 1, len(whole[k]))
+            assert values[-1] == solved.top
+            np.testing.assert_allclose(values[:-1], whole[k][:len(values) - 1],
+                                       rtol=1e-12, atol=1e-14 * solved.top)
+
+
+def test_an_indefinite_banded_form_is_solved_whole():
+    # the slow end reads the top as the radius and the smallest as the
+    # slowest, which holds for a semidefinite form alone: a form with an
+    # eigenvalue below roundoff of zero keeps its whole spectrum
+    from flowspec.banded import _SlowEnd, _tridiagonal
+    from flowspec.pattern import _Route
+
+    ab = np.zeros((2, 40))
+    ab[1] = np.linspace(-3.0, 1.0, 40)  # upper band storage: row 1 the diagonal
+    ab[0, 1:] = 0.1
+    whole = scipy.linalg.eigvals_banded(ab)
+    assert np.abs(whole[0]) > whole[-1]
+    solved = _SlowEnd(0, tridiagonal=_tridiagonal(0, _Route("eigvals_banded", ab, None)))
+    assert solved.top == np.max(np.abs(whole))
+    np.testing.assert_allclose(np.sort(solved.select(1e-3, 2)), whole, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [9, 256, 384, 385, 1024])
@@ -985,20 +1074,22 @@ def test_banded_solves_agree_with_the_dense_ones(n):
 
 
 def test_the_band_routines_solve_a_cyclic_factor():
-    # the two LAPACK routines scipy does not wrap resolve from the capsules of
+    # the LAPACK routines scipy does not wrap resolve from the capsules of
     # scipy.linalg.cython_lapack on every scipy the tests run on.  The measured
     # band decides: a 6-cycle's form is refused in cell order (its corner entry
     # lies 5 below the diagonal) and kept folded, where the banded singular
     # values of its pair factor are the dense ones; the factor of a torus
     # potential is refused
+    from flowspec.banded import _band_svdvals, _cython_lapack
     from flowspec.pattern import _band_layout, _Pattern
-    from flowspec.spectral import _band_svdvals, _block_route, _cython_lapack, _fold
+    from flowspec.spectral import _block_route, _fold
 
     def layout(matrix):
         h = scipy.sparse.coo_matrix(matrix)
         return _band_layout(h.row, h.col, h.shape[1])
 
-    assert callable(_cython_lapack("dgbbrd")) and callable(_cython_lapack("dlasq1"))
+    for name in ("dgbbrd", "dlasq1", "dsbtrd", "dstebz", "dlarrc", "dsterf"):
+        assert callable(_cython_lapack(name))
     n = 6
     i, j = np.arange(n), (np.arange(n) + 1) % n
     w = np.random.default_rng(7).uniform(0.5, 2.0, n)  # a weighted cycle Laplacian
@@ -1024,15 +1115,21 @@ def test_the_band_routines_solve_a_cyclic_factor():
     assert route.name == "svdvals" and layout(route.matrix) is None
 
 
-@pytest.mark.parametrize("failing", ["dgbbrd", "dlasq1"])
-def test_a_band_lapack_status_is_the_eigensolver_error(monkeypatch, tmp_path, capsys, failing):
+@pytest.mark.parametrize("failing, k, task", [
+    pytest.param("dgbbrd", 0, "classify", id="dgbbrd"),
+    pytest.param("dlasq1", 0, "spectrum", id="dlasq1"),  # the whole solve's dqds
+    pytest.param("dsbtrd", 1, "classify", id="dsbtrd"),  # the slow end's reductions
+    pytest.param("dstebz", 0, "classify", id="dstebz"),  # and bisection
+])
+def test_a_band_lapack_status_is_the_eigensolver_error(monkeypatch, tmp_path, capsys, failing,
+                                                        k, task):
     import json
 
-    import flowspec.spectral
+    import flowspec.banded
     from flowspec.cli import main
     from flowspec.spectral import _block_route, _solve
 
-    lapack = flowspec.spectral._cython_lapack
+    lapack = flowspec.banded._cython_lapack
 
     def failing_status(name):
         routine = lapack(name)
@@ -1043,17 +1140,17 @@ def test_a_band_lapack_status_is_the_eigensolver_error(monkeypatch, tmp_path, ca
                 arrays[-1][...] = 1
         return call
 
-    monkeypatch.setattr(flowspec.spectral, "_cython_lapack", failing_status)
+    monkeypatch.setattr(flowspec.banded, "_cython_lapack", failing_status)
     params = {"depth": 1.0, "epsilon": 0.2, "n": 64}
     model = fs.build_model("langevin_double_well_circle", params)
     op = fs.assemble_hamiltonian(model.mesh, model.flow, model.noise)
-    message = f"eigensolver failed to converge on the degree-0 block (LAPACK {failing} info 1)"
+    message = f"eigensolver failed to converge on the degree-{k} block (LAPACK {failing} info 1)"
     with pytest.raises(fs.EigensolverError, match=re.escape(message)):
-        _solve(0, _block_route(op, 0))
+        _solve(k, _block_route(op, k), slow_end=task == "classify")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"name": "langevin_double_well_circle",
                                           "params": params},
-                                "tasks": ["classify"]}))
+                                "tasks": [task]}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
