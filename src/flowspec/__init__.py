@@ -81,7 +81,6 @@ from .morse import (
     OneLoopState,
     SplittingScan,
     find_critical_points,
-    instanton_splitting_scan,
     one_loop_ground_state,
     poincare_hopf_sum,
 )
@@ -110,6 +109,7 @@ from .reporting import (
     canonical_json,
     export_spectrum_csv,
     format_float,
+    instanton_splitting_scan,
     run,
     sweep_epsilon,
 )

@@ -13,11 +13,6 @@ a hyperbolic zero: a Gaussian of variance eps/(2|lambda|) in each stable
 direction, constant leading order along unstable ones, placed at the degree
 equal to the number of stable directions (for the relaxational dynamics
 phi' = -A, a direction with Re lambda > 0 of the Jacobian of A is stable).
-
-``instanton_splitting_scan`` tracks the smallest nonzero relaxation rate of
-a multi-well potential flow across noise levels; for these flows both the
-diffusion and the drift carry one power of the noise scale, so the tunneling
-gap shrinks with eps and its logarithm is convex in 1/eps.
 """
 
 from __future__ import annotations
@@ -39,9 +34,9 @@ from .exceptions import (
     ValidationError,
 )
 from .fields import FlowField
+# not called here; flowbench/tracing.py patches this name
 from .hamiltonian import assemble_hamiltonian
 from .mesh import MeshComplex, NoiseSpec, hodge_star
-from .spectral import _plan, _solve
 
 __all__ = [
     "CriticalPoint",
@@ -50,7 +45,6 @@ __all__ = [
     "find_critical_points",
     "poincare_hopf_sum",
     "one_loop_ground_state",
-    "instanton_splitting_scan",
 ]
 
 _HYPERBOLIC_REL = 1e-6
@@ -435,25 +429,6 @@ def _scan_levels(epsilons: Sequence[float]) -> List[float]:
     if not all(b < a for a, b in zip(eps[:-1], eps[1:])):
         raise ValidationError(f"noise levels must be strictly descending: {eps}")
     return eps
-
-
-def instanton_splitting_scan(model, epsilons: Sequence[float]) -> SplittingScan:
-    """Smallest nonzero relaxation rate of a multi-well potential flow per eps.
-
-    ``model`` must be a potential-flow ``ModelSpec`` whose ``flow.w`` has at
-    least two local minima; each level is the fd generator of
-    ``model.rebuild_at(eps)``, solved for the rates the scan reads
-    (``_scan_count``; ``spectral._solve``'s slow end on a banded route).
-    """
-    patterns = []  # the levels share their pattern records (_plan)
-    count = _scan_count(model)
-
-    def degree0_eigenvalues(eps):
-        m = model.rebuild_at(eps)
-        op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend="fd")
-        return _solve(0, _plan(op, (0,), patterns)[0], slow_end=True).select(None, count)
-
-    return _splitting_scan(model, epsilons, degree0_eigenvalues)
 
 
 def _scan_minima(model) -> int:

@@ -27,6 +27,12 @@ drift.  Every noise level a run reads, inline or registered, is the model's
 significant digits, negative zero normalized, non-finite values rejected,
 complex numbers written as objects with re/im fields.  Wall-clock timings
 never enter the report; they go to the ``timings.json`` sidecar.
+
+``instanton_splitting_scan`` tracks the smallest nonzero relaxation rate of
+a multi-well potential flow across noise levels; for these flows both the
+diffusion and the drift carry one power of the noise scale, so the tunneling
+gap shrinks with eps and its logarithm is convex in 1/eps.  Like
+``sweep_epsilon``, it reads its levels as a run does, through ``_Levels``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import json
 import operator
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -53,11 +59,11 @@ from .hamiltonian import GradedOperator, assemble_hamiltonian
 from .mesh import NoiseSpec, build_circle_grid, build_torus_grid
 from .models import _ORACLE_REL_TOL, ModelSpec, build_model, oracle_spectrum_residual
 from .morse import (
+    SplittingScan,
     _scan_count,
     _scan_levels,
     _splitting_scan,
     find_critical_points,
-    instanton_splitting_scan,  # not called by a run; flowbench/tracing.py patches this name
     poincare_hopf_sum,
 )
 from .operators import normalize_backend
@@ -91,6 +97,7 @@ __all__ = [
     "export_spectrum_csv",
     "run",
     "sweep_epsilon",
+    "instanton_splitting_scan",
 ]
 
 # ----------------------------------------------------------------------
@@ -625,11 +632,9 @@ def _task_morse(state: _Levels, files: Dict) -> Dict:
         result["matches_witten_index"] = bool(ph == state.index())
     levels = state.config.morse_epsilons
     if levels:
-        # the scan is defined on fd levels: the run's own on fd, on fourier those
-        # of a run of the scan alone
-        fd = state if state.backend == "fd" else _Levels(model, "fd",
-                                                         replace(state.config, tasks=("morse",)))
-        scan = _splitting_scan(model, levels, lambda e: fd.eigenvalues(e, 0))
+        # the scan is defined on fd levels: the run's own on fd, on fourier a scan's own
+        scan = (_splitting_scan(model, levels, lambda e: state.eigenvalues(e, 0))
+                if state.backend == "fd" else instanton_splitting_scan(model, levels))
         result["splitting_scan"] = {
             "epsilons": list(scan.epsilons),
             "splittings": list(scan.splittings),
@@ -687,6 +692,19 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
     """
     config = RunConfig(("sweep",), backend, tau_gamma=tau_gamma, tau_e=tau_e)
     return _sweep(_Levels(model, backend, config), epsilons)
+
+
+def instanton_splitting_scan(model: ModelSpec, epsilons) -> SplittingScan:
+    """Smallest nonzero relaxation rate of a multi-well potential flow per eps.
+
+    ``model`` must be a potential-flow ``ModelSpec`` whose ``flow.w`` has at
+    least two local minima; each level is the fd generator of
+    ``model.rebuild_at(eps)``, read as a run of the scan alone reads it: at
+    degree 0, for the ``_scan_count`` smallest rates.
+    """
+    levels = _scan_levels(epsilons)
+    state = _Levels(model, "fd", RunConfig(("morse",), morse_epsilons=tuple(levels)))
+    return _splitting_scan(model, levels, lambda e: state.eigenvalues(e, 0))
 
 
 def _sweep(levels: _Levels, epsilons) -> Dict:

@@ -268,6 +268,20 @@ def test_public_surface_is_the_audited_list():
     assert sorted(fs.__all__) == PUBLIC_NAMES
 
 
+def test_every_traced_name_resolves():
+    # flowbench/tracing.py patches each (module, name) of TRACED where a run
+    # looks it up; a name a module no longer binds fails only the traced runs
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = (Path(__file__).resolve().parents[1] / "flowbench" / "tracing.py").read_text()
+    [traced] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TRACED"]
+    assert traced and [(module, name) for module, name in traced
+                       if not hasattr(importlib.import_module(f"flowspec.{module}"), name)] == []
+
+
 # what each result type stores: only values that its other fields cannot give
 # and that something reads; derived values are properties
 STORED_FIELDS = {

@@ -391,7 +391,6 @@ def work(monkeypatch):
     every route plan with its operator, and every assembly."""
     import scipy.linalg
 
-    import flowspec.morse
     import flowspec.reporting
     import flowspec.spectral
 
@@ -419,10 +418,9 @@ def work(monkeypatch):
         return calls["ops"][-1]
 
     monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
-    for module in (flowspec.reporting, flowspec.morse):
-        monkeypatch.setattr(module, "_plan", counted_plan)
-        monkeypatch.setattr(module, "_solve", counted_solve)
-        monkeypatch.setattr(module, "assemble_hamiltonian", counted_assemble)
+    monkeypatch.setattr(flowspec.reporting, "_plan", counted_plan)
+    monkeypatch.setattr(flowspec.reporting, "_solve", counted_solve)
+    monkeypatch.setattr(flowspec.reporting, "assemble_hamiltonian", counted_assemble)
     return calls
 
 
@@ -521,6 +519,50 @@ def test_morse_alone_solves_no_degree_one_block(tmp_path, work):
     assert work["eig"] == 0
     assert len(work["ops"]) == 3 and len(work["solved"]) == 3
     assert sorted(solved_blocks(work)) == [(0, 0), (1, 0), (2, 0)]
+
+
+def test_the_public_scan_reads_its_levels_as_a_run_does(work, monkeypatch):
+    # a scan alone: each level assembled once, its degree-0 block solved for
+    # its slow end, and the levels share one pattern record
+    import flowspec.spectral
+
+    built = []
+    record = flowspec.spectral._Pattern
+    monkeypatch.setattr(flowspec.spectral, "_Pattern",
+                        lambda h, order: built.append(h) or record(h, order))
+    model = fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.3, "n": 48})
+    fs.instanton_splitting_scan(model, [0.4, 0.2, 0.1])
+    assert work["eig"] == 0
+    assert [op.noise.epsilon for op in work["ops"]] == [0.4, 0.2, 0.1]
+    assert sorted(solved_blocks(work)) == [(0, 0), (1, 0), (2, 0)]
+    assert work["slow_end"] == [True] * 3
+    assert len(built) == 1
+
+
+def _single_well():
+    from dataclasses import replace
+
+    model = fs.build_model("langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.4, "n": 64})
+    w = np.cos(np.asarray(model.mesh.vertices))
+    return replace(model, flow=fs.langevin_flow(model.mesh, w, model.noise))
+
+
+@pytest.mark.parametrize("model, epsilons, error, message", [
+    (None, [0.4], fs.ValidationError, "need at least two noise levels to scan"),
+    (None, [0.1, 0.4], fs.ValidationError, r"noise levels must be strictly descending: \[0.1"),
+    (None, [0.4, 0.0], fs.InvalidNoiseError, "splitting scan requires finite, positive noise"),
+    (lambda: fs.build_model("tilted_langevin_circle",
+                            {"depth": 1.0, "tilt": 0.3, "epsilon": 0.4, "n": 64}),
+     [0.4, 0.2], fs.NotPotentialError, "defined for potential flows only"),
+    (_single_well, [0.4, 0.2], fs.NoInstantonError,
+     r"potential has 1 local minimum\(s\); no tunneling doublet exists"),
+], ids=["one-level", "ascending", "zero-level", "tilted", "single-well"])
+def test_a_refused_scan_assembles_no_level(work, model, epsilons, error, message):
+    model = model() if model else fs.build_model(
+        "langevin_double_well_circle", {"depth": 1.0, "epsilon": 0.4, "n": 64})
+    with pytest.raises(error, match=message):
+        fs.instanton_splitting_scan(model, epsilons)
+    assert work["ops"] == [] and work["solved"] == []
 
 
 def _torus_potential_sweep():

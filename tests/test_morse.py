@@ -316,6 +316,8 @@ def test_splitting_scan_decreases_and_is_convex():
     # the doublet gap sits far below the first intra-well rate
     for s, f in zip(scan.splittings, scan.first_nontunneling):
         assert s < 0.05 * f
+    # the levels are read in one pass: an iterator gives the same scan
+    assert fs.instanton_splitting_scan(model, iter([0.4, 0.2, 0.1])) == scan
 
 
 def test_splitting_scan_input_validation():
