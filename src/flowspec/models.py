@@ -1,7 +1,8 @@
 """Reference dynamical systems with frozen expectations.
 
-Each constructor returns a fully assembled :class:`ModelSpec`: the mesh, the
-flow samples, the noise level, a continuum drift callable for trajectory
+Each constructor returns a fully assembled :class:`ModelSpec`: the mesh (by
+keyword, a grid the same model built, which ``rebuild_at`` passes), the flow
+samples, the noise level, a continuum drift callable for trajectory
 integration and, where one exists, a closed-form stationary density.  A
 model whose spectrum is known in closed form also carries an oracle, the
 function ``(backend, degree) -> eigenvalues`` (``None`` for a degree it does
@@ -72,16 +73,17 @@ class ModelSpec:
     def rebuild_at(self, epsilon: float) -> "ModelSpec":
         """Same model at another noise level: the one rule every level is built by.
 
-        A registered model is rebuilt from its parameters.  Any other model
-        keeps its mesh and flow samples, except that a gradient flow, whose
-        samples carry one factor of eps, is resampled from ``flow.w``.  A
-        gradient flow has no epsilon = 0 level: ``ModelSpec`` refuses it.
+        Every level keeps this model's mesh.  A registered model is rebuilt
+        from its parameters on it.  Any other model keeps its flow samples
+        too, except that a gradient flow, whose samples carry one factor of
+        eps, is resampled from ``flow.w``.  A gradient flow has no epsilon = 0
+        level: ``ModelSpec`` refuses it.
         """
         epsilon = float(epsilon)
         if epsilon == self.noise.epsilon:
             return self
         if self.name in _REGISTRY:
-            return build_model(self.name, {**self.params, "epsilon": epsilon})
+            return build_model(self.name, {**self.params, "epsilon": epsilon}, mesh=self.mesh)
         noise = NoiseSpec(epsilon)
         flow = langevin_flow(self.mesh, self.flow.w, noise) if self.flow.langevin else self.flow
         return replace(self, flow=flow, noise=noise)
@@ -131,7 +133,7 @@ def _torus_symbol(n: int, length: float, ax: float, ay: float, eps: float,
 # constructors
 # ----------------------------------------------------------------------
 
-def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
+def constant_drive_circle(a: float, epsilon: float, n: int, *, mesh=None) -> ModelSpec:
     """Uniform drive of speed ``a`` on a circle of circumference 2*pi.
 
     Translation invariance makes every eigenvalue an exact symbol value:
@@ -141,7 +143,7 @@ def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
     if n < 8:
         raise InvalidResolutionError(f"constant drive needs n >= 8, got {n}")
     noise = NoiseSpec(epsilon)
-    mesh = build_circle_grid(n, _TWO_PI)
+    mesh = build_circle_grid(n, _TWO_PI) if mesh is None else mesh
     flow = flow_from_vertex_samples(mesh, np.full(n, float(a)))
     return ModelSpec(
         name="constant_drive_circle",
@@ -157,7 +159,7 @@ def constant_drive_circle(a: float, epsilon: float, n: int) -> ModelSpec:
     )
 
 
-def langevin_double_well_circle(depth: float, epsilon: float, n: int) -> ModelSpec:
+def langevin_double_well_circle(depth: float, epsilon: float, n: int, *, mesh=None) -> ModelSpec:
     """Potential flow of W = depth * cos(2 phi): two wells at pi/2 and 3*pi/2.
 
     The spectrum is real; the two lowest nonzero rates form a tunneling
@@ -170,7 +172,7 @@ def langevin_double_well_circle(depth: float, epsilon: float, n: int) -> ModelSp
     if n < 8:
         raise InvalidResolutionError(f"double well needs n >= 8, got {n}")
     noise = NoiseSpec(epsilon)
-    mesh = build_circle_grid(n, _TWO_PI)
+    mesh = build_circle_grid(n, _TWO_PI) if mesh is None else mesh
     phis = np.asarray(mesh.vertices).reshape(-1)
     w = depth * np.cos(2.0 * phis)
     return ModelSpec(
@@ -188,7 +190,8 @@ def langevin_double_well_circle(depth: float, epsilon: float, n: int) -> ModelSp
     )
 
 
-def tilted_langevin_circle(depth: float, tilt: float, epsilon: float, n: int) -> ModelSpec:
+def tilted_langevin_circle(depth: float, tilt: float, epsilon: float, n: int, *,
+                           mesh=None) -> ModelSpec:
     """Double-well gradient plus a constant drive; not a potential flow.
 
     The tilt is applied to the assembled samples (gradient part first, then
@@ -202,7 +205,7 @@ def tilted_langevin_circle(depth: float, tilt: float, epsilon: float, n: int) ->
     if n < 8:
         raise InvalidResolutionError(f"tilted model needs n >= 8, got {n}")
     noise = NoiseSpec(epsilon)
-    mesh = build_circle_grid(n, _TWO_PI)
+    mesh = build_circle_grid(n, _TWO_PI) if mesh is None else mesh
     phis = np.asarray(mesh.vertices).reshape(-1)
     w = depth * np.cos(2.0 * phis)
     return ModelSpec(
@@ -218,14 +221,14 @@ def tilted_langevin_circle(depth: float, tilt: float, epsilon: float, n: int) ->
     )
 
 
-def torus_shear_model(ax: float, ay: float, epsilon: float, n: int) -> ModelSpec:
+def torus_shear_model(ax: float, ay: float, epsilon: float, n: int, *, mesh=None) -> ModelSpec:
     """Constant flow (ax, ay) on a square flat torus of side 2*pi.
 
     Exactly solvable: mode k = (kx, ky) carries eigenvalue
     eps*|k|^2/2 - i k.a with multiplicity (1, 2, 1) across degrees 0, 1, 2.
     """
     noise = NoiseSpec(epsilon)
-    mesh = build_torus_grid(n, n, _TWO_PI, _TWO_PI)
+    mesh = build_torus_grid(n, n, _TWO_PI, _TWO_PI) if mesh is None else mesh
     samples = np.column_stack([
         np.full(mesh.n_cells(0), float(ax)),
         np.full(mesh.n_cells(0), float(ay)),
@@ -269,10 +272,11 @@ def list_models() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def build_model(name: str, params: Dict) -> ModelSpec:
+def build_model(name: str, params: Dict, *, mesh: Optional[MeshComplex] = None) -> ModelSpec:
     """Instantiate a registered model; unknown names list the alternatives.
 
-    Parameter values must be numbers: a JSON true or "0.2" is refused.
+    Parameter values must be numbers: a JSON true or "0.2" is refused.  A
+    ``mesh`` the same model built is reused instead of a new grid.
     """
     if name not in _REGISTRY:
         raise UnknownModelError(
@@ -283,7 +287,7 @@ def build_model(name: str, params: Dict) -> ModelSpec:
             raise ValidationError(f"bad parameters for model {name!r}: {key} must be "
                                   f"a number, got {value!r}")
     try:
-        return _REGISTRY[name](**params)
+        return _REGISTRY[name](**params, mesh=mesh)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad parameters for model {name!r}: {exc}") from exc
 

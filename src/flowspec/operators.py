@@ -212,17 +212,22 @@ def codifferential(
 def _codifferential(mesh: MeshComplex, d, k: int, noise: NoiseSpec, backend: str):
     """d†_k from the given d_{k-1}, in the same storage.
 
-    fd masses are the diagonal Hodge stars, so d† is d^T with each stored
-    entry (i, j) scaled to d_ji * star_k[j] / star_{k-1}[i].
+    fd masses are the diagonal Hodge stars, so d† is d^T with its entries
+    scaled (``_codifferential_data``).
     """
     if backend == "fd":
-        dt = d.T.tocoo()
-        star_lo = hodge_star(mesh, k - 1, noise)
-        star_hi = hodge_star(mesh, k, noise)
-        vals = dt.data * star_hi[dt.col] / star_lo[dt.row]
-        return sp.csr_matrix((vals, (dt.row, dt.col)), shape=dt.shape)
+        dt = d.T.tocsr()
+        return sp.csr_matrix((_codifferential_data(mesh, dt, k, noise), dt.indices, dt.indptr),
+                             shape=dt.shape)
     m_lo = inner_product_matrix(mesh, k - 1, noise, backend)
     return np.linalg.solve(m_lo, d.T @ inner_product_matrix(mesh, k, noise, backend))
+
+
+def _codifferential_data(mesh: MeshComplex, dt: sp.csr_matrix, k: int, noise: NoiseSpec):
+    """The stored entries of the fd d†_k on the pattern of ``dt`` = d_{k-1}^T
+    (CSR): entry (i, j) is d_ji * star_k[j] / star_{k-1}[i]."""
+    rows = np.repeat(np.arange(dt.shape[0]), np.diff(dt.indptr))
+    return dt.data * hodge_star(mesh, k, noise)[dt.indices] / hodge_star(mesh, k - 1, noise)[rows]
 
 
 # ----------------------------------------------------------------------
@@ -265,11 +270,17 @@ def _interior_product(mesh: MeshComplex, flow: FlowField, k: int, backend: str):
     # |boundary| with its stored entries scaled by flow samples; the rows keep
     # the incidence's sorted order, so products with it sum in index order
     pattern = abs(mesh.incidence[k - 1]).astype(float)
+    pattern.data = _contraction_data(mesh, flow, k, pattern)
+    return pattern
+
+
+def _contraction_data(mesh: MeshComplex, flow: FlowField, k: int, pattern: sp.csr_matrix):
+    """The stored entries of the fd iota_A at degree k on ``pattern``, the
+    CSR pattern of |boundary_k|: the flow sample of each entry."""
     if k == 1:
         # each edge's tangential sample, split between its two endpoints
         w = flow.tangential_edge_values(mesh) / (2.0 * mesh.primal_volumes[1])
-        pattern.data *= w[pattern.indices]
-        return pattern
+        return w[pattern.indices]
 
     # k == 2, torus: faces -> edges. A 2-form F dx^dy contracts to
     # A_x F dy - A_y F dx; each face contributes to its four boundary edges
@@ -277,8 +288,7 @@ def _interior_product(mesh: MeshComplex, flow: FlowField, k: int, backend: str):
     # that edge's dual length.
     sign = np.repeat([-1.0, 1.0], mesh.n_cells(0))
     w = sign * flow.transverse_edge_values(mesh) / (2.0 * mesh.dual_volumes[1])
-    pattern.data *= np.repeat(w, np.diff(pattern.indptr))
-    return pattern
+    return np.repeat(w, np.diff(pattern.indptr))
 
 
 def _interior_product_fourier(mesh: MeshComplex, flow: FlowField, k: int) -> np.ndarray:

@@ -21,7 +21,8 @@ Instead of ``model``, an ``inline`` object may supply a mesh and flow table
 directly (see :func:`RunConfig.from_dict`); inline systems support the
 operator tasks and ``sweep`` but not ``simulate``, which needs a closed-form
 drift.  Every noise level a run reads, inline or registered, is the model's
-:meth:`~flowspec.models.ModelSpec.rebuild_at` at that level.
+:meth:`~flowspec.models.ModelSpec.rebuild_at` at that level, on the model's
+mesh; a run's fd levels at eps > 0 after the first are refilled (``_Levels``).
 
 ``report.json`` is byte-stable: keys sorted, every float printed with 12
 significant digits, negative zero normalized, non-finite values rejected,
@@ -480,7 +481,13 @@ class _Levels:
     count a zero mode that the other solve does not: the count is that of the own
     level's solve, which the task set decides.  A level the scan alone reads is
     planned at degree 0 alone; any other whole, so that the dense-solver cap refuses
-    it before any of its blocks is made dense."""
+    it before any of its blocks is made dense.
+
+    Every level the run reads keeps the model's mesh (``rebuild_at``).  When the
+    run reads two or more levels at eps > 0, the first of them is assembled by
+    sparse products and leaves an assembly map that refills the others
+    (``hamiltonian._AssemblyMap``); the maps are dropped once the last of those
+    levels is assembled."""
 
     def __init__(self, model: ModelSpec, backend: str, config: RunConfig):
         self.model, self.backend, self.config = model, backend, config
@@ -495,13 +502,19 @@ class _Levels:
         self._values: Dict[Tuple[float, int], np.ndarray] = {}
         self._reports: Dict[float, SpectrumReport] = {}
         self._patterns: list = []  # every level's pattern records (_plan), kept for the run
+        self._to_assemble = {e for e in read | self.scanned if e > 0}
+        self._maps = [] if len(self._to_assemble) > 1 else None
 
     def level(self, eps: float) -> Tuple[GradedOperator, Dict]:
         """A level's operator and its ``_plan``, which the dense-solver cap may refuse."""
         eps = float(eps)
         if eps not in self._levels:
             m = self.model.rebuild_at(eps)
-            op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend)
+            op = assemble_hamiltonian(m.mesh, m.flow, m.noise, backend=self.backend,
+                                      maps=self._maps)
+            self._to_assemble.discard(eps)
+            if not self._to_assemble:
+                self._maps = None
             self._levels[eps] = op, _plan(op, (0,) if eps in self.scan_only else op.degrees(),
                                           self._patterns)
         return self._levels[eps]
@@ -690,8 +703,10 @@ def sweep_epsilon(model: ModelSpec, epsilons, backend: str = "fd",
     condensing onto the imaginary axis; a sweep whose rows never oscillate
     reports no condensation.
     """
-    config = RunConfig(("sweep",), backend, tau_gamma=tau_gamma, tau_e=tau_e)
-    return _sweep(_Levels(model, backend, config), epsilons)
+    levels = _sweep_levels(epsilons)
+    config = RunConfig(("sweep",), backend, tau_gamma=tau_gamma, tau_e=tau_e,
+                       sweep_epsilons=levels)
+    return _sweep(_Levels(model, backend, config), levels)
 
 
 def instanton_splitting_scan(model: ModelSpec, epsilons) -> SplittingScan:

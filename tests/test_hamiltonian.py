@@ -96,6 +96,163 @@ def test_two_route_check_refuses_a_corrupted_block():
         _check_two_routes(dataclasses.replace(h, blocks=(h.block(0), bad)), *pieces)
 
 
+@pytest.mark.parametrize("corruption", ["relative-1e-9", "nan"])
+def test_two_route_check_refuses_a_corrupted_refill(monkeypatch, corruption):
+    # a refilled level is checked as well: its blocks against the charge
+    # route's refill, entrywise.  The third level's fill is corrupted in the
+    # largest entry of its degree-1 block, which the block and the check read
+    from flowspec.hamiltonian import _AssemblyMap
+
+    fill, fills = _AssemblyMap.fill, []
+
+    def corrupted(self, mesh, flow, noise):
+        values = fill(self, mesh, flow, noise)
+        fills.append(noise.epsilon)
+        if len(fills) == 3:
+            entries = values[self.blocks[1].entries]
+            j = np.argmax(np.abs(entries))
+            entries[j] = np.nan if corruption == "nan" else entries[j] * (1 + 1e-9)
+        return values
+
+    monkeypatch.setattr(_AssemblyMap, "fill", corrupted)
+    model = fs.build_model("langevin_double_well_circle",
+                           {"depth": 1.0, "epsilon": 0.4, "n": 48})
+    maps = []
+    for eps in (0.4, 0.2):
+        level = model.rebuild_at(eps)
+        fs.assemble_hamiltonian(level.mesh, level.flow, level.noise, maps=maps)
+    level = model.rebuild_at(0.1)
+    with pytest.raises(fs.NumericalError, match=r"degree 1: the degree-1 block at noise "
+                                                r"level 0\.1 differs"):
+        fs.assemble_hamiltonian(level.mesh, level.flow, level.noise, maps=maps)
+    assert fills == [0.4, 0.2, 0.1]  # the first fill checks the map against the products
+
+
+def _same_bytes(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
+
+
+def _scan_cases():
+    from flowspec.reporting import _build_inline
+
+    torus = fs.build_torus_grid(12, 12, 2 * np.pi, 2 * np.pi)
+    x, y = np.asarray(torus.vertices).T
+    inline = _build_inline({"mesh": {"kind": "torus", "nx": 12, "ny": 12},
+                            "flow": {"potential": (np.cos(2 * x) + np.sin(y)).tolist()},
+                            "epsilon": 0.4})
+    return [
+        pytest.param(fs.build_model("langevin_double_well_circle",
+                                    {"depth": 1.0, "epsilon": 0.4, "n": 384}),
+                     (0.4, 0.2, 0.1, 0.05), id="double-well-384"),
+        pytest.param(fs.build_model("torus_shear_model",
+                                    {"ax": 0.7, "ay": 0.4, "epsilon": 0.3, "n": 24}),
+                     (0.3, 0.15, 0.075), id="torus-shear-24"),
+        pytest.param(fs.build_model("tilted_langevin_circle",
+                                    {"depth": 1.0, "tilt": 0.3, "epsilon": 0.3, "n": 64}),
+                     (0.3, 0.2, 0.1), id="tilted-circle"),
+        pytest.param(inline, (0.4, 0.2, 0.1), id="inline-torus-potential"),
+    ]
+
+
+@pytest.mark.parametrize("model, levels", _scan_cases())
+def test_a_refilled_level_has_the_bytes_of_the_sparse_products(model, levels):
+    # the refill adds each entry's terms in the order the installed scipy's
+    # products and sums add them, so every level of a scan, refilled, has the
+    # bytes the sparse products give it
+    from flowspec.hamiltonian import _charge, _graded_pieces
+
+    maps = []
+    for eps in levels:
+        level = model.rebuild_at(eps)
+        mesh, flow, noise = level.mesh, level.flow, level.noise
+        refill = fs.assemble_hamiltonian(mesh, flow, noise, maps=maps)
+        products = fs.assemble_hamiltonian(mesh, flow, noise)
+        [amap] = maps  # built by the first level, refilled by the rest
+        values = amap.fill(mesh, flow, noise)
+        charge = _charge(*_graded_pieces(mesh, flow, noise, "fd"), products.degrees())
+        for k, c in zip(products.degrees(), charge):
+            assert _same_bytes(refill.blocks[k], products.blocks[k]), (eps, k)
+            assert _same_bytes(amap.blocks[k].csr(values), products.blocks[k]), (eps, k)
+            # the check reads the charge route entrywise, so its products keep a
+            # row in the order they reach its columns; sorted, it is the refill
+            assert _same_bytes(amap.charge[k].csr(values), c.sorted_indices()), (eps, k)
+
+
+def test_a_refill_stores_the_entries_the_sparse_sums_keep():
+    # an exact zero sample leaves terms that cancel exactly; the sparse sums
+    # prune them, and so does the refill, so the blocks that the Bloch test
+    # and the banded routes read keep their pattern at every level
+    from flowspec.reporting import _build_inline
+
+    circle, other = fs.build_circle_grid(40, 2 * np.pi), fs.build_circle_grid(24, 2 * np.pi)
+    phi = np.asarray(circle.vertices).ravel()
+    flat = np.where(np.abs(phi - np.pi) < 1.0, 0.0, np.cos(2 * phi))  # tanh(0) = 0 samples
+    torus = fs.build_torus_grid(8, 8, 2 * np.pi, 2 * np.pi)
+    drift = fs.flow_from_vertex_samples(torus, np.tile([0.7, 0.0], (64, 1)))
+    drive = _build_inline({"mesh": {"kind": "circle", "n": 32},
+                           "flow": {"vertex_samples": np.sin(np.arange(32.0)).tolist()},
+                           "epsilon": 0.3})
+
+    def gradient(mesh, eps):
+        w = flat if mesh is circle else np.cos(2 * np.asarray(mesh.vertices).ravel())
+        return fs.langevin_flow(mesh, w, fs.NoiseSpec(eps))
+
+    scans = {
+        "flat stretch": [(circle, gradient(circle, e), e) for e in (0.4, 0.2, 0.1)],
+        "zero drift component": [(torus, drift, e) for e in (0.3, 0.15, 0.075)],
+        # epsilon = 0 has no d†, so its pattern is another: assembled by products
+        "down to epsilon 0": [(drive.mesh, drive.flow, e) for e in (0.3, 0.1, 0.0)],
+        "two meshes": [(m, gradient(m, e), e) for e in (0.3, 0.1) for m in (circle, other)],
+    }
+    maps_built, pruned = {}, {}
+    for name, levels in scans.items():
+        maps, pruned[name] = [], 0
+        for mesh, flow, eps in levels:
+            noise = fs.NoiseSpec(eps)
+            refill = fs.assemble_hamiltonian(mesh, flow, noise, maps=maps)
+            products = fs.assemble_hamiltonian(mesh, flow, noise)
+            for k in products.degrees():
+                assert _same_bytes(refill.blocks[k], products.blocks[k]), (name, eps, k)
+                assert np.all(refill.blocks[k].data != 0)  # an exact zero is pruned
+                if not noise.is_deterministic:
+                    [amap] = [m for m in maps if m.matches(mesh)]
+                    pruned[name] += amap.blocks[k].nnz - refill.blocks[k].nnz
+        maps_built[name] = len(maps)
+    # one map per incidence pattern: the other circle gets its own
+    assert maps_built == {"flat stretch": 1, "zero drift component": 1,
+                          "down to epsilon 0": 1, "two meshes": 2}
+    # the cancelled entries of the blocks are left out of the refill
+    assert pruned["zero drift component"] > 0
+
+
+def test_a_scan_runs_the_sparse_products_for_its_first_level_only(tmp_path, monkeypatch):
+    # counted, not timed, so that it holds on every scipy: four levels of a
+    # sweep and a splitting scan, one of them assembled by sparse products
+    import scipy.sparse
+
+    import flowspec.hamiltonian
+
+    anticommutator, sparse = flowspec.hamiltonian._anticommutator, []
+
+    def counted(d, x, k):
+        sparse.append(scipy.sparse.issparse(d[0]))
+        return anticommutator(d, x, k)
+
+    monkeypatch.setattr(flowspec.hamiltonian, "_anticommutator", counted)
+    levels = [0.4, 0.2, 0.1, 0.05]
+    cfg = fs.RunConfig.from_dict({
+        "model": {"name": "langevin_double_well_circle",
+                  "params": {"depth": 1.0, "epsilon": 0.2, "n": 48}},
+        "tasks": ["classify", "witten", "morse", "sweep"],
+        "sweep": {"epsilons": levels}, "morse": {"splitting_epsilons": levels}})
+    fs.run(cfg, out_dir=tmp_path)
+    # {d, d†} and {d, iota} at both degrees on CSR pieces, for the first
+    # level's blocks; these and {d, Qbar}, for the check, once on symbolic
+    # pieces, for the map, whose charge route checks every level
+    assert sparse.count(True) == 4
+    assert sparse.count(False) == 6
+
+
 def _in_index_order(a, b):
     """a @ b with each entry's terms summed in ascending inner index.
 
